@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-fix-check test race fuzz-smoke chaos corruption blocks bench-json obs-smoke obs-trace serve fleet fmt verify
+.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos corruption blocks bench-json obs-smoke obs-trace serve fleet fmt verify
 
 all: build
 
@@ -17,13 +17,25 @@ build:
 # untrustedflow) —
 # driven through `go vet -vettool` so it sees the same build graph vet
 # does, then the //lint:ignore audit: every suppression must still be
-# covering a live finding.
+# covering a live finding. Last, fma-check.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o bin/dnalint ./cmd/dnalint
 	$(GO) vet -vettool=$(CURDIR)/bin/dnalint ./...
 	./bin/dnalint -ignores ./...
+	$(MAKE) fma-check
+
+# Codec arithmetic must round identically on every architecture: Go fuses
+# `a*b + c` into one instruction on arm64 (not on amd64), which changes CTW
+# and XM stream probabilities and the modeled WorkNS. Wrapping the product
+# in float64(...) forbids the fusion; this cross-builds the daemon for arm64
+# and fails on any fused multiply-add left in the codec packages.
+fma-check:
+	GOARCH=arm64 $(GO) build -o bin/dnacompd-arm64 ./cmd/dnacompd
+	@fused="$$($(GO) tool objdump -s 'ctxdna/internal/compress' bin/dnacompd-arm64 | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB')"; \
+	if [ -n "$$fused" ]; then echo "fused multiply-add in codec code; wrap the product in float64(...):"; echo "$$fused"; exit 1; fi; \
+	echo "fma-check: ok"
 
 # Quick pre-commit pass: just the dnalint suite (standalone driver, no
 # toolchain vet) plus the suppression audit — seconds, not minutes.
@@ -37,6 +49,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark is a module of its own, so `go test ./...` at the root never
+# reaches its tests: plan determinism, the metric tables against
+# BENCHMARK.json, the routing check and a byte-for-byte workload smoke.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # without a long campaign. `go test` accepts one -fuzz pattern per run.
@@ -139,4 +157,4 @@ obs-trace:
 fmt:
 	gofmt -w .
 
-verify: lint build race chaos corruption blocks fleet obs-smoke obs-trace serve
+verify: lint build race perfbench-test chaos corruption blocks fleet obs-smoke obs-trace serve

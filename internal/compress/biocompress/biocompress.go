@@ -148,9 +148,11 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 	ms := m.Stats()
 	st := compress.Stats{
-		WorkNS: startupNS + int64(nsPerProbe*float64(ms.Probes)+nsPerExtend*float64(ms.Extends)+
-			nsPerSearch*float64(literals+matches)+nsPerIndexed*float64(len(src))+
-			nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+nsPerCopied*float64(copied)),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupNS + int64(float64(nsPerProbe*float64(ms.Probes))+float64(nsPerExtend*float64(ms.Extends))+
+			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
 		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() + len(src) + len(out),
 	}
 	return out, st, nil
@@ -239,7 +241,9 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		copied += int64(l)
 	}
 	st := compress.Stats{
-		WorkNS:  startupNS + int64(nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+nsPerCopied*float64(copied)),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS:  startupNS + int64(float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
 		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases),
 	}
 	return out, st, nil

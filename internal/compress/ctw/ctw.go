@@ -20,6 +20,7 @@ package ctw
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -40,7 +41,7 @@ type Codec struct {
 
 // New returns a CTW codec with the given context depth in bits (1..30).
 func New(depth int) *Codec {
-	if depth < 1 || depth > 30 {
+	if depth < 1 || depth > maxDepth {
 		panic("ctw: depth outside [1,30]")
 	}
 	return &Codec{depth: depth}
@@ -62,24 +63,56 @@ type node struct {
 
 const nodeBytes = 8 + 8 + 8 // approximate in-memory size used for RAM accounting
 
+// maxDepth is the deepest context New accepts and Decompress decodes.
+const maxDepth = 30
+
 // tree is a growable arena of nodes rooted at index 0.
 type tree struct {
 	nodes []node
 	depth int
-	path  []int32 // scratch: nodes along the current context path
+	// Scratch for the current context path, indexed by depth: the nodes
+	// descend visited, and the KT estimate and mixture predict computed at
+	// each, which update reuses. Nodes at depths >= fresh were created by
+	// the last descend.
+	path  [maxDepth + 1]int32
+	pkt   [maxDepth + 1]float64
+	pw    [maxDepth + 1]float64
+	fresh int
 }
 
+// maxPooledNodes bounds the arenas treePool keeps: enough for a full
+// DefaultDepth context space, so a frame that claims a deep context cannot
+// leave a large arena behind.
+const maxPooledNodes = 1 << (DefaultDepth + 1)
+
+// treePool recycles tree arenas across calls. The serving path builds a
+// fresh codec per request, so the arenas cannot live on a Codec.
+var treePool = sync.Pool{New: func() any { return new(tree) }}
+
 func newTree(depth, bitCount int) *tree {
-	t := &tree{depth: depth, path: make([]int32, depth+1)}
+	t := treePool.Get().(*tree)
+	t.depth = depth
 	// The arena can never exceed the context space (2^(depth+1)-1 nodes) and
 	// rarely exceeds a few nodes per coded bit.
 	hint := 4*bitCount + 16
 	if maxNodes := 1 << (depth + 1); hint > maxNodes {
 		hint = maxNodes
 	}
-	t.nodes = make([]node, 1, hint)
+	// Truncating to the root is a full reset: newNode appends every later
+	// node in full.
+	if cap(t.nodes) < hint {
+		t.nodes = make([]node, 1, hint)
+	}
+	t.nodes = t.nodes[:1]
 	t.nodes[0] = node{beta: 1, children: [2]int32{-1, -1}}
 	return t
+}
+
+// release returns t to treePool; t must not be used afterwards.
+func (t *tree) release() {
+	if cap(t.nodes) <= maxPooledNodes {
+		treePool.Put(t)
+	}
 }
 
 func (t *tree) newNode() int32 {
@@ -88,16 +121,21 @@ func (t *tree) newNode() int32 {
 }
 
 // descend walks from the root along the context (most recent bit first),
-// creating nodes as needed, and records the path.
+// creating nodes as needed, and records the path and where its fresh
+// suffix begins.
 func (t *tree) descend(ctx uint32) {
 	cur := int32(0)
 	t.path[0] = 0
+	t.fresh = t.depth + 1
 	for d := 1; d <= t.depth; d++ {
 		bit := ctx >> (d - 1) & 1
 		next := t.nodes[cur].children[bit]
 		if next < 0 {
 			next = t.newNode()
 			t.nodes[cur].children[bit] = next
+			if t.fresh > d {
+				t.fresh = d
+			}
 		}
 		t.path[d] = next
 		cur = next
@@ -115,37 +153,60 @@ const (
 )
 
 // predict computes the mixture probability of a zero for the current path
-// (descend must have been called). It walks leaf-to-root.
+// (descend must have been called). It walks leaf-to-root, recording each
+// node's KT estimate and mixture for update.
+//
+// A fresh node has zero counts and β = 1, so its KT estimate is exactly 1/2
+// and so is its mixture over a fresh child; the walk starts above the fresh
+// suffix with that value.
 func (t *tree) predict() float64 {
-	// Leaf: pure KT.
-	p0 := ktP0(&t.nodes[t.path[t.depth]])
-	for d := t.depth - 1; d >= 0; d-- {
+	p0 := 0.5
+	d := t.fresh - 1
+	if d == t.depth {
+		// Leaf: pure KT.
+		p0 = ktP0(&t.nodes[t.path[d]])
+		t.pkt[d] = p0
+		d--
+	}
+	for ; d >= 0; d-- {
 		n := &t.nodes[t.path[d]]
 		pkt := ktP0(n)
-		p0 = (n.beta*pkt + p0) / (n.beta + 1)
+		// float64() keeps the product rounded on its own: fused into the
+		// add, it would round differently on arm64 and break the stream.
+		p0 = (float64(n.beta*pkt) + p0) / (n.beta + 1)
+		t.pkt[d] = pkt
+		t.pw[d] = p0
 	}
 	return p0
 }
 
 // update records the coded bit along the current path, maintaining counts
-// and β ratios bottom-up.
+// and β ratios bottom-up. predict must have run for this path: update
+// reuses its KT estimates, and for a zero its mixtures, which are exactly
+// the Pw(child) values β needs. On the fresh suffix every mixture is 1/2
+// and β stays exactly 1, so only the counts change there.
 func (t *tree) update(bit int) {
-	// Child conditional probability, rebuilt leaf-to-root exactly as in
-	// predict so that β sees the same Pw(child) values.
-	leaf := &t.nodes[t.path[t.depth]]
-	pChild := ktP0(leaf)
-	if bit == 1 {
-		pChild = 1 - pChild
+	for d := t.fresh; d <= t.depth; d++ {
+		bump(&t.nodes[t.path[d]], bit)
 	}
-	bump(leaf, bit)
-	for d := t.depth - 1; d >= 0; d-- {
-		n := &t.nodes[t.path[d]]
-		pkt := ktP0(n)
+	pChild := 0.5
+	d := t.fresh - 1
+	if d == t.depth {
+		pChild = t.pkt[d]
 		if bit == 1 {
-			pkt = 1 - pkt
+			pChild = 1 - pChild
 		}
-		// Mixture this node produced for the coded bit, before updating.
-		pw := (n.beta*pkt + pChild) / (n.beta + 1)
+		bump(&t.nodes[t.path[d]], bit)
+		d--
+	}
+	for ; d >= 0; d-- {
+		n := &t.nodes[t.path[d]]
+		pkt, pw := t.pkt[d], t.pw[d]
+		if bit == 1 {
+			// Mixture this node produced for the coded bit, before updating.
+			pkt = 1 - pkt
+			pw = (float64(n.beta*pkt) + pChild) / (n.beta + 1)
+		}
 		// β ← β · Pe(bit)/Pw(child = bit)
 		n.beta *= pkt / pChild
 		if n.beta > betaMax {
@@ -188,9 +249,13 @@ func probTo16(p0 float64) uint32 {
 
 // Cost model: one bit touches depth+1 nodes twice (predict + update) with a
 // handful of float ops each; ~24 ns per node-visit pair on the reference
-// core (calibrated against BenchmarkCompress in this package: ~824 ns/base
-// at depth 16). Decompression performs the identical computation — the
-// structural reason CTW posts the worst decompression times in the paper.
+// core (~824 ns/base at depth 16). The weight was first fitted to
+// BenchmarkCompress in this package, but it models the paper's reference
+// CTW binary and stays fixed as this code gets faster: the selector trains
+// on WorkNS, so measured time may drop while modeled time does not (see
+// the cost-model item in ROADMAP.md). Decompression performs the identical
+// computation — the structural reason CTW posts the worst decompression
+// times in the paper.
 const nsPerNodeVisit = 24.0
 
 // startupNS models the fixed per-invocation cost of the measured CTW
@@ -213,6 +278,8 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	// base follow different conditional laws, and a shared tree would
 	// conflate them (a measurable ~0.05 bits/base loss on Markov DNA).
 	trees := [2]*tree{newTree(c.depth, len(src)), newTree(c.depth, len(src))}
+	defer trees[0].release()
+	defer trees[1].release()
 	enc := arith.NewEncoder(len(src)/3 + 64)
 	var ctx uint32
 	ctxMask := uint32(1<<c.depth) - 1
@@ -247,7 +314,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		return nil, compress.Stats{}, compress.Corruptf("ctw: empty stream")
 	}
 	depth := int(data[0])
-	if depth < 1 || depth > 30 {
+	if depth < 1 || depth > maxDepth {
 		return nil, compress.Stats{}, compress.Corruptf("ctw: depth %d out of range", depth)
 	}
 	nBases, used := binary.Uvarint(data[1:])
@@ -263,6 +330,8 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	// claim's memory up front.
 	hint := compress.HeaderPrealloc(nBases)
 	trees := [2]*tree{newTree(depth, hint), newTree(depth, hint)}
+	defer trees[0].release()
+	defer trees[1].release()
 	dec := arith.NewDecoder(data[1+used:])
 	out := make([]byte, 0, hint)
 	var ctx uint32

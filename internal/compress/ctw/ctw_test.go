@@ -1,6 +1,11 @@
 package ctw
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -90,12 +95,105 @@ func TestNodeBudget(t *testing.T) {
 		for shift := 1; shift >= 0; shift-- {
 			bit := int(sym >> shift & 1)
 			tr.descend(ctx)
+			tr.predict() // update reuses predict's per-depth values
 			tr.update(bit)
 			ctx = (ctx<<1 | uint32(bit)) & mask
 		}
 	}
 	if len(tr.nodes) > 1<<17 {
 		t.Fatalf("%d nodes exceeds the context-space bound", len(tr.nodes))
+	}
+}
+
+// TestPooledArenasConcurrent runs compress and decompress at depths 2, 16
+// and 30 from several goroutines at once, mixed with a hostile frame whose
+// header claims the deepest context, and demands every output and Stats
+// equal a sequential run: an arena reused from treePool must behave exactly
+// like a fresh one, whatever depth it served before.
+func TestPooledArenasConcurrent(t *testing.T) {
+	type result struct {
+		out []byte
+		st  compress.Stats
+		err error
+	}
+	type call struct {
+		name string
+		run  func() result
+	}
+	var calls []call
+	for _, depth := range []int{2, 16, 30} {
+		c := New(depth)
+		for _, n := range []int{600, 2500} {
+			src := synth.Profile{Length: n, GC: 0.45, RepeatProb: 0.01, RepeatMin: 16, RepeatMax: 200, MutationRate: 0.02}.Generate(int64(depth*n + 1))
+			frame, _, err := c.Compress(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls = append(calls,
+				call{fmt.Sprintf("compress/d%d/n%d", depth, n), func() result {
+					out, st, err := c.Compress(src)
+					return result{out, st, err}
+				}},
+				call{fmt.Sprintf("decompress/d%d/n%d", depth, n), func() result {
+					out, st, err := c.Decompress(frame)
+					return result{out, st, err}
+				}})
+		}
+	}
+	// A stream nobody compressed: depth 30 from the header, a length claim,
+	// and noise the range decoder turns into symbols.
+	hostile := []byte{maxDepth}
+	hostile = binary.AppendUvarint(hostile, 3000)
+	noise := rand.New(rand.NewSource(30))
+	for i := 0; i < 64; i++ {
+		hostile = append(hostile, byte(noise.Intn(256)))
+	}
+	calls = append(calls, call{"decompress/hostile", func() result {
+		out, st, err := New(DefaultDepth).Decompress(hostile)
+		return result{out, st, err}
+	}})
+
+	want := make([]result, len(calls))
+	for i, c := range calls {
+		if want[i] = c.run(); want[i].err != nil {
+			t.Fatalf("%s: %v", c.name, want[i].err)
+		}
+	}
+
+	const workers = 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range calls {
+				i := (k + w*5) % len(calls) // each worker starts elsewhere
+				got := calls[i].run()
+				if got.err != nil || got.st != want[i].st || !bytes.Equal(got.out, want[i].out) {
+					t.Errorf("worker %d: %s: concurrent run (stats %+v, err %v) differs from sequential (stats %+v)",
+						w, calls[i].name, got.st, got.err, want[i].st)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestPoolDropsOversizeArenas: an arena grown past a full DefaultDepth
+// context space, which only a deeper header can cause, must not be kept
+// for later calls.
+func TestPoolDropsOversizeArenas(t *testing.T) {
+	big := newTree(maxDepth, maxPooledNodes/4)
+	if cap(big.nodes) <= maxPooledNodes {
+		t.Fatalf("arena of %d nodes is not oversize", cap(big.nodes))
+	}
+	big.release()
+	for i := 0; i < 4; i++ {
+		tr := newTree(DefaultDepth, 1)
+		if cap(tr.nodes) > maxPooledNodes {
+			t.Fatalf("pool handed out an oversize arena of %d nodes", cap(tr.nodes))
+		}
+		defer tr.release() // held until the end, so each Get takes another
 	}
 }
 

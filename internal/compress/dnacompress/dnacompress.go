@@ -148,7 +148,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		idx.ForEachAnchor(i, func(j int) bool {
 			// k = 0: the extension walks the seed window itself, turning
 			// don't-care mismatches into substitution ops.
-			am := match.ExtendApprox(src, j, i, 0, c.cfg.Approx, &searchStats)
+			am := match.ExtendApprox(src, j, i, 0, c.cfg.Approx, &searchStats, nil)
 			if s := c.score(am, i); s > bestScore {
 				best, bestScore = am, s
 			}
@@ -193,11 +193,13 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	st := idx.Stats()
 	searchStats.Probes += st.Probes
 	stats := compress.Stats{
-		WorkNS: startupCompressNS + int64(implFactor*(nsPerProbe*float64(searchStats.Probes)+
-			nsPerExtend*float64(searchStats.Extends)+
-			nsPerSearch*float64(literals+matches)+nsPerIndexed*float64(len(src))+
-			nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+
-			nsPerOp*float64(opsEmitted)+nsPerCopied*float64(copied))),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupCompressNS + int64(implFactor*(float64(nsPerProbe*float64(searchStats.Probes))+
+			float64(nsPerExtend*float64(searchStats.Extends))+
+			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+
+			float64(nsPerOp*float64(opsEmitted))+float64(nsPerCopied*float64(copied)))),
 		PeakMem: idx.MemoryFootprint() + lit.MemoryFootprint() + len(src) + len(out) + 5*distM.MemoryFootprint(),
 	}
 	return out, stats, nil
@@ -313,8 +315,10 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		opsReplayed += int64(nOps)
 	}
 	st := compress.Stats{
-		WorkNS: startupDecompressNS + int64(implFactor*(nsPerLiteral*float64(literals)+
-			nsPerMatch*float64(matches)+nsPerOp*float64(opsReplayed)+nsPerCopied*float64(copied))),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(literals))+
+			float64(nsPerMatch*float64(matches))+float64(nsPerOp*float64(opsReplayed))+float64(nsPerCopied*float64(copied)))),
 		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases) + 5*distM.MemoryFootprint(),
 	}
 	return out, st, nil

@@ -143,7 +143,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		if !ok || mt.Src+mt.Len > i {
 			continue
 		}
-		am := match.ExtendApprox(src, mt.Src, i, mt.Len, approxCfg, &searchStats)
+		am := match.ExtendApprox(src, mt.Src, i, mt.Len, approxCfg, &searchStats, nil)
 		if am.TLen < c.cfg.MinRepeat {
 			continue
 		}
@@ -213,10 +213,12 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	searchStats.Probes += ms.Probes
 	searchStats.Extends += ms.Extends
 	st := compress.Stats{
-		WorkNS: startupCompressNS + int64(implFactor*(nsPerProbe*float64(searchStats.Probes)+
-			nsPerExtend*float64(searchStats.Extends)+nsPerSearch*float64(n)+
-			nsPerIndexed*float64(n)+nsPerDPStep*float64(n)+
-			nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+nsPerCopied*float64(copied))),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupCompressNS + int64(implFactor*(float64(nsPerProbe*float64(searchStats.Probes))+
+			float64(nsPerExtend*float64(searchStats.Extends))+float64(nsPerSearch*float64(n))+
+			float64(nsPerIndexed*float64(n))+float64(nsPerDPStep*float64(n))+
+			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied)))),
 		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() +
 			16*n + // cands + cost + take
 			len(src) + len(out),
@@ -281,8 +283,10 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		copied += int64(tlen)
 	}
 	st := compress.Stats{
-		WorkNS: startupDecompressNS + int64(implFactor*(nsPerLiteral*float64(literals)+
-			nsPerMatch*float64(matches)+nsPerCopied*float64(copied))),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(literals))+
+			float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied)))),
 		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases),
 	}
 	return out, st, nil

@@ -177,9 +177,11 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 	ms := m.Stats()
 	st := compress.Stats{
-		WorkNS: startupCompressNS + int64(nsPerProbe*float64(ms.Probes)+nsPerExtend*float64(ms.Extends)+
-			nsPerSearch*float64(literals+matches)+nsPerIndexed*float64(len(src))+
-			nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+nsPerCopied*float64(copied)),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS: startupCompressNS + int64(float64(nsPerProbe*float64(ms.Probes))+float64(nsPerExtend*float64(ms.Extends))+
+			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
 		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() + lenM.MemoryFootprint() +
 			distM.MemoryFootprint() + len(src) + len(out),
 	}
@@ -258,7 +260,9 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		// Decompression skips all match finding: only literal decoding and
 		// copying remain, which is why DNAX posts the best decompression
 		// times in the paper.
-		WorkNS:  startupDecompressNS + int64(nsPerLiteral*float64(literals)+nsPerMatch*float64(matches)+nsPerCopied*float64(copied)),
+		// float64(...) rounds each product on its own, so arm64 cannot fuse it
+		// into the sum and move WorkNS (make fma-check).
+		WorkNS:  startupDecompressNS + int64(float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
 		PeakMem: lit.MemoryFootprint() + lenM.MemoryFootprint() + distM.MemoryFootprint() + len(data) + int(nBases),
 	}
 	return out, st, nil

@@ -166,7 +166,10 @@ func (c *copyExpert) update(history []byte, sym byte) {
 	// predicted for this position sits one further back than in predict.
 	if c.offset > 0 && c.offset < len(history) {
 		if history[len(history)-1-c.offset] == sym {
-			c.ema = 0.95*c.ema + 0.05
+			// float64(...) here and in mix/observe keeps each product
+			// rounded on its own: fused into the add (arm64 does), it would
+			// change the stream's probabilities between architectures.
+			c.ema = float64(0.95*c.ema) + 0.05
 		} else {
 			c.ema = 0.95 * c.ema
 		}
@@ -226,7 +229,7 @@ func (p *panel) mix(dist *[4]float64) {
 	}
 	for i, w := range p.weights {
 		for s := 0; s < 4; s++ {
-			dist[s] += w * p.scratch[i][s]
+			dist[s] += float64(w * p.scratch[i][s])
 		}
 	}
 }
@@ -241,7 +244,7 @@ func (p *panel) observe(sym byte) {
 	}
 	n := float64(len(p.weights))
 	for i := range p.weights {
-		p.weights[i] = (1-p.cfg.Decay)*(p.weights[i]/total) + p.cfg.Decay/n
+		p.weights[i] = float64((1-p.cfg.Decay)*(p.weights[i]/total)) + p.cfg.Decay/n
 	}
 	p.history = append(p.history, sym)
 	for _, m := range p.markovs {

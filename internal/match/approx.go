@@ -70,8 +70,13 @@ type ApproxMatch struct {
 // it evaluates how far a substitution, an insertion or a deletion would
 // resynchronize the streams and picks the best. stats, when non-nil,
 // accumulates comparison counts for the cost model.
-func ExtendApprox(data []byte, src, dst, k int, cfg ApproxConfig, stats *Stats) ApproxMatch {
-	am := ApproxMatch{Src: src, TLen: k, SLen: k}
+//
+// The match's Ops are appended to ops[:0], so a caller scoring many
+// candidates can hand back a spent buffer instead of allocating per call;
+// nil allocates as needed. The returned Ops share ops' backing array while
+// it has room, so the caller must not reuse ops while it still needs them.
+func ExtendApprox(data []byte, src, dst, k int, cfg ApproxConfig, stats *Stats, ops []EditOp) ApproxMatch {
+	am := ApproxMatch{Src: src, TLen: k, SLen: k, Ops: ops[:0]}
 	s := src + k // next source index
 	t := dst + k // next target index
 	run := 0     // consecutive errors

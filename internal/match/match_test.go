@@ -225,7 +225,7 @@ func TestSAMMatchingStatistics(t *testing.T) {
 func TestExtendApproxPureCopy(t *testing.T) {
 	blk := "ACGTACGGTTCAACGTACGT"
 	data := mustEncode(t, blk+blk)
-	am := ExtendApprox(data, 0, len(blk), 12, DefaultApproxConfig(), nil)
+	am := ExtendApprox(data, 0, len(blk), 12, DefaultApproxConfig(), nil, nil)
 	if am.TLen != len(blk) || len(am.Ops) != 0 {
 		t.Fatalf("got TLen=%d ops=%d, want %d/0", am.TLen, len(am.Ops), len(blk))
 	}
@@ -240,7 +240,7 @@ func TestExtendApproxSubstitution(t *testing.T) {
 	copy(dst, src)
 	dst[20] = (dst[20] + 1) & 3 // one substitution mid-block
 	data := append(append([]byte{}, src...), dst...)
-	am := ExtendApprox(data, 0, len(src), 12, DefaultApproxConfig(), nil)
+	am := ExtendApprox(data, 0, len(src), 12, DefaultApproxConfig(), nil, nil)
 	if am.TLen != len(src) {
 		t.Fatalf("TLen = %d, want %d", am.TLen, len(src))
 	}
@@ -263,7 +263,7 @@ func TestExtendApproxIndel(t *testing.T) {
 	tgt = append(tgt, src[25:]...)
 	data := append(append([]byte{}, src...), tgt...)
 	cfg := DefaultApproxConfig()
-	am := ExtendApprox(data, 0, len(src), 12, cfg, nil)
+	am := ExtendApprox(data, 0, len(src), 12, cfg, nil, nil)
 	if am.TLen < len(tgt)-2 {
 		t.Fatalf("TLen = %d, want >= %d", am.TLen, len(tgt)-2)
 	}
@@ -288,7 +288,7 @@ func TestExtendApproxHammingOnly(t *testing.T) {
 	data := append(append([]byte{}, src...), tgt...)
 	cfg := DefaultApproxConfig()
 	cfg.HammingOnly = true
-	am := ExtendApprox(data, 0, len(src), 12, cfg, nil)
+	am := ExtendApprox(data, 0, len(src), 12, cfg, nil, nil)
 	for _, op := range am.Ops {
 		if op.Kind != OpSub {
 			t.Fatalf("HammingOnly produced %v", op.Kind)
@@ -310,7 +310,7 @@ func TestExtendApproxBudget(t *testing.T) {
 	}
 	data := append(append([]byte{}, src...), tgt...)
 	cfg := ApproxConfig{MaxOps: 5, MaxRun: 3, Lookahead: 4}
-	am := ExtendApprox(data, 0, len(src), 12, cfg, nil)
+	am := ExtendApprox(data, 0, len(src), 12, cfg, nil, nil)
 	if len(am.Ops) > 5 {
 		t.Fatalf("budget exceeded: %d ops", len(am.Ops))
 	}
@@ -325,7 +325,7 @@ func TestExtendApproxEndsOnAgreement(t *testing.T) {
 	tgt := append([]byte{}, src...)
 	tgt[len(tgt)-1] = (tgt[len(tgt)-1] + 1) & 3
 	data := append(append([]byte{}, src...), tgt...)
-	am := ExtendApprox(data, 0, len(src), 12, DefaultApproxConfig(), nil)
+	am := ExtendApprox(data, 0, len(src), 12, DefaultApproxConfig(), nil, nil)
 	if len(am.Ops) != 0 {
 		t.Fatalf("trailing error not trimmed: %+v", am.Ops)
 	}
@@ -339,6 +339,9 @@ func TestExtendApproxRandomizedValidity(t *testing.T) {
 	p := synth.Profile{Length: 3000, GC: 0.45, RepeatProb: 0.03, RepeatMin: 20, RepeatMax: 200, MutationRate: 0.03}
 	data := p.Generate(31)
 	m := NewHashMatcher(data)
+	// A reused ops buffer, dirty from earlier trials, must yield exactly the
+	// match a fresh one does.
+	var spent []EditOp
 	for trial := 0; trial < 300; trial++ {
 		pos := DefaultK + rng.Intn(len(data)-2*DefaultK)
 		m.Advance(pos)
@@ -346,7 +349,17 @@ func TestExtendApproxRandomizedValidity(t *testing.T) {
 		if !ok || mt.Src+mt.Len > pos {
 			continue
 		}
-		am := ExtendApprox(data, mt.Src, pos, mt.Len, DefaultApproxConfig(), nil)
+		am := ExtendApprox(data, mt.Src, pos, mt.Len, DefaultApproxConfig(), nil, nil)
+		reused := ExtendApprox(data, mt.Src, pos, mt.Len, DefaultApproxConfig(), nil, spent)
+		if reused.Src != am.Src || reused.TLen != am.TLen || reused.SLen != am.SLen || len(reused.Ops) != len(am.Ops) {
+			t.Fatalf("trial %d: reused buffer gave %+v, fresh %+v", trial, reused, am)
+		}
+		for i := range am.Ops {
+			if reused.Ops[i] != am.Ops[i] {
+				t.Fatalf("trial %d: op %d is %+v with a reused buffer, %+v fresh", trial, i, reused.Ops[i], am.Ops[i])
+			}
+		}
+		spent = reused.Ops
 		if !am.Valid(data, pos) {
 			t.Fatalf("trial %d: invalid approx match %+v at pos %d", trial, am, pos)
 		}
