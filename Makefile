@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos corruption blocks bench-json obs-smoke obs-trace serve fleet fmt verify
+.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos bench-json obs-smoke obs-trace serve fmt verify
 
 all: build
 
@@ -47,6 +47,11 @@ lint-fix-check:
 test:
 	$(GO) test ./...
 
+# Every test in the module under the race detector — the armored-frame
+# corruption suite, the block-engine BlockSuite and mutants, the fleet and
+# the daemon tests included. `make verify` adds only what this run cannot
+# show: the -count=2 determinism rerun (chaos) and the process smokes
+# (serve, obs-smoke, obs-trace).
 race:
 	$(GO) test -race ./...
 
@@ -65,24 +70,6 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
 
-# Hardened-decode gate: the armored-frame corruption suite (truncation,
-# bit flips, extension, header tampering against all registered codecs),
-# the promoted fuzz seeds, and the frame-checksum exchange tests, under
-# the race detector.
-corruption:
-	$(GO) test ./internal/compress/... -race -run 'Corruption|NeverPanics|SafeDecompress|Frame|Seal|Open'
-	$(GO) test ./internal/cloud -race -run 'ExchangeDetectsCorruption|ExchangeBlobIsArmoredFrame'
-
-# Block-engine gate: the property-based BlockSuite (round-trip at block
-# boundaries, 1k-probe seek equivalence, jobs determinism, block-vs-whole
-# differential) and the multi-block corruption mutants across all
-# registered codecs, plus the hostile-header, cache-aliasing, block
-# exchange and block CLI tests — all under the race detector.
-blocks:
-	$(GO) test ./internal/compress/... -race -run 'Block'
-	$(GO) test ./internal/cloud -race -run 'ExchangeBlocks'
-	$(GO) test ./cmd/dnacomp -race -run 'Block'
-
 # Regenerate the per-PR benchmark snapshot (BENCH_<n>.json). Numbers are
 # hardware-dependent; commit the snapshot from the PR that changes the
 # measured path.
@@ -98,13 +85,10 @@ bench-json-fleet:
 bench-json-obs:
 	$(GO) run ./cmd/benchjson -suite obs -o BENCH_10.json
 
-# Serving gate: the daemon and debug-server tests under the race detector
-# (admission control, graceful drain, reader contracts, expvar remount,
-# synchronous pprof bind), then a deterministic load-generator smoke
-# against a real dnacompd process — full outcome accounting, zero failed
-# or mismatched requests.
+# Serving gate: a deterministic load-generator smoke against a real
+# dnacompd process — full outcome accounting, zero failed or mismatched
+# requests. (The daemon's own tests run under `make race`.)
 serve:
-	$(GO) test ./internal/serve ./internal/obs ./cmd/dnacompd -race
 	$(GO) build -o bin/dnacompd ./cmd/dnacompd
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	./bin/dnacompd -loadgen self -requests 24 -conc 6 -seed 2015 > "$$tmp/load.json" || { echo "serve: loadgen smoke failed"; exit 1; }; \
@@ -112,21 +96,12 @@ serve:
 	grep -q '"mismatches": 0' "$$tmp/load.json" || { echo "serve: loadgen reported mismatches"; exit 1; }; \
 	echo "serve: ok"
 
-# Chaos gate: the fault-injection and exchange tests under -race, run
-# twice to prove the seeded fault schedules and retry backoff reproduce
-# exactly (same seed => byte-identical reports).
+# Determinism rerun: the fault-injection, exchange, backoff and fleet
+# chaos tests under -race, run twice in one process to prove the seeded
+# fault schedules, retry backoff and shard kills reproduce exactly (same
+# seed => byte-identical reports, golden digest included).
 chaos:
-	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff'
-
-# Fleet gate: the sharded-store fleet under -race — ring placement,
-# replication and quorums, breaker state machine, degraded-error
-# attribution, and the fleet chaos suite run twice to prove the seeded
-# shard kills reproduce byte-identical exchange reports; then the serve
-# layer's fleet-backed store, Retry-After backpressure contract and the
-# drain goroutine-leak check while a shard flaps.
-fleet:
-	$(GO) test ./internal/cloud -race -count=2 -run 'Fleet'
-	$(GO) test ./internal/serve -race -run 'Fleet|RetryAfter|Drain'
+	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff|Fleet'
 
 # Observability gate: a tiny grid with metrics + trace export enabled must
 # emit well-formed Prometheus text (codec, cache and grid families) and a
@@ -157,4 +132,4 @@ obs-trace:
 fmt:
 	gofmt -w .
 
-verify: lint build race perfbench-test chaos corruption blocks fleet obs-smoke obs-trace serve
+verify: lint build race perfbench-test chaos obs-smoke obs-trace serve

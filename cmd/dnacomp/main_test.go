@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -437,7 +438,9 @@ func TestValidateFleetFlags(t *testing.T) {
 
 // TestObservabilityExports: compressing, decompressing and exchanging feed
 // the default registry, and exportObservability writes well-formed metrics
-// and trace snapshots from it.
+// and trace snapshots from it. The one-frame exchange and a -block-size
+// exchange run the same pipeline: each books one more dna_exchange_total
+// and opens a cloud.exchange span.
 func TestObservabilityExports(t *testing.T) {
 	dir := t.TempDir()
 	p := synth.Profile{Length: 2000, GC: 0.5}
@@ -450,51 +453,71 @@ func TestObservabilityExports(t *testing.T) {
 	if err := run("", true, restored, true, 0, "", []string{packed}); err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(obs.System())
-	ctx := obs.WithTracer(context.Background(), tracer)
-	if err := runExchange(ctx, "dnax", 0, 8, 2015, 0, 0, 0, true, []string{in}); err != nil {
-		t.Fatal(err)
-	}
 
 	metrics := filepath.Join(dir, "metrics.prom")
 	trace := filepath.Join(dir, "trace.json")
-	if err := exportObservability(metrics, trace, tracer); err != nil {
-		t.Fatal(err)
-	}
-	prom, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`dna_codec_calls_total{codec="dnax",op="compress"}`,
-		`dna_codec_calls_total{codec="dnax",op="decompress"}`,
-		"dna_exchange_total",
-	} {
-		if !strings.Contains(string(prom), want) {
-			t.Errorf("metrics snapshot missing %q", want)
+	var exchanged float64
+	for _, blockSize := range []int{0, 512} {
+		tracer := obs.NewTracer(obs.System())
+		ctx := obs.WithTracer(context.Background(), tracer)
+		if err := runExchange(ctx, "dnax", 0, 8, 2015, blockSize, 0, 0, true, []string{in}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	raw, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Spans []obs.SpanRecord `json:"spans"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace not valid JSON: %v", err)
-	}
-	found := false
-	for _, s := range doc.Spans {
-		if s.Name == "cloud.exchange" {
-			found = true
+		if err := exportObservability(metrics, trace, tracer); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("trace missing cloud.exchange span: %+v", doc.Spans)
+		prom, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`dna_codec_calls_total{codec="dnax",op="compress"}`,
+			`dna_codec_calls_total{codec="dnax",op="decompress"}`,
+			"dna_exchange_total",
+		} {
+			if !strings.Contains(string(prom), want) {
+				t.Errorf("block size %d: metrics snapshot missing %q", blockSize, want)
+			}
+		}
+		ok := promValue(string(prom), `dna_exchange_total{outcome="ok"}`)
+		if ok <= exchanged {
+			t.Errorf("block size %d: dna_exchange_total{outcome=\"ok\"} = %v, did not grow past %v", blockSize, ok, exchanged)
+		}
+		exchanged = ok
+		raw, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Spans []obs.SpanRecord `json:"spans"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("trace not valid JSON: %v", err)
+		}
+		found := false
+		for _, s := range doc.Spans {
+			if s.Name == "cloud.exchange" {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("block size %d: trace missing cloud.exchange span: %+v", blockSize, doc.Spans)
+		}
 	}
 	// Exporting nothing is a no-op, not an error.
 	if err := exportObservability("", "", nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// promValue reads one series' value from a Prometheus text snapshot; a
+// missing series reads as 0.
+func promValue(prom, series string) float64 {
+	for _, line := range strings.Split(prom, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, _ := strconv.ParseFloat(v, 64)
+			return f
+		}
+	}
+	return 0
 }

@@ -1,7 +1,8 @@
 // Cloudexchange walks the paper's Figure 1 end to end: a client gathers its
 // context, the inference engine picks the codec, the sequence is compressed
-// and uploaded to the (simulated) Azure Blob store, then the cloud VM
-// downloads and decompresses it. The same exchange is repeated with every
+// into an armored frame and uploaded to the (simulated) Azure Blob store,
+// then the cloud VM downloads it and restores it, verifying the frame's
+// own checksums. The same exchange is repeated with every
 // fixed codec to show what the context-aware choice saved. A final pass
 // repeats the selected exchange against a fault-injected store to show the
 // retry policy riding out transient storage failures.
@@ -48,9 +49,6 @@ func main() {
 	// 2. Exchange three differently-sized sequences from a slow client.
 	client := cloud.VM{Name: "lab-vm", RAMMB: 2048, CPUMHz: 2000, BandwidthMbps: 2}
 	store := cloud.NewBlobStore()
-	if err := store.CreateContainer("sequences"); err != nil {
-		log.Fatal(err)
-	}
 	profile := synth.Profile{GC: 0.4, RepeatProb: 0.0015, RepeatMin: 20, RepeatMax: 400,
 		RCFraction: 0.2, MutationRate: 0.03, LocalOrder: 3, LocalBias: 0.8}
 
@@ -64,18 +62,20 @@ func main() {
 		best, worst := "", ""
 		bestMS, worstMS := 0.0, 0.0
 		for _, codec := range []string{"ctw", "dnax", "gencompress", "gzip"} {
-			rep, err := core.Exchange(store, "sequences", fmt.Sprintf("%dkb-%s", sizeKB, codec), client, codec, sequence)
+			rep, err := cloud.Exchange(context.Background(), client, store, codec, sequence, cloud.ExchangeOptions{
+				Container: "sequences",
+				Blob:      fmt.Sprintf("%dkb-%s", sizeKB, codec),
+			})
 			if err != nil {
 				log.Fatalf("%s: %v", codec, err)
 			}
-			total := rep.Measurement.TotalTimeMS()
+			total := rep.TotalTimeMS()
 			marker := "  "
 			if codec == choice {
 				marker = "->"
 			}
 			fmt.Printf("  %s %-12s total %8.1f ms (compress %7.1f, upload %6.1f, download %5.1f, decompress %6.1f) %6.3f bits/base\n",
-				marker, codec, total, rep.Measurement.CompressMS, rep.Measurement.UploadMS,
-				rep.Measurement.DownloadMS, rep.Measurement.DecompressMS, rep.BitsPerBase)
+				marker, codec, total, rep.CompressMS, rep.UploadMS, rep.DownloadMS, rep.DecompressMS, rep.BitsPerBase)
 			if best == "" || total < bestMS {
 				best, bestMS = codec, total
 			}

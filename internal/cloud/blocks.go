@@ -2,10 +2,8 @@ package cloud
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
@@ -31,201 +29,50 @@ type BlockExchangeReport struct {
 	ContainerBytes int
 }
 
-// manifestBlob and blockBlob name the BLOBs one block exchange writes: the
-// container's header+index travels as "<blob>.cxb1" and block k's armored
-// frame as "<blob>.bNNNNNN", so every piece retries (and fault-injects)
-// independently.
-func manifestBlob(blob string) string { return blob + ".cxb1" }
-
-func blockBlob(blob string, k int) string { return fmt.Sprintf("%s.b%06d", blob, k) }
-
 // ExchangeBlocks runs the exchange pipeline through the block engine:
 // compress src into a multi-block container (bounded worker pool, byte
-// deterministic for any job count), upload the manifest and each block
-// frame as separate BLOBs through a bounded transfer pool — blocks move
-// concurrently instead of as one monolithic stream — download every piece
-// at the fixed Azure VM, reassemble the container byte-for-byte, and
-// restore it through the validated block open path (per-block hardened
-// decode plus the whole-output checksum). Each BLOB gets its own retry
-// schedule, so a transient fault on one block never re-uploads the others;
-// traces are reported in manifest-then-block-index order regardless of
-// transfer interleaving, keeping reports reproducible under any
-// concurrency.
-func ExchangeBlocks(ctx context.Context, client VM, store Store, codecName string, src []byte, opts BlockExchangeOptions) (rep BlockExchangeReport, err error) {
-	rep = BlockExchangeReport{ExchangeReport: ExchangeReport{Codec: codecName, OriginalBases: len(src)}}
-	if store == nil {
-		return rep, fmt.Errorf("cloud: nil store")
-	}
-	if opts.Container == "" {
-		opts.Container = "exchange"
-	}
-	if opts.Blob == "" {
-		opts.Blob = "blob"
-	}
+// deterministic for any job count) and ship it as 1 + c BLOBs — the
+// container's header+index as "<blob>.cxb1" and block k's armored frame as
+// "<blob>.bNNNNNN" — through a bounded transfer pool, so blocks move
+// concurrently instead of as one monolithic stream. The Azure VM
+// reassembles the container byte-for-byte and restores it through the
+// validated block open path (per-block hardened decode plus the
+// whole-output checksum). Each BLOB gets its own retry schedule, so a
+// transient fault on one block never re-uploads the others; traces are
+// reported in manifest-then-block-index order regardless of transfer
+// interleaving, keeping reports reproducible under any concurrency.
+// Everything past the packing step is the pipeline Exchange runs.
+func ExchangeBlocks(ctx context.Context, client VM, store Store, codecName string, src []byte, opts BlockExchangeOptions) (BlockExchangeReport, error) {
 	jobs := opts.Block.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-
-	reg := obs.Metrics(ctx)
-	var span *obs.Span
-	ctx, span = obs.Start(ctx, "cloud.exchange_blocks")
-	span.SetAttr("codec", codecName)
-	defer func() {
-		span.SetAttr("blocks", rep.Blocks)
-		span.SetAttr("container_bytes", rep.ContainerBytes)
-		span.SetAttr("retry_wait_ms", rep.RetryWaitMS)
-		span.SetAttr("attempts", rep.AttemptCount())
-		outcome := "ok"
-		switch {
-		case err == nil:
-		case errors.Is(err, compress.ErrCorrupt):
-			outcome = "corrupt"
-			reg.Counter("dna_exchange_corrupt_total", "Exchanges that delivered a corrupt frame.").Inc()
-		default:
-			outcome = "error"
-		}
+	return exchange(ctx, client, store, codecName, src, opts.ExchangeOptions, jobs, func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
+		container, cst, err := compress.BlockCompressObserved(reg, codecName, src, opts.Block)
 		if err != nil {
-			span.SetAttr("error", err.Error())
+			return nil, cst, fmt.Errorf("cloud: block compress: %w", err)
 		}
-		reg.Counter("dna_exchange_blocks_total", "Block-mode exchange pipelines run.", "outcome", outcome).Inc()
-		span.End()
-	}()
-
-	container, cst, err := compress.BlockCompressObserved(reg, codecName, src, opts.Block)
-	if err != nil {
-		return rep, fmt.Errorf("cloud: block compress: %w", err)
-	}
-	rd, err := compress.OpenBlocks(container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
-	if err != nil {
-		return rep, fmt.Errorf("cloud: sealed container does not open: %w", err)
-	}
-	rep.Blocks = rd.Blocks()
-	rep.ContainerBytes = len(container)
-	rep.FrameBytes = len(container)
-	index := rd.Index()
-	payloadBytes := 0
-	for _, e := range index {
-		payloadBytes += e.Length - compress.Overhead(codecName)
-	}
-	rep.CompressedBytes = payloadBytes
-	rep.BitsPerBase = compress.Ratio(len(src), payloadBytes)
-	rep.CompressMS = client.ExecMS(cst)
-
-	// Slice the container into its wire pieces: manifest (header+index),
-	// then one frame per block.
-	manifestLen := len(container)
-	for _, e := range index {
-		manifestLen -= e.Length
-	}
-	pieces := make([][]byte, 1+len(index))
-	names := make([]string, 1+len(index))
-	pieces[0], names[0] = container[:manifestLen], manifestBlob(opts.Blob)
-	pos := manifestLen
-	for k, e := range index {
-		pieces[1+k] = container[pos : pos+e.Length]
-		names[1+k] = blockBlob(opts.Blob, k)
-		pos += e.Length
-	}
-
-	if err := store.CreateContainer(opts.Container); err != nil && !errors.Is(err, ErrContainerExists) {
-		return rep, fmt.Errorf("cloud: create container: %w", err)
-	}
-
-	// Upload: every piece through its own retry schedule, at most jobs in
-	// flight. Traces land in indexed slots so the report reads in piece
-	// order no matter how the pool interleaved.
-	upTraces, err := transferPool(ctx, opts.ExchangeOptions, jobs, "put", names, func(i int) error {
-		return store.Put(opts.Container, names[i], pieces[i])
+		rd, err := compress.OpenBlocks(container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
+		if err != nil {
+			return nil, cst, fmt.Errorf("cloud: sealed container does not open: %w", err)
+		}
+		index := rd.Index()
+		rep.Blocks = len(index)
+		rep.ContainerBytes = len(container)
+		// Slice the container into its wire pieces: manifest (header+index),
+		// then one frame per block.
+		pos := len(container)
+		for _, e := range index {
+			pos -= e.Length
+			rep.CompressedBytes += e.Length - compress.Overhead(codecName)
+		}
+		manifest := blob + ".cxb1"
+		pieces := []piece{{blob: manifest, tag: ":" + manifest, data: container[:pos]}}
+		for k, e := range index {
+			name := fmt.Sprintf("%s.b%06d", blob, k)
+			pieces = append(pieces, piece{blob: name, tag: ":" + name, data: container[pos : pos+e.Length]})
+			pos += e.Length
+		}
+		return pieces, cst, nil
 	})
-	rep.Traces = append(rep.Traces, upTraces...)
-	for i, tr := range upTraces {
-		rep.UploadMS += client.UploadMS(len(pieces[i])) * float64(tr.Attempts)
-	}
-	rep.RetryWaitMS = sumBackoff(rep.Traces)
-	if err != nil {
-		return rep, fmt.Errorf("cloud: upload: %w", err)
-	}
-	reg.Counter("dna_exchange_up_bytes_total", "Frame bytes uploaded (successful PUTs).").Add(uint64(len(container)))
-
-	// Download at the datacenter VM and reassemble the container exactly.
-	fetched := make([][]byte, len(pieces))
-	downTraces, err := transferPool(ctx, opts.ExchangeOptions, jobs, "get", names, func(i int) error {
-		var gerr error
-		fetched[i], gerr = store.Get(opts.Container, names[i])
-		return gerr
-	})
-	rep.Traces = append(rep.Traces, downTraces...)
-	for i, tr := range downTraces {
-		rep.DownloadMS += AzureVM.DownloadMS(len(fetched[i])) * float64(tr.Attempts)
-	}
-	rep.RetryWaitMS = sumBackoff(rep.Traces)
-	if err != nil {
-		return rep, fmt.Errorf("cloud: download: %w", err)
-	}
-	reassembled := make([]byte, 0, len(container))
-	for _, piece := range fetched {
-		reassembled = append(reassembled, piece...)
-	}
-	reg.Counter("dna_exchange_down_bytes_total", "Frame bytes downloaded (successful GETs).").Add(uint64(len(reassembled)))
-
-	// The receiving VM proves integrity from the container alone: header
-	// and index checksums, per-block hardened decode, whole-output CRC.
-	restored, dst, err := compress.SafeDecompressAny(codecName, reassembled, opts.Limits)
-	compress.ObserveDecompress(reg, codecName, len(reassembled), len(restored), dst, err)
-	if err != nil {
-		return rep, fmt.Errorf("cloud: decompress: %w", err)
-	}
-	rep.DecompressMS = AzureVM.ExecMS(dst)
-
-	if opts.Cleanup {
-		delTraces, err := transferPool(ctx, opts.ExchangeOptions, jobs, "delete", names, func(i int) error {
-			return store.Delete(opts.Container, names[i])
-		})
-		rep.Traces = append(rep.Traces, delTraces...)
-		rep.RetryWaitMS = sumBackoff(rep.Traces)
-		if err != nil {
-			return rep, fmt.Errorf("cloud: cleanup: %w", err)
-		}
-	}
-	return rep, nil
-}
-
-// transferPool drives one store op per named piece through a bounded
-// worker pool, each piece under its own retryOp schedule. Results land in
-// indexed slots; the returned traces are in piece order and the returned
-// error is the first failure by index — both independent of scheduling.
-func transferPool(ctx context.Context, opts ExchangeOptions, jobs int, op string, names []string, f func(i int) error) ([]OpTrace, error) {
-	traces := make([]OpTrace, len(names))
-	errs := make([]error, len(names))
-	if jobs > len(names) {
-		jobs = len(names)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				traces[i], errs[i] = retryOp(ctx, opts, fmt.Sprintf("%s:%s", op, names[i]), func() error {
-					return f(i)
-				})
-			}
-		}()
-	}
-	for i := range names {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return traces, err
-		}
-	}
-	return traces, nil
 }

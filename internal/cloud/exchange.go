@@ -1,10 +1,12 @@
 package cloud
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -61,10 +63,11 @@ type OpTrace struct {
 	BackoffMS []float64
 }
 
-// ExchangeOptions configures one Exchange call.
+// ExchangeOptions configures one exchange.
 type ExchangeOptions struct {
 	// Container and Blob name the uploaded BLOB (defaults: "exchange",
-	// "blob"). A missing container is created; an existing one is reused.
+	// "blob"; a block exchange derives its piece names from Blob). A
+	// missing container is created; an existing one is reused.
 	Container string
 	Blob      string
 	// Retry is the backoff schedule; the zero value means no retries.
@@ -72,8 +75,8 @@ type ExchangeOptions struct {
 	// OpTimeout, when positive, bounds the real time of each store op. An
 	// op that overruns counts as a transient failure and is retried.
 	OpTimeout time.Duration
-	// Cleanup deletes the BLOB (with the same retry schedule) after the
-	// round trip is verified.
+	// Cleanup deletes the uploaded BLOBs (with the same retry schedule)
+	// after the round trip is verified.
 	Cleanup bool
 	// Limits bounds what the receiving VM will decompress; the zero value
 	// applies the compress package defaults.
@@ -87,7 +90,8 @@ type ExchangeReport struct {
 	OriginalBases   int
 	CompressedBytes int
 	// FrameBytes is what actually travels: the codec payload sealed inside
-	// the armored frame (header + checksums).
+	// armored frames (header + checksums), plus a block container's
+	// manifest.
 	FrameBytes  int
 	BitsPerBase float64
 	// Modeled stage times. Upload/Download charge the full op cost per
@@ -117,23 +121,61 @@ func (r ExchangeReport) AttemptCount() int {
 
 // Exchange runs the paper's Figure 1 pipeline against a possibly-faulty
 // store: compress src with the named codec on the client VM, seal the
-// stream into an armored frame, upload the BLOB, download it at the fixed
-// Azure VM, and restore it through compress.SafeDecompress. Integrity is
-// proven the way a real receiving VM must prove it — from the frame's own
-// checksums over the payload and the restored output — not by comparing
-// against source bytes the receiver would never have. Transient store
-// failures (and per-op timeouts) are retried under opts.Retry; permanent
-// failures and ctx cancellation abort immediately; a corrupted download
-// surfaces as compress.ErrCorrupt. On failure the returned report still
-// carries the traces collected so far.
+// stream into one armored frame, upload it as the BLOB opts.Blob, download
+// it at the fixed Azure VM, and restore it through the hardened decode
+// path. Integrity is proven the way a real receiving VM must prove it —
+// from the frame's own checksums over the payload and the restored
+// output — not by comparing against source bytes the receiver would never
+// have. Transient store failures (and per-op timeouts) are retried under
+// opts.Retry; permanent failures and ctx cancellation abort immediately; a
+// corrupted download surfaces as compress.ErrCorrupt. On failure the
+// returned report still carries the traces collected so far.
 //
 // Observability rides the context: metrics land in obs.Metrics(ctx), a
 // "cloud.exchange" span (with per-op child spans inside retryOp) is opened
 // when obs.WithTracer installed a tracer, and retries log through
 // obs.Log(ctx). All recorded figures are modeled or byte counts, so
 // instrumentation never perturbs the deterministic report.
-func Exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions) (rep ExchangeReport, err error) {
-	rep = ExchangeReport{Codec: codecName, OriginalBases: len(src)}
+func Exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions) (ExchangeReport, error) {
+	rep, err := exchange(ctx, client, store, codecName, src, opts, 1, func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
+		codec, err := compress.New(codecName)
+		if err != nil {
+			return nil, compress.Stats{}, err
+		}
+		data, cst, err := compress.Instrument(reg, codec).Compress(src)
+		if err != nil {
+			return nil, cst, fmt.Errorf("cloud: compress: %w", err)
+		}
+		rep.CompressedBytes = len(data)
+		return []piece{{blob: blob, data: compress.Seal(codecName, src, data)}}, cst, nil
+	})
+	return rep.ExchangeReport, err
+}
+
+// piece is one BLOB an exchange moves. tag qualifies the op name in the
+// piece's trace, backoff jitter and timeout errors: empty for the one-frame
+// exchange ("put"), ":<blob>" for a block piece ("put:<blob>"). Metrics and
+// spans always carry the bare op, so their series count stays fixed no
+// matter how many BLOBs an exchange names.
+type piece struct {
+	blob, tag string
+	data      []byte
+}
+
+// packFunc is the step in which Exchange and ExchangeBlocks differ: it
+// compresses src into the pieces that travel under the exchange's blob
+// name, fills the report's payload figures, and returns the compress-side
+// stats.
+type packFunc func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error)
+
+// exchange is the one pipeline behind Exchange and ExchangeBlocks. After
+// pack it moves every piece through a transfer pool of at most jobs
+// workers, each piece under its own retry schedule, charges each piece's
+// modeled transfer once per attempt, reassembles the pieces in order and
+// restores them through compress.SafeDecompressAny, which verifies a CXA1
+// frame or a CXB1 container from its own checksums.
+func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, jobs int, pack packFunc) (rep BlockExchangeReport, err error) {
+	rep.Codec, rep.OriginalBases = codecName, len(src)
 	if store == nil {
 		return rep, fmt.Errorf("cloud: nil store")
 	}
@@ -143,20 +185,16 @@ func Exchange(ctx context.Context, client VM, store Store, codecName string, src
 	if opts.Blob == "" {
 		opts.Blob = "blob"
 	}
-	codec, err := compress.New(codecName)
-	if err != nil {
-		return rep, err
-	}
 	if err := ctx.Err(); err != nil {
 		return rep, err
 	}
 
 	reg := obs.Metrics(ctx)
-	codec = compress.Instrument(reg, codec)
 	var span *obs.Span
 	ctx, span = obs.Start(ctx, "cloud.exchange")
 	span.SetAttr("codec", codecName)
 	defer func() {
+		span.SetAttr("blocks", rep.Blocks)
 		span.SetAttr("frame_bytes", rep.FrameBytes)
 		span.SetAttr("retry_wait_ms", rep.RetryWaitMS)
 		span.SetAttr("attempts", rep.AttemptCount())
@@ -176,66 +214,80 @@ func Exchange(ctx context.Context, client VM, store Store, codecName string, src
 		span.End()
 	}()
 
-	data, cst, err := codec.Compress(src)
+	pieces, cst, err := pack(reg, opts.Blob, &rep)
 	if err != nil {
-		return rep, fmt.Errorf("cloud: compress: %w", err)
+		return rep, err
 	}
-	frame := compress.Seal(codecName, src, data)
-	rep.CompressedBytes = len(data)
-	rep.FrameBytes = len(frame)
-	rep.BitsPerBase = compress.Ratio(len(src), len(data))
+	for _, p := range pieces {
+		rep.FrameBytes += len(p.data)
+	}
+	rep.BitsPerBase = compress.Ratio(len(src), rep.CompressedBytes)
 	rep.CompressMS = client.ExecMS(cst)
 
 	if err := store.CreateContainer(opts.Container); err != nil && !errors.Is(err, ErrContainerExists) {
 		return rep, fmt.Errorf("cloud: create container: %w", err)
 	}
 
-	put, err := retryOp(ctx, opts, "put", func() error {
-		return store.Put(opts.Container, opts.Blob, frame)
+	// move runs one store op over every piece and books its traces. Traces
+	// land in piece order no matter how the pool interleaved.
+	move := func(op string, f func(i int) error) ([]OpTrace, error) {
+		traces, err := transferPool(ctx, opts, jobs, op, pieces, f)
+		rep.Traces = append(rep.Traces, traces...)
+		rep.RetryWaitMS = sumBackoff(rep.Traces)
+		return traces, err
+	}
+
+	up, err := move("put", func(i int) error {
+		return store.Put(opts.Container, pieces[i].blob, pieces[i].data)
 	})
-	rep.Traces = append(rep.Traces, put)
-	rep.UploadMS = client.UploadMS(len(frame)) * float64(put.Attempts)
-	rep.RetryWaitMS = sumBackoff(rep.Traces)
+	rep.UploadMS = transferMS(pieces, up, client.UploadMS)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: upload: %w", err)
 	}
-	reg.Counter("dna_exchange_up_bytes_total", "Frame bytes uploaded (successful PUTs).").Add(uint64(len(frame)))
+	reg.Counter("dna_exchange_up_bytes_total", "Frame bytes uploaded (successful PUTs).").Add(uint64(rep.FrameBytes))
 
-	var fetched []byte
-	get, err := retryOp(ctx, opts, "get", func() error {
+	fetched := make([][]byte, len(pieces))
+	down, err := move("get", func(i int) error {
 		var gerr error
-		fetched, gerr = store.Get(opts.Container, opts.Blob)
+		fetched[i], gerr = store.Get(opts.Container, pieces[i].blob)
 		return gerr
 	})
-	rep.Traces = append(rep.Traces, get)
-	rep.DownloadMS = AzureVM.DownloadMS(len(frame)) * float64(get.Attempts)
-	rep.RetryWaitMS = sumBackoff(rep.Traces)
+	rep.DownloadMS = transferMS(pieces, down, AzureVM.DownloadMS)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: download: %w", err)
 	}
-	reg.Counter("dna_exchange_down_bytes_total", "Frame bytes downloaded (successful GETs).").Add(uint64(len(fetched)))
+	received := bytes.Join(fetched, nil)
+	reg.Counter("dna_exchange_down_bytes_total", "Frame bytes downloaded (successful GETs).").Add(uint64(len(received)))
 
-	// The receiving VM restores and verifies from the frame alone: header
-	// and payload checksums, contained codec execution, and the restored
-	// output's length and checksum. No source bytes are consulted.
-	restored, dst, err := compress.SafeDecompress(codecName, fetched, opts.Limits)
-	compress.ObserveDecompress(reg, codecName, len(fetched), len(restored), dst, err)
+	// The receiving VM restores and verifies from the received bytes alone:
+	// header, index and payload checksums, contained codec execution, and
+	// the restored output's length and checksum. No source bytes are
+	// consulted.
+	restored, dst, err := compress.SafeDecompressAny(codecName, received, opts.Limits)
+	compress.ObserveDecompress(reg, codecName, len(received), len(restored), dst, err)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: decompress: %w", err)
 	}
 	rep.DecompressMS = AzureVM.ExecMS(dst)
 
 	if opts.Cleanup {
-		del, err := retryOp(ctx, opts, "delete", func() error {
-			return store.Delete(opts.Container, opts.Blob)
-		})
-		rep.Traces = append(rep.Traces, del)
-		rep.RetryWaitMS = sumBackoff(rep.Traces)
-		if err != nil {
+		if _, err := move("delete", func(i int) error {
+			return store.Delete(opts.Container, pieces[i].blob)
+		}); err != nil {
 			return rep, fmt.Errorf("cloud: cleanup: %w", err)
 		}
 	}
 	return rep, nil
+}
+
+// transferMS charges each piece's modeled transfer once per attempt: a
+// failed attempt still converted and pushed the whole piece.
+func transferMS(pieces []piece, traces []OpTrace, cost func(sizeBytes int) float64) float64 {
+	ms := 0.0
+	for i, tr := range traces {
+		ms += cost(len(pieces[i].data)) * float64(tr.Attempts)
+	}
+	return ms
 }
 
 func sumBackoff(traces []OpTrace) float64 {
@@ -248,15 +300,55 @@ func sumBackoff(traces []OpTrace) float64 {
 	return total
 }
 
-// retryOp drives one store op through the retry schedule: transient
-// failures and per-op timeouts are retried up to opts.Retry.MaxRetries
-// times; permanent failures and external cancellation end the op at once.
-// Each op gets its own child span plus attempt/outcome/backoff metrics,
-// and every retry is logged at debug level through the context logger.
-func retryOp(ctx context.Context, opts ExchangeOptions, op string, f func() error) (tr OpTrace, err error) {
-	tr = OpTrace{Op: op}
+// transferPool drives one store op per piece through a bounded worker
+// pool, each piece under its own retryOp schedule. Results land in indexed
+// slots; the returned traces are in piece order and the returned error is
+// the first failure by index — both independent of scheduling.
+func transferPool(ctx context.Context, opts ExchangeOptions, jobs int, op string, pieces []piece, f func(i int) error) ([]OpTrace, error) {
+	traces := make([]OpTrace, len(pieces))
+	errs := make([]error, len(pieces))
+	if jobs > len(pieces) {
+		jobs = len(pieces)
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				traces[i], errs[i] = retryOp(ctx, opts, op, pieces[i], func() error {
+					return f(i)
+				})
+			}
+		}()
+	}
+	for i := range pieces {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return traces, err
+		}
+	}
+	return traces, nil
+}
+
+// retryOp drives one store op on one piece through the retry schedule:
+// transient failures and per-op timeouts are retried up to
+// opts.Retry.MaxRetries times; permanent failures and external
+// cancellation end the op at once. Each op gets its own child span
+// (attributed with the piece's blob) plus attempt/outcome/backoff metrics
+// labeled with the bare op, and every retry is logged at debug level
+// through the context logger.
+func retryOp(ctx context.Context, opts ExchangeOptions, op string, p piece, f func() error) (tr OpTrace, err error) {
+	label := op + p.tag
+	tr = OpTrace{Op: label}
 	reg := obs.Metrics(ctx)
 	_, span := obs.Start(ctx, "exchange."+op)
+	span.SetAttr("blob", p.blob)
 	defer func() {
 		span.SetAttr("attempts", tr.Attempts)
 		span.SetAttr("retry_wait_ms", sumBackoff([]OpTrace{tr}))
@@ -284,7 +376,7 @@ func retryOp(ctx context.Context, opts ExchangeOptions, op string, f func() erro
 			return tr, err
 		}
 		tr.Attempts++
-		err := runOp(ctx, op, opts.OpTimeout, f)
+		err := runOp(ctx, label, opts.OpTimeout, f)
 		if err == nil {
 			return tr, nil
 		}
@@ -296,14 +388,14 @@ func retryOp(ctx context.Context, opts ExchangeOptions, op string, f func() erro
 			return tr, err
 		}
 		if retry >= opts.Retry.MaxRetries {
-			return tr, fmt.Errorf("cloud: %s gave up after %d attempts: %w", op, tr.Attempts, err)
+			return tr, fmt.Errorf("cloud: %s gave up after %d attempts: %w", label, tr.Attempts, err)
 		}
-		wait := opts.Retry.BackoffMS(op, retry)
+		wait := opts.Retry.BackoffMS(label, retry)
 		tr.BackoffMS = append(tr.BackoffMS, wait)
 		reg.Counter("dna_exchange_retries_total", "Transient-failure retries scheduled.", "op", op).Inc()
 		reg.Histogram("dna_exchange_backoff_ms", "Modeled backoff waits between attempts.", obs.DefMSBuckets(), "op", op).Observe(wait)
 		obs.Log(ctx).Debug("cloud: transient failure, retrying",
-			"op", op, "retry", retry, "backoff_ms", wait, "err", err)
+			"op", op, "blob", p.blob, "retry", retry, "backoff_ms", wait, "err", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/obs"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/dnax"
 	_ "github.com/srl-nuces/ctxdna/internal/compress/gzipx"
@@ -167,6 +170,66 @@ func TestExchangeFaultyReproducible(t *testing.T) {
 	}
 	if retried == 0 {
 		t.Fatal("no exchange needed a retry at 30 % fault rate")
+	}
+}
+
+// TestExchangeReportsGoldenDigest pins what both entry points report: a
+// sha256 over json.Marshal(report) plus the error string of every
+// Exchange and ExchangeBlocks call across fault rates 0, 0.3 and 1, dnax
+// and gzip, transfer jobs 1-3, cleanup on and off, empty input, and an
+// 8-shard, 3-replica fleet with one dead shard. Any change to a modeled
+// time, a trace, a byte count or an error message moves the digest.
+func TestExchangeReportsGoldenDigest(t *testing.T) {
+	const want = "b2dd7e50b4b3a82a81fdae235f93344317ab716abbb49690507bb8e15f3d5319"
+	ctx := context.Background()
+	h := sha256.New()
+	calls := 0
+	record := func(rep any, err error) {
+		js, jerr := json.Marshal(rep)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		fmt.Fprintf(h, "%s|%v\n", js, err)
+		calls++
+	}
+	// jobs 0 runs the whole-slice Exchange; 1-3 run ExchangeBlocks.
+	exchange := func(store Store, codec string, src []byte, jobs int, cleanup bool) {
+		opts := ExchangeOptions{Blob: "golden", Retry: DefaultRetryPolicy(), Cleanup: cleanup}
+		if jobs == 0 {
+			record(Exchange(ctx, chaosClient, store, codec, src, opts))
+			return
+		}
+		record(ExchangeBlocks(ctx, chaosClient, store, codec, src, BlockExchangeOptions{
+			ExchangeOptions: opts,
+			Block:           compress.BlockOptions{BlockSize: 700, Jobs: jobs},
+		}))
+	}
+	for _, codec := range []string{"dnax", "gzip"} {
+		for jobs := 0; jobs <= 3; jobs++ {
+			for _, rate := range []float64{0, 0.3, 1} {
+				for _, cleanup := range []bool{false, true} {
+					store := NewFaultyStore(NewBlobStore(), FaultConfig{Rate: rate, Seed: 2015})
+					exchange(store, codec, symbols(3000, 1), jobs, cleanup)
+				}
+			}
+			exchange(NewBlobStore(), codec, nil, jobs, true)
+
+			fleet, err := NewFleet(FleetConfig{
+				Shards:      DefaultShardSpecs(8, 0.15, 99),
+				Replication: 3,
+				Seed:        42,
+				Clock:       obs.NewFake(time.Unix(1700000000, 0).UTC()),
+				Registry:    obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet.Kill(fleet.Replicas("exchange", "golden")[0])
+			exchange(fleet, codec, symbols(3000, 31), jobs, true)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("%d exchange reports digest to %s, want %s", calls, got, want)
 	}
 }
 

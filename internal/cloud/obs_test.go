@@ -3,10 +3,12 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
 	"testing"
 	"time"
 
+	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
 )
 
@@ -147,4 +149,94 @@ func TestExchangeObservabilityExhaustion(t *testing.T) {
 	if got := counter(reg, "dna_exchange_attempts_total", "op", "put"); got != 3 {
 		t.Errorf("put attempts = %d, want 3", got)
 	}
+}
+
+// TestExchangeBlocksMetricsOneSeriesPerOp: block exchanges run the same
+// pipeline as the one-frame exchange, so they count under
+// dna_exchange_total and the cloud.exchange span, and label every op
+// metric and op span with the bare op. Distinct blob names must not mint
+// new series; the piece rides on the op span's blob attribute instead.
+func TestExchangeBlocksMetricsOneSeriesPerOp(t *testing.T) {
+	ctx, reg, tr, _ := obsCtx()
+	store := NewFaultyStore(NewBlobStore(), FaultConfig{Rate: 0.3, Seed: 5})
+	const exchanges, blocks = 3, 8
+	for i := 0; i < exchanges; i++ {
+		if _, err := ExchangeBlocks(ctx, chaosClient, store, "dnax", symbols(blocks*500, int64(i)), BlockExchangeOptions{
+			ExchangeOptions: ExchangeOptions{Blob: fmt.Sprintf("seq-%d", i), Retry: DefaultRetryPolicy(), Cleanup: true},
+			Block:           compress.BlockOptions{BlockSize: 500, Jobs: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	opSeries, outcomeSeries := map[string]bool{}, map[string]bool{}
+	for _, op := range []string{"put", "get", "delete"} {
+		opSeries[fmt.Sprintf("op=%q", op)] = true
+		for _, outcome := range []string{"ok", "canceled", "transient", "permanent"} {
+			outcomeSeries[fmt.Sprintf("op=%q,outcome=%q", op, outcome)] = true
+		}
+	}
+	allowed := map[string]map[string]bool{
+		"dna_exchange_ops_total":      outcomeSeries,
+		"dna_exchange_attempts_total": opSeries,
+		"dna_exchange_retries_total":  opSeries,
+		"dna_exchange_backoff_ms":     opSeries,
+	}
+	seen := 0
+	for _, fam := range reg.Snapshot() {
+		want, ok := allowed[fam.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		var stray []string
+		for _, s := range fam.Series {
+			if !want[s.Labels] {
+				stray = append(stray, s.Labels)
+			}
+		}
+		if len(stray) > 0 {
+			t.Errorf("%s: %d of %d series label more than the bare op, first {%s}", fam.Name, len(stray), len(fam.Series), stray[0])
+		}
+	}
+	if seen != len(allowed) {
+		t.Fatalf("saw %d of the %d op metric families", seen, len(allowed))
+	}
+	if got := counter(reg, "dna_exchange_total", "outcome", "ok"); got != exchanges {
+		t.Errorf("dna_exchange_total{outcome=ok} = %d, want %d", got, exchanges)
+	}
+
+	roots, blobs := 0, map[string]bool{}
+	for _, rec := range tr.Records() {
+		switch rec.Name {
+		case "cloud.exchange":
+			roots++
+			if got := attr(rec, "blocks"); got != blocks {
+				t.Errorf("cloud.exchange blocks = %v, want %d", got, blocks)
+			}
+		case "exchange.put", "exchange.get", "exchange.delete":
+			blob, _ := attr(rec, "blob").(string)
+			if blob == "" {
+				t.Errorf("%s span carries no blob attribute", rec.Name)
+			}
+			blobs[blob] = true
+		default:
+			t.Errorf("unexpected span %q", rec.Name)
+		}
+	}
+	if roots != exchanges {
+		t.Errorf("%d cloud.exchange spans, want %d", roots, exchanges)
+	}
+	if want := exchanges * (1 + blocks); len(blobs) != want {
+		t.Errorf("op spans name %d distinct blobs, want %d", len(blobs), want)
+	}
+}
+
+func attr(rec obs.SpanRecord, key string) any {
+	for _, a := range rec.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
 }

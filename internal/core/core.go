@@ -1,16 +1,17 @@
-// Package core implements the paper's context-aware compression framework
-// (Figures 1 and 7): the Context a client gathers before compressing, the
-// Eq. 1 labeler that scores each algorithm's end-to-end cost under a weight
-// vector, the inference engine that turns trained decision-tree rules into
-// codec selections, and the end-to-end exchange pipeline (cleanse → select →
-// compress → upload → download at the cloud VM → decompress).
+// Package core implements the decision half of the paper's context-aware
+// compression framework (Figures 1 and 7): the Context a client gathers
+// before compressing, the Eq. 1 labeler that scores each algorithm's
+// end-to-end cost under a weight vector, and the inference engine that turns
+// trained decision-tree rules into codec selections. The exchange itself —
+// compress, upload, download at the cloud VM, verified decompress — is
+// cloud.Exchange (one armored frame) and cloud.ExchangeBlocks (a block
+// container); a client picks the codec here and hands it there.
 package core
 
 import (
 	"fmt"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
-	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
 )
 
@@ -202,62 +203,3 @@ func (e *InferenceEngine) Rules() []dtree.Rule { return e.tree.Rules() }
 
 // Tree exposes the wrapped tree.
 func (e *InferenceEngine) Tree() *dtree.Tree { return e.tree }
-
-// ExchangeReport is the outcome of one end-to-end exchange.
-type ExchangeReport struct {
-	Codec           string
-	OriginalBases   int
-	CompressedBytes int
-	Measurement     Measurement
-	BitsPerBase     float64
-}
-
-// Exchange runs the full Figure 1 pipeline deterministically: compress seq
-// with the named codec on the client VM, upload the BLOB to the store,
-// download it at the fixed Azure VM, decompress, and verify the round trip.
-// The returned report carries the modeled times for each stage.
-func Exchange(store *cloud.BlobStore, container, blob string, client cloud.VM, codecName string, seq []byte) (ExchangeReport, error) {
-	codec, err := compress.New(codecName)
-	if err != nil {
-		return ExchangeReport{}, err
-	}
-	data, cst, err := codec.Compress(seq)
-	if err != nil {
-		return ExchangeReport{}, fmt.Errorf("core: compress: %w", err)
-	}
-	if err := store.Put(container, blob, data); err != nil {
-		return ExchangeReport{}, fmt.Errorf("core: upload: %w", err)
-	}
-	fetched, err := store.Get(container, blob)
-	if err != nil {
-		return ExchangeReport{}, fmt.Errorf("core: download: %w", err)
-	}
-	restored, dst, err := codec.Decompress(fetched)
-	if err != nil {
-		return ExchangeReport{}, fmt.Errorf("core: decompress: %w", err)
-	}
-	if len(restored) != len(seq) {
-		return ExchangeReport{}, fmt.Errorf("core: round trip length %d != %d", len(restored), len(seq))
-	}
-	for i := range restored {
-		if restored[i] != seq[i] {
-			return ExchangeReport{}, fmt.Errorf("core: round trip mismatch at base %d", i)
-		}
-	}
-	m := Measurement{
-		Codec:           codecName,
-		CompressMS:      client.ExecMS(cst),
-		DecompressMS:    cloud.AzureVM.ExecMS(dst),
-		UploadMS:        client.UploadMS(len(data)),
-		DownloadMS:      cloud.AzureVM.DownloadMS(len(data)),
-		RAMBytes:        cst.PeakMem,
-		CompressedBytes: len(data),
-	}
-	return ExchangeReport{
-		Codec:           codecName,
-		OriginalBases:   len(seq),
-		CompressedBytes: len(data),
-		Measurement:     m,
-		BitsPerBase:     compress.Ratio(len(seq), len(data)),
-	}, nil
-}

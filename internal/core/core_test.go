@@ -1,17 +1,10 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
-	"github.com/srl-nuces/ctxdna/internal/synth"
-
-	_ "github.com/srl-nuces/ctxdna/internal/compress/ctw"
-	_ "github.com/srl-nuces/ctxdna/internal/compress/dnax"
-	_ "github.com/srl-nuces/ctxdna/internal/compress/gencompress"
-	_ "github.com/srl-nuces/ctxdna/internal/compress/gzipx"
 )
 
 func TestGatherContext(t *testing.T) {
@@ -128,53 +121,5 @@ func TestInferenceEngineRejectsWrongFeatures(t *testing.T) {
 	}
 	if _, err := NewInferenceEngine(nil); err == nil {
 		t.Fatal("nil tree accepted")
-	}
-}
-
-func TestExchangePipeline(t *testing.T) {
-	store := cloud.NewBlobStore()
-	if err := store.CreateContainer("seqs"); err != nil {
-		t.Fatal(err)
-	}
-	client := cloud.VM{Name: "client", RAMMB: 3584, CPUMHz: 2400, BandwidthMbps: 10}
-	p := synth.Profile{Length: 30000, GC: 0.4, RepeatProb: 0.0015, RepeatMin: 20, RepeatMax: 300, MutationRate: 0.03, LocalOrder: 3, LocalBias: 0.8}
-	seqData := p.Generate(42)
-
-	for _, codec := range []string{"dnax", "gzip"} {
-		rep, err := Exchange(store, "seqs", "blob-"+codec, client, codec, seqData)
-		if err != nil {
-			t.Fatalf("%s: %v", codec, err)
-		}
-		if rep.OriginalBases != len(seqData) {
-			t.Errorf("%s: bases %d", codec, rep.OriginalBases)
-		}
-		if rep.CompressedBytes <= 0 || rep.BitsPerBase <= 0 {
-			t.Errorf("%s: bad sizes %+v", codec, rep)
-		}
-		m := rep.Measurement
-		if m.CompressMS <= 0 || m.DecompressMS <= 0 || m.UploadMS <= 0 || m.DownloadMS <= 0 {
-			t.Errorf("%s: non-positive stage times %+v", codec, m)
-		}
-		// The BLOB must actually be in the store.
-		if n, err := store.Size("seqs", "blob-"+codec); err != nil || n != rep.CompressedBytes {
-			t.Errorf("%s: stored size %d, %v", codec, n, err)
-		}
-	}
-}
-
-func TestExchangeUnknownCodec(t *testing.T) {
-	store := cloud.NewBlobStore()
-	store.CreateContainer("c")
-	_, err := Exchange(store, "c", "b", cloud.AzureVM, "nope", []byte{0, 1, 2})
-	if err == nil || !strings.Contains(err.Error(), "unknown codec") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestExchangeMissingContainer(t *testing.T) {
-	store := cloud.NewBlobStore()
-	_, err := Exchange(store, "missing", "b", cloud.AzureVM, "gzip", []byte{0, 1, 2})
-	if err == nil {
-		t.Fatal("missing container accepted")
 	}
 }
