@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos bench-json obs-smoke obs-trace serve fmt verify
+.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos bench-json bench-json-server bench-json-fleet bench-json-obs obs-smoke obs-trace serve fmt verify
 
 all: build
 
@@ -62,13 +62,15 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
-# without a long campaign. `go test` accepts one -fuzz pattern per run.
+# and any drift of the range decoder from its branching reference without a
+# long campaign. `go test` accepts one -fuzz pattern per run.
 fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzRoundTripAll -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzDecompressAll -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzCacheKey -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
+	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
 
 # Regenerate the per-PR benchmark snapshot (BENCH_<n>.json). Numbers are
 # hardware-dependent; commit the snapshot from the PR that changes the

@@ -62,16 +62,31 @@ func (e *Encoder) shiftLow() {
 	e.low = (e.low << 8) & 0xFFFFFFFF
 }
 
-// EncodeBitP encodes bit with static probability p0 = P(bit == 0) in
-// fixed-point [1, ProbOne-1].
-func (e *Encoder) EncodeBitP(p0 uint32, bit int) {
-	bound := (e.rng >> probBits) * p0
-	if bit == 0 {
-		e.rng = bound
-	} else {
-		e.low += uint64(bound)
-		e.rng -= bound
+// bitMask is all ones for a 1 bit (any non-zero bit) and zero for a 0 bit.
+// The coder and the bit model select between their two outcomes through it
+// instead of branching on the bit: literal bits sit close to coin flips, so
+// a branch on them mispredicts about half the time. The compiler lowers the
+// conditional assignment to a conditional move.
+func bitMask(bit int) uint32 {
+	var mask uint32
+	if bit != 0 {
+		mask = ^uint32(0)
 	}
+	return mask
+}
+
+// EncodeBitP encodes bit with static probability p0 = P(bit == 0) in
+// fixed-point [1, ProbOne-1]. Any non-zero bit codes as 1.
+func (e *Encoder) EncodeBitP(p0 uint32, bit int) {
+	e.encodeMask(p0, bitMask(bit))
+}
+
+// encodeMask codes the bit that mask selects: a 0 keeps the low sub-range
+// [low, low+bound), a 1 the high one [low+bound, low+rng).
+func (e *Encoder) encodeMask(p0, mask uint32) {
+	bound := (e.rng >> probBits) * p0
+	e.low += uint64(bound & mask)
+	e.rng = bound ^ ((bound ^ (e.rng - bound)) & mask)
 	for e.rng < topValue {
 		e.rng <<= 8
 		e.shiftLow()
@@ -80,8 +95,9 @@ func (e *Encoder) EncodeBitP(p0 uint32, bit int) {
 
 // EncodeBit encodes bit using the adaptive model p, then updates the model.
 func (e *Encoder) EncodeBit(p *Prob, bit int) {
-	e.EncodeBitP(uint32(*p), bit)
-	p.Update(bit)
+	mask := bitMask(bit)
+	e.encodeMask(uint32(*p), mask)
+	p.updateMask(mask)
 }
 
 // Finish flushes the coder state and returns the complete output. The
@@ -135,27 +151,31 @@ func (d *Decoder) next() byte {
 
 // DecodeBitP decodes one bit with static probability p0 = P(bit == 0).
 func (d *Decoder) DecodeBitP(p0 uint32) int {
+	return int(d.decodeMask(p0) & 1)
+}
+
+// decodeMask decodes one bit and returns it as a mask (see bitMask): a code
+// at or above bound lies in the high sub-range, which is a 1.
+func (d *Decoder) decodeMask(p0 uint32) uint32 {
 	bound := (d.rng >> probBits) * p0
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-	} else {
-		bit = 1
-		d.code -= bound
-		d.rng -= bound
+	var mask uint32
+	if d.code >= bound {
+		mask = ^uint32(0)
 	}
+	d.code -= bound & mask
+	d.rng = bound ^ ((bound ^ (d.rng - bound)) & mask)
 	for d.rng < topValue {
 		d.code = d.code<<8 | uint32(d.next())
 		d.rng <<= 8
 	}
-	return bit
+	return mask
 }
 
 // DecodeBit decodes one bit using the adaptive model p, then updates p.
 func (d *Decoder) DecodeBit(p *Prob) int {
-	bit := d.DecodeBitP(uint32(*p))
-	p.Update(bit)
-	return bit
+	mask := d.decodeMask(uint32(*p))
+	p.updateMask(mask)
+	return int(mask & 1)
 }
 
 // BytesRead reports how many input bytes have been consumed (may exceed
@@ -172,14 +192,15 @@ const adaptShift = 5
 // NewProb returns a model initialized to P(0) = 1/2.
 func NewProb() Prob { return Prob(probInit) }
 
-// Update moves the model toward the observed bit.
-func (p *Prob) Update(bit int) {
+// Update moves the model toward the observed bit. Any non-zero bit counts
+// as 1.
+func (p *Prob) Update(bit int) { p.updateMask(bitMask(bit)) }
+
+// updateMask moves the model toward the bit that mask selects (see
+// bitMask): a 0 adds (ProbOne-v)>>adaptShift, a 1 subtracts v>>adaptShift.
+func (p *Prob) updateMask(mask uint32) {
 	v := uint32(*p)
-	if bit == 0 {
-		v += (ProbOne - v) >> adaptShift
-	} else {
-		v -= v >> adaptShift
-	}
+	v += (ProbOne-v)>>adaptShift&^mask - v>>adaptShift&mask
 	if v == 0 {
 		v = 1
 	}

@@ -83,7 +83,16 @@ const (
 
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
+	// Validate every symbol up front: a byte above 3 inside a repeat would
+	// otherwise match its source through the 2-bit anchor and be copied as
+	// that source base.
+	for i, s := range src {
+		if s > 3 {
+			return nil, compress.Stats{}, compress.Corruptf("biocompress: invalid symbol %d at %d", s, i)
+		}
+	}
 	m := match.NewHashMatcher(src, match.WithMaxChain(c.cfg.MaxChain))
+	defer m.Release()
 	tokens := bitio.NewWriter(len(src) / 16)
 	lit := arith.NewSymbolModel(2)
 	enc := arith.NewEncoder(len(src)/3 + 64)
@@ -92,9 +101,6 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	run := uint64(0) // pending literal-run length
 	i := 0
 	for i < len(src) {
-		if src[i] > 3 {
-			return nil, compress.Stats{}, compress.Corruptf("biocompress: invalid symbol %d at %d", src[i], i)
-		}
 		m.Advance(i)
 		mt, ok := m.FindBest(i)
 		if ok && mt.Len >= c.cfg.MinRepeat && c.worthIt(mt, i) {

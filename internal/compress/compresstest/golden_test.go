@@ -114,3 +114,40 @@ func writeStats(h hash.Hash, st compress.Stats) {
 }
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+// goldenBlockDigests pins, per repeat-matching codec, one digest over the
+// CXB1 containers and Stats that BlockCompress returns for the golden block
+// input at Jobs 1, 2 and 4. Block compression builds a fresh codec and so a
+// fresh match index per block, the case the pooled index tables serve; the
+// digests were recorded before the tables were pooled.
+var goldenBlockDigests = map[string]string{
+	"biocompress": "83b448e86108df30",
+	"dnapack":     "7d9a88132b096e71",
+	"dnax":        "c6148b94b440613f",
+	"gencompress": "6f5adf525f8aaea3",
+}
+
+// TestGoldenBlockDigests proves block containers keep every byte and Stats
+// value at any Jobs: three full 64 KiB blocks plus a tail, compressed at
+// Jobs 1, 2 and 4, must reproduce the digests in goldenBlockDigests.
+func TestGoldenBlockDigests(t *testing.T) {
+	const blockSize = 64 << 10
+	p := synth.Profile{Name: "mutated", Length: 3*blockSize + 5000, GC: 0.41, RepeatProb: 0.002, RepeatMin: 20, RepeatMax: 400, RCFraction: 0.3, MutationRate: 0.03, LocalOrder: 3, LocalBias: 0.85}
+	src := p.Generate(2015)
+	for _, name := range []string{"biocompress", "dnapack", "dnax", "gencompress"} {
+		t.Run(name, func(t *testing.T) {
+			h := sha256.New()
+			for _, jobs := range []int{1, 2, 4} {
+				container, st, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: blockSize, Jobs: jobs})
+				if err != nil {
+					t.Fatalf("jobs %d: %v", jobs, err)
+				}
+				writeFramed(h, container)
+				writeStats(h, st)
+			}
+			if got, want := sum(h), goldenBlockDigests[name]; got != want {
+				t.Errorf("block digest moved: got %q, want %q", got, want)
+			}
+		})
+	}
+}

@@ -121,7 +121,16 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	var hdr [binary.MaxVarintLen64]byte
 	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
 
+	// Validate every symbol up front: a byte above 3 inside a repeat would
+	// otherwise match its source through the 2-bit seed and be copied as
+	// that source base.
+	for i, s := range src {
+		if s > 3 {
+			return nil, compress.Stats{}, compress.Corruptf("dnacompress: invalid symbol %d at %d", s, i)
+		}
+	}
 	idx := match.NewSpacedIndex(src, c.seed, 4*c.cfg.MaxCandidates)
+	defer idx.Release()
 	lit := arith.NewSymbolModel(2)
 	flag := arith.NewProb()
 	distM := arith.NewUintModel()
@@ -137,9 +146,6 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 	i := 0
 	for i < len(src) {
-		if src[i] > 3 {
-			return nil, compress.Stats{}, compress.Corruptf("dnacompress: invalid symbol %d at %d", src[i], i)
-		}
 		idx.Advance(i)
 
 		var best match.ApproxMatch

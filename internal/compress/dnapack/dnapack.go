@@ -134,6 +134,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	// Pass 1 (left to right): gather the best candidate per position with
 	// sources strictly inside the prefix.
 	m := match.NewHashMatcher(src, match.WithMaxChain(c.cfg.MaxChain))
+	defer m.Release()
 	var searchStats match.Stats
 	approxCfg := match.ApproxConfig{MaxOps: c.cfg.MaxSubs, MaxRun: 2, Lookahead: 4, HammingOnly: true}
 	cands := make([]candidate, len(src))

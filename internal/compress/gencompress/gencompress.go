@@ -151,7 +151,16 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	var hdr [binary.MaxVarintLen64]byte
 	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
 
+	// Validate every symbol up front: a byte above 3 inside a repeat would
+	// otherwise match its source through the 2-bit anchor and be copied as
+	// that source base.
+	for i, s := range src {
+		if s > 3 {
+			return nil, compress.Stats{}, compress.Corruptf("gencompress: invalid symbol %d at %d", s, i)
+		}
+	}
 	m := match.NewHashMatcher(src, match.WithK(c.cfg.SeedK), match.WithMaxChain(2*c.cfg.MaxCandidates))
+	defer m.Release()
 	lit := arith.NewSymbolModel(2)
 	flag := arith.NewProb()
 	distM := arith.NewUintModel()
@@ -171,9 +180,6 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 	i := 0
 	for i < len(src) {
-		if src[i] > 3 {
-			return nil, compress.Stats{}, compress.Corruptf("gencompress: invalid symbol %d at %d", src[i], i)
-		}
 		m.Advance(i)
 
 		var best match.ApproxMatch

@@ -39,14 +39,19 @@ type Stats struct {
 // Advance so that the matcher never "sees the future", mirroring a one-pass
 // compressor.
 type HashMatcher struct {
-	data     []byte
-	k        int
-	stride   int
-	maxChain int
-	indexed  int // next k-mer start position to consider for insertion
-	head     []int32
-	prev     []int32
-	stats    Stats
+	*chainTables // pooled; nil after Release
+	data         []byte
+	k            int
+	stride       int
+	maxChain     int
+	indexed      int // next stride-aligned k-mer start to insert
+	stats        Stats
+
+	// The forward and reverse-complement keys of the k-mer at keyPos, the
+	// last queried position (-2 before the first query); see keysAt.
+	keyPos        int
+	fwdKey, rcKey uint32
+	keyMask       uint32 // the low 2k bits
 }
 
 // Option configures a HashMatcher.
@@ -73,13 +78,15 @@ func WithStride(s int) Option {
 }
 
 // NewHashMatcher creates a matcher over data (symbol codes 0..3). The
-// matcher holds a reference to data; the caller must not mutate it.
+// matcher holds a reference to data; the caller must not mutate it. Its
+// tables come from a pool: call Release when done with the matcher.
 func NewHashMatcher(data []byte, opts ...Option) *HashMatcher {
 	m := &HashMatcher{
 		data:     data,
 		k:        DefaultK,
 		stride:   1,
 		maxChain: DefaultMaxChain,
+		keyPos:   -2,
 	}
 	for _, o := range opts {
 		o(m)
@@ -93,16 +100,22 @@ func NewHashMatcher(data []byte, opts ...Option) *HashMatcher {
 	if m.maxChain < 1 {
 		m.maxChain = 1
 	}
-	m.head = make([]int32, 1<<tableBits)
-	for i := range m.head {
-		m.head[i] = -1
-	}
+	m.keyMask = ^uint32(0) >> (32 - 2*m.k)
 	n := len(data) - m.k + 1
 	if n < 0 {
 		n = 0
 	}
-	m.prev = make([]int32, n)
+	m.chainTables = newChainTables(n)
 	return m
+}
+
+// Release hands the matcher's tables back to the pool. The matcher must not
+// be used afterwards, except for Stats and K; a second Release is a no-op.
+func (m *HashMatcher) Release() {
+	if m.chainTables != nil {
+		m.release()
+		m.chainTables = nil
+	}
 }
 
 // K reports the anchor length.
@@ -112,9 +125,7 @@ func (m *HashMatcher) K() int { return m.k }
 func (m *HashMatcher) Stats() Stats { return m.stats }
 
 // MemoryFootprint approximates the matcher's table memory in bytes.
-func (m *HashMatcher) MemoryFootprint() int {
-	return len(m.head)*4 + len(m.prev)*4
-}
+func (m *HashMatcher) MemoryFootprint() int { return m.footprint() }
 
 // packAt packs the k-mer starting at i into an integer (2 bits per base,
 // first base most significant).
@@ -135,6 +146,25 @@ func (m *HashMatcher) packRCAt(i int) uint32 {
 	return v
 }
 
+// keysAt returns the forward and reverse-complement keys of the k-mer at i
+// (packAt(i) and packRCAt(i)). It keeps the keys of the last queried
+// position: a second query there reuses them, a query at the next position
+// rolls both by one base, and any other position packs them afresh.
+func (m *HashMatcher) keysAt(i int) (fwd, rc uint32) {
+	switch i {
+	case m.keyPos:
+	case m.keyPos + 1:
+		in := uint32(m.data[i+m.k-1] & 3)
+		m.fwdKey = (m.fwdKey<<2 | in) & m.keyMask
+		m.rcKey = m.rcKey>>2 | (3-in)<<(2*m.k-2)
+		m.keyPos = i
+	default:
+		m.fwdKey, m.rcKey = m.packAt(i), m.packRCAt(i)
+		m.keyPos = i
+	}
+	return m.fwdKey, m.rcKey
+}
+
 func hashKmer(v uint32) uint32 {
 	// Multiplicative hashing; 2654435761 is the golden-ratio constant.
 	return (v * 2654435761) >> (32 - tableBits)
@@ -142,19 +172,20 @@ func hashKmer(v uint32) uint32 {
 
 // Advance indexes k-mer start positions up to (but excluding) pos. Calling
 // it repeatedly with increasing pos keeps the index covering exactly the
-// processed prefix.
+// processed prefix. indexed starts at 0 and steps by stride, so it only
+// ever visits the stride-aligned positions; the last queried position
+// reuses its key.
 func (m *HashMatcher) Advance(pos int) {
 	limit := pos
 	if max := len(m.data) - m.k + 1; limit > max {
 		limit = max
 	}
-	for ; m.indexed < limit; m.indexed++ {
-		if m.indexed%m.stride != 0 {
-			continue
+	for ; m.indexed < limit; m.indexed += m.stride {
+		key := m.fwdKey
+		if m.indexed != m.keyPos {
+			key = m.packAt(m.indexed)
 		}
-		h := hashKmer(hashInput(m.packAt(m.indexed)))
-		m.prev[m.indexed] = m.head[h]
-		m.head[h] = int32(m.indexed)
+		m.insert(hashKmer(hashInput(key)), m.indexed)
 	}
 }
 
@@ -170,11 +201,11 @@ func (m *HashMatcher) FindForward(i int) (best Match, ok bool) {
 	if i+m.k > len(m.data) {
 		return Match{}, false
 	}
-	key := m.packAt(i)
+	key, _ := m.keysAt(i)
 	h := hashKmer(hashInput(key))
 	cand := m.head[h]
-	for steps := 0; cand >= 0 && steps < m.maxChain; steps++ {
-		j := int(cand)
+	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
+		j := int(cand) - 1
 		cand = m.prev[j]
 		m.stats.Probes++
 		if j >= i || m.packAt(j) != key {
@@ -207,11 +238,11 @@ func (m *HashMatcher) FindRC(i int) (best Match, ok bool) {
 	}
 	// We need a source block whose *last* k bases are the reverse complement
 	// of our next k bases, i.e. a forward k-mer equal to RC(data[i:i+k]).
-	key := m.packRCAt(i)
+	_, key := m.keysAt(i)
 	h := hashKmer(hashInput(key))
 	cand := m.head[h]
-	for steps := 0; cand >= 0 && steps < m.maxChain; steps++ {
-		j := int(cand)
+	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
+		j := int(cand) - 1
 		cand = m.prev[j]
 		m.stats.Probes++
 		if j+m.k > i || m.packAt(j) != key {
@@ -242,11 +273,11 @@ func (m *HashMatcher) ForEachForwardAnchor(i int, fn func(j int) bool) {
 	if i+m.k > len(m.data) {
 		return
 	}
-	key := m.packAt(i)
+	key, _ := m.keysAt(i)
 	h := hashKmer(hashInput(key))
 	cand := m.head[h]
-	for steps := 0; cand >= 0 && steps < m.maxChain; steps++ {
-		j := int(cand)
+	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
+		j := int(cand) - 1
 		cand = m.prev[j]
 		m.stats.Probes++
 		if j >= i || m.packAt(j) != key {

@@ -65,16 +65,16 @@ func (s SpacedSeed) HashAt(data []byte, pos int) uint32 {
 // processed prefix, the anchor discovery engine for DNACompress-style
 // approximate repeat search.
 type SpacedIndex struct {
-	seed     SpacedSeed
-	data     []byte
-	maxChain int
-	indexed  int
-	head     []int32
-	prev     []int32
-	stats    Stats
+	*chainTables // pooled; nil after Release
+	seed         SpacedSeed
+	data         []byte
+	maxChain     int
+	indexed      int
+	stats        Stats
 }
 
-// NewSpacedIndex builds an (empty) index over data with the given seed.
+// NewSpacedIndex builds an (empty) index over data with the given seed. Its
+// tables come from a pool: call Release when done with the index.
 func NewSpacedIndex(data []byte, seed SpacedSeed, maxChain int) *SpacedIndex {
 	if maxChain < 1 {
 		maxChain = DefaultMaxChain
@@ -83,17 +83,21 @@ func NewSpacedIndex(data []byte, seed SpacedSeed, maxChain int) *SpacedIndex {
 	if n < 0 {
 		n = 0
 	}
-	idx := &SpacedIndex{
-		seed:     seed,
-		data:     data,
-		maxChain: maxChain,
-		head:     make([]int32, 1<<tableBits),
-		prev:     make([]int32, n),
+	return &SpacedIndex{
+		chainTables: newChainTables(n),
+		seed:        seed,
+		data:        data,
+		maxChain:    maxChain,
 	}
-	for i := range idx.head {
-		idx.head[i] = -1
+}
+
+// Release hands the index's tables back to the pool. The index must not be
+// used afterwards, except for Stats; a second Release is a no-op.
+func (x *SpacedIndex) Release() {
+	if x.chainTables != nil {
+		x.release()
+		x.chainTables = nil
 	}
-	return idx
 }
 
 // Advance indexes window start positions up to (but excluding) pos.
@@ -103,9 +107,7 @@ func (x *SpacedIndex) Advance(pos int) {
 		limit = max
 	}
 	for ; x.indexed < limit; x.indexed++ {
-		h := hashKmer(x.seed.HashAt(x.data, x.indexed))
-		x.prev[x.indexed] = x.head[h]
-		x.head[h] = int32(x.indexed)
+		x.insert(hashKmer(x.seed.HashAt(x.data, x.indexed)), x.indexed)
 	}
 }
 
@@ -120,8 +122,8 @@ func (x *SpacedIndex) ForEachAnchor(i int, fn func(j int) bool) {
 	key := x.seed.HashAt(x.data, i)
 	h := hashKmer(key)
 	cand := x.head[h]
-	for steps := 0; cand >= 0 && steps < x.maxChain; steps++ {
-		j := int(cand)
+	for steps := 0; cand > 0 && steps < x.maxChain; steps++ {
+		j := int(cand) - 1
 		cand = x.prev[j]
 		x.stats.Probes++
 		if j >= i || x.seed.HashAt(x.data, j) != key {
@@ -137,4 +139,4 @@ func (x *SpacedIndex) ForEachAnchor(i int, fn func(j int) bool) {
 func (x *SpacedIndex) Stats() Stats { return x.stats }
 
 // MemoryFootprint approximates the index tables in bytes.
-func (x *SpacedIndex) MemoryFootprint() int { return len(x.head)*4 + len(x.prev)*4 }
+func (x *SpacedIndex) MemoryFootprint() int { return x.footprint() }
