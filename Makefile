@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos bench-json bench-json-server bench-json-fleet bench-json-obs obs-smoke obs-trace serve fmt verify
+.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos serve fmt verify
 
 all: build
 
@@ -49,9 +49,11 @@ test:
 
 # Every test in the module under the race detector — the armored-frame
 # corruption suite, the block-engine BlockSuite and mutants, the fleet and
-# the daemon tests included. `make verify` adds only what this run cannot
-# show: the -count=2 determinism rerun (chaos) and the process smokes
-# (serve, obs-smoke, obs-trace).
+# the daemon tests included, and so are the observability checks: trace
+# continuity into a fleet replica, recorder attribution, the SLO verdict,
+# and the experiment binary's -metrics/-trace export leaving its CSV
+# byte-identical. `make verify` adds only what this run cannot show: the
+# -count=2 determinism rerun (chaos) and the serve process smoke.
 race:
 	$(GO) test -race ./...
 
@@ -61,8 +63,9 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# A few seconds per fuzz target: catches shallow decode/cache regressions
-# and any drift of the range decoder from its branching reference without a
+# A few seconds per fuzz target: catches shallow decode/cache regressions,
+# any drift of the range decoder from its branching reference and any
+# daemon query that slips a bad range or context past its parser, without a
 # long campaign. `go test` accepts one -fuzz pattern per run.
 fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzRoundTripAll -fuzztime=5s
@@ -71,25 +74,13 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
-
-# Regenerate the per-PR benchmark snapshot (BENCH_<n>.json). Numbers are
-# hardware-dependent; commit the snapshot from the PR that changes the
-# measured path.
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_6.json
-
-bench-json-server:
-	$(GO) run ./cmd/benchjson -suite server -o BENCH_8.json
-
-bench-json-fleet:
-	$(GO) run ./cmd/benchjson -suite fleet -o BENCH_9.json
-
-bench-json-obs:
-	$(GO) run ./cmd/benchjson -suite obs -o BENCH_10.json
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRequestParams -fuzztime=5s
 
 # Serving gate: a deterministic load-generator smoke against a real
 # dnacompd process — full outcome accounting, zero failed or mismatched
-# requests. (The daemon's own tests run under `make race`.)
+# requests. Started without -model, it is also the one place the
+# compact fallback training (serve.TrainDefaultEngine) runs in a real
+# process. (The daemon's own tests run under `make race`.)
 serve:
 	$(GO) build -o bin/dnacompd ./cmd/dnacompd
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
@@ -105,33 +96,7 @@ serve:
 chaos:
 	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff|Fleet'
 
-# Observability gate: a tiny grid with metrics + trace export enabled must
-# emit well-formed Prometheus text (codec, cache and grid families) and a
-# span trace, and — the acceptance criterion — produce a CSV byte-identical
-# to the same run without any export flags.
-obs-smoke:
-	$(GO) build -o bin/experiment ./cmd/experiment
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	./bin/experiment -files 3 -max-kb 4 -jobs 2 -seed 2015 -out "$$tmp/plain.csv" >/dev/null; \
-	./bin/experiment -files 3 -max-kb 4 -jobs 2 -seed 2015 -out "$$tmp/obs.csv" \
-		-metrics "$$tmp/metrics.prom" -trace "$$tmp/trace.json" >/dev/null; \
-	cmp "$$tmp/plain.csv" "$$tmp/obs.csv" || { echo "obs-smoke: CSV changed with observability enabled"; exit 1; }; \
-	grep -q '^# TYPE dna_codec_calls_total counter' "$$tmp/metrics.prom" || { echo "obs-smoke: missing codec metrics"; exit 1; }; \
-	grep -q '^dna_cache_' "$$tmp/metrics.prom" || { echo "obs-smoke: missing cache metrics"; exit 1; }; \
-	grep -q '^dna_grid_tasks_total' "$$tmp/metrics.prom" || { echo "obs-smoke: missing grid metrics"; exit 1; }; \
-	grep -q '"name": "experiment.grid"' "$$tmp/trace.json" || { echo "obs-smoke: missing grid span"; exit 1; }; \
-	echo "obs-smoke: ok"
-
-# Request-tracing gate: a daemon round-trip through the in-process
-# selftest — an inbound traceparent must survive serve -> codec -> fleet
-# replica with one trace ID, the flight recorder must replay the request's
-# codec/shard/breaker attribution, and /debug/slo must fold a non-empty
-# verdict.
-obs-trace:
-	$(GO) build -o bin/dnacompd ./cmd/dnacompd
-	./bin/dnacompd -obs-selftest
-
 fmt:
 	gofmt -w .
 
-verify: lint build race perfbench-test chaos obs-smoke obs-trace serve
+verify: lint build race perfbench-test chaos serve

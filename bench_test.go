@@ -284,8 +284,8 @@ func blockBenchSeq() []byte {
 
 // BenchmarkBlockCompressJobs sweeps the block worker count over a 1 MB
 // sequence split into 64 KB blocks. Output bytes are identical at every
-// setting (asserted once), so the sweep isolates pure pool scaling; this is
-// the benchmark cmd/benchjson pins into BENCH_<n>.json per PR.
+// setting (asserted once), so the sweep isolates pure pool scaling. The
+// end-to-end block costs are perfbench's (perfbench/README.md).
 func BenchmarkBlockCompressJobs(b *testing.B) {
 	src := blockBenchSeq()
 	opts := compress.BlockOptions{BlockSize: 64 << 10}

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +20,7 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
 	"github.com/srl-nuces/ctxdna/internal/experiment"
+	"github.com/srl-nuces/ctxdna/internal/serve"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/ctw"
@@ -62,54 +62,46 @@ type runOpts struct {
 }
 
 func run(o runOpts) error {
-	var tree *dtree.Tree
-	if o.modelPath != "" {
-		data, err := os.ReadFile(o.modelPath)
-		if err != nil {
-			return err
-		}
-		tree = &dtree.Tree{}
-		if err := json.Unmarshal(data, tree); err != nil {
-			return err
-		}
-	} else {
-		g, err := loadGrid(o.gridPath)
-		if err != nil {
-			return err
-		}
-		train, test := g.Split()
-		var acc float64
-		tree, acc, err = experiment.TrainEval(train, test, o.method, core.TimeOnlyWeights(), dtree.Config{})
-		if err != nil {
-			return err
-		}
-		if o.showAcc {
-			fmt.Printf("held-out accuracy (%s, time labels): %.4f\n", o.method, acc)
-		}
-	}
-	engine, err := core.NewInferenceEngine(tree)
+	engine, err := loadEngine(o)
 	if err != nil {
 		return err
 	}
 	if o.saveModel != "" {
-		data, err := json.MarshalIndent(tree, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.saveModel, data, 0o644); err != nil {
+		if err := serve.SaveModel(o.saveModel, engine); err != nil {
 			return err
 		}
 		fmt.Printf("model written to %s\n", o.saveModel)
 		return nil
 	}
 	if o.showRules {
-		fmt.Print(tree.String())
+		fmt.Print(engine.Tree().String())
 		return nil
 	}
 	ctx := core.Context{FileSizeKB: o.fileKB, RAMMB: o.ramMB, CPUMHz: o.cpuMHz, BandwidthMbps: o.bwMbps}
 	fmt.Printf("context: file=%.0fKB ram=%.0fMB cpu=%.0fMHz bw=%.0fMbps\n", o.fileKB, o.ramMB, o.cpuMHz, o.bwMbps)
 	fmt.Printf("selected codec: %s\n", engine.SelectCodec(ctx))
 	return nil
+}
+
+// loadEngine reads the -model file the daemon reads too, or trains the
+// rules from the grid.
+func loadEngine(o runOpts) (*core.InferenceEngine, error) {
+	if o.modelPath != "" {
+		return serve.LoadModel(o.modelPath)
+	}
+	g, err := loadGrid(o.gridPath)
+	if err != nil {
+		return nil, err
+	}
+	train, test := g.Split()
+	tree, acc, err := experiment.TrainEval(train, test, o.method, core.TimeOnlyWeights(), dtree.Config{})
+	if err != nil {
+		return nil, err
+	}
+	if o.showAcc {
+		fmt.Printf("held-out accuracy (%s, time labels): %.4f\n", o.method, acc)
+	}
+	return core.NewInferenceEngine(tree)
 }
 
 func loadGrid(path string) (*experiment.Grid, error) {

@@ -68,6 +68,7 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
 	"github.com/srl-nuces/ctxdna/internal/seq"
+	"github.com/srl-nuces/ctxdna/internal/serve"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/biocompress"
 	_ "github.com/srl-nuces/ctxdna/internal/compress/ctw"
@@ -318,7 +319,7 @@ func runExchange(ctx context.Context, codecName string, faultRate float64, retri
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", name, err)
 	}
-	symbols, _ := cleanse(raw)
+	symbols, _ := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return fmt.Errorf("input contains no ACGT bases")
 	}
@@ -416,7 +417,7 @@ func doCompress(codecName string, raw []byte, quiet bool) ([]byte, error) {
 		return nil, err
 	}
 	codec = compress.Instrument(nil, codec)
-	symbols, stats := cleanse(raw)
+	symbols, stats := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return nil, fmt.Errorf("input contains no ACGT bases")
 	}
@@ -436,7 +437,7 @@ func doCompress(codecName string, raw []byte, quiet bool) ([]byte, error) {
 // single frame: blocks are compressed concurrently but the output bytes are
 // deterministic for any worker count.
 func doBlockCompress(codecName string, blockSize int, raw []byte, quiet bool) ([]byte, error) {
-	symbols, stats := cleanse(raw)
+	symbols, stats := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return nil, fmt.Errorf("input contains no ACGT bases")
 	}
@@ -476,21 +477,6 @@ func doSeek(raw []byte, spec string, quiet bool) ([]byte, error) {
 			r.Codec(), n, r.Bases(), off, r.BlockSize(), float64(st.WorkNS)/1e6)
 	}
 	return seq.Decode(symbols), nil
-}
-
-func cleanse(raw []byte) ([]byte, seq.CleanStats) {
-	cl := seq.Cleanser{}
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) {
-		seqs, st, err := cl.CleanFASTA(bytes.NewReader(raw))
-		if err == nil {
-			var all []byte
-			for _, s := range seqs {
-				all = append(all, s...)
-			}
-			return all, st
-		}
-	}
-	return cl.Clean(raw)
 }
 
 // runBatch compresses every input file with the chosen codec through a
@@ -567,7 +553,7 @@ func batchOne(cache *compress.Cache, codecName, outDir, in string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	symbols, _ := cleanse(raw)
+	symbols, _ := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return "", fmt.Errorf("input contains no ACGT bases")
 	}

@@ -39,11 +39,8 @@
 // tree inline and -trace <file> appends one JSON line per traced
 // request. -recorder N sizes the flight recorder behind /debug/requests
 // (last N requests with codec/shard/breaker attribution; 0 = 256,
-// negative disables), /debug/slo serves latency and availability burn
-// rates with a verdict, and -obs-selftest runs the whole plane against
-// an in-process daemon and exits 0 only if trace continuity, recorder
-// attribution and the SLO verdict all check out (the `make obs-trace`
-// gate).
+// negative disables), and /debug/slo serves latency and availability burn
+// rates with a verdict.
 //
 // The built-in deterministic load generator drives a daemon and prints a
 // JSON report with full outcome accounting, latency percentiles, and an
@@ -103,9 +100,8 @@ func realMain() int {
 		fleetFaultRate   = flag.Float64("fleet-fault-rate", 0, "per-shard transient fault rate in [0,1) for -fleet-shards mode")
 		fleetSeed        = flag.Uint64("fleet-seed", 2015, "seed for fleet placement and per-shard fault schedules")
 
-		tracePath   = flag.String("trace", "", "append one JSON line per traced request (trace ID, endpoint, span tree) to this file")
-		recorder    = flag.Int("recorder", 0, "flight-recorder capacity behind /debug/requests (0 = 256, negative disables)")
-		obsSelftest = flag.Bool("obs-selftest", false, "boot an in-process daemon and verify trace continuity server->fleet, recorder attribution and the SLO verdict; exit 0/1")
+		tracePath = flag.String("trace", "", "append one JSON line per traced request (trace ID, endpoint, span tree) to this file")
+		recorder  = flag.Int("recorder", 0, "flight-recorder capacity behind /debug/requests (0 = 256, negative disables)")
 
 		loadgen  = flag.String("loadgen", "", "run the deterministic load generator instead of serving: a daemon URL, or \"self\" to drive an in-process daemon")
 		requests = flag.Int("requests", 64, "load units to issue in -loadgen mode")
@@ -124,10 +120,6 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "dnacompd: unexpected arguments: %v\n", flag.Args())
 		flag.Usage()
 		return 2
-	}
-
-	if *obsSelftest {
-		return runObsSelftest()
 	}
 
 	// A pure-URL loadgen run needs no engine of its own.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -66,10 +67,10 @@ func TestRunJobsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunObservabilityExports: -metrics and -trace write well-formed
-// snapshots covering codec, cache and grid series — and attaching them
-// leaves the grid CSV byte-identical (the acceptance regression at the CLI
-// level).
+// TestRunObservabilityExports: the built binary's -metrics and -trace
+// flags write well-formed snapshots covering codec, cache and grid series
+// — and attaching them leaves the grid CSV byte-identical to a plain run
+// (the acceptance regression at the CLI level).
 func TestRunObservabilityExports(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.csv")
@@ -80,12 +81,12 @@ func TestRunObservabilityExports(t *testing.T) {
 	if err := run(runConfig{nFiles: 4, minKB: 2, maxKB: 8, seed: 9, out: plain, jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(runConfig{
-		nFiles: 4, minKB: 2, maxKB: 8, seed: 9, out: observed, jobs: 2,
-		faultRate: 0.3, retries: 8,
-		metricsOut: metrics, traceOut: trace,
-	}); err != nil {
-		t.Fatal(err)
+	cmd := exec.Command(buildCLI(t),
+		"-files", "4", "-min-kb", "2", "-max-kb", "8", "-seed", "9", "-out", observed, "-jobs", "2",
+		"-fault-rate", "0.3", "-retries", "8",
+		"-metrics", metrics, "-trace", trace)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("experiment with -metrics/-trace: %v\n%s", err, out)
 	}
 
 	a, _ := os.ReadFile(plain)
@@ -103,6 +104,7 @@ func TestRunObservabilityExports(t *testing.T) {
 		"# TYPE dna_codec_calls_total counter",
 		`dna_codec_calls_total{codec="dnax",op="compress"}`,
 		"dna_cache_misses_total",
+		"dna_grid_tasks_total",
 		"dna_grid_tasks_done_total",
 		"dna_grid_workers",
 		"dna_exchange_total",

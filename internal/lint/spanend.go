@@ -8,10 +8,10 @@ import (
 // SpanEnd guards the tracing layer's one lifecycle rule: every span opened
 // with obs.Start must be ended, or request traces silently lose their
 // inner spans (a leaked span never reaches the tracer's finished-record
-// list, so ?trace=1 exports, the -trace sink and the obs-trace gate all
-// see a hole where the work happened). A span is considered reliably
-// ended when End is deferred (directly or inside a deferred closure),
-// called unconditionally later in the same block as the Start, or called
+// list, so ?trace=1 exports and the -trace sink both see a hole where
+// the work happened). A span is considered reliably ended when End is
+// deferred (directly or inside a deferred closure), called
+// unconditionally later in the same block as the Start, or called
 // inside any function literal (the serve queue pattern, where the worker
 // closure ends the wait span). A span that escapes the function — stored
 // in a struct, passed along, returned — is someone else's responsibility

@@ -28,7 +28,7 @@ type IDSource interface {
 
 // seededIDs is a deterministic IDSource: a splitmix64 stream keyed by the
 // seed. With the same seed and the same draw order, the emitted IDs are
-// identical — the property the serve tests and the obs-trace gate pin.
+// identical — the property the serve tests pin.
 type seededIDs struct {
 	mu    sync.Mutex
 	state uint64
@@ -155,7 +155,7 @@ func RemoteParentFrom(ctx context.Context) RemoteParent {
 }
 
 // SpanTree is one span with its children nested inside — the export shape
-// of a request trace (?trace=1, the -trace sink, the selftest gate).
+// of a request trace (?trace=1, the -trace sink).
 type SpanTree struct {
 	Name          string      `json:"name"`
 	TraceID       string      `json:"trace_id,omitempty"`

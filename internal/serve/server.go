@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -701,7 +702,7 @@ func queryFloat(v, name string) (float64, bool, error) {
 		return 0, false, nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f < 0 {
+	if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, false, fmt.Errorf("%s %q: want a non-negative number", name, v)
 	}
 	return f, true, nil
@@ -981,13 +982,14 @@ func (s *Server) doDecompress(ctx context.Context, rx *reqObs, claimed string, c
 }
 
 // resolveRange bounds-checks the declared window against the restored
-// symbol count; a missing len means "to the end".
+// symbol count; a missing len means "to the end". The end is compared as
+// n > bases-off, never off+n > bases, which a huge len would overflow.
 func resolveRange(rng rangeParams, bases int) (off, n int, err error) {
 	off, n = rng.off, rng.n
 	if !rng.hasLen {
 		n = bases - off
 	}
-	if off > bases || n < 0 || off+n > bases {
+	if off > bases || n < 0 || n > bases-off {
 		return 0, 0, fmt.Errorf("range [%d, %d+%d) outside [0, %d)", off, off, n, bases)
 	}
 	return off, n, nil
@@ -1095,11 +1097,12 @@ func (s *Server) fleetError(op string, err error) *response {
 
 // Cleanse converts request body text — FASTA or raw base text, any case,
 // with headers/whitespace/non-ACGT stripped — into the symbol codes the
-// codecs consume. It is the same cleansing the CLI applies before
-// single-sequence experiments.
+// codecs consume. The daemon and the dnacomp CLI both cleanse through it.
+// Input is FASTA when its first non-space byte is '>', with space meaning
+// exactly what seq.ReadFASTA trims from a line (bytes.TrimSpace).
 func Cleanse(raw []byte) ([]byte, seq.CleanStats) {
 	cl := seq.Cleanser{}
-	if isFASTA(raw) {
+	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) {
 		if seqs, st, err := cl.CleanFASTA(bytes.NewReader(raw)); err == nil {
 			var all []byte
 			for _, s := range seqs {
@@ -1109,15 +1112,4 @@ func Cleanse(raw []byte) ([]byte, seq.CleanStats) {
 		}
 	}
 	return cl.Clean(raw)
-}
-
-func isFASTA(raw []byte) bool {
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b == '>'
-	}
-	return false
 }

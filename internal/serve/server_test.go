@@ -15,6 +15,7 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/seq"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/gzipx"
@@ -225,11 +226,36 @@ func TestFASTAInput(t *testing.T) {
 	}
 }
 
-// TestClientErrorPaths covers the 4xx surface.
+// TestCleanseFASTADetection: whatever whitespace seq.ReadFASTA trims from a
+// line may lead a FASTA body without its header letters turning into
+// bases; raw base text is cleansed as before.
+func TestCleanseFASTADetection(t *testing.T) {
+	const fasta = ">GATTACA\nACGT\n"
+	for _, tc := range []struct{ name, in, want string }{
+		{"fasta", fasta, "ACGT"},
+		{"fasta after form feed", "\f" + fasta, "ACGT"},
+		{"fasta after vertical tab", "\v" + fasta, "ACGT"},
+		{"fasta after no-break space", "\u00a0" + fasta, "ACGT"},
+		{"raw text", "gattaca\nACGT\n", "GATTACAACGT"},
+		{"raw text after form feed", "\fGATTACA\nACGT\n", "GATTACAACGT"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			symbols, _ := Cleanse([]byte(tc.in))
+			if got := string(seq.Decode(symbols)); got != tc.want {
+				t.Errorf("Cleanse(%q) = %q, want %q", tc.in, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestClientErrorPaths covers the 4xx surface. frame is a CXB1 container,
+// single a CXA1 frame: a range must fail the same way on both.
 func TestClientErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 1 << 20})
 	input := synthASCII(800, 5)
 	_, frame := post(t, ts.URL+"/compress?codec=twobit&block_size=128&name=err", input)
+	_, single := post(t, ts.URL+"/compress?codec=twobit", input)
+	const overflow = "/decompress?off=1&len=9223372036854775807" // off+len wraps negative
 
 	cases := []struct {
 		name   string
@@ -241,12 +267,20 @@ func TestClientErrorPaths(t *testing.T) {
 		{"unknown codec", "POST", "/compress?codec=nope", input, http.StatusBadRequest},
 		{"bad block_size", "POST", "/compress?block_size=-4", input, http.StatusBadRequest},
 		{"bad ram_mb", "POST", "/compress?ram_mb=lots", input, http.StatusBadRequest},
+		{"NaN ram_mb", "POST", "/compress?ram_mb=NaN", input, http.StatusBadRequest},
+		{"Inf cpu_mhz", "POST", "/compress?cpu_mhz=Inf", input, http.StatusBadRequest},
+		{"NaN file_kb", "POST", "/compress?file_kb=NaN", input, http.StatusBadRequest},
+		{"Inf bw_mbps", "POST", "/compress?bw_mbps=Infinity", input, http.StatusBadRequest},
 		{"empty input", "POST", "/compress", []byte(">header only\n"), http.StatusBadRequest},
 		{"compress wrong method", "GET", "/compress", nil, http.StatusMethodNotAllowed},
 		{"garbage container", "POST", "/decompress", []byte("not a frame"), http.StatusUnprocessableEntity},
 		{"bad off", "POST", "/decompress?off=-1", frame, http.StatusBadRequest},
 		{"range past end", "POST", "/decompress?off=0&len=999999", frame, http.StatusRequestedRangeNotSatisfiable},
 		{"offset past end", "POST", "/decompress?off=999999", frame, http.StatusRequestedRangeNotSatisfiable},
+		{"range past end CXA1", "POST", "/decompress?off=0&len=999999", single, http.StatusRequestedRangeNotSatisfiable},
+		{"overflowing len CXA1", "POST", overflow, single, http.StatusRequestedRangeNotSatisfiable},
+		{"overflowing len CXB1", "POST", overflow, frame, http.StatusRequestedRangeNotSatisfiable},
+		{"overflowing len stored", "GET", overflow + "&name=err", nil, http.StatusRequestedRangeNotSatisfiable},
 		{"get without name", "GET", "/decompress", nil, http.StatusBadRequest},
 		{"get unknown name", "GET", "/decompress?name=missing", nil, http.StatusNotFound},
 		{"decompress wrong method", "DELETE", "/decompress", nil, http.StatusMethodNotAllowed},

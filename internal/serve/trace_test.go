@@ -46,11 +46,38 @@ func decodeEnvelope(t *testing.T, body []byte) traceEnvelope {
 	return env
 }
 
-// TestTraceContinuityThroughFleet is the issue's acceptance criterion: a
-// POST /compress carrying an inbound traceparent, against a fleet-backed
-// store, must export one trace whose serve -> codec -> store -> fleet
-// replica spans all share the caller's trace ID, with the root span
-// parented on the caller's span.
+// recorderDoc is the /debug/requests response shape.
+type recorderDoc struct {
+	Total    uint64              `json:"total"`
+	Capacity int                 `json:"capacity"`
+	Requests []obs.RequestRecord `json:"requests"`
+}
+
+// debugRequests fetches /debug/requests and returns the document with the
+// record of the request that stored the container name (nil if none).
+func debugRequests(t *testing.T, base, name string) (recorderDoc, *obs.RequestRecord) {
+	t.Helper()
+	resp, body := postTraced(t, base+"/debug/requests", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/requests: HTTP %d", resp.StatusCode)
+	}
+	var doc recorderDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("decoding /debug/requests: %v", err)
+	}
+	for i := range doc.Requests {
+		if doc.Requests[i].StoreName == name {
+			return doc, &doc.Requests[i]
+		}
+	}
+	return doc, nil
+}
+
+// TestTraceContinuityThroughFleet: a POST /compress carrying an inbound
+// traceparent, against a fleet-backed store, must export one trace whose
+// serve -> codec -> store -> fleet replica spans all share the caller's
+// trace ID, with the root span parented on the caller's span, and the
+// flight recorder must file the request under that trace ID.
 func TestTraceContinuityThroughFleet(t *testing.T) {
 	fleet, _ := testFleet(t, 4, 2)
 	_, ts := newTestServer(t, Config{FleetStore: fleet})
@@ -117,6 +144,12 @@ func TestTraceContinuityThroughFleet(t *testing.T) {
 		t.Error("fleet.put has no fleet.replica.put child")
 	}
 
+	if _, rec := debugRequests(t, ts.URL, "probe"); rec == nil {
+		t.Error("/debug/requests has no record for the stored container probe")
+	} else if rec.TraceID != callerTrace {
+		t.Errorf("recorder trace ID = %q, want caller's %q", rec.TraceID, callerTrace)
+	}
+
 	// The envelope carries the real response body: the frame decompresses
 	// back to the posted sequence.
 	resp, restored := postTraced(t, ts.URL+"/decompress", "", env.Body)
@@ -127,8 +160,8 @@ func TestTraceContinuityThroughFleet(t *testing.T) {
 
 // TestTraceExportDeterministic: two identically configured servers (same
 // seeded IDSource, same fake clock) export byte-identical trace envelopes
-// for the same request — the reproducibility property the obs-trace gate
-// builds on.
+// for the same request, so a trace can be replayed and compared run over
+// run.
 func TestTraceExportDeterministic(t *testing.T) {
 	run := func() []byte {
 		_, ts := newTestServer(t, Config{
@@ -163,26 +196,9 @@ func TestDebugRequestsAttribution(t *testing.T) {
 		t.Fatalf("compress: HTTP %d: %s", resp.StatusCode, body)
 	}
 
-	resp, body = postTraced(t, ts.URL+"/debug/requests", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/requests: HTTP %d", resp.StatusCode)
-	}
-	var doc struct {
-		Total    uint64              `json:"total"`
-		Capacity int                 `json:"capacity"`
-		Requests []obs.RequestRecord `json:"requests"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("decoding /debug/requests: %v", err)
-	}
+	doc, rec := debugRequests(t, ts.URL, "blob1")
 	if doc.Total < 1 || doc.Capacity != 256 || len(doc.Requests) == 0 {
 		t.Fatalf("recorder doc = total %d capacity %d with %d records", doc.Total, doc.Capacity, len(doc.Requests))
-	}
-	var rec *obs.RequestRecord
-	for i := range doc.Requests {
-		if doc.Requests[i].StoreName == "blob1" {
-			rec = &doc.Requests[i]
-		}
 	}
 	if rec == nil {
 		t.Fatal("no record for the stored container blob1")
