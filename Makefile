@@ -64,9 +64,10 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions,
-# any drift of the range decoder from its branching reference and any
-# daemon query that slips a bad range or context past its parser, without a
-# long campaign. `go test` accepts one -fuzz pattern per run.
+# any drift of the range decoder from its branching reference, any daemon
+# query that slips a bad range or context past its parser and any body
+# that Cleanse turns into bad symbols or stats, without a long campaign.
+# `go test` accepts one -fuzz pattern per run.
 fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzRoundTripAll -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzDecompressAll -fuzztime=5s
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRequestParams -fuzztime=5s
+	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzCleanse -fuzztime=5s
 
 # Serving gate: a deterministic load-generator smoke against a real
 # dnacompd process — full outcome accounting, zero failed or mismatched

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
 	"github.com/srl-nuces/ctxdna/internal/experiment"
 	"github.com/srl-nuces/ctxdna/internal/serve"
-	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/ctw"
 	_ "github.com/srl-nuces/ctxdna/internal/compress/dnax"
@@ -114,6 +112,5 @@ func loadGrid(path string) (*experiment.Grid, error) {
 		return experiment.ReadCSV(f)
 	}
 	fmt.Fprintln(os.Stderr, "ctxselect: no -grid given; generating a compact training grid...")
-	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 32, MinSize: 2 << 10, MaxSize: 256 << 10, Seed: 2015})
-	return experiment.Run(files, cloud.Grid(), []string{"ctw", "dnax", "gencompress", "gzip"}, experiment.DefaultNoise())
+	return experiment.CompactGrid()
 }

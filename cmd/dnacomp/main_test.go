@@ -50,11 +50,12 @@ func TestRoundTripRawText(t *testing.T) {
 func TestRoundTripFASTA(t *testing.T) {
 	p := synth.Profile{Length: 3000, GC: 0.4}
 	codes := p.Generate(2)
-	var fasta bytes.Buffer
-	if err := seq.WriteFASTA(&fasta, []seq.Record{{Header: "test sequence", Seq: seq.Decode(codes)}}, 60); err != nil {
-		t.Fatal(err)
+	ascii := seq.Decode(codes)
+	fasta := []byte(">test sequence\n")
+	for i := 0; i < len(ascii); i += 60 {
+		fasta = append(append(fasta, ascii[i:min(i+60, len(ascii))]...), '\n')
 	}
-	in := writeTemp(t, "seq.fa", fasta.Bytes())
+	in := writeTemp(t, "seq.fa", fasta)
 	packed := filepath.Join(t.TempDir(), "seq.ctw")
 	if err := run("ctw", false, packed, true, 0, "", []string{in}); err != nil {
 		t.Fatal(err)
@@ -67,8 +68,56 @@ func TestRoundTripFASTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, seq.Decode(codes)) {
+	if !bytes.Equal(got, ascii) {
 		t.Fatal("FASTA round trip mismatch")
+	}
+}
+
+// TestFASTAShapesWriteTheSameContainer: a container depends only on the
+// bases, so every common shape of a FASTA file writes, as one frame and as
+// blocks, the same bytes its bare bases write.
+func TestFASTAShapesWriteTheSameContainer(t *testing.T) {
+	p := synth.Profile{Length: 1500, GC: 0.45, RepeatProb: 0.003, RepeatMin: 20, RepeatMax: 100}
+	bases := p.GenerateASCII(5)
+	wrap := func(b []byte, eol string) string {
+		var sb strings.Builder
+		for i := 0; i < len(b); i += 60 {
+			sb.Write(b[i:min(i+60, len(b))])
+			sb.WriteString(eol)
+		}
+		return sb.String()
+	}
+	const header = ">s GATTACA" // bases in a header must never reach the container
+	shapes := []struct{ name, fasta string }{
+		{"wrapped", header + "\n" + wrap(bases, "\n")},
+		{"CRLF", header + "\r\n" + wrap(bases, "\r\n")},
+		{"blank lines", header + "\n\n" + wrap(bases, "\n\n")},
+		{"multi-record", header + "\n" + wrap(bases[:700], "\n") + header + "2\n" + wrap(bases[700:], "\n")},
+		{"form-feed led", "\f" + header + "\n" + wrap(bases, "\n")},
+		{"lowercase", header + "\n" + wrap(bytes.ToLower(bases), "\n")},
+	}
+	compressFile := func(t *testing.T, in string, blockSize int) []byte {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), "seq.out")
+		if err := run("dnax", false, out, true, blockSize, "", []string{in}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	bare := writeTemp(t, "seq.txt", bases)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			in := writeTemp(t, "seq.fa", []byte(sh.fasta))
+			for _, blockSize := range []int{0, 512} {
+				if !bytes.Equal(compressFile(t, in, blockSize), compressFile(t, bare, blockSize)) {
+					t.Errorf("block size %d: container differs from the bare bases' container", blockSize)
+				}
+			}
+		})
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/srl-nuces/ctxdna/internal/cloud"
+	"github.com/srl-nuces/ctxdna/internal/experiment"
 	"github.com/srl-nuces/ctxdna/internal/serve"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
@@ -58,11 +60,13 @@ var (
 func testModel(t *testing.T) string {
 	t.Helper()
 	modelOnce.Do(func() {
-		eng, err := serve.TrainEngine(
-			synth.CorpusSpec{NumFiles: 6, MinSize: 2 << 10, MaxSize: 16 << 10, Seed: 7},
-			"cart",
-			[]string{"gzip", "twobit"},
-		)
+		files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 6, MinSize: 2 << 10, MaxSize: 16 << 10, Seed: 7})
+		g, err := experiment.Run(files, cloud.Grid(), []string{"gzip", "twobit"}, experiment.DefaultNoise())
+		if err != nil {
+			modelErr = err
+			return
+		}
+		eng, err := serve.TrainEngine(g, experiment.MethodCART)
 		if err != nil {
 			modelErr = err
 			return

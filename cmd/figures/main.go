@@ -129,9 +129,6 @@ func renderFigure(g *experiment.Grid, n int) error {
 	case 3:
 		summarizeByCodec(g, "Figure 3 — RAM used (MB)", func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) })
 	case 4:
-		summarizeByCodec(g, "Figure 4 — compressed size (bits/base)", func(m core.Measurement) float64 {
-			return 0 // replaced below; ratio needs bases
-		})
 		ratioTable(g)
 	case 5:
 		summarizeByCodec(g, "Figure 5 — compression time (ms)", func(m core.Measurement) float64 { return m.CompressMS })
@@ -156,9 +153,6 @@ func renderFigure(g *experiment.Grid, n int) error {
 // summarizeByCodec prints mean/median/min/max of a per-measurement metric,
 // split by bandwidth class to expose the context dependence.
 func summarizeByCodec(g *experiment.Grid, title string, value func(core.Measurement) float64) {
-	if strings.Contains(title, "bits/base") {
-		return // handled by ratioTable
-	}
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("-", len(title)))
 	fmt.Printf("%-12s %10s %10s %10s %10s\n", "codec", "mean", "median", "min", "max")
 	for ci, codec := range g.Codecs {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
@@ -56,6 +59,45 @@ func TestRenderEveryFigure(t *testing.T) {
 	}
 	if err := run(grid, 0, 0, true, 1, testGen); err != nil {
 		t.Errorf("-all: %v", err)
+	}
+}
+
+// TestFigure4RatioTable: Figure 4 prints its title once and, per codec,
+// the mean bits/base over the corpus files.
+func TestFigure4RatioTable(t *testing.T) {
+	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 4, MinSize: 2 << 10, MaxSize: 8 << 10, Seed: 3})
+	g, err := experiment.Run(files, cloud.Grid(), []string{"dnax", "gzip"}, experiment.DefaultNoise())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	rerr := renderFigure(g, 4)
+	os.Stdout = old
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil || rerr != nil {
+		t.Fatalf("render: %v, read: %v", rerr, err)
+	}
+	if n := strings.Count(string(out), "Figure 4"); n != 1 {
+		t.Errorf("Figure 4 title printed %d times:\n%s", n, out)
+	}
+	for _, codec := range g.Codecs {
+		var sum float64
+		for _, f := range g.Files {
+			for _, run := range f.Runs {
+				if run.Codec == codec {
+					sum += float64(run.CompressedSize*8) / float64(f.Bases)
+				}
+			}
+		}
+		if line := fmt.Sprintf("%-12s %10.3f\n", codec, sum/float64(len(g.Files))); !strings.Contains(string(out), line) {
+			t.Errorf("missing row %q in:\n%s", line, out)
+		}
 	}
 }
 

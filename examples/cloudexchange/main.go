@@ -30,8 +30,7 @@ import (
 func main() {
 	// 1. Train the inference engine on a compact experiment grid.
 	fmt.Println("training selection rules on a compact grid...")
-	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 32, MinSize: 2 << 10, MaxSize: 256 << 10, Seed: 2015})
-	grid, err := experiment.Run(files, cloud.Grid(), []string{"ctw", "dnax", "gencompress", "gzip"}, experiment.DefaultNoise())
+	grid, err := experiment.CompactGrid()
 	if err != nil {
 		log.Fatal(err)
 	}

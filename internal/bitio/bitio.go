@@ -1,23 +1,13 @@
-// Package bitio provides bit-granular reading and writing on top of byte
-// slices and io streams, together with the universal integer codes (unary,
-// Elias gamma, Elias delta) used by the repeat-based DNA codecs.
+// Package bitio provides bit-granular writing and reading on top of byte
+// slices: the bit stream that carries the Fibonacci-coded repeat tokens of
+// the BioCompress codec.
 //
 // Bits are written most-significant-bit first within each byte, which keeps
 // the on-disk format independent of host endianness and makes streams easy
 // to inspect in hex dumps.
 package bitio
 
-import (
-	"errors"
-	"fmt"
-	"io"
-	"math/bits"
-)
-
-// ErrValueRange is returned when an integer is outside the encodable range
-// of the requested code (for example zero for Elias gamma, which encodes
-// strictly positive integers).
-var ErrValueRange = errors.New("bitio: value out of range for code")
+import "io"
 
 // Writer accumulates bits into an internal buffer. The zero value is ready
 // to use. Writer never fails: it grows its buffer as needed, so the bit-level
@@ -46,79 +36,8 @@ func (w *Writer) WriteBit(bit uint) {
 	}
 }
 
-// WriteBits appends the low n bits of v, most significant first. n may be 0,
-// in which case nothing is written. n must be at most 64.
-func (w *Writer) WriteBits(v uint64, n uint) {
-	if n > 64 {
-		panic(fmt.Sprintf("bitio: WriteBits width %d > 64", n))
-	}
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v >> uint(i) & 1))
-	}
-}
-
-// WriteByte appends 8 bits. It implements io.ByteWriter and never returns a
-// non-nil error.
-func (w *Writer) WriteByte(b byte) error {
-	w.WriteBits(uint64(b), 8)
-	return nil
-}
-
-// WriteBytes appends every byte of p.
-func (w *Writer) WriteBytes(p []byte) {
-	if w.nCur == 0 {
-		w.buf = append(w.buf, p...)
-		return
-	}
-	for _, b := range p {
-		w.WriteBits(uint64(b), 8)
-	}
-}
-
-// WriteUnary appends v in unary: v one-bits followed by a terminating zero.
-func (w *Writer) WriteUnary(v uint64) {
-	for ; v >= 64; v -= 64 {
-		w.WriteBits(^uint64(0), 64)
-	}
-	// v < 64 ones followed by a zero: total v+1 bits.
-	w.WriteBits((1<<(v+1))-2, uint(v)+1)
-}
-
-// WriteGamma appends v >= 1 in Elias gamma code.
-func (w *Writer) WriteGamma(v uint64) error {
-	if v == 0 {
-		return ErrValueRange
-	}
-	n := uint(bits.Len64(v)) // number of significant bits, >= 1
-	w.WriteUnary(uint64(n - 1))
-	w.WriteBits(v, n-1) // implicit leading 1 omitted? no: gamma stores the value's low bits after the length
-	return nil
-}
-
-// WriteDelta appends v >= 1 in Elias delta code: the bit-length is itself
-// gamma coded, then the value's bits minus the leading one follow.
-func (w *Writer) WriteDelta(v uint64) error {
-	if v == 0 {
-		return ErrValueRange
-	}
-	n := uint(bits.Len64(v))
-	if err := w.WriteGamma(uint64(n)); err != nil {
-		return err
-	}
-	w.WriteBits(v, n-1)
-	return nil
-}
-
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
-// Len reports the number of bytes Bytes would currently return.
-func (w *Writer) Len() int {
-	if w.nCur == 0 {
-		return len(w.buf)
-	}
-	return len(w.buf) + 1
-}
 
 // Bytes flushes the partial byte (zero padded on the right) and returns the
 // accumulated buffer. The Writer remains usable; further writes continue from
@@ -131,18 +50,6 @@ func (w *Writer) Bytes() []byte {
 	copy(out, w.buf)
 	out[len(w.buf)] = w.cur << (8 - w.nCur)
 	return out
-}
-
-// Reset truncates the writer to empty, retaining the allocated buffer.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
-}
-
-// WriteTo writes the complete (padded) buffer to dst.
-func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
-	n, err := dst.Write(w.Bytes())
-	return int64(n), err
 }
 
 // Reader consumes bits from a byte slice produced by Writer.
@@ -170,78 +77,3 @@ func (r *Reader) ReadBit() (uint, error) {
 	r.nCur--
 	return uint(r.cur >> r.nCur & 1), nil
 }
-
-// ReadBits returns the next n bits as an unsigned integer, MSB first.
-func (r *Reader) ReadBits(n uint) (uint64, error) {
-	if n > 64 {
-		panic(fmt.Sprintf("bitio: ReadBits width %d > 64", n))
-	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
-	}
-	return v, nil
-}
-
-// ReadByte returns the next 8 bits. It implements io.ByteReader.
-func (r *Reader) ReadByte() (byte, error) {
-	v, err := r.ReadBits(8)
-	return byte(v), err
-}
-
-// ReadUnary decodes a unary-coded integer.
-func (r *Reader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
-// ReadGamma decodes an Elias gamma coded integer (>= 1).
-func (r *Reader) ReadGamma() (uint64, error) {
-	nm1, err := r.ReadUnary()
-	if err != nil {
-		return 0, err
-	}
-	if nm1 >= 64 {
-		return 0, fmt.Errorf("bitio: gamma length %d exceeds 64 bits", nm1+1)
-	}
-	low, err := r.ReadBits(uint(nm1))
-	if err != nil {
-		return 0, err
-	}
-	return 1<<nm1 | low, nil
-}
-
-// ReadDelta decodes an Elias delta coded integer (>= 1).
-func (r *Reader) ReadDelta() (uint64, error) {
-	n, err := r.ReadGamma()
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 || n > 64 {
-		return 0, fmt.Errorf("bitio: delta length %d out of range", n)
-	}
-	low, err := r.ReadBits(uint(n - 1))
-	if err != nil {
-		return 0, err
-	}
-	return 1<<(n-1) | low, nil
-}
-
-// BitsRead reports the number of bits consumed so far.
-func (r *Reader) BitsRead() int { return r.pos*8 - int(r.nCur) }
-
-// Remaining reports the number of unread bits (including padding bits).
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.BitsRead() }

@@ -131,11 +131,11 @@ func (r ExchangeReport) AttemptCount() int {
 // corrupted download surfaces as compress.ErrCorrupt. On failure the
 // returned report still carries the traces collected so far.
 //
-// Observability rides the context: metrics land in obs.Metrics(ctx), a
+// Observability rides the context: metrics land in obs.Metrics(ctx) and a
 // "cloud.exchange" span (with per-op child spans inside retryOp) is opened
-// when obs.WithTracer installed a tracer, and retries log through
-// obs.Log(ctx). All recorded figures are modeled or byte counts, so
-// instrumentation never perturbs the deterministic report.
+// when obs.WithTracer installed a tracer. All recorded figures are modeled
+// or byte counts, so instrumentation never perturbs the deterministic
+// report.
 func Exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions) (ExchangeReport, error) {
 	rep, err := exchange(ctx, client, store, codecName, src, opts, 1, func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
 		codec, err := compress.New(codecName)
@@ -341,8 +341,7 @@ func transferPool(ctx context.Context, opts ExchangeOptions, jobs int, op string
 // opts.Retry.MaxRetries times; permanent failures and external
 // cancellation end the op at once. Each op gets its own child span
 // (attributed with the piece's blob) plus attempt/outcome/backoff metrics
-// labeled with the bare op, and every retry is logged at debug level
-// through the context logger.
+// labeled with the bare op.
 func retryOp(ctx context.Context, opts ExchangeOptions, op string, p piece, f func() error) (tr OpTrace, err error) {
 	label := op + p.tag
 	tr = OpTrace{Op: label}
@@ -394,8 +393,6 @@ func retryOp(ctx context.Context, opts ExchangeOptions, op string, p piece, f fu
 		tr.BackoffMS = append(tr.BackoffMS, wait)
 		reg.Counter("dna_exchange_retries_total", "Transient-failure retries scheduled.", "op", op).Inc()
 		reg.Histogram("dna_exchange_backoff_ms", "Modeled backoff waits between attempts.", obs.DefMSBuckets(), "op", op).Observe(wait)
-		obs.Log(ctx).Debug("cloud: transient failure, retrying",
-			"op", op, "blob", p.blob, "retry", retry, "backoff_ms", wait, "err", err)
 	}
 }
 

@@ -219,14 +219,18 @@ func TestFleetChaosFlappingUnderRace(t *testing.T) {
 	}()
 
 	src := symbols(2000, 24)
+	retry := ExchangeOptions{Retry: RetryPolicy{MaxRetries: 12, BaseMS: 1, CapMS: 4}}
 	var wg sync.WaitGroup
+	reps := make([]BlockExchangeReport, 4)
 	errs := make([]error, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = ExchangeBlocks(context.Background(), chaosClient, fleet, "dnax", src, BlockExchangeOptions{
-				ExchangeOptions: ExchangeOptions{Blob: fmt.Sprintf("flap-%d", i), Retry: RetryPolicy{MaxRetries: 12, BaseMS: 1, CapMS: 4}},
+			opts := retry
+			opts.Blob = fmt.Sprintf("flap-%d", i)
+			reps[i], errs[i] = ExchangeBlocks(context.Background(), chaosClient, fleet, "dnax", src, BlockExchangeOptions{
+				ExchangeOptions: opts,
 				Block:           compress.BlockOptions{BlockSize: 500, Jobs: 2},
 			})
 		}(i)
@@ -236,8 +240,22 @@ func TestFleetChaosFlappingUnderRace(t *testing.T) {
 	flapper.Wait()
 
 	// Flapping can legitimately cost quorum mid-write; what it must never
-	// do is corrupt data or wedge the fleet. After the storm every blob
-	// that reported success is still fully readable.
+	// do is corrupt data or wedge the fleet. Once the storm is over and the
+	// breakers it opened have cooled down, every blob that reported success
+	// is still fully readable. Reads go through the exchange's own retry
+	// schedule: a single Get can meet a seeded transient fault on every
+	// replica that holds the blob, which is retryable, while a lost blob
+	// fails every attempt.
+	clock.Advance(45 * time.Second) // past breaker cooldown
+	get := func(blob string) ([]byte, error) {
+		var data []byte
+		_, err := retryOp(context.Background(), retry, "get", piece{blob: blob}, func() error {
+			var gerr error
+			data, gerr = fleet.Get("exchange", blob)
+			return gerr
+		})
+		return data, err
+	}
 	for i, err := range errs {
 		if err != nil {
 			if !IsTransient(err) && !IsDegraded(err) && !errors.Is(err, compress.ErrCorrupt) {
@@ -245,8 +263,24 @@ func TestFleetChaosFlappingUnderRace(t *testing.T) {
 			}
 			continue
 		}
-		if _, gerr := fleet.Get("exchange", fmt.Sprintf("flap-%d.cxb1", i)); gerr != nil {
+		manifest, gerr := get(fmt.Sprintf("flap-%d.cxb1", i))
+		if gerr != nil {
 			t.Fatalf("exchange %d succeeded but manifest unreadable after storm: %v", i, gerr)
+		}
+		reassembled := append([]byte(nil), manifest...)
+		for k := 0; k < reps[i].Blocks; k++ {
+			frame, gerr := get(fmt.Sprintf("flap-%d.b%06d", i, k))
+			if gerr != nil {
+				t.Fatalf("exchange %d succeeded but block %d unreadable after storm: %v", i, k, gerr)
+			}
+			reassembled = append(reassembled, frame...)
+		}
+		restored, _, derr := compress.SafeDecompressAny("dnax", reassembled, compress.Limits{})
+		if derr != nil {
+			t.Fatalf("exchange %d container does not restore after storm: %v", i, derr)
+		}
+		if !bytes.Equal(restored, src) {
+			t.Fatalf("exchange %d restore differs from source after storm", i)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package cloud
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"log/slog"
 	"testing"
 	"time"
 
@@ -12,16 +10,14 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/obs"
 )
 
-// obsCtx builds a context carrying a fresh registry, a fake-clock tracer
-// and a debug logger, returning all three observers.
-func obsCtx() (context.Context, *obs.Registry, *obs.Tracer, *bytes.Buffer) {
+// obsCtx builds a context carrying a fresh registry and a fake-clock
+// tracer, returning both observers.
+func obsCtx() (context.Context, *obs.Registry, *obs.Tracer) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(obs.NewFake(time.Unix(1700000000, 0).UTC()))
-	var logBuf bytes.Buffer
 	ctx := obs.WithMetrics(context.Background(), reg)
 	ctx = obs.WithTracer(ctx, tr)
-	ctx = obs.WithLogger(ctx, obs.NewLogger(&logBuf, slog.LevelDebug))
-	return ctx, reg, tr, &logBuf
+	return ctx, reg, tr
 }
 
 func counter(reg *obs.Registry, name string, labels ...string) uint64 {
@@ -31,7 +27,7 @@ func counter(reg *obs.Registry, name string, labels ...string) uint64 {
 // TestExchangeObservability: a clean exchange emits a deterministic span
 // tree and books codec, byte-volume and per-op outcome metrics.
 func TestExchangeObservability(t *testing.T) {
-	ctx, reg, tr, _ := obsCtx()
+	ctx, reg, tr := obsCtx()
 	store := NewBlobStore()
 	src := symbols(4096, 11)
 	rep, err := Exchange(ctx, chaosClient, store, "dnax", src, ExchangeOptions{
@@ -88,9 +84,9 @@ func TestExchangeObservability(t *testing.T) {
 }
 
 // TestExchangeObservabilityRetries: injected transient faults surface as
-// retry counters, backoff observations, span attributes and debug logs.
+// retry counters and span attributes.
 func TestExchangeObservabilityRetries(t *testing.T) {
-	ctx, reg, tr, logBuf := obsCtx()
+	ctx, reg, tr := obsCtx()
 	store := NewFaultyStore(NewBlobStore(), FaultConfig{Rate: 0.3, Seed: 42})
 	src := symbols(4096, 12)
 	rep, err := Exchange(ctx, chaosClient, store, "dnax", src, ExchangeOptions{Retry: DefaultRetryPolicy()})
@@ -106,9 +102,6 @@ func TestExchangeObservabilityRetries(t *testing.T) {
 		counter(reg, "dna_exchange_retries_total", "op", "get")
 	if gotRetries != wantRetries {
 		t.Errorf("retries = %d, want %d", gotRetries, wantRetries)
-	}
-	if !bytes.Contains(logBuf.Bytes(), []byte("transient failure")) {
-		t.Errorf("no retry debug log emitted:\n%s", logBuf.String())
 	}
 	// Span attempt attributes must agree with the report's traces.
 	for _, rec := range tr.Records() {
@@ -132,7 +125,7 @@ func TestExchangeObservabilityRetries(t *testing.T) {
 // TestExchangeObservabilityExhaustion: a store that always fails books a
 // transient op outcome and an error exchange outcome.
 func TestExchangeObservabilityExhaustion(t *testing.T) {
-	ctx, reg, _, _ := obsCtx()
+	ctx, reg, _ := obsCtx()
 	store := NewFaultyStore(NewBlobStore(), FaultConfig{Rate: 1, Seed: 3})
 	_, err := Exchange(ctx, chaosClient, store, "dnax", symbols(512, 13), ExchangeOptions{
 		Retry: RetryPolicy{MaxRetries: 2, BaseMS: 10, Seed: 1},
@@ -157,7 +150,7 @@ func TestExchangeObservabilityExhaustion(t *testing.T) {
 // metric and op span with the bare op. Distinct blob names must not mint
 // new series; the piece rides on the op span's blob attribute instead.
 func TestExchangeBlocksMetricsOneSeriesPerOp(t *testing.T) {
-	ctx, reg, tr, _ := obsCtx()
+	ctx, reg, tr := obsCtx()
 	store := NewFaultyStore(NewBlobStore(), FaultConfig{Rate: 0.3, Seed: 5})
 	const exchanges, blocks = 3, 8
 	for i := 0; i < exchanges; i++ {

@@ -208,7 +208,7 @@ func TestExchangePipelineGetExhaustionChargesPieceBytes(t *testing.T) {
 func TestExchangePipelineUnknownCodecTouchesNoStore(t *testing.T) {
 	for _, mode := range pipelineModes {
 		t.Run(mode.name, func(t *testing.T) {
-			ctx, reg, tr, _ := obsCtx()
+			ctx, reg, tr := obsCtx()
 			inner := NewBlobStore()
 			rep, err := mode.run(ctx, inner, "nope", symbols(64, 23), ExchangeOptions{})
 			if !errors.Is(err, compress.ErrUnknownCodec) {
@@ -266,7 +266,7 @@ func TestExchangePipelineLimitsBindRestore(t *testing.T) {
 	src := symbols(2000, 25)
 	for _, mode := range pipelineModes {
 		t.Run(mode.name, func(t *testing.T) {
-			ctx, reg, _, _ := obsCtx()
+			ctx, reg, _ := obsCtx()
 			_, err := mode.run(ctx, NewBlobStore(), "dnax", src, ExchangeOptions{Limits: compress.Limits{MaxOutput: len(src) - 1}})
 			if !errors.Is(err, compress.ErrCorrupt) || !strings.Contains(err.Error(), "decompress") {
 				t.Fatalf("err = %v, want a corrupt decompress under a short output cap", err)

@@ -21,7 +21,7 @@ type DegenerateCase struct {
 }
 
 // DegenerateCases returns the shared table of degenerate inputs. Every case
-// cleanses to a valid (possibly empty) symbol sequence via seq.Cleanser, the
+// cleanses to a valid (possibly empty) symbol sequence via seq.Clean, the
 // same path cmd/dnacomp feeds codecs through.
 func DegenerateCases() []DegenerateCase {
 	return []DegenerateCase{
@@ -45,7 +45,7 @@ func CrossCodecParallel(t *testing.T, names []string, jobs int) {
 	}
 	var files []synth.File
 	for _, dc := range DegenerateCases() {
-		symbols, st := seq.Cleanser{}.Clean(dc.Raw)
+		symbols, st := seq.Clean(dc.Raw)
 		if !seq.Valid(symbols) {
 			t.Fatalf("%s: cleanser emitted invalid symbols", dc.Name)
 		}
@@ -76,7 +76,7 @@ func CrossCodecParallel(t *testing.T, names []string, jobs int) {
 	// The harness verified reconstruction internally; additionally round-trip
 	// each codec directly on the gnarliest non-empty case to pin the helper
 	// path too.
-	gnarly, _ := seq.Cleanser{}.Clean(DegenerateCases()[2].Raw) // NRuns
+	gnarly, _ := seq.Clean(DegenerateCases()[2].Raw) // NRuns
 	for _, name := range names {
 		c, err := compress.New(name)
 		if err != nil {

@@ -6,8 +6,8 @@ package compresstest_test
 // count≤avail/12 discipline, generalized by compress.HeaderPrealloc).
 // These tests hand every codec a tiny payload claiming an enormous output
 // and assert the total allocation stays near the 1 MiB preallocation cap
-// — before the fix, the same payloads demanded claim-sized buffers (up to
-// tens of GB) on arrival.
+// — before the fix, the same payloads demanded claim-sized buffers (about
+// 1 GiB for a 1 Gbase claim) on arrival.
 
 import (
 	"encoding/binary"
@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
-	"github.com/srl-nuces/ctxdna/internal/compress/gsqz"
 )
 
 // hostilePayload is a claim-only stream: a uvarint size header followed by
@@ -83,40 +82,5 @@ func TestHostileClaimAllocationBounded(t *testing.T) {
 		if alloc > 64<<20 {
 			t.Errorf("%s: hostile 2Mbase claim allocated %d bytes; allocation must be proportional to symbols decoded, not the claim", tc.name, alloc)
 		}
-	}
-}
-
-func TestHostileGsqzRecordClaims(t *testing.T) {
-	// A record count no bytes back: before the fix this allocated the
-	// whole 2^29-entry record table (≈32 GiB) before reading a record.
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], 1<<29)
-	countBomb := append([]byte(nil), hdr[:n]...)
-	alloc := allocDuring(func() {
-		if _, err := gsqz.Decompress(countBomb); err == nil {
-			t.Error("gsqz accepted a truncated record-count bomb")
-		}
-	})
-	if alloc > 8<<20 {
-		t.Errorf("gsqz record-count bomb allocated %d bytes", alloc)
-	}
-
-	// Plausible record count, enormous per-record read lengths, stream
-	// ends before any symbol: before the fix the header loop allocated
-	// Seq+Qual (2×128 MiB per record) on the strength of the claim alone.
-	lenBomb := []byte{4} // nRecs = 4
-	for i := 0; i < 4; i++ {
-		lenBomb = append(lenBomb, 0) // idLen = 0
-		var rl [binary.MaxVarintLen64]byte
-		m := binary.PutUvarint(rl[:], 1<<27)
-		lenBomb = append(lenBomb, rl[:m]...)
-	}
-	alloc = allocDuring(func() {
-		if _, err := gsqz.Decompress(lenBomb); err == nil {
-			t.Error("gsqz accepted a truncated read-length bomb")
-		}
-	})
-	if alloc > 8<<20 {
-		t.Errorf("gsqz read-length bomb allocated %d bytes", alloc)
 	}
 }

@@ -37,20 +37,6 @@ func HeaderPrealloc(claim uint64) int {
 	return int(claim)
 }
 
-// HeaderPreallocN is HeaderPrealloc for slices of elemBytes-sized
-// elements: the returned element count keeps the up-front commitment under
-// MaxHeaderPrealloc bytes, not MaxHeaderPrealloc elements.
-func HeaderPreallocN(claim uint64, elemBytes int) int {
-	if elemBytes < 1 {
-		elemBytes = 1
-	}
-	limit := uint64(MaxHeaderPrealloc / elemBytes)
-	if claim > limit {
-		return int(limit)
-	}
-	return int(claim)
-}
-
 // Limits bounds what SafeDecompress will accept from an untrusted frame.
 // The zero value applies the package defaults; a negative field means
 // unlimited (trusted local data of arbitrary size).

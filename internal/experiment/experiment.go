@@ -102,6 +102,16 @@ func Run(files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseCo
 	return RunParallel(context.Background(), files, contexts, codecs, noise, 1)
 }
 
+// CompactGrid runs the compact training grid that stands in when no grid
+// or model file is given (ctxselect, the dnacompd fallback model, the
+// cloudexchange example): 32 synthetic files of 2–256 KiB from seed 2015,
+// through the paper's four compared codecs (ctw, dnax, gencompress, gzip)
+// over the 32 cloud contexts. The codecs must be registered by the caller.
+func CompactGrid() (*Grid, error) {
+	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 32, MinSize: 2 << 10, MaxSize: 256 << 10, Seed: 2015})
+	return Run(files, cloud.Grid(), []string{"ctw", "dnax", "gencompress", "gzip"}, DefaultNoise())
+}
+
 // expand builds the (file × context) rows with noise applied.
 func (g *Grid) expand(noise NoiseConfig) {
 	g.Rows = g.Rows[:0]

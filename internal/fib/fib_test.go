@@ -140,7 +140,7 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if w.BitLen() > 1<<22 {
-			w.Reset()
+			w = bitio.NewWriter(1 << 16)
 		}
 		Encode(w, uint64(i%4096+1))
 	}

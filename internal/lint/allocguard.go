@@ -55,8 +55,7 @@ func runAllocGuard(pass *Pass) {
 				},
 				Sanitizer: func(call *ast.CallExpr) bool {
 					fn := calleeFunc(pass.Info, call)
-					return isPkgFunc(fn, CompressPath, "HeaderPrealloc") ||
-						isPkgFunc(fn, CompressPath, "HeaderPreallocN")
+					return isPkgFunc(fn, CompressPath, "HeaderPrealloc")
 				},
 				// Calls are opaque: a helper's result is not presumed to
 				// carry header taint, keeping the check precise; helpers

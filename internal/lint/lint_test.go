@@ -125,8 +125,9 @@ func TestCopyDisciplineFixture(t *testing.T) {
 }
 
 // TestRepositoryClean is the regression gate: the whole module must stay
-// free of dnalint findings. Reintroducing a violation (say, reverting the
-// gsqz Corruptf conversion) fails this test and the CI lint job alike.
+// free of dnalint findings. Reintroducing a violation (say, turning one of
+// biocompress's compress.Corruptf calls back into a bare fmt.Errorf) fails
+// this test and the CI lint job alike.
 func TestRepositoryClean(t *testing.T) {
 	diags, err := LintModule(".", nil)
 	if err != nil {
@@ -146,18 +147,18 @@ func TestScopes(t *testing.T) {
 		want     bool
 	}{
 		{Determinism, ModulePath + "/internal/compress", true},
-		{Determinism, ModulePath + "/internal/compress/gsqz", true},
+		{Determinism, ModulePath + "/internal/compress/dnax", true},
 		{Determinism, ModulePath + "/internal/experiment", true},
 		{Determinism, ModulePath + "/internal/cloud", true},
 		{Determinism, ModulePath + "/internal/synth", true},
 		{Determinism, ModulePath + "/cmd/experiment", false},
 		{Determinism, ModulePath + "/internal/seq", false},
 		{ErrTaxonomy, ModulePath + "/internal/compress/dnax", true},
-		{ErrTaxonomy, ModulePath + "/internal/huffman", false},
+		{ErrTaxonomy, ModulePath + "/internal/bitio", false},
 		{CtxProp, ModulePath + "/internal/experiment", true},
 		{CtxProp, ModulePath + "/internal/cloud", false},
 		{ClockInject, ModulePath + "/internal/compress", true},
-		{ClockInject, ModulePath + "/internal/compress/gsqz", true},
+		{ClockInject, ModulePath + "/internal/compress/dnax", true},
 		{ClockInject, ModulePath + "/internal/cloud", true},
 		{ClockInject, ModulePath + "/internal/experiment", true},
 		{ClockInject, ModulePath + "/internal/serve", true},
@@ -169,7 +170,7 @@ func TestScopes(t *testing.T) {
 		{UntrustedFlow, ModulePath + "/cmd/dnacomp", true},
 		{UntrustedFlow, ModulePath + "/internal/compress", false},
 		{AllocGuard, ModulePath + "/internal/compress", true},
-		{AllocGuard, ModulePath + "/internal/compress/gsqz", true},
+		{AllocGuard, ModulePath + "/internal/compress/dnax", true},
 		{AllocGuard, ModulePath + "/internal/cloud", false},
 		{CopyDiscipline, ModulePath + "/internal/compress", true},
 		{CopyDiscipline, ModulePath + "/internal/cloud", true},

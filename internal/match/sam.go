@@ -4,12 +4,10 @@ package match
 // alphabet. It recognizes exactly the set of substrings of the text fed to
 // Extend, in O(1) amortized time per symbol and O(n) states.
 //
-// Uses in this repository:
-//   - oracle in matcher tests: LongestPrefixIn answers "how long is the
-//     longest prefix of p that occurs somewhere in the indexed text"
-//     exactly, which upper-bounds what the heuristic hash matcher may claim
-//     and lower-bounds what it must find when chains are unbounded;
-//   - repeat statistics for DNAX's repeat-length threshold heuristic.
+// It is the oracle of the matcher tests: LongestPrefixIn answers "how long
+// is the longest prefix of p that occurs somewhere in the indexed text"
+// exactly, which upper-bounds what the heuristic hash matcher may claim and
+// lower-bounds what it must find when chains are unbounded.
 type SuffixAutomaton struct {
 	next [][4]int32
 	link []int32
@@ -75,11 +73,6 @@ func (sa *SuffixAutomaton) ExtendAll(s []byte) {
 // at most 2n-1 for a text of length n >= 2).
 func (sa *SuffixAutomaton) States() int { return len(sa.next) }
 
-// MemoryFootprint approximates resident bytes of the automaton.
-func (sa *SuffixAutomaton) MemoryFootprint() int {
-	return len(sa.next)*16 + len(sa.link)*4 + len(sa.len)*4
-}
-
 // Contains reports whether s occurs as a substring of the indexed text.
 func (sa *SuffixAutomaton) Contains(s []byte) bool {
 	st := int32(0)
@@ -103,28 +96,4 @@ func (sa *SuffixAutomaton) LongestPrefixIn(p []byte) int {
 		}
 	}
 	return len(p)
-}
-
-// MatchingStatistics returns, for every position i of p, the length of the
-// longest substring of the indexed text that ends at... more precisely the
-// longest suffix of p[:i+1] that is a substring of the text (the classic
-// matching-statistics array). DNAX uses the distribution of these lengths to
-// pick its minimum-repeat-length threshold.
-func (sa *SuffixAutomaton) MatchingStatistics(p []byte) []int {
-	ms := make([]int, len(p))
-	st := int32(0)
-	l := int32(0)
-	for i, c := range p {
-		c &= 3
-		for st != 0 && sa.next[st][c] == -1 {
-			st = sa.link[st]
-			l = sa.len[st]
-		}
-		if sa.next[st][c] != -1 {
-			st = sa.next[st][c]
-			l++
-		}
-		ms[i] = int(l)
-	}
-	return ms
 }

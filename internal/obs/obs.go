@@ -1,20 +1,19 @@
 // Package obs is the repository's observability core: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms with
-// Prometheus text and expvar export), span-based tracing with an injectable
-// clock, and structured logging on log/slog — all plumbed through
-// context.Context so every pipeline layer (codec, cache, cloud exchange,
-// worker pool) records into the same sinks without global wiring.
+// Prometheus text and expvar export) and span-based tracing with an
+// injectable clock, plumbed through context.Context so every pipeline
+// layer (codec, cache, cloud exchange, worker pool) records into the same
+// sinks without global wiring.
 //
 // Determinism contract: nothing in this package is allowed to leak wall
 // time into measurement results. The experiment pipeline's figures come
 // from modeled costs (compress.Stats); obs only *observes* them. Code in
 // the measurement-path packages never calls time.Now directly (enforced by
-// the dnalint clockinject analyzer) — it reads the Clock carried in the
-// context, which is the system clock in CLIs, a Fake in tests, and
-// irrelevant to grid bytes either way: with the same inputs, metric
-// counters and modeled-time histograms are byte-identical across runs and
-// -jobs values; only span wall durations vary, and those never feed a
-// grid.
+// the dnalint clockinject analyzer) — it reads an injected Clock, which is
+// the system clock in CLIs, a Fake in tests, and irrelevant to grid bytes
+// either way: with the same inputs, metric counters and modeled-time
+// histograms are byte-identical across runs and -jobs values; only span
+// wall durations vary, and those never feed a grid.
 //
 // Recording is always on and costs a handful of atomic updates (see
 // BenchmarkInstrumentOverhead); "enabling observability" in the CLIs means
@@ -22,69 +21,17 @@
 // the pipeline computes.
 package obs
 
-import (
-	"context"
-	"io"
-	"log/slog"
-)
+import "context"
 
 // ctxKey namespaces the context values this package owns.
 type ctxKey int
 
 const (
-	clockKey ctxKey = iota
-	loggerKey
-	tracerKey
+	tracerKey ctxKey = iota
 	spanKey
 	metricsKey
 	remoteParentKey
 )
-
-// WithClock returns a context carrying c as the ambient time source.
-func WithClock(ctx context.Context, c Clock) context.Context {
-	return context.WithValue(ctx, clockKey, c)
-}
-
-// ClockFrom returns the context's clock, or the system clock when none was
-// installed, so callers can always read time through it.
-func ClockFrom(ctx context.Context) Clock {
-	if c, ok := ctx.Value(clockKey).(Clock); ok {
-		return c
-	}
-	return System()
-}
-
-// WithLogger returns a context carrying l as the ambient structured logger.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// Log returns the context's logger, or a discard logger when none was
-// installed — instrumented code logs unconditionally and stays silent by
-// default.
-func Log(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return discardLogger
-}
-
-// NewLogger builds the standard repo logger: slog text lines at the given
-// level. CLIs install it with WithLogger; tests pass a buffer.
-func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-}
-
-// discardHandler drops every record. slog.DiscardHandler exists from Go
-// 1.24; this keeps the module buildable at its declared go 1.22.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-var discardLogger = slog.New(discardHandler{})
 
 // WithMetrics returns a context carrying reg as the ambient metrics
 // registry.

@@ -26,7 +26,7 @@ type SpanRecord struct {
 	Attrs         []Attr `json:"attrs,omitempty"`
 
 	// Distributed identity (W3C trace-context), present only on tracers
-	// built with NewTracerWithIDs or when the root joined a RemoteParent.
+	// built with an IDSource or when the root joined a RemoteParent.
 	// omitempty keeps plain-tracer JSON exports byte-identical to before.
 	TraceID      string `json:"trace_id,omitempty"`
 	SpanID       string `json:"span_id,omitempty"`
@@ -46,22 +46,19 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer timing spans on clock (nil means the system
-// clock).
-func NewTracer(clock Clock) *Tracer {
+// clock). Given an IDSource (only the first is used), its spans also carry
+// W3C trace/span IDs drawn from it: a root span mints a fresh trace ID (or
+// joins the context's RemoteParent); children inherit the trace ID and
+// link to their parent's span ID. A seeded IDSource makes the whole export
+// deterministic.
+func NewTracer(clock Clock, ids ...IDSource) *Tracer {
 	if clock == nil {
 		clock = System()
 	}
-	return &Tracer{clock: clock}
-}
-
-// NewTracerWithIDs returns a tracer whose spans additionally carry W3C
-// trace/span IDs drawn from ids. A root span mints a fresh trace ID (or
-// joins the context's RemoteParent); children inherit the trace ID and
-// link to their parent's span ID. A seeded IDSource makes the whole
-// export deterministic.
-func NewTracerWithIDs(clock Clock, ids IDSource) *Tracer {
-	t := NewTracer(clock)
-	t.ids = ids
+	t := &Tracer{clock: clock}
+	if len(ids) > 0 {
+		t.ids = ids[0]
+	}
 	return t
 }
 

@@ -110,14 +110,6 @@ func TestWriteJSON(t *testing.T) {
 
 func TestContextDefaults(t *testing.T) {
 	ctx := context.Background()
-	if ClockFrom(ctx) == nil {
-		t.Fatal("ClockFrom returned nil for empty context")
-	}
-	if Log(ctx) == nil {
-		t.Fatal("Log returned nil for empty context")
-	}
-	// Default logger must swallow output without panicking.
-	Log(ctx).Info("discarded", "k", "v")
 	if Metrics(ctx) == nil {
 		t.Fatal("Metrics returned nil for empty context")
 	}
@@ -127,29 +119,17 @@ func TestContextDefaults(t *testing.T) {
 }
 
 func TestContextInjection(t *testing.T) {
-	clk := fakeAt(7)
 	reg := NewRegistry()
-	tr := NewTracer(clk)
-	var logBuf bytes.Buffer
-	lg := NewLogger(&logBuf, nil)
+	tr := NewTracer(fakeAt(7))
 
-	ctx := WithClock(context.Background(), clk)
-	ctx = WithMetrics(ctx, reg)
+	ctx := WithMetrics(context.Background(), reg)
 	ctx = WithTracer(ctx, tr)
-	ctx = WithLogger(ctx, lg)
 
-	if ClockFrom(ctx) != Clock(clk) {
-		t.Fatal("ClockFrom did not round-trip")
-	}
 	if Metrics(ctx) != reg {
 		t.Fatal("Metrics did not round-trip")
 	}
 	if TracerFrom(ctx) != tr {
 		t.Fatal("TracerFrom did not round-trip")
-	}
-	Log(ctx).Info("hello")
-	if !bytes.Contains(logBuf.Bytes(), []byte("hello")) {
-		t.Fatalf("injected logger did not receive output: %q", logBuf.String())
 	}
 }
 

@@ -74,7 +74,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 
 func TestTracerWithIDsInheritance(t *testing.T) {
 	clock := NewFake(time.Unix(0, 0))
-	tr := NewTracerWithIDs(clock, NewSeededIDSource(2015))
+	tr := NewTracer(clock, NewSeededIDSource(2015))
 	ctx := WithTracer(context.Background(), tr)
 
 	ctx, root := Start(ctx, "root")
@@ -109,9 +109,27 @@ func TestTracerWithIDsInheritance(t *testing.T) {
 	}
 }
 
+// TestNewTracerUsesFirstIDSource: extra IDSources are ignored, so the IDs
+// match a tracer given only the first.
+func TestNewTracerUsesFirstIDSource(t *testing.T) {
+	ids := func(tr *Tracer) (string, string) {
+		ctx, root := Start(WithTracer(context.Background(), tr), "root")
+		_, child := Start(ctx, "child")
+		child.End()
+		root.End()
+		return root.TraceID(), child.SpanID()
+	}
+	clock := NewFake(time.Unix(0, 0))
+	wantTrace, wantSpan := ids(NewTracer(clock, NewSeededIDSource(3)))
+	gotTrace, gotSpan := ids(NewTracer(clock, NewSeededIDSource(3), NewSeededIDSource(4)))
+	if gotTrace != wantTrace || gotSpan != wantSpan {
+		t.Fatalf("IDs %s/%s, want %s/%s from the first source", gotTrace, gotSpan, wantTrace, wantSpan)
+	}
+}
+
 func TestRemoteParentJoinsTrace(t *testing.T) {
 	clock := NewFake(time.Unix(0, 0))
-	tr := NewTracerWithIDs(clock, NewSeededIDSource(1))
+	tr := NewTracer(clock, NewSeededIDSource(1))
 	rp := RemoteParent{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8)}
 	ctx := WithRemoteParent(WithTracer(context.Background(), tr), rp)
 
@@ -153,7 +171,7 @@ func TestPlainTracerHasNoDistributedIDs(t *testing.T) {
 
 func TestBuildSpanTree(t *testing.T) {
 	clock := NewFake(time.Unix(0, 0))
-	tr := NewTracerWithIDs(clock, NewSeededIDSource(3))
+	tr := NewTracer(clock, NewSeededIDSource(3))
 	ctx := WithTracer(context.Background(), tr)
 
 	ctx, root := Start(ctx, "serve.compress")
@@ -189,7 +207,7 @@ func TestBuildSpanTree(t *testing.T) {
 
 func TestSpanTreeDeterministicAcrossRuns(t *testing.T) {
 	build := func() []SpanRecord {
-		tr := NewTracerWithIDs(NewFake(time.Unix(0, 0)), NewSeededIDSource(99))
+		tr := NewTracer(NewFake(time.Unix(0, 0)), NewSeededIDSource(99))
 		ctx := WithTracer(context.Background(), tr)
 		ctx, root := Start(ctx, "root")
 		_, a := Start(ctx, "a")

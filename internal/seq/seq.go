@@ -1,10 +1,10 @@
 // Package seq provides the DNA sequence representation shared by every codec
 // and tool in this repository: the 2-bit nucleotide alphabet, base/complement
-// conversion, bit packing, and validation.
+// conversion, bit packing, validation, and cleaning of raw sequence text.
 //
 // Sequences are held as byte slices of symbol codes 0..3 (A,C,G,T). Codecs
-// operate on symbol slices; the FASTA layer and the Cleanser convert between
-// ASCII text and symbols.
+// operate on symbol slices; Encode, Clean and Decode convert between ASCII
+// text and symbols.
 package seq
 
 import (
@@ -57,7 +57,7 @@ func Base(code byte) byte { return codeToBase[code&3] }
 func Complement(code byte) byte { return 3 - (code & 3) }
 
 // Encode converts an ASCII sequence to symbol codes. It fails on the first
-// non-ACGT character; use Cleanser to strip such characters beforehand.
+// non-ACGT character; use Clean to strip such characters instead.
 func Encode(ascii []byte) ([]byte, error) {
 	out := make([]byte, len(ascii))
 	for i, b := range ascii {

@@ -1,11 +1,8 @@
 package seq
 
 import (
-	"bufio"
 	"bytes"
-	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -171,52 +168,9 @@ func TestQuickPackUnpack(t *testing.T) {
 	}
 }
 
-func TestReadFASTA(t *testing.T) {
-	in := ">seq1 first record\nACGT\nACGT\n\n>seq2\nTTTT\n"
-	recs, err := ReadFASTA(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	if recs[0].Header != "seq1 first record" || string(recs[0].Seq) != "ACGTACGT" {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].Header != "seq2" || string(recs[1].Seq) != "TTTT" {
-		t.Fatalf("rec1 = %+v", recs[1])
-	}
-}
-
-func TestReadFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(bytes.NewReader([]byte("ACGT\n>h\n"))); err == nil {
-		t.Fatal("data before header must fail")
-	}
-}
-
-func TestWriteFASTAWraps(t *testing.T) {
-	rec := Record{Header: "x", Seq: bytes.Repeat([]byte("A"), 150)}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, []Record{rec}, 70); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 4 { // header + 70 + 70 + 10
-		t.Fatalf("got %d lines: %q", len(lines), buf.String())
-	}
-	if len(lines[1]) != 70 || len(lines[3]) != 10 {
-		t.Fatalf("wrap widths wrong: %d, %d", len(lines[1]), len(lines[3]))
-	}
-	// Round trip.
-	recs, err := ReadFASTA(&buf)
-	if err != nil || len(recs) != 1 || !bytes.Equal(recs[0].Seq, rec.Seq) {
-		t.Fatalf("round trip failed: %v", err)
-	}
-}
-
 func TestCleanser(t *testing.T) {
 	raw := []byte("ACGT nN123\tRYacgt>junk")
-	got, st := Cleanser{}.Clean(raw)
+	got, st := Clean(raw)
 	want, _ := Encode([]byte("ACGTacgt"))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Clean = %v, want %v", got, want)
@@ -232,32 +186,30 @@ func TestCleanser(t *testing.T) {
 	}
 }
 
-func TestCleanserSubstitution(t *testing.T) {
-	raw := []byte("ACNNGT")
-	got, st := Cleanser{KeepAmbiguousAs: 'A'}.Clean(raw)
-	want, _ := Encode([]byte("ACAAGT"))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("Clean = %v, want %v", got, want)
-	}
-	if st.Kept != 6 || st.Ambiguous != 2 {
-		t.Fatalf("stats = %+v", st)
+// TestCleanDropsEveryAmbiguityCode: each IUPAC ambiguity letter, in either
+// case, is dropped and counted as ambiguous, never kept or counted as other.
+func TestCleanDropsEveryAmbiguityCode(t *testing.T) {
+	for _, c := range []byte("NRYSWKMBDHVnryswkmbdhv") {
+		got, st := Clean([]byte{'A', c, 'T'})
+		if string(Decode(got)) != "AT" || st != (CleanStats{Kept: 2, Ambiguous: 1}) {
+			t.Errorf("Clean(%q) = %q, %+v; want \"AT\", {Kept:2 Ambiguous:1}", "A"+string(c)+"T", Decode(got), st)
+		}
 	}
 }
 
-func TestCleanFASTA(t *testing.T) {
-	in := ">a\nACGTN\n>b\nGG TT\n"
-	seqs, st, err := Cleanser{}.CleanFASTA(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqs) != 2 {
-		t.Fatalf("got %d seqs", len(seqs))
-	}
-	if len(seqs[0]) != 4 || len(seqs[1]) != 4 {
-		t.Fatalf("lengths %d, %d", len(seqs[0]), len(seqs[1]))
-	}
-	if st.Kept != 8 || st.Ambiguous != 1 {
-		t.Fatalf("stats = %+v", st)
+// TestCleanAccountsForEveryByte: each byte value lands in exactly one
+// CleanStats field, and only ACGT in either case is kept, as its code.
+func TestCleanAccountsForEveryByte(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		b := byte(v)
+		got, st := Clean([]byte{b})
+		if st.Kept+st.Ambiguous+st.Other != 1 || len(got) != st.Kept {
+			t.Fatalf("Clean(%q) = %v, %+v: not one byte accounted once", b, got, st)
+		}
+		want, err := Encode(bytes.ToUpper([]byte{b}))
+		if keep := err == nil; keep != (st.Kept == 1) || (keep && !bytes.Equal(got, want)) {
+			t.Fatalf("Clean(%q) = %v, %+v; Encode of its upper case = %v, %v", b, got, st, want, err)
+		}
 	}
 }
 
@@ -287,102 +239,4 @@ func BenchmarkPack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Pack(codes)
 	}
-}
-
-func TestReadFASTQ(t *testing.T) {
-	in := "@read1 lane1\nACGT\n+\nIIII\n@read2\nTT\n+anything\n!#\n"
-	recs, err := ReadFASTQ(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[0].ID != "read1 lane1" || string(recs[0].Seq) != "ACGT" || string(recs[0].Qual) != "IIII" {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].ID != "read2" || string(recs[1].Qual) != "!#" {
-		t.Fatalf("rec1 = %+v", recs[1])
-	}
-}
-
-func TestReadFASTQErrors(t *testing.T) {
-	cases := []string{
-		"ACGT\n+\nIIII\n",        // missing @
-		"@r\nACGT\n",             // truncated
-		"@r\nACGT\nIIII\nIIII\n", // bad separator
-		"@r\nACGT\n+\nII\n",      // quality length mismatch
-		"@r\nACGT\n+\n",          // missing quality line
-	}
-	for i, in := range cases {
-		if _, err := ReadFASTQ(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("case %d accepted: %q", i, in)
-		}
-	}
-}
-
-func TestWriteFASTQValidates(t *testing.T) {
-	bad := []FASTQRecord{{ID: "x", Seq: []byte("ACGT"), Qual: []byte("I")}}
-	var buf bytes.Buffer
-	if err := WriteFASTQ(&buf, bad); err == nil {
-		t.Fatal("mismatched record written")
-	}
-}
-
-// TestOverlongLineSurfacesClearError: a sequence line beyond MaxLineBytes
-// must fail with a message naming the 16 MiB limit (not bufio's cryptic
-// "token too long") while still satisfying errors.Is(err, bufio.ErrTooLong)
-// for callers that classify scanner failures.
-func TestOverlongLineSurfacesClearError(t *testing.T) {
-	long := bytes.Repeat([]byte{'A'}, MaxLineBytes+2)
-
-	t.Run("FASTA", func(t *testing.T) {
-		var in bytes.Buffer
-		in.WriteString(">huge\n")
-		in.Write(long)
-		in.WriteByte('\n')
-		_, err := ReadFASTA(&in)
-		if err == nil {
-			t.Fatal("over-long FASTA line accepted")
-		}
-		if !errors.Is(err, bufio.ErrTooLong) {
-			t.Fatalf("err = %v, want bufio.ErrTooLong in the chain", err)
-		}
-		if !strings.Contains(err.Error(), "16 MiB") {
-			t.Fatalf("error %q does not name the 16 MiB limit", err)
-		}
-	})
-
-	t.Run("FASTQSequenceLine", func(t *testing.T) {
-		var in bytes.Buffer
-		in.WriteString("@read1\n")
-		in.Write(long)
-		in.WriteString("\n+\nIIII\n")
-		_, err := ReadFASTQ(&in)
-		if err == nil {
-			t.Fatal("over-long FASTQ line accepted")
-		}
-		if !errors.Is(err, bufio.ErrTooLong) {
-			t.Fatalf("err = %v, want bufio.ErrTooLong in the chain", err)
-		}
-		if !strings.Contains(err.Error(), "16 MiB") {
-			t.Fatalf("error %q does not name the 16 MiB limit", err)
-		}
-	})
-
-	// Exactly at the limit is still accepted: the guard must not be
-	// off-by-one into legitimate (if unusual) single-line genomes.
-	t.Run("AtLimit", func(t *testing.T) {
-		var in bytes.Buffer
-		in.WriteString(">edge\n")
-		in.Write(bytes.Repeat([]byte{'C'}, MaxLineBytes-1))
-		in.WriteByte('\n')
-		recs, err := ReadFASTA(&in)
-		if err != nil {
-			t.Fatalf("line at the limit rejected: %v", err)
-		}
-		if len(recs) != 1 || len(recs[0].Seq) != MaxLineBytes-1 {
-			t.Fatal("record mangled at the limit")
-		}
-	})
 }

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"net/url"
 	"testing"
+
+	"github.com/srl-nuces/ctxdna/internal/seq"
 )
 
 // FuzzRequestParams feeds arbitrary query strings to the daemon's
@@ -39,6 +42,32 @@ func FuzzRequestParams(f *testing.F) {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				t.Fatalf("query %q: context value %v, want finite and >= 0", query, v)
 			}
+		}
+	})
+}
+
+// FuzzCleanse feeds arbitrary bodies to Cleanse, which every /compress body
+// and every dnacomp input passes through. Whatever the bytes, it returns
+// only symbol codes 0..3, one per kept base, and cleansing the decoded
+// symbols gives them back; a body not led by '>' accounts for each of its
+// bytes as kept, ambiguous or other.
+func FuzzCleanse(f *testing.F) {
+	for _, tc := range cleanseCases() {
+		f.Add([]byte(tc.in))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		symbols, st := Cleanse(raw)
+		if !seq.Valid(symbols) {
+			t.Fatalf("body %.64q: symbol outside 0..3", raw)
+		}
+		if len(symbols) != st.Kept {
+			t.Fatalf("body %.64q: %d symbols, Kept = %d", raw, len(symbols), st.Kept)
+		}
+		if again, _ := Cleanse(seq.Decode(symbols)); !bytes.Equal(again, symbols) {
+			t.Fatalf("body %.64q: cleansing the decoded symbols changed them", raw)
+		}
+		if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) && st.Kept+st.Ambiguous+st.Other != len(raw) {
+			t.Fatalf("body %.64q: stats %+v do not account for %d bytes", raw, st, len(raw))
 		}
 	})
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
 	"github.com/srl-nuces/ctxdna/internal/experiment"
-	"github.com/srl-nuces/ctxdna/internal/synth"
 )
 
 // LoadModel reads a trained decision-tree model persisted by
@@ -40,16 +38,9 @@ func SaveModel(path string, eng *core.InferenceEngine) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// TrainEngine builds a selection model from scratch: generate a synthetic
-// corpus, run the measurement grid over the paper's 32 contexts and the
-// given codecs, induce a tree with the requested method, and wrap it for
-// inference. The codecs must be registered by the caller (blank imports).
-func TrainEngine(spec synth.CorpusSpec, method string, codecs []string) (*core.InferenceEngine, error) {
-	files := synth.ExperimentCorpus(spec)
-	g, err := experiment.Run(files, cloud.Grid(), codecs, experiment.DefaultNoise())
-	if err != nil {
-		return nil, fmt.Errorf("serve: training grid: %w", err)
-	}
+// TrainEngine induces a selection tree with the requested method on the
+// grid's training files and wraps it for inference.
+func TrainEngine(g *experiment.Grid, method string) (*core.InferenceEngine, error) {
 	train, test := g.Split()
 	tree, _, err := experiment.TrainEval(train, test, method, core.TimeOnlyWeights(), dtree.Config{})
 	if err != nil {
@@ -58,14 +49,13 @@ func TrainEngine(spec synth.CorpusSpec, method string, codecs []string) (*core.I
 	return core.NewInferenceEngine(tree)
 }
 
-// TrainDefaultEngine is the no-model-file fallback, mirroring ctxselect's
-// compact training grid (32 files, 2 KB .. 256 KB, seed 2015, CART over
-// the paper's four compared codecs) so daemon and CLI agree without
-// shipping a file.
+// TrainDefaultEngine is the no-model-file fallback: CART over
+// experiment.CompactGrid, the grid ctxselect trains on without -grid, so
+// daemon and CLI agree without shipping a file.
 func TrainDefaultEngine() (*core.InferenceEngine, error) {
-	return TrainEngine(
-		synth.CorpusSpec{NumFiles: 32, MinSize: 2 << 10, MaxSize: 256 << 10, Seed: 2015},
-		"cart",
-		[]string{"ctw", "dnax", "gencompress", "gzip"},
-	)
+	g, err := experiment.CompactGrid()
+	if err != nil {
+		return nil, fmt.Errorf("serve: training grid: %w", err)
+	}
+	return TrainEngine(g, experiment.MethodCART)
 }

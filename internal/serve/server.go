@@ -416,7 +416,7 @@ func (s *Server) beginRequest(r *http.Request, endpoint string) *reqObs {
 	rx.exportTrace = r.URL.Query().Get("trace") == "1"
 	remote, hasRemote := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if hasRemote || rx.exportTrace || s.cfg.TraceSink != nil {
-		rx.tracer = obs.NewTracerWithIDs(s.clock, s.ids)
+		rx.tracer = obs.NewTracer(s.clock, s.ids)
 		ctx := obs.WithTracer(rx.ctx, rx.tracer)
 		if hasRemote {
 			ctx = obs.WithRemoteParent(ctx, remote)
@@ -1098,18 +1098,21 @@ func (s *Server) fleetError(op string, err error) *response {
 // Cleanse converts request body text — FASTA or raw base text, any case,
 // with headers/whitespace/non-ACGT stripped — into the symbol codes the
 // codecs consume. The daemon and the dnacomp CLI both cleanse through it.
-// Input is FASTA when its first non-space byte is '>', with space meaning
-// exactly what seq.ReadFASTA trims from a line (bytes.TrimSpace).
+// Input is FASTA when its first non-space byte is '>'; then each line is
+// trimmed of surrounding space (bytes.TrimSpace), blank and '>' header
+// lines are skipped, and the rest is cleaned, with no limit on line length.
+// Any other input is cleaned whole.
 func Cleanse(raw []byte) ([]byte, seq.CleanStats) {
-	cl := seq.Cleanser{}
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) {
-		if seqs, st, err := cl.CleanFASTA(bytes.NewReader(raw)); err == nil {
-			var all []byte
-			for _, s := range seqs {
-				all = append(all, s...)
-			}
-			return all, st
+	if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) {
+		return seq.Clean(raw)
+	}
+	text := make([]byte, 0, len(raw))
+	for rest := raw; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '>' {
+			text = append(text, line...)
 		}
 	}
-	return cl.Clean(raw)
+	return seq.Clean(text)
 }

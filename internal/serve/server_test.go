@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/core"
+	"github.com/srl-nuces/ctxdna/internal/experiment"
 	"github.com/srl-nuces/ctxdna/internal/obs"
 	"github.com/srl-nuces/ctxdna/internal/seq"
 	"github.com/srl-nuces/ctxdna/internal/synth"
@@ -34,11 +36,13 @@ var (
 func testEngine(t *testing.T) *core.InferenceEngine {
 	t.Helper()
 	engineOnce.Do(func() {
-		engine, engineErr = TrainEngine(
-			synth.CorpusSpec{NumFiles: 6, MinSize: 2 << 10, MaxSize: 16 << 10, Seed: 7},
-			"cart",
-			[]string{"gzip", "twobit"},
-		)
+		files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 6, MinSize: 2 << 10, MaxSize: 16 << 10, Seed: 7})
+		g, err := experiment.Run(files, cloud.Grid(), []string{"gzip", "twobit"}, experiment.DefaultNoise())
+		if err != nil {
+			engineErr = err
+			return
+		}
+		engine, engineErr = TrainEngine(g, experiment.MethodCART)
 	})
 	if engineErr != nil {
 		t.Fatalf("training test engine: %v", engineErr)
@@ -226,23 +230,57 @@ func TestFASTAInput(t *testing.T) {
 	}
 }
 
-// TestCleanseFASTADetection: whatever whitespace seq.ReadFASTA trims from a
-// line may lead a FASTA body without its header letters turning into
-// bases; raw base text is cleansed as before.
-func TestCleanseFASTADetection(t *testing.T) {
+// cleanseCase is one Cleanse input with the bases and stats it must give.
+type cleanseCase struct {
+	name, in, want string
+	st             seq.CleanStats
+}
+
+// cleanseCases pins Cleanse on FASTA and raw bodies: whatever whitespace
+// bytes.TrimSpace trims may lead a FASTA body without its header letters
+// turning into bases; every record's lines are cleaned, blank lines
+// skipped, and no line is too long; the space trimmed off a line is not
+// counted, what stays inside it is; raw base text is cleansed whole, a '>'
+// inside it included. FuzzCleanse seeds from the inputs.
+func cleanseCases() []cleanseCase {
 	const fasta = ">GATTACA\nACGT\n"
-	for _, tc := range []struct{ name, in, want string }{
-		{"fasta", fasta, "ACGT"},
-		{"fasta after form feed", "\f" + fasta, "ACGT"},
-		{"fasta after vertical tab", "\v" + fasta, "ACGT"},
-		{"fasta after no-break space", "\u00a0" + fasta, "ACGT"},
-		{"raw text", "gattaca\nACGT\n", "GATTACAACGT"},
-		{"raw text after form feed", "\fGATTACA\nACGT\n", "GATTACAACGT"},
-	} {
+	longSeq := strings.Repeat("T", 16<<20+8)
+	return []cleanseCase{
+		{"fasta", fasta, "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta after form feed", "\f" + fasta, "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta after vertical tab", "\v" + fasta, "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta after no-break space", "\u00a0" + fasta, "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta after blank lines", "\n\n" + fasta, "ACGT", seq.CleanStats{Kept: 4}},
+		{"indented header", " >a GATTACA\nACGT\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta with CRLF", ">a\r\nAC\r\nGT\r\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"wrapped fasta", ">s\nACGTACGT\nTTGG\nCCAA\n", "ACGTACGTTTGGCCAA", seq.CleanStats{Kept: 16}},
+		{"lowercase fasta", ">a\nacgt\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"multi-record with blank lines", ">a\nACGTN\n\n>b\nGG TT\n", "ACGTGGTT", seq.CleanStats{Kept: 8, Ambiguous: 1, Other: 1}},
+		{"header lines back to back", ">a\n>b\nAC\n>c\n\n>d\nGT", "ACGT", seq.CleanStats{Kept: 4}},
+		{"ambiguity codes in fasta", ">a\nACNNRYGT\n", "ACGT", seq.CleanStats{Kept: 4, Ambiguous: 4}},
+		{"ambiguity letters in a header", ">NNRY\nACGT\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"digits and tabs inside a line", ">a\n1 ACG\tT 10\n", "ACGT", seq.CleanStats{Kept: 4, Other: 6}},
+		{"padded sequence lines", ">a\n  AC  \n\tGT\t\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"whitespace-only lines", ">a\n \n\t\nACGT\n\r\n", "ACGT", seq.CleanStats{Kept: 4}},
+		{"NUL inside a line", ">a\nAC\x00GT\n", "ACGT", seq.CleanStats{Kept: 4, Other: 1}},
+		{"fasta without final newline", ">a\nACG\nT", "ACGT", seq.CleanStats{Kept: 4}},
+		{"fasta header only", ">a ACGT\n", "", seq.CleanStats{}},
+		{"fasta line over 16 MiB", ">chr1 GATTACA sample\n" + longSeq + "\n", longSeq, seq.CleanStats{Kept: len(longSeq)}},
+		{"empty body", "", "", seq.CleanStats{}},
+		{"raw text", "gattaca\nACGT\n", "GATTACAACGT", seq.CleanStats{Kept: 11, Other: 2}},
+		{"raw text after form feed", "\fGATTACA\nACGT\n", "GATTACAACGT", seq.CleanStats{Kept: 11, Other: 3}},
+		{"raw text with a header inside", "ACGT\n>x\nGG\n", "ACGTGG", seq.CleanStats{Kept: 6, Other: 5}},
+		{"raw ambiguity codes", "ACGTNNRY", "ACGT", seq.CleanStats{Kept: 4, Ambiguous: 4}},
+	}
+}
+
+func TestCleanseFASTADetection(t *testing.T) {
+	for _, tc := range cleanseCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			symbols, _ := Cleanse([]byte(tc.in))
-			if got := string(seq.Decode(symbols)); got != tc.want {
-				t.Errorf("Cleanse(%q) = %q, want %q", tc.in, got, tc.want)
+			symbols, st := Cleanse([]byte(tc.in))
+			if got := string(seq.Decode(symbols)); got != tc.want || st != tc.st {
+				t.Errorf("Cleanse = %d bases %.16q, %+v; want %d bases %.16q, %+v",
+					len(got), got, st, len(tc.want), tc.want, tc.st)
 			}
 		})
 	}
