@@ -63,11 +63,14 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# A few seconds per fuzz target: catches shallow decode/cache regressions,
-# any drift of the range decoder from its branching reference, any daemon
-# query that slips a bad range or context past its parser and any body
-# that Cleanse turns into bad symbols or stats, without a long campaign.
-# `go test` accepts one -fuzz pattern per run.
+# A few seconds per fuzz target: catches shallow decode/cache regressions
+# (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
+# case, single CXA1 frames), any drift of the range decoder from its
+# branching reference, any daemon query that slips a bad range or context
+# past its parser, any body that Cleanse turns into bad symbols or stats,
+# any traceparent header that parses to malformed IDs and any replica
+# envelope that opens to a payload other than its suffix, without a long
+# campaign. `go test` accepts one -fuzz pattern per run.
 fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzRoundTripAll -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzDecompressAll -fuzztime=5s
@@ -77,6 +80,8 @@ fuzz-smoke:
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRequestParams -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzCleanse -fuzztime=5s
+	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=5s
+	$(GO) test ./internal/cloud -run='^$$' -fuzz=FuzzOpenVersion -fuzztime=5s
 
 # Serving gate: a deterministic load-generator smoke against a real
 # dnacompd process — full outcome accounting, zero failed or mismatched

@@ -12,10 +12,11 @@
 //	dnacomp -d -o restored.txt seq.dnax
 //
 // The frame records the codec, so decompression needs no flag, and
-// decompression runs through compress.SafeDecompress: corrupted, truncated
-// or tampered files are rejected with a checksum error instead of being
-// silently mis-restored. Output files are written atomically (temp file +
-// rename), so a crash mid-write never leaves a truncated file behind.
+// decompression runs through the hardened compress.BlockReader: corrupted,
+// truncated or tampered files are rejected with a checksum error instead
+// of being silently mis-restored. Output files are written atomically
+// (temp file + rename), so a crash mid-write never leaves a truncated file
+// behind.
 //
 // Batch mode compresses many inputs concurrently through a bounded worker
 // pool with a shared content-hash result cache, writing one container per
@@ -41,7 +42,8 @@
 //
 // Block mode splits the input into fixed-size blocks compressed through a
 // bounded worker pool into one seekable multi-block container (CXB1); -seek
-// then decodes just a symbol range, touching only the overlapping blocks:
+// then decodes just a symbol range, touching only the overlapping blocks.
+// A single frame is the one-block case, so -seek works on it too:
 //
 //	dnacomp -codec dnax -block-size 65536 -o seq.cxb seq.fa
 //	dnacomp -d -seek 120000:512 seq.cxb
@@ -101,7 +103,7 @@ func main() {
 		fleetSize  = flag.Int("fleet", 0, "exchange against a replicated fleet of this many shards (0 = single store)")
 		fleetRepl  = flag.Int("fleet-replication", 0, "replicas per blob in fleet exchange (0 = fleet default)")
 		blockSize  = flag.Int("block-size", 0, "compress into a seekable multi-block container with this block size in bases (0 = single frame)")
-		seekSpec   = flag.String("seek", "", "with -d on a multi-block container: decode only off:len symbols, touching only overlapping blocks")
+		seekSpec   = flag.String("seek", "", "with -d: decode only off:len symbols, touching only the blocks they overlap (a single frame is one block)")
 		metricsOut = flag.String("metrics", "", "write a Prometheus text metrics snapshot to this file on exit (- for stderr)")
 		traceOut   = flag.String("trace", "", "write the span trace as JSON to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
@@ -253,10 +255,8 @@ func run(codecName string, decompress bool, output string, quiet bool, blockSize
 	}
 	var result []byte
 	switch {
-	case decompress && seekSpec != "":
-		result, err = doSeek(raw, seekSpec, quiet)
 	case decompress:
-		result, err = doDecompress(raw, quiet)
+		result, err = doDecompress(raw, seekSpec, quiet)
 	case blockSize > 0:
 		result, err = doBlockCompress(codecName, blockSize, raw, quiet)
 	default:
@@ -454,31 +454,6 @@ func doBlockCompress(codecName string, blockSize int, raw []byte, quiet bool) ([
 	return container, nil
 }
 
-// doSeek decodes only the requested symbol range from a multi-block
-// container — the blocks outside the range are never decompressed.
-func doSeek(raw []byte, spec string, quiet bool) ([]byte, error) {
-	off, n, err := parseSeek(spec)
-	if err != nil {
-		return nil, err
-	}
-	if !compress.IsBlockContainer(raw) {
-		return nil, fmt.Errorf("-seek needs a multi-block container (CXB1 header); this file is a single frame — recompress with -block-size")
-	}
-	r, err := compress.OpenBlocksObserved(nil, raw, compress.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	symbols, st, err := r.Slice(off, n)
-	if err != nil {
-		return nil, err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "dnacomp: %s: decoded %d of %d bases at offset %d (block size %d, touched blocks only), modeled %.1f ms\n",
-			r.Codec(), n, r.Bases(), off, r.BlockSize(), float64(st.WorkNS)/1e6)
-	}
-	return seq.Decode(symbols), nil
-}
-
 // runBatch compresses every input file with the chosen codec through a
 // bounded worker pool sharing one content-hash result cache, so duplicate
 // inputs are compressed once. Failures are aggregated per file; successful
@@ -574,49 +549,47 @@ func batchOne(cache *compress.Cache, codecName, outDir, in string) (string, erro
 		codecName, in, r.Bases, r.PayloadBytes, compress.Ratio(r.Bases, r.PayloadBytes)), nil
 }
 
-func doDecompress(raw []byte, quiet bool) ([]byte, error) {
+// doDecompress restores a CXA1 frame or a CXB1 container through one
+// reader — a frame is the one-block case: the whole sequence, verified
+// against every checksum, or with -seek only the off:len window, decoding
+// only the blocks it overlaps.
+func doDecompress(raw []byte, seekSpec string, quiet bool) ([]byte, error) {
 	if bytes.HasPrefix(raw, []byte(legacyMagic)) {
 		return nil, fmt.Errorf("legacy un-armored container (%q header): it carries no checksums; recompress the source with this version",
 			strings.TrimSpace(legacyMagic))
 	}
-	if compress.IsBlockContainer(raw) {
-		return doBlockDecompress(raw, quiet)
-	}
-	symbols, st, err := compress.SafeDecompress("", raw, compress.Limits{})
-	// The frame header names the codec; a frame too corrupt to open books
-	// under "unknown" so failed restores are still counted somewhere.
-	codecName := "unknown"
-	if fr, ferr := compress.Open(raw); ferr == nil && fr.Codec != "" {
-		codecName = fr.Codec
-	}
-	compress.ObserveDecompress(nil, codecName, len(raw), len(symbols), st, err)
-	if err != nil {
-		return nil, err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "dnacomp: %s: restored %d bases (checksums verified), modeled %.1f ms\n",
-			codecName, len(symbols), float64(st.WorkNS)/1e6)
-	}
-	return seq.Decode(symbols), nil
-}
-
-// doBlockDecompress restores a multi-block (CXB1) container: every block is
-// decoded through the hardened per-block path and the whole output is
-// verified against the container-level checksum.
-func doBlockDecompress(raw []byte, quiet bool) ([]byte, error) {
 	r, err := compress.OpenBlocksObserved(nil, raw, compress.Limits{})
 	if err != nil {
+		// A container too corrupt to open books under "unknown" so failed
+		// restores are still counted somewhere.
 		compress.ObserveDecompress(nil, "unknown", len(raw), 0, compress.Stats{}, err)
 		return nil, err
 	}
-	symbols, st, err := r.Decompress()
+	var (
+		symbols []byte
+		st      compress.Stats
+		off, n  int
+	)
+	if seekSpec == "" {
+		symbols, st, err = r.Decompress()
+	} else {
+		if off, n, err = parseSeek(seekSpec); err != nil {
+			return nil, err
+		}
+		symbols, st, err = r.Slice(off, n)
+	}
 	compress.ObserveDecompress(nil, r.Codec(), len(raw), len(symbols), st, err)
 	if err != nil {
 		return nil, err
 	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "dnacomp: %s: restored %d bases from %d block(s) (checksums verified), modeled %.1f ms\n",
-			r.Codec(), len(symbols), r.Blocks(), float64(st.WorkNS)/1e6)
+		if seekSpec == "" {
+			fmt.Fprintf(os.Stderr, "dnacomp: %s: restored %d bases from %d block(s) (checksums verified), modeled %.1f ms\n",
+				r.Codec(), len(symbols), r.Blocks(), float64(st.WorkNS)/1e6)
+		} else {
+			fmt.Fprintf(os.Stderr, "dnacomp: %s: decoded %d of %d bases at offset %d (block size %d, touched blocks only), modeled %.1f ms\n",
+				r.Codec(), n, r.Bases(), off, r.BlockSize(), float64(st.WorkNS)/1e6)
+		}
 	}
 	return seq.Decode(symbols), nil
 }

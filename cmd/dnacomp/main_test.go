@@ -234,7 +234,7 @@ func TestValidateFlags(t *testing.T) {
 
 // TestBlockContainerRoundTripCLI: -block-size writes a CXB1 container that
 // -d restores to the original text, and -seek decodes exactly the requested
-// window of it.
+// window of it, or of a single frame.
 func TestBlockContainerRoundTripCLI(t *testing.T) {
 	p := synth.Profile{Length: 6000, GC: 0.45, RepeatProb: 0.002, RepeatMin: 20, RepeatMax: 150}
 	ascii := p.GenerateASCII(51)
@@ -247,7 +247,7 @@ func TestBlockContainerRoundTripCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !compress.IsBlockContainer(data) {
+	if !bytes.HasPrefix(data, []byte(compress.BlockMagic)) {
 		t.Fatal("-block-size output is not a CXB1 container")
 	}
 	restored := filepath.Join(t.TempDir(), "restored.txt")
@@ -267,13 +267,17 @@ func TestBlockContainerRoundTripCLI(t *testing.T) {
 	if err != nil || !bytes.Equal(got, ascii[900:1200]) {
 		t.Fatalf("-seek window mismatch (%v)", err)
 	}
-	// -seek on a single-frame file is refused with a pointer to -block-size.
+	// -seek on a single-frame file reads the frame as its one block.
 	single := filepath.Join(t.TempDir(), "seq.dnax")
 	if err := run("dnax", false, single, true, 0, "", []string{in}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", true, "", true, 0, "0:10", []string{single}); err == nil || !strings.Contains(err.Error(), "block-size") {
-		t.Fatalf("-seek on a single frame: err = %v", err)
+	if err := run("", true, window, true, 0, "0:10", []string{single}); err != nil {
+		t.Fatalf("-seek on a single frame: %v", err)
+	}
+	got, err = os.ReadFile(window)
+	if err != nil || !bytes.Equal(got, ascii[0:10]) {
+		t.Fatalf("-seek window on a single frame mismatch (%v)", err)
 	}
 	// Out-of-range seek fails without being a corruption report.
 	if err := run("", true, "", true, 0, "5999:100", []string{packed}); err == nil || errors.Is(err, compress.ErrCorrupt) {

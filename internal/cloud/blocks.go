@@ -52,7 +52,7 @@ func ExchangeBlocks(ctx context.Context, client VM, store Store, codecName strin
 		if err != nil {
 			return nil, cst, fmt.Errorf("cloud: block compress: %w", err)
 		}
-		rd, err := compress.OpenBlocks(container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
+		rd, err := compress.OpenBlocksObserved(reg, container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
 		if err != nil {
 			return nil, cst, fmt.Errorf("cloud: sealed container does not open: %w", err)
 		}

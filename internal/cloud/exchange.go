@@ -172,8 +172,9 @@ type packFunc func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]
 // pack it moves every piece through a transfer pool of at most jobs
 // workers, each piece under its own retry schedule, charges each piece's
 // modeled transfer once per attempt, reassembles the pieces in order and
-// restores them through compress.SafeDecompressAny, which verifies a CXA1
-// frame or a CXB1 container from its own checksums.
+// restores them through the one container reader, which opens a CXA1
+// frame as its one-block case and verifies either format from its own
+// checksums.
 func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, jobs int, pack packFunc) (rep BlockExchangeReport, err error) {
 	rep.Codec, rep.OriginalBases = codecName, len(src)
 	if store == nil {
@@ -262,8 +263,15 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 	// The receiving VM restores and verifies from the received bytes alone:
 	// header, index and payload checksums, contained codec execution, and
 	// the restored output's length and checksum. No source bytes are
-	// consulted.
-	restored, dst, err := compress.SafeDecompressAny(codecName, received, opts.Limits)
+	// consulted. The reader books its block counters into reg.
+	var restored []byte
+	var dst compress.Stats
+	rd, err := compress.OpenBlocksObserved(reg, received, opts.Limits)
+	if err == nil && rd.Codec() != codecName {
+		err = compress.Corruptf("container records codec %q, want %q", rd.Codec(), codecName)
+	} else if err == nil {
+		restored, dst, err = rd.Decompress()
+	}
 	compress.ObserveDecompress(reg, codecName, len(received), len(restored), dst, err)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: decompress: %w", err)

@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -405,4 +408,29 @@ func TestFleetReportAggregates(t *testing.T) {
 			t.Fatalf("killed shard not flagged down: %+v", sr)
 		}
 	}
+}
+
+// FuzzOpenVersion holds the replica version envelope — bytes that come
+// back from shards — to its contract: openVersion never panics, undoes
+// sealVersion exactly, and on any other input either fails or returns a
+// payload that is a suffix of the input, shorter by one varint header.
+func FuzzOpenVersion(f *testing.F) {
+	f.Add(uint64(0), []byte{})
+	f.Add(uint64(1), []byte("ACGTACGT"))
+	f.Add(uint64(math.MaxUint64), []byte{0x80, 0x80})
+	f.Add(uint64(300), bytes.Repeat([]byte{0xFF}, binary.MaxVarintLen64+1)) // overflowing varint
+	f.Fuzz(func(t *testing.T, version uint64, data []byte) {
+		gotVer, gotPayload, err := openVersion(sealVersion(version, data))
+		if err != nil || gotVer != version || !bytes.Equal(gotPayload, data) {
+			t.Fatalf("openVersion(sealVersion(%d, %d bytes)) = v%d, %d bytes, %v", version, len(data), gotVer, len(gotPayload), err)
+		}
+		_, payload, err := openVersion(data)
+		if err != nil {
+			return
+		}
+		header := len(data) - len(payload)
+		if header < 1 || header > binary.MaxVarintLen64 || !bytes.Equal(data[header:], payload) {
+			t.Fatalf("openVersion(%x) returned a %d-byte payload that is not the input less a varint header", data, len(payload))
+		}
+	})
 }

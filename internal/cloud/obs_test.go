@@ -225,6 +225,32 @@ func TestExchangeBlocksMetricsOneSeriesPerOp(t *testing.T) {
 	}
 }
 
+// TestExchangeBlocksDecodesCountInCallerRegistry: the receiving VM's
+// block decodes count in the registry the exchange's context carries, next
+// to the blocks the sender sealed, and leave the default registry alone.
+func TestExchangeBlocksDecodesCountInCallerRegistry(t *testing.T) {
+	ctx, reg, _ := obsCtx()
+	defaultDecoded := counter(obs.Default(), "dna_block_decoded_total", "codec", "dnax")
+	rep, err := ExchangeBlocks(ctx, chaosClient, NewBlobStore(), "dnax", symbols(8*500, 13), BlockExchangeOptions{
+		Block: compress.BlockOptions{BlockSize: 500},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Blocks != 8 {
+		t.Fatalf("exchange split into %d blocks, want 8", rep.Blocks)
+	}
+	if got := counter(reg, "dna_block_sealed_total", "codec", "dnax"); got != uint64(rep.Blocks) {
+		t.Errorf("dna_block_sealed_total = %d, want %d", got, rep.Blocks)
+	}
+	if got := counter(reg, "dna_block_decoded_total", "codec", "dnax"); got != uint64(rep.Blocks) {
+		t.Errorf("dna_block_decoded_total = %d in the caller's registry, want %d", got, rep.Blocks)
+	}
+	if got := counter(obs.Default(), "dna_block_decoded_total", "codec", "dnax"); got != defaultDecoded {
+		t.Errorf("default registry dna_block_decoded_total moved from %d to %d", defaultDecoded, got)
+	}
+}
+
 func attr(rec obs.SpanRecord, key string) any {
 	for _, a := range rec.Attrs {
 		if a.Key == key {

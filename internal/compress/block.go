@@ -3,7 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -20,7 +19,7 @@ import (
 //
 //   - parallel seal: blocks compress concurrently, yet the container bytes
 //     are identical for any worker count because assembly is index-ordered;
-//   - seekable open: a ReadAt over symbol space decodes only the blocks
+//   - seekable open: a Slice of symbol space decodes only the blocks
 //     overlapping the requested range — random access without a full decode;
 //   - bounded memory: seal holds at most jobs in-flight block working sets,
 //     open holds one block's working set beyond the caller's output.
@@ -123,7 +122,7 @@ func newBlockMetrics(reg *obs.Registry, codec string) blockMetrics {
 	return blockMetrics{
 		sealed:  reg.Counter("dna_block_sealed_total", "Blocks compressed and sealed by the block engine.", labels...),
 		decoded: reg.Counter("dna_block_decoded_total", "Blocks decoded on the container open/seek path.", labels...),
-		seeks:   reg.Counter("dna_block_seeks_total", "Random-access reads served from multi-block containers.", labels...),
+		seeks:   reg.Counter("dna_block_seeks_total", "Random-access reads (Slice) served from CXA1 frames and CXB1 containers.", labels...),
 		sealMS:  reg.Histogram("dna_block_model_ms", "Per-block modeled codec work in milliseconds.", obs.DefMSBuckets(), "codec", codec, "op", "compress"),
 		decMS:   reg.Histogram("dna_block_model_ms", "Per-block modeled codec work in milliseconds.", obs.DefMSBuckets(), "codec", codec, "op", "decompress"),
 	}
@@ -238,19 +237,13 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 // frame Overhead per block on top of the codec payloads.
 func BlockHeaderSize(codecName string) int { return blockFixedOverhead + len(codecName) }
 
-// IsBlockContainer reports whether data starts with the multi-block
-// container magic — the dispatch check for receivers that accept both
-// single-frame (CXA1) and multi-block (CXB1) streams.
-func IsBlockContainer(data []byte) bool {
-	return len(data) >= len(BlockMagic) && string(data[:len(BlockMagic)]) == BlockMagic
-}
-
-// BlockReader is the validated view of a multi-block container: header and
-// index are parsed and checksum-verified, block frames are located but not
-// decoded. Decoding happens per block on demand (ReadAt, Slice) or across
-// all blocks (Decompress), always through SafeDecompress with per-block
-// limits, so a hostile frame inside a well-formed container is contained
-// exactly like a hostile single frame.
+// BlockReader is the validated view of a container: header and index are
+// parsed and checksum-verified, block frames are located but not decoded.
+// A single CXA1 frame is the one-block case: one index entry spans the
+// frame. Decoding happens per block on demand (Slice) or across all blocks
+// (Decompress), always through SafeDecompress with per-block limits, so a
+// hostile frame inside a well-formed container is contained exactly like
+// a hostile single frame.
 //
 // A reader is safe for concurrent use: it holds no decode state, and every
 // read decodes into caller-local buffers.
@@ -268,17 +261,20 @@ type BlockReader struct {
 	met           blockMetrics
 }
 
-// OpenBlocks parses and validates a multi-block container from untrusted
-// bytes without decoding any block: magic, version, field bounds, header
-// checksum, limit enforcement, index sizing, index checksum and exact
-// framing (truncated or extended containers are rejected). Every failure
-// satisfies errors.Is(err, ErrCorrupt), and — the hostile-length contract —
-// nothing proportional to a claimed size is allocated before that claim is
-// proven consistent with the bytes actually present.
+// OpenBlocks parses and validates a container from untrusted bytes without
+// decoding any block: magic, version, field bounds, header checksum, limit
+// enforcement, index sizing, index checksum and exact framing (truncated or
+// extended containers are rejected). A CXA1 frame, validated by Open, is
+// the one-block container: one index entry spans the frame, and the block
+// size is its base count (at least 1). Every failure satisfies
+// errors.Is(err, ErrCorrupt), and — the hostile-length contract — nothing
+// proportional to a claimed size is allocated before that claim is proven
+// consistent with the bytes actually present.
 //
-// lim bounds the open: MaxOutput caps the container's total symbol count,
-// MaxCompressed caps each block's frame. Metrics land in the default
-// registry; use OpenBlocksObserved to aim them at a specific one.
+// lim bounds either format alike: MaxOutput caps the total symbol count at
+// open, MaxCompressed caps each block's payload when the block is decoded.
+// Metrics land in the default registry; use OpenBlocksObserved to aim them
+// at a specific one.
 func OpenBlocks(data []byte, lim Limits) (*BlockReader, error) {
 	return OpenBlocksObserved(nil, data, lim)
 }
@@ -287,10 +283,30 @@ func OpenBlocks(data []byte, lim Limits) (*BlockReader, error) {
 // (nil means the default registry).
 func OpenBlocksObserved(reg *obs.Registry, data []byte, lim Limits) (*BlockReader, error) {
 	maxCompressed, maxOutput := lim.effective()
+	if len(data) >= len(FrameMagic) && string(data[:len(FrameMagic)]) == FrameMagic {
+		fr, err := Open(data)
+		if err != nil {
+			return nil, err
+		}
+		if fr.Bases > maxOutput {
+			return nil, Corruptf("frame claims %d symbols, limit %d", fr.Bases, maxOutput)
+		}
+		return &BlockReader{
+			codec:         fr.Codec,
+			bases:         fr.Bases,
+			blockSize:     max(fr.Bases, 1),
+			outputSum:     fr.OutputSum,
+			entries:       []BlockEntry{{Length: len(data), Sum: Checksum(data)}},
+			offsets:       []int{0},
+			payload:       data,
+			maxCompressed: maxCompressed,
+			met:           newBlockMetrics(reg, fr.Codec),
+		}, nil
+	}
 	if len(data) < blockFixedOverhead+1 {
 		return nil, Corruptf("blocks: %d bytes is shorter than the minimum header", len(data))
 	}
-	if !IsBlockContainer(data) {
+	if string(data[0:4]) != BlockMagic {
 		return nil, Corruptf("blocks: bad magic %q", data[0:4])
 	}
 	if data[4] != BlockVersion {
@@ -419,16 +435,24 @@ func (r *BlockReader) block(k int) ([]byte, Stats, error) {
 // the container's whole-output checksum verified over the result. That
 // final check is what per-block frames cannot provide — it catches blocks
 // reordered or substituted together with a consistently rewritten index.
-// Peak memory is the output plus one block's working set.
+// A one-block reader returns the block's own buffer; otherwise peak memory
+// is the output plus one block's working set.
 func (r *BlockReader) Decompress() ([]byte, Stats, error) {
-	out := make([]byte, r.bases)
+	var out []byte
+	if len(r.entries) != 1 {
+		out = make([]byte, r.bases)
+	}
 	var total Stats
 	for k := range r.entries {
 		block, st, err := r.block(k)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		copy(out[k*r.blockSize:], block)
+		if len(r.entries) == 1 {
+			out = block
+		} else {
+			copy(out[k*r.blockSize:], block)
+		}
 		total.Add(st)
 	}
 	if got := Checksum(out); got != r.outputSum {
@@ -437,81 +461,40 @@ func (r *BlockReader) Decompress() ([]byte, Stats, error) {
 	return out, total, nil
 }
 
-// readRange decodes the symbol range [off, off+len(dst)) into dst, which
-// the caller has bounds-checked against Bases. Only the blocks overlapping
-// the range are decoded.
-func (r *BlockReader) readRange(dst []byte, off int) (Stats, error) {
-	var total Stats
-	r.met.seeks.Inc()
-	for copied := 0; copied < len(dst); {
-		k := (off + copied) / r.blockSize
-		block, st, err := r.block(k)
-		if err != nil {
-			return Stats{}, err
-		}
-		total.Add(st)
-		copied += copy(dst[copied:], block[(off+copied)-k*r.blockSize:])
-	}
-	return total, nil
-}
-
-// Slice decodes and returns the n symbols starting at off. Out-of-range
-// requests are caller errors, not corruption. The seek-equivalence
-// property — Slice(off, n) equals the same slice of Decompress()'s output —
-// is what compresstest.BlockSuite proves for every codec.
+// Slice decodes and returns the n symbols starting at off, decoding only
+// the blocks the range overlaps. Out-of-range requests are caller errors,
+// not corruption. The seek-equivalence property — Slice(off, n) equals the
+// same slice of Decompress()'s output — is what compresstest.BlockSuite
+// proves for every codec.
 func (r *BlockReader) Slice(off, n int) ([]byte, Stats, error) {
 	if off < 0 || n < 0 || off+n > r.bases || off+n < 0 {
 		return nil, Stats{}, fmt.Errorf("compress: blocks: slice [%d, %d+%d) out of range [0, %d)", off, off, n, r.bases)
 	}
+	r.met.seeks.Inc()
 	dst := make([]byte, n)
-	st, err := r.readRange(dst, off)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return dst, st, nil
-}
-
-// ReadAt implements io.ReaderAt over the restored symbol space: it fills p
-// with the symbols starting at off, decoding only the overlapping blocks,
-// and returns io.EOF on a read truncated by the end of the sequence.
-func (r *BlockReader) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("compress: blocks: negative offset %d", off)
-	}
-	if off >= int64(r.bases) {
-		if len(p) == 0 {
-			return 0, nil
+	var total Stats
+	for copied := 0; copied < n; {
+		k := (off + copied) / r.blockSize
+		block, st, err := r.block(k)
+		if err != nil {
+			return nil, Stats{}, err
 		}
-		return 0, io.EOF
+		total.Add(st)
+		copied += copy(dst[copied:], block[(off+copied)-k*r.blockSize:])
 	}
-	n := len(p)
-	if int64(n) > int64(r.bases)-off {
-		n = int(int64(r.bases) - off)
-	}
-	if _, err := r.readRange(p[:n], int(off)); err != nil {
-		return 0, err
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return dst, total, nil
 }
 
-// SafeDecompressAny restores symbols from either container format: a
-// multi-block CXB1 container through the validated block path, anything
-// else through the single-frame SafeDecompress. name, when non-empty, pins
-// the codec either container must record. Every failure satisfies
-// errors.Is(err, ErrCorrupt).
+// SafeDecompressAny restores symbols from either container format: it
+// opens data with OpenBlocks, pins the codec when name is non-empty, and
+// decodes every block. Every failure satisfies errors.Is(err, ErrCorrupt).
 func SafeDecompressAny(name string, data []byte, lim Limits) ([]byte, Stats, error) {
-	if !IsBlockContainer(data) {
-		return SafeDecompress(name, data, lim)
-	}
 	r, err := OpenBlocks(data, lim)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	if name != "" && r.Codec() != name {
-		return nil, Stats{}, Corruptf("blocks: container records codec %q, want %q", r.Codec(), name)
+		return nil, Stats{}, Corruptf("container records codec %q, want %q", r.Codec(), name)
 	}
 	return r.Decompress()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"strings"
 	"testing"
@@ -68,7 +67,7 @@ func TestBlockJobsDeterminism(t *testing.T) {
 	}
 }
 
-func TestBlockSliceReadAtEquivalence(t *testing.T) {
+func TestBlockSliceEquivalence(t *testing.T) {
 	const bs = 128
 	src := synth.Profile{Length: 5*bs + 31, GC: 0.5}.Generate(9)
 	container, _, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: bs})
@@ -100,39 +99,17 @@ func TestBlockSliceReadAtEquivalence(t *testing.T) {
 	if _, _, err := r.Slice(len(src), 1); err == nil {
 		t.Fatal("Slice past the end accepted")
 	}
-
-	// io.ReaderAt semantics: exact reads, EOF-truncated reads, negative off.
-	p := make([]byte, 3*bs)
-	if n, err := r.ReadAt(p, int64(bs/2)); err != nil || n != len(p) {
-		t.Fatalf("ReadAt mid: n=%d err=%v", n, err)
-	} else if !bytes.Equal(p, full[bs/2:bs/2+len(p)]) {
-		t.Fatal("ReadAt mid differs from full decode")
-	}
-	if n, err := r.ReadAt(p, int64(len(src)-10)); err != io.EOF || n != 10 {
-		t.Fatalf("ReadAt tail: n=%d err=%v, want 10, io.EOF", n, err)
-	} else if !bytes.Equal(p[:10], full[len(src)-10:]) {
-		t.Fatal("ReadAt tail differs from full decode")
-	}
-	if _, err := r.ReadAt(p, int64(len(src))); err != io.EOF {
-		t.Fatalf("ReadAt at end: %v, want io.EOF", err)
-	}
-	if _, err := r.ReadAt(p, -1); err == nil {
-		t.Fatal("ReadAt(-1) accepted")
-	}
 }
 
+// TestSafeDecompressAnyDispatch: a CXB1 container and a CXA1 frame go
+// through the same reader, and the limits and the codec pin fail at the
+// same stage on both — MaxOutput at open, the pin against the opened
+// reader's codec, MaxCompressed when a block is decoded.
 func TestSafeDecompressAnyDispatch(t *testing.T) {
 	src := blockSrc(600)
 	container, _, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: 100})
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, _, err := compress.SafeDecompressAny("dnapack", container, compress.Limits{})
-	if err != nil || !bytes.Equal(got, src) {
-		t.Fatalf("block container: %v (got %d symbols)", err, len(got))
-	}
-	if _, _, err := compress.SafeDecompressAny("xm", container, compress.Limits{}); !errors.Is(err, compress.ErrCorrupt) {
-		t.Fatalf("codec pin ignored on block container: %v", err)
 	}
 	c, err := compress.New("dnapack")
 	if err != nil {
@@ -143,9 +120,60 @@ func TestSafeDecompressAnyDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := compress.Seal("dnapack", src, payload)
-	got, _, err = compress.SafeDecompressAny("dnapack", frame, compress.Limits{})
-	if err != nil || !bytes.Equal(got, src) {
-		t.Fatalf("single frame: %v (got %d symbols)", err, len(got))
+	cases := []struct {
+		name   string
+		data   []byte
+		pin    string
+		lim    compress.Limits
+		failAt string // "", "open", "pin" or "decode"
+	}{
+		{"Container", container, "dnapack", compress.Limits{}, ""},
+		{"ContainerPin", container, "xm", compress.Limits{}, "pin"},
+		{"ContainerMaxOutput", container, "", compress.Limits{MaxOutput: len(src) - 1}, "open"},
+		{"ContainerMaxCompressed", container, "", compress.Limits{MaxCompressed: 1}, "decode"},
+		{"Frame", frame, "dnapack", compress.Limits{}, ""},
+		{"FramePin", frame, "xm", compress.Limits{}, "pin"},
+		{"FrameMaxOutput", frame, "", compress.Limits{MaxOutput: len(src) - 1}, "open"},
+		{"FrameMaxCompressed", frame, "", compress.Limits{MaxCompressed: len(payload) - 1}, "decode"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _, err := compress.SafeDecompressAny(tc.pin, tc.data, tc.lim)
+			if tc.failAt == "" {
+				if err != nil || !bytes.Equal(got, src) {
+					t.Fatalf("SafeDecompressAny: %v (got %d symbols)", err, len(got))
+				}
+			} else if !errors.Is(err, compress.ErrCorrupt) {
+				t.Fatalf("SafeDecompressAny: %v, want ErrCorrupt", err)
+			}
+
+			r, err := compress.OpenBlocks(tc.data, tc.lim)
+			if tc.failAt == "open" {
+				if !errors.Is(err, compress.ErrCorrupt) {
+					t.Fatalf("OpenBlocks: %v, want ErrCorrupt at open", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("OpenBlocks: %v", err)
+			}
+			if tc.failAt == "pin" {
+				if r.Codec() == tc.pin {
+					t.Fatalf("reader records the pinned codec %q", tc.pin)
+				}
+				return
+			}
+			got, _, err = r.Decompress()
+			if tc.failAt == "decode" {
+				if !errors.Is(err, compress.ErrCorrupt) {
+					t.Fatalf("Decompress: %v, want ErrCorrupt at decode", err)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(got, src) {
+				t.Fatalf("Decompress: %v (got %d symbols)", err, len(got))
+			}
+		})
 	}
 }
 
@@ -223,66 +251,5 @@ func TestOpenBlocksHostileHeaders(t *testing.T) {
 	bad[idxStart+3] ^= 0x01
 	if _, err := compress.OpenBlocks(bad, noLimits); err == nil || !strings.Contains(err.Error(), "index checksum") {
 		t.Fatalf("index tamper: %v, want index checksum mismatch", err)
-	}
-}
-
-// TestBlockCacheIndexAliasing is the regression test for the cache's
-// deep-copy contract on block results: mutating the Data or BlockIndex a
-// Get handed out must never corrupt what a later Get sees.
-func TestBlockCacheIndexAliasing(t *testing.T) {
-	src := blockSrc(700)
-	cache := compress.NewCache()
-	opts := compress.BlockOptions{BlockSize: 128}
-	r1, err := compress.BlockCompressCached(cache, "dnapack", src, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.BlockIndex) != 6 {
-		t.Fatalf("got %d index entries, want 6", len(r1.BlockIndex))
-	}
-	want := append([]compress.BlockEntry(nil), r1.BlockIndex...)
-	wantData := append([]byte(nil), r1.Data...)
-
-	// Scribble over everything the first call returned.
-	for i := range r1.BlockIndex {
-		r1.BlockIndex[i] = compress.BlockEntry{Length: -1, Sum: 0xDEADBEEF}
-	}
-	for i := range r1.Data {
-		r1.Data[i] = 0xFF
-	}
-
-	r2, ok := cache.Get(compress.BlockContentKey("dnapack", opts.BlockSize, src))
-	if !ok {
-		t.Fatal("entry evaporated")
-	}
-	if !bytes.Equal(r2.Data, wantData) {
-		t.Fatal("cached container bytes were corrupted through the returned slice")
-	}
-	for i, e := range r2.BlockIndex {
-		if e != want[i] {
-			t.Fatalf("cached index entry %d corrupted: %+v, want %+v", i, e, want[i])
-		}
-	}
-	// And the warm path still restores the source.
-	r3, err := compress.BlockCompressCached(cache, "dnapack", src, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := compress.SafeDecompressAny("dnapack", r3.Data, compress.Limits{})
-	if err != nil || !bytes.Equal(got, src) {
-		t.Fatalf("warm hit does not restore the source: %v", err)
-	}
-	if hits, misses := cache.Counters(); hits != 2 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2 and 1", hits, misses)
-	}
-}
-
-func TestBlockKeyDistinctFromWholeSlice(t *testing.T) {
-	src := blockSrc(300)
-	if compress.BlockContentKey("dnapack", 100, src) == compress.ContentKey("dnapack", src) {
-		t.Fatal("block key aliases the whole-slice key")
-	}
-	if compress.BlockContentKey("dnapack", 100, src) == compress.BlockContentKey("dnapack", 200, src) {
-		t.Fatal("block size is not part of the key")
 	}
 }

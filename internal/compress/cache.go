@@ -27,19 +27,12 @@ type Result struct {
 	Bases         int
 	CompressStats Stats
 	DecompStats   Stats
-	// BlockIndex is the per-block frame index when Data is a multi-block
-	// container (BlockCompressCached), nil for single-frame results. Like
-	// Data, it is copied on Put and Get, so callers may mutate it freely.
-	BlockIndex []BlockEntry
 }
 
 // copySlices replaces r's slice fields with private copies — the aliasing
 // barrier between the stored entry and every caller.
 func (r *Result) copySlices() {
 	r.Data = append([]byte(nil), r.Data...)
-	if r.BlockIndex != nil {
-		r.BlockIndex = append([]BlockEntry(nil), r.BlockIndex...)
-	}
 }
 
 // Key identifies a cache entry: codec identity × content hash. Two inputs
@@ -114,17 +107,16 @@ func (c *Cache) Get(k Key) (Result, bool) {
 		c.met.misses.Inc()
 	}
 	// Hand out private copies: the stored entry outlives any single
-	// caller, and a shared slice — the frame bytes or the block index —
-	// would let one caller's mutation corrupt every later hit. The copy
-	// sits on the unconditional path so copydiscipline can prove every
-	// return is alias-free (a miss copies a zero Result: free).
+	// caller, and shared frame bytes would let one caller's mutation
+	// corrupt every later hit. The copy sits on the unconditional path so
+	// copydiscipline can prove every return is alias-free (a miss copies
+	// a zero Result: free).
 	r.copySlices()
 	return r, ok
 }
 
-// Put stores r under k, copying the compressed bytes and any block index
-// so later caller-side mutation cannot corrupt the entry. Nil caches drop
-// the entry.
+// Put stores r under k, copying the compressed bytes so later caller-side
+// mutation cannot corrupt the entry. Nil caches drop the entry.
 func (c *Cache) Put(k Key, r Result) {
 	if c == nil {
 		return
@@ -207,69 +199,6 @@ func CompressObserved(reg *obs.Registry, cache *Cache, codecName string, src []b
 		return Result{}, fmt.Errorf("round-trip mismatch: %d bases in, %d out", len(src), len(restored))
 	}
 	r := Result{Data: frame, PayloadBytes: len(data), Bases: len(src), CompressStats: cst, DecompStats: dst}
-	cache.Put(key, r)
-	return r, nil
-}
-
-// BlockContentKey builds the cache key for block-compressing src with the
-// named codec at the given block size. The block size is part of the key's
-// codec axis: the same content at two block granularities yields two
-// distinct containers, and a whole-slice result (ContentKey) never aliases
-// a block-engine result for the same codec and bytes.
-func BlockContentKey(codec string, blockSize int, src []byte) Key {
-	if blockSize == 0 {
-		blockSize = DefaultBlockSize
-	}
-	return Key{Codec: fmt.Sprintf("%s/cxb1:%d", codec, blockSize), Sum: sha256.Sum256(src)}
-}
-
-// BlockCompressCached is CompressCached for the block engine: it returns
-// the cached multi-block container for (codec, block size, src) or builds
-// one through BlockCompress, verifies the full round trip through the
-// validated open path, stores the outcome (container bytes plus per-block
-// index), and returns it. cache may be nil (always compresses).
-func BlockCompressCached(cache *Cache, codecName string, src []byte, opts BlockOptions) (Result, error) {
-	return BlockCompressObservedCached(nil, cache, codecName, src, opts)
-}
-
-// BlockCompressObservedCached is BlockCompressCached recording block-engine
-// metrics into reg (nil means the default registry).
-func BlockCompressObservedCached(reg *obs.Registry, cache *Cache, codecName string, src []byte, opts BlockOptions) (Result, error) {
-	key := BlockContentKey(codecName, opts.BlockSize, src)
-	if r, ok := cache.Get(key); ok && r.Bases == len(src) {
-		return r, nil
-	}
-	container, cst, err := BlockCompressObserved(reg, codecName, src, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	// Verifying through the open path exercises exactly what a receiver
-	// runs: header/index validation, per-block hardened decode, and the
-	// whole-output checksum.
-	rd, err := OpenBlocksObserved(reg, container, Limits{MaxCompressed: -1, MaxOutput: -1})
-	if err != nil {
-		cache.noteVerifyFailure()
-		return Result{}, fmt.Errorf("open blocks: %w", err)
-	}
-	restored, dst, err := rd.Decompress()
-	if err != nil {
-		cache.noteVerifyFailure()
-		return Result{}, fmt.Errorf("decompress blocks: %w", err)
-	}
-	if !bytes.Equal(restored, src) {
-		cache.noteVerifyFailure()
-		return Result{}, fmt.Errorf("block round-trip mismatch: %d bases in, %d out", len(src), len(restored))
-	}
-	// Payload bytes inside the container: every block frame carries the
-	// same fixed armor overhead for this codec name, so the codec payload
-	// total falls out of the index without reopening any frame.
-	payloadBytes := 0
-	index := rd.Index()
-	for _, e := range index {
-		payloadBytes += e.Length - Overhead(codecName)
-	}
-	r := Result{Data: container, PayloadBytes: payloadBytes, Bases: len(src),
-		CompressStats: cst, DecompStats: dst, BlockIndex: index}
 	cache.Put(key, r)
 	return r, nil
 }

@@ -19,7 +19,8 @@ import (
 //   - RoundTripBoundaries: containers at sizes 0, 1, blockSize-1,
 //     blockSize, blockSize+1 and non-multiple tails restore exactly.
 //   - SeekEquivalence: random (off, len) probes through Slice equal the
-//     corresponding slice of the full decode — the property behind -seek.
+//     corresponding slice of the full decode — the property behind -seek —
+//     on the container and on the same source sealed as one CXA1 frame.
 //   - JobsDeterminism: jobs 1, 2 and 8 produce byte-identical containers.
 //   - DifferentialWholeSlice: on benchmark-corpus inputs, the block path
 //     restores byte-identically to the codec's whole-slice round trip, and
@@ -62,27 +63,36 @@ func BlockSuite(t *testing.T, name string) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := compress.OpenBlocks(container, compress.Limits{})
+		// The same source sealed as one CXA1 frame is the reader's
+		// one-block case and must answer every probe the same way.
+		frame, err := compress.CompressCached(nil, name, src)
 		if err != nil {
-			t.Fatalf("%s: OpenBlocks: %v", name, err)
+			t.Fatalf("%s: frame: %v", name, err)
 		}
-		full, _, err := r.Decompress()
-		if err != nil {
-			t.Fatalf("%s: full decode: %v", name, err)
-		}
-		if !bytes.Equal(full, src) {
-			t.Fatalf("%s: full decode mismatch", name)
-		}
-		rng := rand.New(rand.NewSource(2015))
-		for probe := 0; probe < blockSuiteProbes; probe++ {
-			off := rng.Intn(len(src) + 1)
-			n := rng.Intn(len(src) - off + 1)
-			got, _, err := r.Slice(off, n)
+		for _, sealed := range [][]byte{container, frame.Data} {
+			format := string(sealed[:4]) // the magic: CXB1 or CXA1
+			r, err := compress.OpenBlocks(sealed, compress.Limits{})
 			if err != nil {
-				t.Fatalf("%s: Slice(%d, %d): %v", name, off, n, err)
+				t.Fatalf("%s: %s: OpenBlocks: %v", name, format, err)
 			}
-			if !bytes.Equal(got, full[off:off+n]) {
-				t.Fatalf("%s: probe %d: Slice(%d, %d) differs from full decode", name, probe, off, n)
+			full, _, err := r.Decompress()
+			if err != nil {
+				t.Fatalf("%s: %s: full decode: %v", name, format, err)
+			}
+			if !bytes.Equal(full, src) {
+				t.Fatalf("%s: %s: full decode mismatch", name, format)
+			}
+			rng := rand.New(rand.NewSource(2015))
+			for probe := 0; probe < blockSuiteProbes; probe++ {
+				off := rng.Intn(len(src) + 1)
+				n := rng.Intn(len(src) - off + 1)
+				got, _, err := r.Slice(off, n)
+				if err != nil {
+					t.Fatalf("%s: %s: Slice(%d, %d): %v", name, format, off, n, err)
+				}
+				if !bytes.Equal(got, full[off:off+n]) {
+					t.Fatalf("%s: %s: probe %d: Slice(%d, %d) differs from full decode", name, format, probe, off, n)
+				}
 			}
 		}
 	})

@@ -17,6 +17,8 @@ import (
 // checksums — and demands that compress.SafeDecompress rejects every
 // mutant with an error satisfying errors.Is(err, compress.ErrCorrupt),
 // without panicking and without ever returning wrong symbols as success.
+// The container reader, which opens a frame as its one-block case, must
+// reach the same verdict through both Decompress and Slice(0, Bases()).
 func CorruptionSuite(t *testing.T, name string) {
 	t.Helper()
 	sources := []struct {
@@ -50,26 +52,48 @@ func CorruptionSuite(t *testing.T, name string) {
 			if !bytes.Equal(got, src) {
 				t.Fatalf("%s: pristine frame restored %d symbols, want %d", name, len(got), len(src))
 			}
-
-			for _, m := range frameMutations(name, src, payload, frame) {
+			// The container reader opens a frame as its one block, so it
+			// must reach SafeDecompress's verdict on the pristine frame and
+			// on every mutant.
+			cases := append([]mutation{{name: "Pristine", data: frame, mayBeLossless: true}}, frameMutations(name, src, payload, frame)...)
+			for _, m := range cases {
 				m := m
 				t.Run(m.name, func(t *testing.T) {
 					defer func() {
 						if r := recover(); r != nil {
-							t.Fatalf("%s/%s: SafeDecompress panicked: %v", name, m.name, r)
+							t.Fatalf("%s/%s: decode panicked: %v", name, m.name, r)
 						}
 					}()
-					out, _, err := compress.SafeDecompress("", m.data, compress.Limits{})
-					if err == nil {
-						// A resealed mutant may touch only don't-care bits
-						// (bit-packing padding); accepting it is fine if and
-						// only if the restored symbols are still exact.
-						if m.mayBeLossless && bytes.Equal(out, src) {
-							return
+					verdict := func(path string, out []byte, err error) bool {
+						if err == nil {
+							// A resealed mutant may touch only don't-care bits
+							// (bit-packing padding); accepting it is fine if
+							// and only if the restored symbols are still exact.
+							if !m.mayBeLossless || !bytes.Equal(out, src) {
+								t.Fatalf("%s/%s: %s accepted a corrupted frame", name, m.name, path)
+							}
+						} else if !errors.Is(err, compress.ErrCorrupt) {
+							t.Fatalf("%s/%s: %s error %v does not satisfy ErrCorrupt", name, m.name, path, err)
 						}
-						t.Fatalf("%s/%s: corrupted frame accepted", name, m.name)
-					} else if !errors.Is(err, compress.ErrCorrupt) {
-						t.Fatalf("%s/%s: error %v does not satisfy ErrCorrupt", name, m.name, err)
+						return err == nil
+					}
+					out, _, err := compress.SafeDecompress("", m.data, compress.Limits{})
+					accepted := verdict("SafeDecompress", out, err)
+					agrees := func(path string, out []byte, err error) {
+						if verdict(path, out, err) != accepted {
+							t.Fatalf("%s/%s: %s verdict (%v) differs from SafeDecompress", name, m.name, path, err)
+						}
+					}
+					r, err := compress.OpenBlocks(m.data, compress.Limits{})
+					if err != nil {
+						agrees("OpenBlocks", nil, err)
+						return
+					}
+					out, _, err = r.Decompress()
+					agrees("Decompress", out, err)
+					if r.Bases() > 0 { // Slice(0, 0) reads no block: nothing to refuse
+						out, _, err = r.Slice(0, r.Bases())
+						agrees("Slice", out, err)
 					}
 				})
 			}

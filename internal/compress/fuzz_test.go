@@ -155,13 +155,14 @@ func FuzzFrameOpen(f *testing.F) {
 	})
 }
 
-// FuzzBlockContainerOpen hammers the multi-block container parser and the
-// per-block decode path with arbitrary bytes: OpenBlocks must never panic
-// and must reject with ErrCorrupt only; anything it accepts must survive a
-// full Decompress and random Slice probes without panicking, failing only
-// with ErrCorrupt. Seeds are valid containers plus the mutant classes the
-// block corruption suite promoted: flipped frames, tampered indexes,
-// reordered blocks and cross-block truncations.
+// FuzzBlockContainerOpen hammers the container reader — the CXB1 parser,
+// the CXA1 frame as its one-block case, and the per-block decode path —
+// with arbitrary bytes: OpenBlocks must never panic and must reject with
+// ErrCorrupt only; anything it accepts must survive a full Decompress and
+// random Slice probes without panicking, failing only with ErrCorrupt.
+// Seeds are valid containers and frames plus the mutant classes the
+// corruption suites promoted: flipped frames, tampered indexes, reordered
+// blocks and truncations.
 func FuzzBlockContainerOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(compress.BlockMagic))
@@ -188,12 +189,32 @@ func FuzzBlockContainerOpen(f *testing.F) {
 	if container, _, err := compress.BlockCompress("xm", nil, compress.BlockOptions{BlockSize: 64}); err == nil {
 		f.Add(container)
 	}
+	if c, err := compress.New("dnapack"); err == nil {
+		if payload, _, err := c.Compress(seedSrc[:300]); err == nil {
+			frame := compress.Seal("dnapack", seedSrc[:300], payload)
+			f.Add(frame)
+			f.Add(frame[:len(frame)-5])
+			flipped := append([]byte(nil), frame...)
+			flipped[compress.Overhead("dnapack")+len(payload)/2] ^= 0x10
+			f.Add(flipped)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return
 		}
 		lim := compress.Limits{MaxCompressed: 1 << 20, MaxOutput: 1 << 20}
 		r, err := compress.OpenBlocks(data, lim)
+		// A frame Open accepts within the limits is the one-block container.
+		if fr, ferr := compress.Open(data); ferr == nil && fr.Bases <= lim.MaxOutput {
+			if err != nil {
+				t.Fatalf("OpenBlocks refused a frame Open accepts: %v", err)
+			}
+			if r.Blocks() != 1 || r.Codec() != fr.Codec || r.Bases() != fr.Bases {
+				t.Fatalf("frame opened as %d blocks of %s, %d bases; want 1 block of %s, %d bases",
+					r.Blocks(), r.Codec(), r.Bases(), fr.Codec, fr.Bases)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) {
 				t.Fatalf("OpenBlocks rejection %v is not ErrCorrupt", err)

@@ -82,7 +82,7 @@ func runUntrustedFlow(pass *Pass) {
 					if fn := calleeFunc(pass.Info, call); fn != nil && fn.Name() == "Decompress" {
 						for _, arg := range call.Args {
 							if tainted(arg) {
-								pass.Reportf(call.Pos(), "untrusted bytes reach a raw Decompress; decode through compress.SafeDecompress/SafeDecompressAny (or OpenBlocks for CXB1 containers) so size limits, codec pinning and panic containment apply")
+								pass.Reportf(call.Pos(), "untrusted bytes reach a raw Decompress; decode through compress.SafeDecompress/SafeDecompressAny (or OpenBlocks for either container format) so size limits, codec pinning and panic containment apply")
 								break
 							}
 						}

@@ -44,32 +44,63 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// badTraceparents are headers ParseTraceparent must refuse; they also seed
+// FuzzParseTraceparent.
+var badTraceparents = []string{
+	"",
+	"00",
+	validTraceparent[:54],  // truncated
+	validTraceparent + "x", // version 00 must be exactly 55 chars
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff forbidden
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace ID
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span ID
+	"00-4bf92f3577b34da6a3ce929d0e0e47ZZ-00f067aa0ba902b7-01", // non-hex
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase hex forbidden
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	if _, ok := ParseTraceparent(valid); !ok {
+	if _, ok := ParseTraceparent(validTraceparent); !ok {
 		t.Fatalf("valid header rejected")
 	}
 	// version 01 with trailing extra field is legal per spec
 	if _, ok := ParseTraceparent("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra"); !ok {
 		t.Fatalf("future-version header with extra field rejected")
 	}
-	bad := []string{
-		"",
-		"00",
-		valid[:54],  // truncated
-		valid + "x", // version 00 must be exactly 55 chars
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff forbidden
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace ID
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span ID
-		"00-4bf92f3577b34da6a3ce929d0e0e47ZZ-00f067aa0ba902b7-01", // non-hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad separator
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // uppercase hex forbidden
-	}
-	for _, h := range bad {
+	for _, h := range badTraceparents {
 		if _, ok := ParseTraceparent(h); ok {
 			t.Fatalf("ParseTraceparent accepted %q", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent holds the parser of every request's traceparent
+// header to its contract: it never panics; an accepted header yields a
+// 32-character trace ID and a 16-character span ID, both lowercase hex and
+// neither all zeros; and the IDs format back into a header that parses to
+// them again.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(validTraceparent)
+	for _, h := range badTraceparents {
+		f.Add(h)
+	}
+	lowerHexID := func(id string, n int) bool {
+		return len(id) == n && strings.Trim(id, "0123456789abcdef") == "" && strings.Trim(id, "0") != ""
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		rp, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !lowerHexID(rp.TraceID, 32) || !lowerHexID(rp.SpanID, 16) {
+			t.Fatalf("ParseTraceparent(%q) accepted trace ID %q, span ID %q", h, rp.TraceID, rp.SpanID)
+		}
+		if back, ok := ParseTraceparent(FormatTraceparent(rp.TraceID, rp.SpanID)); !ok || back != rp {
+			t.Fatalf("formatted IDs of %q parse to %+v (ok=%v), want %+v", h, back, ok, rp)
+		}
+	})
 }
 
 func TestTracerWithIDsInheritance(t *testing.T) {

@@ -5,8 +5,9 @@
 // sealed armored frame — single CXA1 frame or seekable CXB1 multi-block
 // container — compressed with the codec the trained CART/CHAID decision
 // tree picks for that context. POST /decompress (and GET range reads over
-// containers stored by name) restores any armored stream through the
-// hardened compress.SafeDecompressAny path.
+// containers stored by name) opens either format once as a
+// compress.BlockReader — a CXA1 frame is its one-block case — and restores
+// the whole sequence or a range through it.
 //
 // Concurrency model: requests are admitted into a bounded queue and
 // executed by a fixed worker pool; a full queue answers 429 with
@@ -877,100 +878,62 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rx.rec.InBytes = len(container)
-	// The codec the container claims keys the per-codec semaphore; a
-	// corrupt header falls through to "" (no semaphore) and the worker
-	// reports the parse failure deterministically.
-	codec := containerCodec(container)
+	// One open per request: the reader's codec keys the per-codec
+	// semaphore. A container that fails to open is still admitted, with no
+	// semaphore, and the worker answers its 422, so drain and backpressure
+	// statuses never depend on whether the bytes parse.
+	rd, openErr := compress.OpenBlocksObserved(s.reg, container, s.cfg.Limits)
+	codec := ""
+	if openErr == nil {
+		codec = rd.Codec()
+	}
 	rx.rec.Codec, rx.rec.CodecSource = codec, "container"
 	resp := s.submit(rx, codec, func(ctx context.Context) *response {
-		return s.doDecompress(ctx, rx, codec, container, rng)
+		return s.doDecompress(ctx, rx, rd, openErr, rng)
 	})
 	s.finish(w, rx, t0, resp)
 }
 
-// containerCodec peeks the codec name either container format records,
-// returning "" when the header is unparseable.
-func containerCodec(data []byte) string {
-	if compress.IsBlockContainer(data) {
-		if r, err := compress.OpenBlocks(data, compress.Limits{}); err == nil {
-			return r.Codec()
-		}
-		return ""
-	}
-	if fr, err := compress.Open(data); err == nil {
-		return fr.Codec
-	}
-	return ""
-}
-
-// doDecompress is the pure work function of /decompress: container bytes
-// and a validated range in, restored ASCII bases out. Untrusted bytes
-// reach codecs only through SafeDecompressAny / OpenBlocksObserved, so
-// every hostile-input property of the hardened decode layer holds here.
-func (s *Server) doDecompress(ctx context.Context, rx *reqObs, claimed string, container []byte, rng rangeParams) *response {
+// doDecompress is the pure work function of /decompress: the request's
+// reader (or the error its container failed to open with) and a validated
+// range in, restored ASCII bases out. Every request takes one path:
+// resolveRange, then Decompress for a whole restore or Slice for a range,
+// so only the blocks a range overlaps are decoded, on either format.
+func (s *Server) doDecompress(ctx context.Context, rx *reqObs, r *compress.BlockReader, openErr error, rng rangeParams) *response {
 	spanName := "codec.decode"
-	if claimed != "" {
-		spanName = "codec." + claimed
+	if openErr == nil {
+		spanName = "codec." + r.Codec()
 	}
 	_, cspan := obs.Start(ctx, spanName)
 	defer cspan.End()
-	cspan.SetAttr("container_bytes", len(container))
+	cspan.SetAttr("container_bytes", rx.rec.InBytes)
+	if openErr != nil {
+		return errorResponse(http.StatusUnprocessableEntity, fmt.Sprintf("decompress: %v", openErr))
+	}
+	off, n, err := resolveRange(rng, r.Bases())
+	if err != nil {
+		return errorResponse(http.StatusRequestedRangeNotSatisfiable, err.Error())
+	}
 	var (
 		symbols []byte
-		bases   int
-		codec   string
-		err     error
+		st      compress.Stats
 	)
-	switch {
-	case rng.whole:
-		var st compress.Stats
-		symbols, st, err = compress.SafeDecompressAny("", container, s.cfg.Limits)
-		if err == nil {
-			bases = len(symbols)
-			codec = containerCodec(container)
-			compress.ObserveDecompress(s.reg, codec, len(container), len(symbols), st, nil)
-		}
-	case compress.IsBlockContainer(container):
-		// Range over a multi-block container: only overlapping blocks are
-		// decoded (BlockReader.Slice), the whole point of serving CXB1.
-		var r *compress.BlockReader
-		r, err = compress.OpenBlocksObserved(s.reg, container, s.cfg.Limits)
-		if err == nil {
-			bases, codec = r.Bases(), r.Codec()
-			off, n, rerr := resolveRange(rng, bases)
-			if rerr != nil {
-				return errorResponse(http.StatusRequestedRangeNotSatisfiable, rerr.Error())
-			}
-			symbols, _, err = r.Slice(off, n)
-		}
-	default:
-		// Range over a single frame: restore fully, then window in memory.
-		var st compress.Stats
-		symbols, st, err = compress.SafeDecompressAny("", container, s.cfg.Limits)
-		if err == nil {
-			bases = len(symbols)
-			codec = containerCodec(container)
-			compress.ObserveDecompress(s.reg, codec, len(container), len(symbols), st, nil)
-			off, n, rerr := resolveRange(rng, bases)
-			if rerr != nil {
-				return errorResponse(http.StatusRequestedRangeNotSatisfiable, rerr.Error())
-			}
-			symbols = symbols[off : off+n]
-		}
+	if rng.whole {
+		symbols, st, err = r.Decompress()
+	} else {
+		symbols, st, err = r.Slice(off, n)
 	}
+	compress.ObserveDecompress(s.reg, r.Codec(), rx.rec.InBytes, len(symbols), st, err)
 	if err != nil {
 		return errorResponse(http.StatusUnprocessableEntity, fmt.Sprintf("decompress: %v", err))
 	}
-	cspan.SetAttr("bases", bases)
-	rx.rec.Bases = bases
+	cspan.SetAttr("bases", r.Bases())
+	rx.rec.Bases = r.Bases()
 	header := map[string]string{
-		"X-Dnacomp-Bases": strconv.Itoa(bases),
-	}
-	if codec != "" {
-		header["X-Dnacomp-Codec"] = codec
+		"X-Dnacomp-Bases": strconv.Itoa(r.Bases()),
+		"X-Dnacomp-Codec": r.Codec(),
 	}
 	if !rng.whole {
-		off, n, _ := resolveRange(rng, bases)
 		header["X-Dnacomp-Range"] = fmt.Sprintf("%d:%d", off, n)
 	}
 	return &response{

@@ -138,21 +138,26 @@ func TestCompressRoundTripE2E(t *testing.T) {
 	}
 }
 
-// TestRangeGetEqualsFullDecodeSlice: a range GET over a stored CXB1
-// container must equal the same slice of the full decode.
+// TestRangeGetEqualsFullDecodeSlice: a range read must equal the same
+// slice of the full decode and echo its window in X-Dnacomp-Range, whether
+// the container is a stored CXB1, a stored CXA1 frame or a POSTed frame.
 func TestRangeGetEqualsFullDecodeSlice(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	input := synthASCII(5000, 99)
-	resp, frame := post(t, ts.URL+"/compress?block_size=512&name=rt", input)
+	resp, container := post(t, ts.URL+"/compress?block_size=512&name=rt", input)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compress: HTTP %d: %s", resp.StatusCode, frame)
+		t.Fatalf("compress: HTTP %d: %s", resp.StatusCode, container)
 	}
 	if resp.Header.Get("X-Dnacomp-Blocks") == "" {
 		t.Error("block-mode response missing X-Dnacomp-Blocks")
 	}
+	resp, frame := post(t, ts.URL+"/compress?name=rt1", input)
+	if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(frame, []byte(compress.FrameMagic)) {
+		t.Fatalf("compress without block_size: HTTP %d, want a CXA1 frame", resp.StatusCode)
+	}
 
-	resp, full := post(t, ts.URL+"/decompress", frame)
+	resp, full := post(t, ts.URL+"/decompress", container)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("full decompress: HTTP %d: %s", resp.StatusCode, full)
 	}
@@ -160,23 +165,66 @@ func TestRangeGetEqualsFullDecodeSlice(t *testing.T) {
 		t.Fatal("full decode differs from input")
 	}
 
-	for _, w := range []struct{ off, n int }{{0, 100}, {511, 2}, {1234, 999}, {4990, 10}} {
-		resp, window := get(t, fmt.Sprintf("%s/decompress?name=rt&off=%d&len=%d", ts.URL, w.off, w.n))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("range GET [%d,+%d): HTTP %d: %s", w.off, w.n, resp.StatusCode, window)
-		}
-		if want := full[w.off : w.off+w.n]; !bytes.Equal(window, want) {
-			t.Errorf("range GET [%d,+%d) differs from the same slice of the full decode", w.off, w.n)
+	sources := []struct {
+		name string
+		read func(query string) (*http.Response, []byte)
+	}{
+		{"stored CXB1", func(q string) (*http.Response, []byte) { return get(t, ts.URL+"/decompress?name=rt&"+q) }},
+		{"stored CXA1", func(q string) (*http.Response, []byte) { return get(t, ts.URL+"/decompress?name=rt1&"+q) }},
+		{"posted CXA1", func(q string) (*http.Response, []byte) { return post(t, ts.URL+"/decompress?"+q, frame) }},
+	}
+	for _, src := range sources {
+		for _, w := range []struct {
+			query  string
+			off, n int
+		}{
+			{"off=0&len=100", 0, 100},
+			{"off=511&len=2", 511, 2}, // across a block boundary
+			{"off=1234&len=999", 1234, 999},
+			{"off=4990&len=10", 4990, 10},
+			{"off=4000", 4000, 1000}, // open-ended: off only reads to the end
+		} {
+			resp, window := src.read(w.query)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: range %s: HTTP %d: %s", src.name, w.query, resp.StatusCode, window)
+			}
+			if want := full[w.off : w.off+w.n]; !bytes.Equal(window, want) {
+				t.Errorf("%s: range %s differs from the same slice of the full decode", src.name, w.query)
+			}
+			if got, want := resp.Header.Get("X-Dnacomp-Range"), fmt.Sprintf("%d:%d", w.off, w.n); got != want {
+				t.Errorf("%s: range %s: X-Dnacomp-Range = %q, want %q", src.name, w.query, got, want)
+			}
 		}
 	}
+}
 
-	// Open-ended range: off only reads to the end.
-	resp, tail := get(t, ts.URL+"/decompress?name=rt&off=4000")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open-ended range: HTTP %d: %s", resp.StatusCode, tail)
+// TestDecodesCountInServerRegistry: with Config.Registry set, a whole
+// restore of a 4-block CXB1 books its four block decodes there, and every
+// request that reaches a decode — whole or range — books one codec
+// decompress call.
+func TestDecodesCountInServerRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Registry: reg})
+	resp, container := post(t, ts.URL+"/compress?codec=twobit&block_size=500", synthASCII(2000, 17))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Dnacomp-Blocks") != "4" {
+		t.Fatalf("compress: HTTP %d, %s blocks, want 4", resp.StatusCode, resp.Header.Get("X-Dnacomp-Blocks"))
 	}
-	if !bytes.Equal(tail, full[4000:]) {
-		t.Error("open-ended range differs from full[4000:]")
+	if resp, body := post(t, ts.URL+"/decompress", container); resp.StatusCode != http.StatusOK {
+		t.Fatalf("decompress: HTTP %d: %s", resp.StatusCode, body)
+	}
+	decoded := reg.Counter("dna_block_decoded_total", "", "codec", "twobit")
+	calls := reg.Counter("dna_codec_calls_total", "", "codec", "twobit", "op", "decompress")
+	if got := decoded.Value(); got != 4 {
+		t.Errorf("dna_block_decoded_total = %d after a whole restore, want 4", got)
+	}
+	if resp, body := post(t, ts.URL+"/decompress?off=600&len=10", container); resp.StatusCode != http.StatusOK {
+		t.Fatalf("range decompress: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if got := decoded.Value(); got != 5 {
+		t.Errorf("dna_block_decoded_total = %d after a one-block range, want 5", got)
+	}
+	if got := calls.Value(); got != 2 {
+		t.Errorf("dna_codec_calls_total{op=decompress} = %d after a whole restore and a range, want 2", got)
 	}
 }
 
