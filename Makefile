@@ -52,10 +52,14 @@ test:
 # the daemon tests included, and so are the observability checks: trace
 # continuity into a fleet replica, recorder attribution, the SLO verdict,
 # and the experiment binary's -metrics/-trace export leaving its CSV
-# byte-identical. `make verify` adds only what this run cannot show: the
-# -count=2 determinism rerun (chaos) and the serve process smoke.
+# byte-identical. Then the decoded-block cache's stress test ten times
+# over: goroutines slicing shared readers through one small, constantly
+# evicting cache, each window checked against a plain decode. `make verify`
+# adds only what these runs cannot show: the -count=2 determinism rerun
+# (chaos) and the serve process smoke.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
 
 # The benchmark is a module of its own, so `go test ./...` at the root never
 # reaches its tests: plan determinism, the metric tables against
@@ -68,9 +72,11 @@ perfbench-test:
 # case, single CXA1 frames), any drift of the range decoder from its
 # branching reference, any daemon query that slips a bad range or context
 # past its parser, any body that Cleanse turns into bad symbols or stats,
-# any traceparent header that parses to malformed IDs and any replica
-# envelope that opens to a payload other than its suffix, without a long
-# campaign. `go test` accepts one -fuzz pattern per run.
+# any traceparent header that parses to malformed IDs, any replica
+# envelope that opens to a payload other than its suffix and any model
+# file that loads into a tree whose Predict panics or answers a class out
+# of range, without a long campaign. `go test` accepts one -fuzz pattern
+# per run.
 fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzRoundTripAll -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzDecompressAll -fuzztime=5s
@@ -82,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzCleanse -fuzztime=5s
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=5s
 	$(GO) test ./internal/cloud -run='^$$' -fuzz=FuzzOpenVersion -fuzztime=5s
+	$(GO) test ./internal/dtree -run='^$$' -fuzz=FuzzModelJSON -fuzztime=5s
 
 # Serving gate: a deterministic load-generator smoke against a real
 # dnacompd process — full outcome accounting, zero failed or mismatched

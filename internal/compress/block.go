@@ -245,8 +245,10 @@ func BlockHeaderSize(codecName string) int { return blockFixedOverhead + len(cod
 // hostile frame inside a well-formed container is contained exactly like
 // a hostile single frame.
 //
-// A reader is safe for concurrent use: it holds no decode state, and every
-// read decodes into caller-local buffers.
+// A reader is safe for concurrent use once opened (and, if it has one,
+// once its cache is attached): it holds no decode state, every read
+// decodes into caller-local buffers, and a BlockCache it shares with other
+// readers locks its own state.
 type BlockReader struct {
 	codec     string
 	bases     int
@@ -259,6 +261,7 @@ type BlockReader struct {
 	// Limits handed to OpenBlocks.
 	maxCompressed int
 	met           blockMetrics
+	cache         *BlockCache
 }
 
 // OpenBlocks parses and validates a container from untrusted bytes without
@@ -398,6 +401,11 @@ func (r *BlockReader) Index() []BlockEntry {
 	return append([]BlockEntry(nil), r.entries...)
 }
 
+// UseCache makes the reader look each block up in c before decoding it
+// and store each block it decodes there; nil detaches. Call it before the
+// reader is shared.
+func (r *BlockReader) UseCache(c *BlockCache) { r.cache = c }
+
 // blockBases returns the symbol count block k must restore to: a full
 // block everywhere except the tail.
 func (r *BlockReader) blockBases(k int) int {
@@ -407,27 +415,41 @@ func (r *BlockReader) blockBases(k int) int {
 	return r.blockSize
 }
 
-// block decodes block k through the hardened per-frame path: the index
+// block restores block k through the hardened per-frame path: the index
 // checksum proves the frame bytes arrived intact before any parsing, then
 // SafeDecompress pins the container's codec, bounds the block's output to
 // exactly its slot in symbol space, contains codec panics, and verifies
-// the restored symbols against the frame's own checksum.
-func (r *BlockReader) block(k int) ([]byte, Stats, error) {
+// the restored symbols against the frame's own checksum. With a cache, a
+// frame past the index checksum and within the payload limit is looked up
+// by codec and SHA-256 first, and a block that passed every check is
+// stored.
+func (r *BlockReader) block(k int) (blockSyms, Stats, error) {
 	frame := r.payload[r.offsets[k] : r.offsets[k]+r.entries[k].Length]
 	if got := Checksum(frame); got != r.entries[k].Sum {
-		return nil, Stats{}, Corruptf("blocks: block %d frame checksum mismatch (stored %08x, computed %08x)", k, r.entries[k].Sum, got)
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame checksum mismatch (stored %08x, computed %08x)", k, r.entries[k].Sum, got)
 	}
 	want := r.blockBases(k)
+	var key Key
+	cached := r.cache.fits(want) && len(frame)-Overhead(r.codec) <= r.maxCompressed
+	if cached {
+		key = ContentKey(r.codec, frame)
+		if e := r.cache.get(key, want); e != nil {
+			return blockSyms{hit: e}, e.st, nil
+		}
+	}
 	out, st, err := SafeDecompress(r.codec, frame, Limits{MaxCompressed: r.maxCompressed, MaxOutput: want})
 	if err != nil {
-		return nil, Stats{}, Corruptf("blocks: block %d: %v", k, err)
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d: %v", k, err)
 	}
 	if len(out) != want {
-		return nil, Stats{}, Corruptf("blocks: block %d restored %d symbols, slot holds %d", k, len(out), want)
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d restored %d symbols, slot holds %d", k, len(out), want)
 	}
 	r.met.decoded.Inc()
 	r.met.decMS.Observe(float64(st.WorkNS) / 1e6)
-	return out, st, nil
+	if cached {
+		r.cache.put(key, out, st)
+	}
+	return blockSyms{plain: out}, st, nil
 }
 
 // Decompress restores the full symbol sequence: every block decoded
@@ -435,8 +457,8 @@ func (r *BlockReader) block(k int) ([]byte, Stats, error) {
 // the container's whole-output checksum verified over the result. That
 // final check is what per-block frames cannot provide — it catches blocks
 // reordered or substituted together with a consistently rewritten index.
-// A one-block reader returns the block's own buffer; otherwise peak memory
-// is the output plus one block's working set.
+// A one-block reader that decodes returns the block's own buffer;
+// otherwise peak memory is the output plus one block's working set.
 func (r *BlockReader) Decompress() ([]byte, Stats, error) {
 	var out []byte
 	if len(r.entries) != 1 {
@@ -444,16 +466,20 @@ func (r *BlockReader) Decompress() ([]byte, Stats, error) {
 	}
 	var total Stats
 	for k := range r.entries {
-		block, st, err := r.block(k)
+		b, st, err := r.block(k)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		if len(r.entries) == 1 {
-			out = block
-		} else {
-			copy(out[k*r.blockSize:], block)
-		}
 		total.Add(st)
+		switch {
+		case len(r.entries) != 1:
+			b.copyTo(out[k*r.blockSize:], 0)
+		case b.hit == nil:
+			out = b.plain
+		default:
+			out = make([]byte, r.bases)
+			b.copyTo(out, 0)
+		}
 	}
 	if got := Checksum(out); got != r.outputSum {
 		return nil, Stats{}, Corruptf("blocks: restored output checksum mismatch (stored %08x, computed %08x)", r.outputSum, got)
@@ -475,12 +501,12 @@ func (r *BlockReader) Slice(off, n int) ([]byte, Stats, error) {
 	var total Stats
 	for copied := 0; copied < n; {
 		k := (off + copied) / r.blockSize
-		block, st, err := r.block(k)
+		b, st, err := r.block(k)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		total.Add(st)
-		copied += copy(dst[copied:], block[(off+copied)-k*r.blockSize:])
+		copied += b.copyTo(dst[copied:], (off+copied)-k*r.blockSize)
 	}
 	return dst, total, nil
 }

@@ -43,7 +43,8 @@ type Key struct {
 	Sum   [sha256.Size]byte
 }
 
-// ContentKey builds the cache key for compressing src with the named codec.
+// ContentKey builds the cache key for src under the named codec: the
+// symbols a Cache compresses, or the frame a BlockCache decodes.
 func ContentKey(codec string, src []byte) Key {
 	return Key{Codec: codec, Sum: sha256.Sum256(src)}
 }

@@ -1,7 +1,10 @@
 package compress_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/synth"
@@ -143,6 +146,114 @@ func TestPaperShapeTimes(t *testing.T) {
 	}
 	if decomp["dnax"] >= decomp["ctw"] || decomp["dnax"] >= decomp["gencompress"] {
 		t.Errorf("DNAX must have the least DNA-codec decompression work: %v", decomp)
+	}
+}
+
+// timeCodecs runs rounds of one compress and one decompress of src per
+// codec, interleaving the codecs within each round so they all meet the
+// same machine conditions, and lowers comp and decomp to each codec's
+// fastest wall time seen. Each round starts from a fresh GC, so little of
+// one round's garbage is collected on the next round's clocks; one GC a
+// round leaves the codecs' pooled tables in sync.Pool's victim cache, so
+// they are timed warm, as a long-running process runs them.
+func timeCodecs(t *testing.T, rounds int, codecs []string, src []byte, comp, decomp map[string]time.Duration) {
+	t.Helper()
+	timed := func(f func()) time.Duration {
+		t0 := time.Now()
+		f()
+		return time.Since(t0)
+	}
+	lower := func(m map[string]time.Duration, name string, d time.Duration) {
+		if old, ok := m[name]; !ok || d < old {
+			m[name] = d
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		runtime.GC()
+		for _, name := range codecs {
+			c, err := compress.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var data []byte
+			lower(comp, name, timed(func() { data, _, err = c.Compress(src) }))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			lower(decomp, name, timed(func() { _, _, err = c.Decompress(data) }))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
+// measuredOrderings lists the orderings TestPaperShapeTimesMeasured
+// asserts that comp and decomp break. Each must hold by a 1.2x margin but
+// one: GenCompress leads CTW in compression by only 1.3x to 1.5x at 8 K,
+// and by 1.18x at worst beside other test binaries on both cores, which
+// is inside a loaded machine's noise, so that lead must only be strict.
+func measuredOrderings(n int, comp, decomp map[string]time.Duration) []string {
+	var broken []string
+	check := func(what string, slow, fast time.Duration, margin float64) {
+		if float64(slow) < margin*float64(fast) {
+			broken = append(broken, fmt.Sprintf("%d bases: %s: %v is not %.1fx %v", n, what, slow, margin, fast))
+		}
+	}
+	for _, other := range []string{"ctw", "dnax", "gzip"} {
+		margin := 1.2
+		if other == "ctw" {
+			margin = 1
+		}
+		check("GenCompress compresses slower than "+other, comp["gencompress"], comp[other], margin)
+	}
+	for _, other := range []string{"dnax", "gencompress", "gzip"} {
+		check("CTW decompresses slower than "+other, decomp["ctw"], decomp[other], 1.2)
+	}
+	for _, other := range []string{"ctw", "gencompress"} {
+		check("DNAX compresses faster than "+other, comp[other], comp["dnax"], 1.2)
+	}
+	return broken
+}
+
+// TestPaperShapeTimesMeasured is TestPaperShapeTimes's measured twin. On
+// the same profile at 8 K, 30 K and 250 K bases it asserts the wall-clock
+// orderings that hold at every size, on the best of 5 timings and with
+// the margins measuredOrderings sets: GenCompress is the slowest
+// compressor and CTW the slowest decompressor of the four, and DNAX
+// compresses fastest of the three DNA-aware codecs, the set
+// TestPaperShapeTimes ranks it in (the standard library's gzip is about
+// as fast at 8 K and faster above). The small-file crossovers exist only
+// in modeled cost:
+// DNAX's modeled 8 K compress time is almost all its fixed start-up
+// charge, yet measured DNAX beats CTW and GenCompress at every size.
+//
+// go test runs packages in parallel, and a loaded machine can slow every
+// timing of one batch of 5; a size whose orderings do not all hold gets
+// up to two more batches. The minimum only falls toward the unloaded
+// time, so more batches cannot make an ordering hold that does not.
+// Timings mean nothing under -race, and -short skips the seconds this
+// takes.
+func TestPaperShapeTimesMeasured(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock timings: skipped under -short and -race")
+	}
+	codecs := []string{"ctw", "dnax", "gencompress", "gzip"}
+	for _, n := range []int{8_000, 30_000, 250_000} {
+		p := synth.Profile{Length: n, GC: 0.4, RepeatProb: 0.0015, RepeatMin: 20, RepeatMax: 400, RCFraction: 0.2, MutationRate: 0.02, LocalOrder: 3, LocalBias: 0.55}
+		src := p.Generate(7)
+		comp, decomp := map[string]time.Duration{}, map[string]time.Duration{}
+		var broken []string
+		for batch := 1; batch <= 3; batch++ {
+			timeCodecs(t, 5, codecs, src, comp, decomp)
+			if broken = measuredOrderings(n, comp, decomp); len(broken) == 0 {
+				break
+			}
+		}
+		t.Logf("%d bases: compress %v, decompress %v", n, comp, decomp)
+		for _, msg := range broken {
+			t.Error(msg)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dtree
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -51,23 +52,63 @@ func jsonRoundTrip(t *testing.T, tree *Tree, ds Dataset) {
 	}
 }
 
+// badModels are model files the validator must reject.
+var badModels = []string{
+	``,
+	`{}`,
+	`{"version":99,"method":"cart","features":["x"],"classes":["a"],"root":{"leaf":true,"class":0}}`,
+	`{"version":1,"method":"mystery","features":["x"],"classes":["a"],"root":{"leaf":true,"class":0}}`,
+	`{"version":1,"method":"cart","features":[],"classes":["a"],"root":{"leaf":true,"class":0}}`,
+	`{"version":1,"method":"cart","features":["x"],"classes":["a"]}`,
+	`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"leaf":true,"class":5}}`,
+	`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"class":0,"feature":3,"left":{"leaf":true,"class":0},"right":{"leaf":true,"class":0}}}`,
+	`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"class":0,"feature":0,"left":{"leaf":true,"class":0}}}`,
+	`{"version":1,"method":"chaid","features":["x"],"classes":["a","b"],"root":{"class":0,"feature":0,"cuts":[5],"groups":[0,9],"children":[{"leaf":true,"class":0},{"leaf":true,"class":1}]}}`,
+}
+
 func TestUnmarshalRejectsBadModels(t *testing.T) {
-	cases := []string{
-		``,
-		`{}`,
-		`{"version":99,"method":"cart","features":["x"],"classes":["a"],"root":{"leaf":true,"class":0}}`,
-		`{"version":1,"method":"mystery","features":["x"],"classes":["a"],"root":{"leaf":true,"class":0}}`,
-		`{"version":1,"method":"cart","features":[],"classes":["a"],"root":{"leaf":true,"class":0}}`,
-		`{"version":1,"method":"cart","features":["x"],"classes":["a"]}`,
-		`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"leaf":true,"class":5}}`,
-		`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"class":0,"feature":3,"left":{"leaf":true,"class":0},"right":{"leaf":true,"class":0}}}`,
-		`{"version":1,"method":"cart","features":["x"],"classes":["a"],"root":{"class":0,"feature":0,"left":{"leaf":true,"class":0}}}`,
-		`{"version":1,"method":"chaid","features":["x"],"classes":["a","b"],"root":{"class":0,"feature":0,"cuts":[5],"groups":[0,9],"children":[{"leaf":true,"class":0},{"leaf":true,"class":1}]}}`,
-	}
-	for i, in := range cases {
+	for i, in := range badModels {
 		var tree Tree
 		if err := json.Unmarshal([]byte(in), &tree); err == nil {
 			t.Errorf("case %d: bad model accepted", i)
 		}
 	}
+}
+
+// FuzzModelJSON: a model file is outside input (dnacompd -model), so any
+// bytes must either fail UnmarshalJSON or give a tree whose Predict
+// returns an in-range class index without panicking, for feature vectors
+// of the declared width, NaN and ±Inf included.
+func FuzzModelJSON(f *testing.F) {
+	ds := axisDataset(300, 0.05, 23)
+	for _, train := range []func(Dataset, Config) (*Tree, error){TrainCART, TrainCHAID} {
+		tree, err := train(ds, Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := json.Marshal(tree)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, bad := range badModels {
+		f.Add([]byte(bad))
+	}
+	probes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 0.5, 50, math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tree Tree
+		if tree.UnmarshalJSON(data) != nil {
+			return
+		}
+		x := make([]float64, len(tree.FeatureNames))
+		for k := range probes {
+			for i := range x {
+				x[i] = probes[(i+k)%len(probes)]
+			}
+			if c := tree.Predict(x); c < 0 || c >= len(tree.ClassNames) {
+				t.Fatalf("Predict(%v) = class %d of %d", x, c, len(tree.ClassNames))
+			}
+		}
+	})
 }

@@ -115,10 +115,17 @@ func Unpack(packed []byte, n int) ([]byte, error) {
 		return nil, fmt.Errorf("seq: packed buffer holds %d bytes, need %d for %d bases", len(packed), need, n)
 	}
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = packed[i/4] >> uint(6-2*(i%4)) & 3
-	}
+	UnpackAt(out, packed, 0)
 	return out, nil
+}
+
+// UnpackAt expands the len(dst) symbols starting at symbol off of packed
+// 2-bit form into dst; packed must hold them.
+func UnpackAt(dst, packed []byte, off int) {
+	for i := range dst {
+		j := off + i
+		dst[i] = packed[j/4] >> uint(6-2*(j%4)) & 3
+	}
 }
 
 // GCContent returns the fraction of G and C bases, the standard compositional

@@ -106,6 +106,15 @@ func TestPackUnpack(t *testing.T) {
 		if !bytes.Equal(got, codes) {
 			t.Fatalf("n=%d: unpack mismatch", n)
 		}
+		for off := 0; off <= n; off++ {
+			for m := 0; off+m <= n; m++ {
+				window := bytes.Repeat([]byte{9}, m)
+				UnpackAt(window, packed, off)
+				if !bytes.Equal(window, codes[off:off+m]) {
+					t.Fatalf("n=%d: UnpackAt window [%d,+%d) mismatch", n, off, m)
+				}
+			}
+		}
 	}
 }
 

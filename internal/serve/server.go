@@ -7,7 +7,10 @@
 // tree picks for that context. POST /decompress (and GET range reads over
 // containers stored by name) opens either format once as a
 // compress.BlockReader — a CXA1 frame is its one-block case — and restores
-// the whole sequence or a range through it.
+// the whole sequence or a range through it. GET reads of stored containers
+// share one bounded compress.BlockCache of verified decoded blocks, keyed
+// by the SHA-256 of each block frame, so a hot block is decoded once;
+// POSTed containers bypass it.
 //
 // Concurrency model: requests are admitted into a bounded queue and
 // executed by a fixed worker pool; a full queue answers 429 with
@@ -237,6 +240,9 @@ type Server struct {
 	// MaxStored cap.
 	storeMu sync.RWMutex
 	store   map[string][]byte
+	// blocks caches verified decoded blocks for GET reads of stored
+	// containers, whose hot blocks repeat; POSTed containers bypass it.
+	blocks *compress.BlockCache
 }
 
 // NewServer validates cfg, starts the worker pool and returns the ready
@@ -283,6 +289,7 @@ func NewServer(cfg Config) (*Server, error) {
 		codecSem:     make(map[string]chan struct{}, len(compress.Names())),
 		codecPending: make(map[string]*atomic.Int64, len(compress.Names())),
 		store:        make(map[string][]byte),
+		blocks:       compress.NewBlockCache(reg),
 	}
 	if s.clock == nil {
 		s.clock = obs.System()
@@ -886,6 +893,9 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	codec := ""
 	if openErr == nil {
 		codec = rd.Codec()
+		if r.Method == http.MethodGet {
+			rd.UseCache(s.blocks)
+		}
 	}
 	rx.rec.Codec, rx.rec.CodecSource = codec, "container"
 	resp := s.submit(rx, codec, func(ctx context.Context) *response {

@@ -228,6 +228,92 @@ func TestDecodesCountInServerRegistry(t *testing.T) {
 	}
 }
 
+// codecSeries renders reg's dna_codec_* families in the exposition format.
+func codecSeries(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var all, codec bytes.Buffer
+	if err := reg.WritePrometheus(&all); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.SplitAfter(all.String(), "\n") {
+		if strings.HasPrefix(line, "dna_codec_") {
+			codec.WriteString(line)
+		}
+	}
+	return codec.String()
+}
+
+// TestRangeGetCacheWarmEqualsCold: GET reads of a stored container answer
+// the same bodies and headers with the block cache cold and warm; the warm
+// pass decodes no block and books cache hits. A twin daemon decoding the
+// same reads from POSTed bodies, which bypass the cache, ends with the same
+// dna_codec_* series.
+func TestRangeGetCacheWarmEqualsCold(t *testing.T) {
+	reg, twinReg := obs.NewRegistry(), obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Registry: reg})
+	_, twin := newTestServer(t, Config{Registry: twinReg})
+	input := synthASCII(5000, 31)
+	resp, container := post(t, ts.URL+"/compress?codec=twobit&block_size=512&name=hot", input)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compress: HTTP %d: %s", resp.StatusCode, container)
+	}
+	if resp, body := post(t, twin.URL+"/compress?codec=twobit&block_size=512", input); !bytes.Equal(body, container) {
+		t.Fatalf("twin compress: HTTP %d, a different container", resp.StatusCode)
+	}
+	decoded := reg.Counter("dna_block_decoded_total", "", "codec", "twobit")
+	hits := reg.Counter("dna_block_cache_hits_total", "", "codec", "twobit")
+	queries := []struct {
+		q      string
+		off, n int
+	}{{"off=0&len=100", 0, 100}, {"off=511&len=2", 511, 2}, {"off=1234&len=999", 1234, 999}, {"off=4000", 4000, 1000}, {"", 0, 5000}}
+	cold := make([]http.Header, len(queries))
+	for pass := 0; pass < 2; pass++ {
+		decodedBefore, hitsBefore := decoded.Value(), hits.Value()
+		for i, w := range queries {
+			resp, body := get(t, ts.URL+"/decompress?name=hot&"+w.q)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, input[w.off:w.off+w.n]) {
+				t.Fatalf("pass %d: GET %q: HTTP %d, body is not the stored window", pass, w.q, resp.StatusCode)
+			}
+			post(t, twin.URL+"/decompress?"+w.q, container)
+			resp.Header.Del("Date")
+			if pass == 0 {
+				cold[i] = resp.Header
+			} else if fmt.Sprint(resp.Header) != fmt.Sprint(cold[i]) {
+				t.Errorf("GET %q: warm headers %v, cold %v", w.q, resp.Header, cold[i])
+			}
+		}
+		if pass == 1 {
+			if d := decoded.Value() - decodedBefore; d != 0 {
+				t.Errorf("warm pass added %d to dna_block_decoded_total, want 0", d)
+			}
+			if hits.Value() == hitsBefore {
+				t.Error("warm pass added no dna_block_cache_hits_total")
+			}
+		}
+	}
+	if got, want := codecSeries(t, reg), codecSeries(t, twinReg); got != want {
+		t.Errorf("dna_codec_* series with the cache:\n%s\nwithout:\n%s", got, want)
+	}
+}
+
+// TestRangeGetAfterOverwrite: once a stored name is overwritten with other
+// bases, a range read returns the new bases although the old blocks are
+// still cached.
+func TestRangeGetAfterOverwrite(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, input := range [][]byte{synthASCII(3000, 41), synthASCII(3000, 42)} {
+		if resp, body := post(t, ts.URL+"/compress?codec=twobit&block_size=512&name=doc", input); resp.StatusCode != http.StatusOK {
+			t.Fatalf("compress: HTTP %d: %s", resp.StatusCode, body)
+		}
+		for i := 0; i < 2; i++ {
+			resp, window := get(t, ts.URL+"/decompress?name=doc&off=1000&len=700")
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(window, input[1000:1700]) {
+				t.Fatalf("read %d: HTTP %d, window is not the stored bases", i, resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestForcedCodec: ?codec= bypasses the tree and is reported as such.
 func TestForcedCodec(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
