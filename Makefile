@@ -52,14 +52,19 @@ test:
 # the daemon tests included, and so are the observability checks: trace
 # continuity into a fleet replica, recorder attribution, the SLO verdict,
 # and the experiment binary's -metrics/-trace export leaving its CSV
-# byte-identical. Then the decoded-block cache's stress test ten times
-# over: goroutines slicing shared readers through one small, constantly
-# evicting cache, each window checked against a plain decode. `make verify`
+# byte-identical. Then two stress tests ten times over: the decoded-block
+# cache's, goroutines slicing shared readers through one small, constantly
+# evicting cache, each window checked against a plain decode; and CTW's
+# pooled arenas, goroutines compressing and decompressing at depths 2, 16
+# and 30 plus a hostile depth-30 frame through pooled trees, whose node
+# and child-link arrays must stay in step, each result checked against a
+# sequential run. `make verify`
 # adds only what these runs cannot show: the -count=2 determinism rerun
 # (chaos) and the serve process smoke.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
+	$(GO) test -race -count=10 -run 'PooledArenasConcurrent' ./internal/compress/ctw
 
 # The benchmark is a module of its own, so `go test ./...` at the root never
 # reaches its tests: plan determinism, the metric tables against

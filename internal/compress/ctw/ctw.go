@@ -53,36 +53,44 @@ func (*Codec) Name() string { return "ctw" }
 // Depth reports the context depth in bits.
 func (c *Codec) Depth() int { return c.depth }
 
-// node is one context-tree node. Counts saturate by halving, which doubles
-// as adaptivity to non-stationary sources.
+// node is one context-tree node's statistics. Counts saturate by halving,
+// which doubles as adaptivity to non-stationary sources. Its child links
+// live apart, in tree.kids at the same index.
 type node struct {
-	a, b     uint32 // KT counts of zeros and ones
-	beta     float64
-	children [2]int32 // -1 when absent
+	a, b uint32 // KT counts of zeros and ones
+	beta float64
 }
 
-const nodeBytes = 8 + 8 + 8 // approximate in-memory size used for RAM accounting
+// nodeBytes is one node's in-memory size used for RAM accounting: its
+// statistics plus its two child links.
+const nodeBytes = 8 + 8 + 8
 
 // maxDepth is the deepest context New accepts and Decompress decodes.
 const maxDepth = 30
 
-// tree is a growable arena of nodes rooted at index 0.
+// tree is a growable arena of nodes rooted at index 0, in two parallel
+// arrays: nodes holds the statistics, and kids the child links descend
+// follows, so descend's chain of dependent loads runs through 8 bytes per
+// node. Both grow and reset together.
 type tree struct {
 	nodes []node
+	kids  [][2]int32 // child links by node index, -1 when absent
 	depth int
 	// Scratch for the current context path, indexed by depth: the nodes
-	// descend visited, and the KT estimate and mixture predict computed at
-	// each, which update reuses. Nodes at depths >= fresh were created by
-	// the last descend.
+	// descend visited and the KT estimate of a zero it computed at each
+	// old one, then the mixtures of a zero and of a one that predict
+	// computed, which update reuses. Nodes at depths >= fresh were created
+	// by the last descend. update reads pw[d+1] right after pkt[d]; one
+	// spare entry lets that index go unchecked.
 	path  [maxDepth + 1]int32
 	pkt   [maxDepth + 1]float64
-	pw    [maxDepth + 1]float64
+	pw    [2][maxDepth + 2]float64
 	fresh int
 }
 
-// maxPooledNodes bounds the arenas treePool keeps: enough for a full
-// DefaultDepth context space, so a frame that claims a deep context cannot
-// leave a large arena behind.
+// maxPooledNodes bounds the arenas treePool keeps, in nodes of either
+// array: enough for a full DefaultDepth context space, so a frame that
+// claims a deep context cannot leave a large arena behind.
 const maxPooledNodes = 1 << (DefaultDepth + 1)
 
 // treePool recycles tree arenas across calls. The serving path builds a
@@ -103,41 +111,54 @@ func newTree(depth, bitCount int) *tree {
 	if cap(t.nodes) < hint {
 		t.nodes = make([]node, 1, hint)
 	}
+	if cap(t.kids) < hint {
+		t.kids = make([][2]int32, 1, hint)
+	}
 	t.nodes = t.nodes[:1]
-	t.nodes[0] = node{beta: 1, children: [2]int32{-1, -1}}
+	t.kids = t.kids[:1]
+	t.nodes[0] = node{beta: 1}
+	t.kids[0] = [2]int32{-1, -1}
 	return t
 }
 
 // release returns t to treePool; t must not be used afterwards.
 func (t *tree) release() {
-	if cap(t.nodes) <= maxPooledNodes {
+	if cap(t.nodes) <= maxPooledNodes && cap(t.kids) <= maxPooledNodes {
 		treePool.Put(t)
 	}
 }
 
 func (t *tree) newNode() int32 {
-	t.nodes = append(t.nodes, node{beta: 1, children: [2]int32{-1, -1}})
+	t.nodes = append(t.nodes, node{beta: 1})
+	t.kids = append(t.kids, [2]int32{-1, -1})
 	return int32(len(t.nodes) - 1)
 }
 
 // descend walks from the root along the context (most recent bit first),
-// creating nodes as needed, and records the path and where its fresh
-// suffix begins.
+// creating nodes as needed, and records the path, where its fresh suffix
+// begins, and the KT estimate of each node above it. Those estimates need
+// no walk of their own: their loads and divisions run beside the chain of
+// child-link loads.
 func (t *tree) descend(ctx uint32) {
 	cur := int32(0)
 	t.path[0] = 0
+	t.pkt[0] = ktP0(&t.nodes[0])
 	t.fresh = t.depth + 1
 	for d := 1; d <= t.depth; d++ {
-		bit := ctx >> (d - 1) & 1
-		next := t.nodes[cur].children[bit]
+		next := t.kids[cur][ctx>>(d-1)&1]
 		if next < 0 {
-			next = t.newNode()
-			t.nodes[cur].children[bit] = next
-			if t.fresh > d {
-				t.fresh = d
+			// A new node has no children: the rest of the path is new.
+			t.fresh = d
+			for ; d <= t.depth; d++ {
+				next = t.newNode()
+				t.kids[cur][ctx>>(d-1)&1] = next
+				t.path[d] = next
+				cur = next
 			}
+			return
 		}
 		t.path[d] = next
+		t.pkt[d] = ktP0(&t.nodes[next])
 		cur = next
 	}
 }
@@ -153,69 +174,68 @@ const (
 )
 
 // predict computes the mixture probability of a zero for the current path
-// (descend must have been called). It walks leaf-to-root, recording each
-// node's KT estimate and mixture for update.
+// (descend must have been called). It walks leaf-to-root over descend's KT
+// estimates, recording both mixtures, of a zero and of a one, for update.
+// The two chains are independent, so the second costs little.
 //
 // A fresh node has zero counts and β = 1, so its KT estimate is exactly 1/2
 // and so is its mixture over a fresh child; the walk starts above the fresh
 // suffix with that value.
 func (t *tree) predict() float64 {
-	p0 := 0.5
+	p0, p1 := 0.5, 0.5
 	d := t.fresh - 1
 	if d == t.depth {
 		// Leaf: pure KT.
-		p0 = ktP0(&t.nodes[t.path[d]])
-		t.pkt[d] = p0
+		p0 = t.pkt[d]
+		p1 = 1 - p0
 		d--
 	}
+	// The mixtures below the walk's first node: the leaf's KT estimates,
+	// or ½ at the top of the fresh suffix.
+	t.pw[0][d+1], t.pw[1][d+1] = p0, p1
 	for ; d >= 0; d-- {
 		n := &t.nodes[t.path[d]]
-		pkt := ktP0(n)
-		// float64() keeps the product rounded on its own: fused into the
+		pkt := t.pkt[d]
+		// float64() keeps each product rounded on its own: fused into the
 		// add, it would round differently on arm64 and break the stream.
 		p0 = (float64(n.beta*pkt) + p0) / (n.beta + 1)
-		t.pkt[d] = pkt
-		t.pw[d] = p0
+		p1 = (float64(n.beta*(1-pkt)) + p1) / (n.beta + 1)
+		t.pw[0][d] = p0
+		t.pw[1][d] = p1
 	}
 	return p0
 }
 
 // update records the coded bit along the current path, maintaining counts
 // and β ratios bottom-up. predict must have run for this path: update
-// reuses its KT estimates, and for a zero its mixtures, which are exactly
-// the Pw(child) values β needs. On the fresh suffix every mixture is 1/2
-// and β stays exactly 1, so only the counts change there.
+// reuses descend's KT estimates and predict's mixtures for the coded bit,
+// which are exactly the Pw(child) values β needs. On the fresh suffix
+// every mixture is 1/2 and β stays exactly 1, so only the counts change
+// there, and a leaf has no β.
 func (t *tree) update(bit int) {
 	for d := t.fresh; d <= t.depth; d++ {
 		bump(&t.nodes[t.path[d]], bit)
 	}
-	pChild := 0.5
 	d := t.fresh - 1
 	if d == t.depth {
-		pChild = t.pkt[d]
-		if bit == 1 {
-			pChild = 1 - pChild
-		}
 		bump(&t.nodes[t.path[d]], bit)
 		d--
 	}
+	pw := &t.pw[bit]
 	for ; d >= 0; d-- {
 		n := &t.nodes[t.path[d]]
-		pkt, pw := t.pkt[d], t.pw[d]
+		pkt := t.pkt[d]
 		if bit == 1 {
-			// Mixture this node produced for the coded bit, before updating.
 			pkt = 1 - pkt
-			pw = (float64(n.beta*pkt) + pChild) / (n.beta + 1)
 		}
 		// β ← β · Pe(bit)/Pw(child = bit)
-		n.beta *= pkt / pChild
+		n.beta *= pkt / pw[d+1]
 		if n.beta > betaMax {
 			n.beta = betaMax
 		} else if n.beta < betaMin {
 			n.beta = betaMin
 		}
 		bump(n, bit)
-		pChild = pw
 	}
 }
 
@@ -277,9 +297,9 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	// One tree per bit position within a symbol: the high and low bits of a
 	// base follow different conditional laws, and a shared tree would
 	// conflate them (a measurable ~0.05 bits/base loss on Markov DNA).
-	trees := [2]*tree{newTree(c.depth, len(src)), newTree(c.depth, len(src))}
-	defer trees[0].release()
-	defer trees[1].release()
+	hi, lo := newTree(c.depth, len(src)), newTree(c.depth, len(src))
+	defer hi.release()
+	defer lo.release()
 	enc := arith.NewEncoder(len(src)/3 + 64)
 	var ctx uint32
 	ctxMask := uint32(1<<c.depth) - 1
@@ -287,15 +307,20 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		if sym > 3 {
 			return nil, compress.Stats{}, compress.Corruptf("ctw: invalid symbol %d", sym)
 		}
-		for shift := 1; shift >= 0; shift-- {
-			bit := int(sym >> shift & 1)
-			t := trees[1-shift]
-			t.descend(ctx)
-			p0 := t.predict()
-			enc.EncodeBitP(probTo16(p0), bit)
-			t.update(bit)
-			ctx = (ctx<<1 | uint32(bit)) & ctxMask
-		}
+		// The trees share no state and both bits are known, so each step
+		// runs on both trees at once: two walks, then two mixture chains,
+		// in flight together. Each tree still goes descend, predict,
+		// update, and the coder still takes the high bit first.
+		bHi, bLo := int(sym>>1), int(sym&1)
+		ctxLo := (ctx<<1 | uint32(bHi)) & ctxMask
+		hi.descend(ctx)
+		lo.descend(ctxLo)
+		p0Hi, p0Lo := hi.predict(), lo.predict()
+		enc.EncodeBitP(probTo16(p0Hi), bHi)
+		enc.EncodeBitP(probTo16(p0Lo), bLo)
+		hi.update(bHi)
+		lo.update(bLo)
+		ctx = (ctxLo<<1 | uint32(bLo)) & ctxMask
 	}
 	payload := enc.Finish()
 	out := make([]byte, 0, n+len(payload))
@@ -303,7 +328,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	out = append(out, payload...)
 	st := compress.Stats{
 		WorkNS:  c.work(2 * len(src)),
-		PeakMem: trees[0].memory() + trees[1].memory() + len(out),
+		PeakMem: hi.memory() + lo.memory() + len(out),
 	}
 	return out, st, nil
 }
@@ -336,6 +361,9 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	out := make([]byte, 0, hint)
 	var ctx uint32
 	ctxMask := uint32(1<<depth) - 1
+	// The trees take turns: each one's context waits on the bit the other
+	// just decoded, and starting its walk before the other's update
+	// measured no faster.
 	for uint64(len(out)) < nBases {
 		var sym byte
 		for shift := 1; shift >= 0; shift-- {

@@ -2,7 +2,6 @@ package ctw
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -103,6 +102,9 @@ func TestNodeBudget(t *testing.T) {
 	if len(tr.nodes) > 1<<17 {
 		t.Fatalf("%d nodes exceeds the context-space bound", len(tr.nodes))
 	}
+	if len(tr.kids) != len(tr.nodes) {
+		t.Fatalf("%d child-link entries for %d nodes", len(tr.kids), len(tr.nodes))
+	}
 }
 
 // TestPooledArenasConcurrent runs compress and decompress at depths 2, 16
@@ -140,14 +142,7 @@ func TestPooledArenasConcurrent(t *testing.T) {
 				}})
 		}
 	}
-	// A stream nobody compressed: depth 30 from the header, a length claim,
-	// and noise the range decoder turns into symbols.
-	hostile := []byte{maxDepth}
-	hostile = binary.AppendUvarint(hostile, 3000)
-	noise := rand.New(rand.NewSource(30))
-	for i := 0; i < 64; i++ {
-		hostile = append(hostile, byte(noise.Intn(256)))
-	}
+	hostile := hostileFrame()
 	calls = append(calls, call{"decompress/hostile", func() result {
 		out, st, err := New(DefaultDepth).Decompress(hostile)
 		return result{out, st, err}
@@ -181,17 +176,25 @@ func TestPooledArenasConcurrent(t *testing.T) {
 
 // TestPoolDropsOversizeArenas: an arena grown past a full DefaultDepth
 // context space, which only a deeper header can cause, must not be kept
-// for later calls.
+// for later calls, whichever of its two arrays is over the cap. Append
+// rounds each array's growth by its own element size, so one can pass the
+// cap while the other stays under it.
 func TestPoolDropsOversizeArenas(t *testing.T) {
 	big := newTree(maxDepth, maxPooledNodes/4)
-	if cap(big.nodes) <= maxPooledNodes {
-		t.Fatalf("arena of %d nodes is not oversize", cap(big.nodes))
+	if cap(big.nodes) <= maxPooledNodes || cap(big.kids) <= maxPooledNodes {
+		t.Fatalf("arena of %d nodes and %d links is not oversize", cap(big.nodes), cap(big.kids))
 	}
-	big.release()
-	for i := 0; i < 4; i++ {
+	wideNodes := newTree(DefaultDepth, 1)
+	wideNodes.nodes = make([]node, 1, maxPooledNodes+1)
+	wideKids := newTree(DefaultDepth, 1)
+	wideKids.kids = make([][2]int32, 1, maxPooledNodes+1)
+	for _, tr := range []*tree{big, wideNodes, wideKids} {
+		tr.release()
+	}
+	for i := 0; i < 6; i++ {
 		tr := newTree(DefaultDepth, 1)
-		if cap(tr.nodes) > maxPooledNodes {
-			t.Fatalf("pool handed out an oversize arena of %d nodes", cap(tr.nodes))
+		if cap(tr.nodes) > maxPooledNodes || cap(tr.kids) > maxPooledNodes {
+			t.Fatalf("pool handed out an oversize arena of %d nodes and %d links", cap(tr.nodes), cap(tr.kids))
 		}
 		defer tr.release() // held until the end, so each Get takes another
 	}
@@ -255,4 +258,74 @@ func BenchmarkDecompress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// paperSmallInputs is the CTW share of perfbench's paper-small traffic:
+// eight sizes spread over the band its pinned model routes to CTW (about
+// 11.4 to 40 Ki bases), from perfbench's generate profile (GC 0.35–0.55,
+// sparse repeats of 16–128 bases).
+func paperSmallInputs() (inputs [][]byte, bases int) {
+	const n, lo, hi = 8, 11_674, 40 << 10
+	rng := rand.New(rand.NewSource(2015))
+	for i := 0; i < n; i++ {
+		p := synth.Profile{Length: lo + (hi-lo)*i/(n-1), GC: 0.35 + 0.2*rng.Float64(), RepeatProb: 0.002, RepeatMin: 16, RepeatMax: 128}
+		inputs = append(inputs, p.Generate(int64(i+1)))
+		bases += p.Length
+	}
+	return inputs, bases
+}
+
+// benchPaperSmall runs op over every input on each of two goroutines, as
+// the daemon's two workers do, the second starting half a set ahead, and
+// reports wall time per base of one worker's share. Wall time on a VM with
+// stolen CPU is noisy: compare two builds in alternating runs.
+func benchPaperSmall(b *testing.B, n, bases int, op func(i int) error) {
+	const workers = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < n && errs[w] == nil; k++ {
+					errs[w] = op((k + w*n/2) % n)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bases), "ns/base")
+}
+
+func BenchmarkPaperSmallCompress(b *testing.B) {
+	inputs, bases := paperSmallInputs()
+	c := New(DefaultDepth)
+	benchPaperSmall(b, len(inputs), bases, func(i int) error {
+		_, _, err := c.Compress(inputs[i])
+		return err
+	})
+}
+
+func BenchmarkPaperSmallDecompress(b *testing.B) {
+	inputs, bases := paperSmallInputs()
+	c := New(DefaultDepth)
+	frames := make([][]byte, len(inputs))
+	for i, src := range inputs {
+		var err error
+		if frames[i], _, err = c.Compress(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchPaperSmall(b, len(frames), bases, func(i int) error {
+		_, _, err := c.Decompress(frames[i])
+		return err
+	})
 }
