@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build lint fma-check lint-fix-check test race perfbench-test fuzz-smoke chaos serve fmt verify
+.PHONY: all build lint fma-check lint-fix-check test race perfbench-test bench-smoke fuzz-smoke chaos serve fmt verify
 
 all: build
 
@@ -60,7 +60,8 @@ test:
 # and child-link arrays must stay in step, each result checked against a
 # sequential run. `make verify`
 # adds only what these runs cannot show: the -count=2 determinism rerun
-# (chaos) and the serve process smoke.
+# (chaos), the serve process smoke and one run of every codec-layer
+# benchmark (bench-smoke).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
@@ -71,6 +72,13 @@ race:
 # BENCHMARK.json, the routing check and a byte-for-byte workload smoke.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+# Every benchmark of the range coder, the matcher and the codecs, run once
+# (-benchtime 1x), so that the benchmarks paired parent/change runs rely
+# on keep building and running: dnax's ExchangeBlocks and CTW's PaperSmall
+# two-worker benchmarks among them. It times nothing worth reading.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/arith ./internal/match ./internal/compress/...
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
@@ -118,4 +126,4 @@ chaos:
 fmt:
 	gofmt -w .
 
-verify: lint build race perfbench-test chaos serve
+verify: lint build race perfbench-test chaos serve bench-smoke

@@ -78,26 +78,63 @@ func bitMask(bit int) uint32 {
 // EncodeBitP encodes bit with static probability p0 = P(bit == 0) in
 // fixed-point [1, ProbOne-1]. Any non-zero bit codes as 1.
 func (e *Encoder) EncodeBitP(p0 uint32, bit int) {
-	e.encodeMask(p0, bitMask(bit))
-}
-
-// encodeMask codes the bit that mask selects: a 0 keeps the low sub-range
-// [low, low+bound), a 1 the high one [low+bound, low+rng).
-func (e *Encoder) encodeMask(p0, mask uint32) {
-	bound := (e.rng >> probBits) * p0
-	e.low += uint64(bound & mask)
-	e.rng = bound ^ ((bound ^ (e.rng - bound)) & mask)
-	for e.rng < topValue {
-		e.rng <<= 8
-		e.shiftLow()
-	}
+	e.rng, e.low = e.norm(encodeStep(e.rng, e.low, p0, bitMask(bit)))
 }
 
 // EncodeBit encodes bit using the adaptive model p, then updates the model.
 func (e *Encoder) EncodeBit(p *Prob, bit int) {
 	mask := bitMask(bit)
-	e.encodeMask(uint32(*p), mask)
+	e.rng, e.low = e.norm(encodeStep(e.rng, e.low, uint32(*p), mask))
 	p.updateMask(mask)
+}
+
+// EncodeLiteral codes the token a repeat codec writes at a literal
+// position: a 0 through the adaptive flag model, then sym through m. The
+// bytes and model states are those of EncodeBit(flag, 0) followed by
+// m.Encode(e, sym), in one call that keeps the range in registers. A nil
+// flag codes sym alone, which is m.Encode(e, sym).
+func (e *Encoder) EncodeLiteral(flag *Prob, m *SymbolModel, sym byte) {
+	probs := m.probs[m.ctx*3:][:3]
+	hi, lo := symbolMasks(sym)
+	rng, low := e.rng, e.low
+	if flag != nil {
+		rng, low = e.norm(encodeStep(rng, low, uint32(*flag), 0))
+		flag.updateMask(0)
+	}
+	rng, low = e.norm(encodeStep(rng, low, uint32(probs[0]), hi))
+	probs[0].updateMask(hi)
+	p := &probs[1+hi&1]
+	e.rng, e.low = e.norm(encodeStep(rng, low, uint32(*p), lo))
+	p.updateMask(lo)
+	m.advance(sym)
+}
+
+// encodeStep narrows the range (rng, low) to the bit that mask selects
+// under P(0) = p0: a 0 keeps the low sub-range [low, low+bound), a 1 the
+// high one [low+bound, low+rng). Every encode is built from it: each bit
+// is encodeStep, then norm, then, under an adaptive model, updateMask.
+func encodeStep(rng uint32, low uint64, p0, mask uint32) (uint32, uint64) {
+	bound := (rng >> probBits) * p0
+	return bound ^ ((bound ^ (rng - bound)) & mask), low + uint64(bound&mask)
+}
+
+// norm renormalises the range after a coded bit. It inlines, and leaves
+// the shifting, which a bit needs about once per byte of output, to renorm
+// out of line.
+func (e *Encoder) norm(rng uint32, low uint64) (uint32, uint64) {
+	if rng < topValue {
+		return e.renorm(rng, low)
+	}
+	return rng, low
+}
+
+func (e *Encoder) renorm(rng uint32, low uint64) (uint32, uint64) {
+	e.low = low
+	for rng < topValue {
+		rng <<= 8
+		e.shiftLow()
+	}
+	return rng, e.low
 }
 
 // Finish flushes the coder state and returns the complete output. The
@@ -151,31 +188,80 @@ func (d *Decoder) next() byte {
 
 // DecodeBitP decodes one bit with static probability p0 = P(bit == 0).
 func (d *Decoder) DecodeBitP(p0 uint32) int {
-	return int(d.decodeMask(p0) & 1)
-}
-
-// decodeMask decodes one bit and returns it as a mask (see bitMask): a code
-// at or above bound lies in the high sub-range, which is a 1.
-func (d *Decoder) decodeMask(p0 uint32) uint32 {
-	bound := (d.rng >> probBits) * p0
-	var mask uint32
-	if d.code >= bound {
-		mask = ^uint32(0)
-	}
-	d.code -= bound & mask
-	d.rng = bound ^ ((bound ^ (d.rng - bound)) & mask)
-	for d.rng < topValue {
-		d.code = d.code<<8 | uint32(d.next())
-		d.rng <<= 8
-	}
-	return mask
+	rng, code, mask := decodeStep(d.rng, d.code, p0)
+	d.rng, d.code = d.norm(rng, code)
+	return int(mask & 1)
 }
 
 // DecodeBit decodes one bit using the adaptive model p, then updates p.
 func (d *Decoder) DecodeBit(p *Prob) int {
-	mask := d.decodeMask(uint32(*p))
+	rng, code, mask := decodeStep(d.rng, d.code, uint32(*p))
+	d.rng, d.code = d.norm(rng, code)
 	p.updateMask(mask)
 	return int(mask & 1)
+}
+
+// DecodeLiteral decodes the token EncodeLiteral writes. It decodes a flag
+// bit through flag; a 0 is a literal, whose symbol it decodes through m
+// and returns with ok true. A 1 it reports with ok false, leaving the rest
+// of the token to the caller. Bits, model states and BytesRead are those of
+// DecodeBit(flag) followed, on a 0, by m.Decode(d). A nil flag decodes a
+// symbol alone, which is m.Decode(d).
+func (d *Decoder) DecodeLiteral(flag *Prob, m *SymbolModel) (sym byte, ok bool) {
+	rng, code := d.rng, d.code
+	if flag != nil {
+		var isRepeat uint32
+		rng, code, isRepeat = decodeStep(rng, code, uint32(*flag))
+		rng, code = d.norm(rng, code)
+		flag.updateMask(isRepeat)
+		if isRepeat != 0 {
+			d.rng, d.code = rng, code
+			return 0, false
+		}
+	}
+	probs := m.probs[m.ctx*3:][:3]
+	rng, code, hi := decodeStep(rng, code, uint32(probs[0]))
+	rng, code = d.norm(rng, code)
+	probs[0].updateMask(hi)
+	p := &probs[1+hi&1]
+	rng, code, lo := decodeStep(rng, code, uint32(*p))
+	d.rng, d.code = d.norm(rng, code)
+	p.updateMask(lo)
+	sym = byte(hi&2 | lo&1)
+	m.advance(sym)
+	return sym, true
+}
+
+// decodeStep decodes one bit under P(0) = p0 and returns it as a mask (see
+// bitMask), with the range (rng, code) narrowed to its sub-range: a code at
+// or above bound lies in the high sub-range, which is a 1. Every decode is
+// built from it as every encode is from encodeStep. The mask is the borrow
+// of code-bound, taken in 64 bits, minus one: arithmetic, so that no
+// inlining of the step can turn it into a branch on the decoded bit.
+func decodeStep(rng, code, p0 uint32) (uint32, uint32, uint32) {
+	bound := (rng >> probBits) * p0
+	mask := uint32((uint64(code)-uint64(bound))>>63) - 1
+	return bound ^ ((bound ^ (rng - bound)) & mask), code - bound&mask, mask
+}
+
+// norm renormalises the range after a decoded bit; see Encoder.norm.
+func (d *Decoder) norm(rng, code uint32) (uint32, uint32) {
+	if rng < topValue {
+		return d.renorm(rng, code)
+	}
+	return rng, code
+}
+
+// renorm is out of line for the reason Encoder.norm gives; it is small
+// enough that the compiler would otherwise inline it.
+//
+//go:noinline
+func (d *Decoder) renorm(rng, code uint32) (uint32, uint32) {
+	for rng < topValue {
+		code = code<<8 | uint32(d.next())
+		rng <<= 8
+	}
+	return rng, code
 }
 
 // BytesRead reports how many input bytes have been consumed (may exceed

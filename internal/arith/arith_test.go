@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -391,43 +392,134 @@ func refUpdate(p *Prob, bit int) {
 // oneBits are the values a caller may pass for a 1 bit: any non-zero int.
 var oneBits = []int{1, 1, 1, -1, 2, 3, 255, math.MaxInt, math.MinInt}
 
-// codedBit is one step of an oracle schedule: a static bit with P(0) = p0,
-// or an adaptive bit through model slot.
-type codedBit struct {
-	adaptive bool
-	slot     int
-	p0       uint32
-	bit      int
+// encodeSymbol and encodeToken are the references for SymbolModel.Encode
+// and EncodeLiteral: the symbol's two bits through its context's models,
+// and the flag bit before them, one encodeBit call each.
+func (e *refEncoder) encodeSymbol(m *SymbolModel, sym byte) {
+	base := m.ctx * 3
+	hi := int(sym >> 1)
+	e.encodeBit(&m.probs[base], hi)
+	e.encodeBit(&m.probs[base+1+uint32(hi)], int(sym&1))
+	m.advance(sym)
 }
 
-// oracleSchedule draws n mixed static and adaptive steps. Static
-// probabilities include both extremes, 1 and ProbOne-1; adaptive slots are
-// now and then reset to the zero-value Prob or to ProbOne-1. A zero-valued
-// model leaves a 0 bit an empty sub-range in either coder, so its next bit
-// is a 1.
-func oracleSchedule(rng *rand.Rand, n, slots int) (steps []codedBit, resets map[int]Prob) {
+func (e *refEncoder) encodeToken(flag *Prob, m *SymbolModel, bit int, sym byte) {
+	e.encodeBit(flag, bit)
+	if bit == 0 {
+		e.encodeSymbol(m, sym)
+	}
+}
+
+// decodeSymbol and decodeToken are the references for SymbolModel.Decode
+// and DecodeLiteral.
+func (d *refDecoder) decodeSymbol(m *SymbolModel) byte {
+	base := m.ctx * 3
+	hi := d.decodeBit(&m.probs[base])
+	lo := d.decodeBit(&m.probs[base+1+uint32(hi)])
+	sym := byte(hi<<1 | lo)
+	m.advance(sym)
+	return sym
+}
+
+func (d *refDecoder) decodeToken(flag *Prob, m *SymbolModel) (sym byte, ok bool) {
+	if d.decodeBit(flag) != 0 {
+		return 0, false
+	}
+	return d.decodeSymbol(m), true
+}
+
+// stepKind is what one step of an oracle schedule codes.
+type stepKind int
+
+const (
+	staticStep   stepKind = iota // a bit with static P(0) = p0
+	adaptiveStep                 // a bit through model slot
+	symbolStep                   // sym through the symbol model
+	tokenStep                    // a flag bit through model slot, then on a 0 sym through the symbol model
+)
+
+// codedBit is one step of an oracle schedule.
+type codedBit struct {
+	kind stepKind
+	slot int
+	p0   uint32
+	bit  int
+	sym  byte
+}
+
+// reset sets one model before a step: symbol-model entry idx if sym, else
+// the step's slot.
+type reset struct {
+	sym bool
+	idx int
+	v   Prob
+}
+
+// oracleSymbols is the number of models in the oracle's symbol model:
+// order 1, four contexts of three models each.
+const oracleSymbols = 12
+
+// oracleSymbolModel returns the oracle's order-1 symbol model, its models
+// set up like oracleModels.
+func oracleSymbolModel() *SymbolModel {
+	m := NewSymbolModel(1)
+	copy(m.probs, oracleModels(oracleSymbols))
+	return m
+}
+
+func sameSymbolModel(a, b *SymbolModel) bool {
+	return a.ctx == b.ctx && slices.Equal(a.probs, b.probs)
+}
+
+// oracleSchedule draws n mixed static, adaptive, symbol and token steps.
+// Static probabilities include both extremes, 1 and ProbOne-1; adaptive
+// slots and symbol-model entries are now and then reset to the zero-value
+// Prob or to ProbOne-1. A zero-valued model leaves a 0 bit an empty
+// sub-range in either coder, so its next bit is a 1: a token whose flag is
+// zero-valued is a repeat, and a zero-valued symbol model codes a 1.
+func oracleSchedule(rng *rand.Rand, n, slots int) (steps []codedBit, resets map[int]reset) {
 	steps = make([]codedBit, n)
-	resets = make(map[int]Prob)
+	resets = make(map[int]reset)
 	zero := make([]bool, slots)
 	for i := range zero {
 		zero[i] = i%4 == 3 // see oracleModels
 	}
+	symZero := make([]bool, oracleSymbols)
+	for i := range symZero {
+		symZero[i] = i%4 == 3
+	}
+	var ctx int // the symbol model's context, as its steps move it
+	// symbolBit draws a random bit for symbol-model entry idx, a 1 if the
+	// entry is zero-valued.
+	symbolBit := func(idx int) int {
+		bit := rng.Intn(2)
+		if symZero[idx] {
+			bit = 1
+		}
+		symZero[idx] = false
+		return bit
+	}
 	for i := range steps {
 		s := &steps[i]
-		var p0 uint32
-		if rng.Intn(2) == 0 {
-			s.adaptive = true
+		s.kind = stepKind(rng.Intn(4))
+		if s.kind == adaptiveStep || s.kind == tokenStep {
 			s.slot = rng.Intn(slots)
-			if rng.Intn(4096) == 0 {
-				v := Prob(0)
-				if rng.Intn(2) == 0 {
-					v = ProbOne - 1
-				}
-				resets[i] = v
-				zero[s.slot] = v == 0
+		}
+		if s.kind != staticStep && rng.Intn(4096) == 0 {
+			r := reset{idx: s.slot}
+			if rng.Intn(2) == 0 {
+				r.v = ProbOne - 1
 			}
-			p0 = uint32(rng.Intn(ProbOne-1)) + 1
-		} else {
+			if s.kind == symbolStep || (s.kind == tokenStep && rng.Intn(2) == 0) {
+				r.sym, r.idx = true, rng.Intn(oracleSymbols)
+				symZero[r.idx] = r.v == 0
+			} else {
+				zero[s.slot] = r.v == 0
+			}
+			resets[i] = r
+		}
+		switch s.kind {
+		case staticStep:
 			switch rng.Intn(8) {
 			case 0:
 				s.p0 = 1
@@ -438,19 +530,45 @@ func oracleSchedule(rng *rand.Rand, n, slots int) (steps []codedBit, resets map[
 			default:
 				s.p0 = uint32(rng.Intn(ProbOne-1)) + 1
 			}
-			p0 = s.p0
-		}
-		// A static bit follows its probability, so that long runs of the
-		// likely outcome build carry chains; an adaptive bit follows a
-		// random one, so that models wander over their whole range.
-		if uint32(rng.Intn(ProbOne)) >= p0 || (s.adaptive && zero[s.slot]) {
-			s.bit = oneBits[rng.Intn(len(oneBits))]
-			if s.adaptive {
-				zero[s.slot] = false
+			// A static bit follows its probability, so that long runs of
+			// the likely outcome build carry chains.
+			if uint32(rng.Intn(ProbOne)) >= s.p0 {
+				s.bit = oneBits[rng.Intn(len(oneBits))]
+			}
+			continue
+		case adaptiveStep:
+			// An adaptive bit follows a random probability, so that models
+			// wander over their whole range.
+			if uint32(rng.Intn(ProbOne)) >= uint32(rng.Intn(ProbOne-1))+1 || zero[s.slot] {
+				s.bit = oneBits[rng.Intn(len(oneBits))]
+			}
+			zero[s.slot] = false
+			continue
+		case tokenStep:
+			// Mostly literals, as in a parse.
+			if rng.Intn(4) == 0 || zero[s.slot] {
+				s.bit = 1
+			}
+			zero[s.slot] = false
+			if s.bit != 0 {
+				continue
 			}
 		}
+		hi := symbolBit(ctx * 3)
+		lo := symbolBit(ctx*3 + 1 + hi)
+		s.sym = byte(hi<<1 | lo)
+		ctx = (ctx<<2 | int(s.sym)) & 3
 	}
 	return steps, resets
+}
+
+// apply sets the model a reset names.
+func (r reset) apply(ps []Prob, m *SymbolModel) {
+	if r.sym {
+		m.probs[r.idx] = r.v
+	} else {
+		ps[r.idx] = r.v
+	}
 }
 
 // oracleModels returns the initial model table: fresh, skewed and
@@ -472,29 +590,47 @@ func oracleModels(slots int) []Prob {
 	return ps
 }
 
-// TestMaskCoderMatchesReference drives over a million mixed static and
-// adaptive bits through the mask coder and the branching reference in
-// lockstep: output bytes, every model state, every decoded bit and the bytes
-// each decoder consumed must be equal.
+// TestMaskCoderMatchesReference drives over a million mixed static,
+// adaptive, symbol and token steps through the mask coder and the
+// branching reference in lockstep: output bytes, every model state, every
+// decoded bit and symbol and the bytes each decoder consumed must be
+// equal. A token is EncodeLiteral's flag and symbol on a 0 and
+// EncodeBit's flag alone on a 1, decoded by DecodeLiteral either way.
 func TestMaskCoderMatchesReference(t *testing.T) {
 	const n, slots = 1<<20 + 4099, 64
 	steps, resets := oracleSchedule(rand.New(rand.NewSource(2015)), n, slots)
 
 	e, re := NewEncoder(n/8), &refEncoder{*NewEncoder(n / 8)}
 	ps, rps := oracleModels(slots), oracleModels(slots)
+	sm, rsm := oracleSymbolModel(), oracleSymbolModel()
 	for i, s := range steps {
-		if v, ok := resets[i]; ok {
-			ps[s.slot], rps[s.slot] = v, v
+		if r, ok := resets[i]; ok {
+			r.apply(ps, sm)
+			r.apply(rps, rsm)
 		}
-		if s.adaptive {
-			e.EncodeBit(&ps[s.slot], s.bit)
-			re.encodeBit(&rps[s.slot], s.bit)
-			if ps[s.slot] != rps[s.slot] {
-				t.Fatalf("step %d: encoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
-			}
-		} else {
+		switch s.kind {
+		case staticStep:
 			e.EncodeBitP(s.p0, s.bit)
 			re.encodeBitP(s.p0, s.bit)
+		case adaptiveStep:
+			e.EncodeBit(&ps[s.slot], s.bit)
+			re.encodeBit(&rps[s.slot], s.bit)
+		case symbolStep:
+			sm.Encode(e, s.sym)
+			re.encodeSymbol(rsm, s.sym)
+		case tokenStep:
+			if s.bit == 0 {
+				e.EncodeLiteral(&ps[s.slot], sm, s.sym)
+			} else {
+				e.EncodeBit(&ps[s.slot], s.bit)
+			}
+			re.encodeToken(&rps[s.slot], rsm, s.bit, s.sym)
+		}
+		if ps[s.slot] != rps[s.slot] {
+			t.Fatalf("step %d: encoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
+		}
+		if !sameSymbolModel(sm, rsm) {
+			t.Fatalf("step %d: encoder symbol model differs from the reference", i)
 		}
 	}
 	out, refOut := e.Finish(), re.Finish()
@@ -505,22 +641,37 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 
 	d, rd := NewDecoder(out), &refDecoder{*NewDecoder(out)}
 	ps, rps = oracleModels(slots), oracleModels(slots)
+	sm, rsm = oracleSymbolModel(), oracleSymbolModel()
 	for i, s := range steps {
-		if v, ok := resets[i]; ok {
-			ps[s.slot], rps[s.slot] = v, v
-		}
-		var got, want int
-		if s.adaptive {
-			got, want = d.DecodeBit(&ps[s.slot]), rd.decodeBit(&rps[s.slot])
-			if ps[s.slot] != rps[s.slot] {
-				t.Fatalf("step %d: decoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
-			}
-		} else {
-			got, want = d.DecodeBitP(s.p0), rd.decodeBitP(s.p0)
+		if r, ok := resets[i]; ok {
+			r.apply(ps, sm)
+			r.apply(rps, rsm)
 		}
 		coded := 0
 		if s.bit != 0 {
 			coded = 1
+		}
+		var got, want int
+		switch s.kind {
+		case staticStep:
+			got, want = d.DecodeBitP(s.p0), rd.decodeBitP(s.p0)
+		case adaptiveStep:
+			got, want = d.DecodeBit(&ps[s.slot]), rd.decodeBit(&rps[s.slot])
+		case symbolStep:
+			got, want, coded = int(sm.Decode(d)), int(rd.decodeSymbol(rsm)), int(s.sym)
+		case tokenStep:
+			sym, ok := d.DecodeLiteral(&ps[s.slot], sm)
+			rsym, rok := rd.decodeToken(&rps[s.slot], rsm)
+			if ok != rok || ok != (coded == 0) {
+				t.Fatalf("step %d: literal %v, reference %v, coded flag %d", i, ok, rok, coded)
+			}
+			got, want, coded = int(sym), int(rsym), int(s.sym)
+		}
+		if ps[s.slot] != rps[s.slot] {
+			t.Fatalf("step %d: decoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
+		}
+		if !sameSymbolModel(sm, rsm) {
+			t.Fatalf("step %d: decoder symbol model differs from the reference", i)
 		}
 		if got != want || got != coded {
 			t.Fatalf("step %d: decoded %d, reference %d, coded %d", i, got, want, coded)
@@ -565,9 +716,12 @@ func fuzzP0(s byte) uint32 {
 }
 
 // FuzzDecoderMatchesReference decodes arbitrary payload bytes, as a stored
-// frame's decoder does, under a fuzzed schedule of static probabilities and
-// adaptive models (zero-valued ones included). The mask decoder must give
-// the reference's bits, model states and BytesRead.
+// frame's decoder does, under a fuzzed schedule of static probabilities,
+// adaptive models (zero-valued ones included), symbols and literal tokens.
+// The mask decoder must give the reference's bits, symbols, model states
+// and BytesRead. A schedule byte below 0x80 is a static bit; 0x80–0xBF an
+// adaptive bit through slot s&15; 0xC0–0xDF a token, DecodeLiteral, with
+// its flag in slot s&15; 0xE0–0xFF a symbol.
 func FuzzDecoderMatchesReference(f *testing.F) {
 	e := NewEncoder(64)
 	p := NewProb()
@@ -584,26 +738,54 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 	edge := make([]byte, 5)
 	binary.BigEndian.PutUint32(edge[1:], (0xFFFFFFFF>>probBits)*fuzzP0(0x40))
 	f.Add(edge, []byte{0x40})
+	// Literal tokens and repeats, as a parse writes them, on fresh models.
+	{
+		e := NewEncoder(64)
+		flag, m := NewProb(), NewSymbolModel(1)
+		for i := 0; i < 200; i++ {
+			if i%9 == 8 {
+				e.EncodeBit(&flag, 1)
+				continue
+			}
+			e.EncodeLiteral(&flag, m, byte(i*5%4))
+		}
+		f.Add(e.Finish(), []byte{0xC0})
+		f.Add([]byte{0x00, 0x80, 0x00, 0x00, 0x00, 0x01}, []byte{0xC3, 0xE0, 0xC3, 0x8b, 0x21})
+	}
 	f.Fuzz(func(t *testing.T, payload, schedule []byte) {
 		if len(schedule) == 0 {
 			schedule = []byte{0x80}
 		}
 		d, rd := NewDecoder(payload), &refDecoder{*NewDecoder(payload)}
 		ps, rps := oracleModels(16), oracleModels(16)
+		sm, rsm := oracleSymbolModel(), oracleSymbolModel()
 		for i := 0; i < 8*len(payload)+64; i++ {
 			s := schedule[i%len(schedule)]
+			slot := s & 15
 			var got, want int
-			if s&0x80 != 0 {
-				slot := s & 15
-				got, want = d.DecodeBit(&ps[slot]), rd.decodeBit(&rps[slot])
-				if ps[slot] != rps[slot] {
-					t.Fatalf("bit %d: model %d, reference %d", i, ps[slot], rps[slot])
-				}
-			} else {
+			switch {
+			case s < 0x80:
 				got, want = d.DecodeBitP(fuzzP0(s)), rd.decodeBitP(fuzzP0(s))
+			case s < 0xC0:
+				got, want = d.DecodeBit(&ps[slot]), rd.decodeBit(&rps[slot])
+			case s < 0xE0:
+				sym, ok := d.DecodeLiteral(&ps[slot], sm)
+				rsym, rok := rd.decodeToken(&rps[slot], rsm)
+				if ok != rok {
+					t.Fatalf("step %d: literal %v, reference %v", i, ok, rok)
+				}
+				got, want = int(sym), int(rsym)
+			default:
+				got, want = int(sm.Decode(d)), int(rd.decodeSymbol(rsm))
+			}
+			if ps[slot] != rps[slot] {
+				t.Fatalf("step %d: model %d, reference %d", i, ps[slot], rps[slot])
+			}
+			if !sameSymbolModel(sm, rsm) {
+				t.Fatalf("step %d: symbol model differs from the reference", i)
 			}
 			if got != want {
-				t.Fatalf("bit %d: decoded %d, reference %d", i, got, want)
+				t.Fatalf("step %d: decoded %d, reference %d", i, got, want)
 			}
 		}
 		if d.BytesRead() != rd.BytesRead() {

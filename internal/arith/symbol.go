@@ -44,22 +44,11 @@ func (m *SymbolModel) Reset() {
 }
 
 // Encode codes sym (0..3) into e and advances the context.
-func (m *SymbolModel) Encode(e *Encoder, sym byte) {
-	base := m.ctx * 3
-	hi := int(sym >> 1)
-	lo := int(sym & 1)
-	e.EncodeBit(&m.probs[base], hi)
-	e.EncodeBit(&m.probs[base+1+uint32(hi)], lo)
-	m.advance(sym)
-}
+func (m *SymbolModel) Encode(e *Encoder, sym byte) { e.EncodeLiteral(nil, m, sym) }
 
 // Decode returns the next symbol from d and advances the context.
 func (m *SymbolModel) Decode(d *Decoder) byte {
-	base := m.ctx * 3
-	hi := d.DecodeBit(&m.probs[base])
-	lo := d.DecodeBit(&m.probs[base+1+uint32(hi)])
-	sym := byte(hi<<1 | lo)
-	m.advance(sym)
+	sym, _ := d.DecodeLiteral(nil, m)
 	return sym
 }
 
@@ -67,6 +56,13 @@ func (m *SymbolModel) Decode(d *Decoder) byte {
 // symbols was transmitted by other means (e.g. a copied repeat) but should
 // still condition subsequent literals.
 func (m *SymbolModel) Observe(sym byte) { m.advance(sym) }
+
+// symbolMasks returns the high and the low bit of sym as masks (see
+// bitMask), by negation rather than a compare, so neither can compile to a
+// branch.
+func symbolMasks(sym byte) (hi, lo uint32) {
+	return -uint32(sym >> 1 & 1), -uint32(sym & 1)
+}
 
 func (m *SymbolModel) advance(sym byte) {
 	m.ctx = (m.ctx<<2 | uint32(sym&3)) & m.mask

@@ -222,21 +222,25 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if l <= 0 || uint64(len(out))+uint64(l) > nBases {
 			return nil, compress.Stats{}, compress.Corruptf("biocompress: repeat length %d overruns", l)
 		}
+		// dv is compared as read, in uint64, so that no hostile value can
+		// wrap into range: an RC gap of dv-1 must leave the source block
+		// inside the output so far, and a distance of dv must lie in
+		// [1, len(out)] (dv-1 wraps for a dv of 0).
 		if rcBit == 1 {
-			srcPos := len(out) - (int(dv) - 1) - l
-			if srcPos < 0 {
+			if l > len(out) || dv-1 > uint64(len(out)-l) {
 				return nil, compress.Stats{}, compress.Corruptf("biocompress: RC source underrun")
 			}
+			srcPos := len(out) - int(dv-1) - l
 			for t := 0; t < l; t++ {
 				b := 3 - (out[srcPos+l-1-t] & 3)
 				out = append(out, b)
 				lit.Observe(b)
 			}
 		} else {
-			srcPos := len(out) - int(dv)
-			if srcPos < 0 {
+			if dv-1 >= uint64(len(out)) {
 				return nil, compress.Stats{}, compress.Corruptf("biocompress: source underrun")
 			}
+			srcPos := len(out) - int(dv)
 			for t := 0; t < l; t++ {
 				b := out[srcPos+t]
 				out = append(out, b)

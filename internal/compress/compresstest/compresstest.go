@@ -6,6 +6,7 @@ package compresstest
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -205,4 +206,35 @@ func RatioUnder(t *testing.T, c compress.Codec, p synth.Profile, seed int64, max
 	if bpb := compress.Ratio(len(src), len(data)); bpb > maxBitsPerBase {
 		t.Fatalf("%s on %s: %.3f bits/base, want <= %.3f", c.Name(), p.Name, bpb, maxBitsPerBase)
 	}
+}
+
+// BenchTwoWorkers runs op over every input index below n on each of two
+// goroutines, as the daemon's two workers do, the second starting half a
+// set ahead, and reports wall time per base of one worker's share (bases
+// is the set's total). Wall time on a VM with stolen CPU is noisy: compare
+// two builds in alternating runs.
+func BenchTwoWorkers(b *testing.B, n, bases int, op func(i int) error) {
+	const workers = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < n && errs[w] == nil; k++ {
+					errs[w] = op((k + w*n/2) % n)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bases), "ns/base")
 }

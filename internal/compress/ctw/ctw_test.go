@@ -275,40 +275,10 @@ func paperSmallInputs() (inputs [][]byte, bases int) {
 	return inputs, bases
 }
 
-// benchPaperSmall runs op over every input on each of two goroutines, as
-// the daemon's two workers do, the second starting half a set ahead, and
-// reports wall time per base of one worker's share. Wall time on a VM with
-// stolen CPU is noisy: compare two builds in alternating runs.
-func benchPaperSmall(b *testing.B, n, bases int, op func(i int) error) {
-	const workers = 2
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for k := 0; k < n && errs[w] == nil; k++ {
-					errs[w] = op((k + w*n/2) % n)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bases), "ns/base")
-}
-
 func BenchmarkPaperSmallCompress(b *testing.B) {
 	inputs, bases := paperSmallInputs()
 	c := New(DefaultDepth)
-	benchPaperSmall(b, len(inputs), bases, func(i int) error {
+	compresstest.BenchTwoWorkers(b, len(inputs), bases, func(i int) error {
 		_, _, err := c.Compress(inputs[i])
 		return err
 	})
@@ -324,7 +294,7 @@ func BenchmarkPaperSmallDecompress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	benchPaperSmall(b, len(frames), bases, func(i int) error {
+	compresstest.BenchTwoWorkers(b, len(frames), bases, func(i int) error {
 		_, _, err := c.Decompress(frames[i])
 		return err
 	})

@@ -200,8 +200,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 			i += cd.tlen
 			continue
 		}
-		enc.EncodeBit(&flag, 0)
-		lit.Encode(enc, src[i])
+		enc.EncodeLiteral(&flag, lit, src[i])
 		literals++
 		i++
 	}
@@ -248,8 +247,8 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied int64
 	for uint64(len(out)) < nBases {
-		if dec.DecodeBit(&flag) == 0 {
-			out = append(out, lit.Decode(dec))
+		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
+			out = append(out, sym)
 			literals++
 			continue
 		}
@@ -257,7 +256,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		srcPos := len(out) - dist
 		tlen := int(lenM.Decode(dec)) + c.cfg.MinRepeat
 		nSubs := int(subCountM.Decode(dec))
-		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nSubs > c.cfg.MaxSubs+1 || srcPos+tlen > len(out) {
+		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nSubs < 0 || nSubs > c.cfg.MaxSubs+1 || srcPos+tlen > len(out) {
 			return nil, compress.Stats{}, compress.Corruptf("dnapack: repeat descriptor out of range (src %d len %d subs %d)", srcPos, tlen, nSubs)
 		}
 		subs := make(map[int]byte, nSubs)

@@ -173,8 +173,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 			i += mt.Len
 			continue
 		}
-		enc.EncodeBit(&flag, 0)
-		lit.Encode(enc, src[i])
+		enc.EncodeLiteral(&flag, lit, src[i])
 		literals++
 		i++
 	}
@@ -227,8 +226,8 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied int64
 	for uint64(len(out)) < nBases {
-		if dec.DecodeBit(&flag) == 0 {
-			out = append(out, lit.Decode(dec))
+		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
+			out = append(out, sym)
 			literals++
 			continue
 		}
@@ -237,24 +236,27 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if l <= 0 || uint64(len(out))+uint64(l) > nBases {
 			return nil, compress.Stats{}, compress.Corruptf("dnax: repeat length %d overruns output", l)
 		}
-		var srcPos int
+		// The distance field is compared as read, in uint64, so that no
+		// hostile value can wrap into range.
+		d := distM.Decode(dec)
 		if rc {
-			gap := int(distM.Decode(dec))
-			srcPos = len(out) - gap - l
-			if srcPos < 0 {
-				return nil, compress.Stats{}, compress.Corruptf("dnax: RC repeat source %d underruns", srcPos)
+			// The source block [len(out)-gap-l, len(out)-gap) must lie in
+			// the output so far.
+			if l > len(out) || d > uint64(len(out)-l) {
+				return nil, compress.Stats{}, compress.Corruptf("dnax: RC repeat gap %d with length %d overruns %d bases", d, l, len(out))
 			}
+			srcPos := len(out) - int(d) - l
 			for t := 0; t < l; t++ {
 				b := 3 - (out[srcPos+l-1-t] & 3)
 				out = append(out, b)
 				lit.Observe(b)
 			}
 		} else {
-			dist := int(distM.Decode(dec)) + 1
-			srcPos = len(out) - dist
-			if srcPos < 0 {
-				return nil, compress.Stats{}, compress.Corruptf("dnax: repeat distance %d underruns", dist)
+			// distance = d+1 must be in [1, len(out)].
+			if d >= uint64(len(out)) {
+				return nil, compress.Stats{}, compress.Corruptf("dnax: repeat distance %d+1 overruns %d bases", d, len(out))
 			}
+			srcPos := len(out) - int(d) - 1
 			for t := 0; t < l; t++ { // byte-wise: overlapping copies legal
 				b := out[srcPos+t]
 				out = append(out, b)

@@ -2,10 +2,14 @@ package compress_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"github.com/srl-nuces/ctxdna/internal/arith"
+	"github.com/srl-nuces/ctxdna/internal/bitio"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/fib"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/dnacompress"
@@ -36,6 +40,17 @@ func FuzzDecompressAll(f *testing.F) {
 			}
 		}
 	}
+	// Repeats whose distance field reaches past the output so far, some
+	// by wrapping a signed int: a forward distance of 2^63 or more, or a
+	// negative reverse-complement gap.
+	for _, d := range []uint64{hostileLiterals, 1 << 63, ^uint64(0) - 4, ^uint64(0) - 1} {
+		f.Add(hostileDnax(hostileLiterals, false, d))
+		f.Add(hostileDnax(hostileLiterals, true, d))
+	}
+	for _, dv := range []uint64{41, 1 << 63, ^uint64(0) - 4, ^uint64(0)} {
+		f.Add(hostileBiocompress(f, false, dv))
+		f.Add(hostileBiocompress(f, true, dv))
+	}
 	names := compress.Names()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -52,6 +67,104 @@ func FuzzDecompressAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hostileLiterals are the 40 bases the hostile streams start with.
+const hostileLiterals = 40
+
+// hostileDnax is a dnax stream of lits literals and then one 16-base
+// repeat whose distance field is d: a forward distance of d+1 or, with rc,
+// a reverse-complement gap of d.
+func hostileDnax(lits int, rc bool, d uint64) []byte {
+	out := binary.AppendUvarint(nil, uint64(lits+16))
+	lit := arith.NewSymbolModel(2)
+	flag, orient := arith.NewProb(), arith.NewProb()
+	lenM, distM := arith.NewUintModel(), arith.NewUintModel()
+	enc := arith.NewEncoder(64)
+	for i := 0; i < lits; i++ {
+		enc.EncodeLiteral(&flag, lit, byte(i*7%4))
+	}
+	enc.EncodeBit(&flag, 1)
+	rcBit := 0
+	if rc {
+		rcBit = 1
+	}
+	enc.EncodeBit(&orient, rcBit)
+	lenM.Encode(enc, 0)
+	distM.Encode(enc, d)
+	return append(out, enc.Finish()...)
+}
+
+// TestDnaxRepeatDistanceBounds decodes dnax repeats at the edges of the
+// output so far and past them: a forward distance must lie in [1,
+// len(out)] and an RC gap in [0, len(out)-len], and a field that wraps a
+// signed int (distance >= 2^63, a negative gap) must be rejected, not read
+// out of range.
+func TestDnaxRepeatDistanceBounds(t *testing.T) {
+	const lits, l = hostileLiterals, 16
+	for _, tc := range []struct {
+		lits int
+		rc   bool
+		d    uint64
+		ok   bool
+	}{
+		{lits, false, 0, true},
+		{lits, false, lits - 1, true},
+		{lits, false, lits, false},
+		{lits, false, 1<<63 - 1, false},
+		{lits, false, 1 << 63, false},
+		{lits, false, ^uint64(0) - 4, false}, // distance -4
+		{lits, false, ^uint64(0) - 1, false}, // distance 0
+		{lits, true, 0, true},
+		{lits, true, lits - l, true},
+		{lits, true, lits - l + 1, false},
+		{lits, true, 1 << 63, false},
+		{lits, true, ^uint64(0) - 4, false}, // gap -5
+		{l - 1, true, 0, false},             // source longer than the output so far
+	} {
+		c, err := compress.New("dnax")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := c.Decompress(hostileDnax(tc.lits, tc.rc, tc.d))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("lits=%d rc=%v d=%d: %v", tc.lits, tc.rc, tc.d, err)
+		case tc.ok && len(out) != tc.lits+l:
+			t.Errorf("lits=%d rc=%v d=%d: %d bases, want %d", tc.lits, tc.rc, tc.d, len(out), tc.lits+l)
+		case !tc.ok && !errors.Is(err, compress.ErrCorrupt):
+			t.Errorf("lits=%d rc=%v d=%d: err %v, want ErrCorrupt", tc.lits, tc.rc, tc.d, err)
+		}
+	}
+}
+
+// hostileBiocompress is a biocompress stream of hostileLiterals literals
+// and then one 24-base repeat whose distance field is dv: a forward
+// distance of dv or, with rc, a reverse-complement gap of dv-1.
+func hostileBiocompress(f *testing.F, rc bool, dv uint64) []byte {
+	tokens := bitio.NewWriter(16)
+	rcBit := uint(0)
+	if rc {
+		rcBit = 1
+	}
+	for _, v := range []uint64{hostileLiterals + 1, 0, 1, dv} { // run+1, orientation, length, distance
+		if v == 0 {
+			tokens.WriteBit(rcBit)
+			continue
+		}
+		if err := fib.Encode(tokens, v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	lit := arith.NewSymbolModel(2)
+	enc := arith.NewEncoder(64)
+	for i := 0; i < hostileLiterals; i++ {
+		lit.Encode(enc, byte(i*7%4))
+	}
+	tb := tokens.Bytes()
+	out := binary.AppendUvarint(nil, hostileLiterals+24)
+	out = binary.AppendUvarint(out, uint64(len(tb)))
+	return append(append(out, tb...), enc.Finish()...)
 }
 
 // FuzzCacheKey exercises the result-cache key path: identical content must

@@ -222,8 +222,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 			i += best.TLen
 			continue
 		}
-		enc.EncodeBit(&flag, 0)
-		lit.Encode(enc, src[i])
+		enc.EncodeLiteral(&flag, lit, src[i])
 		literals++
 		i++
 	}
@@ -298,8 +297,8 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied, opsReplayed int64
 	for uint64(len(out)) < nBases {
-		if dec.DecodeBit(&flag) == 0 {
-			out = append(out, lit.Decode(dec))
+		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
+			out = append(out, sym)
 			literals++
 			continue
 		}
@@ -307,7 +306,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		srcPos := len(out) - dist
 		tlen := int(lenM.Decode(dec)) + c.cfg.MinLen
 		nOps := int(opCountM.Decode(dec))
-		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nOps > tlen+c.cfg.Approx.MaxOps+1 {
+		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nOps < 0 || nOps > tlen+c.cfg.Approx.MaxOps+1 {
 			return nil, compress.Stats{}, compress.Corruptf("gencompress: repeat descriptor out of range (src %d len %d ops %d)", srcPos, tlen, nOps)
 		}
 		// nOps is bounded only by tlen, itself bounded only by the header's

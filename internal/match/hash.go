@@ -154,15 +154,20 @@ func (m *HashMatcher) keysAt(i int) (fwd, rc uint32) {
 	switch i {
 	case m.keyPos:
 	case m.keyPos + 1:
-		in := uint32(m.data[i+m.k-1] & 3)
-		m.fwdKey = (m.fwdKey<<2 | in) & m.keyMask
-		m.rcKey = m.rcKey>>2 | (3-in)<<(2*m.k-2)
-		m.keyPos = i
+		m.roll(i)
 	default:
 		m.fwdKey, m.rcKey = m.packAt(i), m.packRCAt(i)
 		m.keyPos = i
 	}
 	return m.fwdKey, m.rcKey
+}
+
+// roll moves both keys from position i-1 to i by one base.
+func (m *HashMatcher) roll(i int) {
+	in := uint32(m.data[i+m.k-1] & 3)
+	m.fwdKey = (m.fwdKey<<2 | in) & m.keyMask
+	m.rcKey = m.rcKey>>2 | (3-in)<<(2*m.k-2)
+	m.keyPos = i
 }
 
 func hashKmer(v uint32) uint32 {
@@ -172,10 +177,18 @@ func hashKmer(v uint32) uint32 {
 
 // Advance indexes k-mer start positions up to (but excluding) pos. Calling
 // it repeatedly with increasing pos keeps the index covering exactly the
-// processed prefix. indexed starts at 0 and steps by stride, so it only
-// ever visits the stride-aligned positions; the last queried position
-// reuses its key.
+// processed prefix. It inlines to one compare when there is nothing to
+// index, as at most parse steps once stride exceeds 1.
 func (m *HashMatcher) Advance(pos int) {
+	if m.indexed < pos {
+		m.advance(pos)
+	}
+}
+
+// advance is Advance's indexing loop. indexed starts at 0 and steps by
+// stride, so it only ever visits the stride-aligned positions; the last
+// queried position reuses its key.
+func (m *HashMatcher) advance(pos int) {
 	limit := pos
 	if max := len(m.data) - m.k + 1; limit > max {
 		limit = max
@@ -185,13 +198,9 @@ func (m *HashMatcher) Advance(pos int) {
 		if m.indexed != m.keyPos {
 			key = m.packAt(m.indexed)
 		}
-		m.insert(hashKmer(hashInput(key)), m.indexed)
+		m.insert(hashKmer(key), m.indexed)
 	}
 }
-
-// hashInput allows identity pre-mixing; kept separate so tests can reason
-// about bucket placement.
-func hashInput(v uint32) uint32 { return v }
 
 // FindForward returns the longest direct match for the text starting at i
 // whose source starts strictly before i (overlapping copies allowed, as a
@@ -202,8 +211,12 @@ func (m *HashMatcher) FindForward(i int) (best Match, ok bool) {
 		return Match{}, false
 	}
 	key, _ := m.keysAt(i)
-	h := hashKmer(hashInput(key))
-	cand := m.head[h]
+	return m.walkForward(i, key, m.head[hashKmer(key)])
+}
+
+// walkForward walks the chain that starts at cand, the head of key's
+// bucket, for FindForward.
+func (m *HashMatcher) walkForward(i int, key uint32, cand int32) (best Match, ok bool) {
 	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
 		j := int(cand) - 1
 		cand = m.prev[j]
@@ -239,8 +252,12 @@ func (m *HashMatcher) FindRC(i int) (best Match, ok bool) {
 	// We need a source block whose *last* k bases are the reverse complement
 	// of our next k bases, i.e. a forward k-mer equal to RC(data[i:i+k]).
 	_, key := m.keysAt(i)
-	h := hashKmer(hashInput(key))
-	cand := m.head[h]
+	return m.walkRC(i, key, m.head[hashKmer(key)])
+}
+
+// walkRC walks the chain that starts at cand, the head of key's bucket,
+// for FindRC.
+func (m *HashMatcher) walkRC(i int, key uint32, cand int32) (best Match, ok bool) {
 	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
 		j := int(cand) - 1
 		cand = m.prev[j]
@@ -274,8 +291,7 @@ func (m *HashMatcher) ForEachForwardAnchor(i int, fn func(j int) bool) {
 		return
 	}
 	key, _ := m.keysAt(i)
-	h := hashKmer(hashInput(key))
-	cand := m.head[h]
+	cand := m.head[hashKmer(key)]
 	for steps := 0; cand > 0 && steps < m.maxChain; steps++ {
 		j := int(cand) - 1
 		cand = m.prev[j]
@@ -291,10 +307,27 @@ func (m *HashMatcher) ForEachForwardAnchor(i int, fn func(j int) bool) {
 
 // FindBest returns the better of the direct and reverse-complement matches
 // at i. Direct matches win ties because they are marginally cheaper to
-// encode (no orientation flag branch mispredict on decode).
+// encode (no orientation flag branch mispredict on decode). It takes both
+// keys at once and loads both bucket heads first: when both buckets are
+// empty, as at most steps of a parse, neither chain has anything to walk
+// and it returns at once, with the result and Stats of FindForward then
+// FindRC.
 func (m *HashMatcher) FindBest(i int) (Match, bool) {
-	f, okF := m.FindForward(i)
-	r, okR := m.FindRC(i)
+	if i+m.k > len(m.data) {
+		return Match{}, false
+	}
+	if i == m.keyPos+1 {
+		m.roll(i) // keysAt's common case, inline
+	} else {
+		m.keysAt(i)
+	}
+	fwd, rc := m.fwdKey, m.rcKey
+	fh, rh := m.head[hashKmer(fwd)], m.head[hashKmer(rc)]
+	if fh|rh == 0 {
+		return Match{}, false
+	}
+	f, okF := m.walkForward(i, fwd, fh)
+	r, okR := m.walkRC(i, rc, rh)
 	switch {
 	case okF && okR:
 		if r.Len > f.Len {

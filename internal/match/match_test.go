@@ -96,6 +96,64 @@ func TestFindBestPrefersLonger(t *testing.T) {
 	}
 }
 
+// TestFindBestMatchesBothWalks checks FindBest, which returns before any
+// chain walk when both buckets are empty, against a twin matcher that calls
+// FindForward then FindRC: at every step of a parse, over a random input
+// and a repeat-rich one, at strides 1 and 8, the Match, ok and Stats must
+// be equal.
+func TestFindBestMatchesBothWalks(t *testing.T) {
+	inputs := []struct {
+		name string
+		data []byte
+	}{
+		{"random", synth.Profile{Length: 1 << 16, GC: 0.45}.Generate(7)},
+		{"repeat-rich", synth.Profile{Length: 80000, GC: 0.4, RepeatProb: 0.025, RepeatMin: 30, RepeatMax: 800, RCFraction: 0.2, MutationRate: 0.005}.Generate(42)},
+	}
+	for _, in := range inputs {
+		for _, stride := range []int{1, 8} {
+			m := NewHashMatcher(in.data, WithStride(stride))
+			twin := NewHashMatcher(in.data, WithStride(stride))
+			var matches, walked int
+			for i := 0; i < len(in.data); {
+				m.Advance(i)
+				twin.Advance(i)
+				probes := m.Stats().Probes
+				got, ok := m.FindBest(i)
+				f, okF := twin.FindForward(i)
+				r, okR := twin.FindRC(i)
+				want, wantOK := Match{}, false
+				switch {
+				case okR && (!okF || r.Len > f.Len):
+					want, wantOK = r, true
+				case okF:
+					want, wantOK = f, true
+				}
+				if got != want || ok != wantOK || m.Stats() != twin.Stats() {
+					t.Fatalf("%s stride %d at %d: FindBest %+v %v %+v, both walks %+v %v %+v",
+						in.name, stride, i, got, ok, m.Stats(), want, wantOK, twin.Stats())
+				}
+				if m.Stats().Probes != probes {
+					walked++
+				}
+				if ok && got.Len >= 20 {
+					matches++
+					i += got.Len
+					continue
+				}
+				i++
+			}
+			m.Release()
+			twin.Release()
+			// Both paths must have run: steps that walked a chain and
+			// steps that returned early, and on the repeat-rich input
+			// repeats long enough to jump over.
+			if walked == 0 || (in.name == "repeat-rich" && matches == 0) {
+				t.Fatalf("%s stride %d: %d steps walked a chain, %d repeats taken", in.name, stride, walked, matches)
+			}
+		}
+	}
+}
+
 func TestNoMatchInRandomPrefix(t *testing.T) {
 	p := synth.Profile{Length: 4000, GC: 0.5} // iid, no planted repeats
 	data := p.Generate(99)
