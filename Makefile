@@ -82,8 +82,9 @@ bench-smoke:
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
-# case, single CXA1 frames), any drift of the range decoder from its
-# branching reference, any daemon query that slips a bad range or context
+# case, single CXA1 frames), any drift of the range decoder or its literal
+# runs from the branching reference, any matcher scan that stops anywhere
+# but where a per-position parse would first walk a chain, any daemon query that slips a bad range or context
 # past its parser, any body that Cleanse turns into bad symbols or stats,
 # any traceparent header that parses to malformed IDs, any replica
 # envelope that opens to a payload other than its suffix and any model
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
+	$(GO) test ./internal/match -run='^$$' -fuzz=FuzzNextCandidate -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRequestParams -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzCleanse -fuzztime=5s
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=5s

@@ -88,25 +88,39 @@ func (e *Encoder) EncodeBit(p *Prob, bit int) {
 	p.updateMask(mask)
 }
 
-// EncodeLiteral codes the token a repeat codec writes at a literal
-// position: a 0 through the adaptive flag model, then sym through m. The
-// bytes and model states are those of EncodeBit(flag, 0) followed by
-// m.Encode(e, sym), in one call that keeps the range in registers. A nil
-// flag codes sym alone, which is m.Encode(e, sym).
-func (e *Encoder) EncodeLiteral(flag *Prob, m *SymbolModel, sym byte) {
-	probs := m.probs[m.ctx*3:][:3]
-	hi, lo := symbolMasks(sym)
+// EncodeLiterals codes a run of literal tokens, the token a repeat codec
+// writes at each literal position: for every symbol of syms, a 0 through
+// the adaptive flag model, then the symbol through m. The bytes and model
+// states are those of EncodeBit(flag, 0) and then the symbol's two bits
+// through m, symbol after symbol, in one call that keeps the range, the
+// flag model and m's context in locals for the whole run. A nil flag codes
+// the symbols alone; flag must not be one of m's models.
+func (e *Encoder) EncodeLiterals(flag *Prob, m *SymbolModel, syms []byte) {
 	rng, low := e.rng, e.low
+	ctx, ctxMask, probs := m.ctx, m.mask, m.probs
+	var f Prob
 	if flag != nil {
-		rng, low = e.norm(encodeStep(rng, low, uint32(*flag), 0))
-		flag.updateMask(0)
+		f = *flag
 	}
-	rng, low = e.norm(encodeStep(rng, low, uint32(probs[0]), hi))
-	probs[0].updateMask(hi)
-	p := &probs[1+hi&1]
-	e.rng, e.low = e.norm(encodeStep(rng, low, uint32(*p), lo))
-	p.updateMask(lo)
-	m.advance(sym)
+	for _, sym := range syms {
+		if flag != nil {
+			rng, low = e.norm(encodeStep(rng, low, uint32(f), 0))
+			f.updateMask(0)
+		}
+		p := probs[ctx*3:][:3]
+		hi, lo := symbolMasks(sym)
+		rng, low = e.norm(encodeStep(rng, low, uint32(p[0]), hi))
+		p[0].updateMask(hi)
+		q := &p[1+hi&1]
+		rng, low = e.norm(encodeStep(rng, low, uint32(*q), lo))
+		q.updateMask(lo)
+		ctx = (ctx<<2 | uint32(sym&3)) & ctxMask
+	}
+	e.rng, e.low = rng, low
+	m.ctx = ctx
+	if flag != nil {
+		*flag = f
+	}
 }
 
 // encodeStep narrows the range (rng, low) to the bit that mask selects
@@ -201,35 +215,52 @@ func (d *Decoder) DecodeBit(p *Prob) int {
 	return int(mask & 1)
 }
 
-// DecodeLiteral decodes the token EncodeLiteral writes. It decodes a flag
-// bit through flag; a 0 is a literal, whose symbol it decodes through m
-// and returns with ok true. A 1 it reports with ok false, leaving the rest
-// of the token to the caller. Bits, model states and BytesRead are those of
-// DecodeBit(flag) followed, on a 0, by m.Decode(d). A nil flag decodes a
-// symbol alone, which is m.Decode(d).
-func (d *Decoder) DecodeLiteral(flag *Prob, m *SymbolModel) (sym byte, ok bool) {
+// DecodeLiterals decodes a run of the tokens EncodeLiterals writes,
+// appending each literal's symbol to out, until out holds n symbols or it
+// decodes a flag bit of 1. The caller tells the two apart by len(out): a
+// run that stops short of n stopped on a repeat flag, whose fields it
+// leaves to the caller. n is compared with len(out) as uint64, so a base
+// count read from a stream needs no conversion. Bits, model states and
+// BytesRead are those of DecodeBit(flag) and, on a 0, the symbol's two
+// bits through m, token after token; like EncodeLiterals it keeps the
+// range, the flag model and m's context in locals. A nil flag decodes
+// symbols alone until out holds n.
+func (d *Decoder) DecodeLiterals(flag *Prob, m *SymbolModel, out []byte, n uint64) []byte {
 	rng, code := d.rng, d.code
+	ctx, ctxMask, probs := m.ctx, m.mask, m.probs
+	var f Prob
 	if flag != nil {
-		var isRepeat uint32
-		rng, code, isRepeat = decodeStep(rng, code, uint32(*flag))
-		rng, code = d.norm(rng, code)
-		flag.updateMask(isRepeat)
-		if isRepeat != 0 {
-			d.rng, d.code = rng, code
-			return 0, false
-		}
+		f = *flag
 	}
-	probs := m.probs[m.ctx*3:][:3]
-	rng, code, hi := decodeStep(rng, code, uint32(probs[0]))
-	rng, code = d.norm(rng, code)
-	probs[0].updateMask(hi)
-	p := &probs[1+hi&1]
-	rng, code, lo := decodeStep(rng, code, uint32(*p))
-	d.rng, d.code = d.norm(rng, code)
-	p.updateMask(lo)
-	sym = byte(hi&2 | lo&1)
-	m.advance(sym)
-	return sym, true
+	for uint64(len(out)) < n {
+		if flag != nil {
+			var isRepeat uint32
+			rng, code, isRepeat = decodeStep(rng, code, uint32(f))
+			rng, code = d.norm(rng, code)
+			f.updateMask(isRepeat)
+			if isRepeat != 0 {
+				break
+			}
+		}
+		p := probs[ctx*3:][:3]
+		var hi, lo uint32
+		rng, code, hi = decodeStep(rng, code, uint32(p[0]))
+		rng, code = d.norm(rng, code)
+		p[0].updateMask(hi)
+		q := &p[1+hi&1]
+		rng, code, lo = decodeStep(rng, code, uint32(*q))
+		rng, code = d.norm(rng, code)
+		q.updateMask(lo)
+		sym := byte(hi&2 | lo&1)
+		ctx = (ctx<<2 | uint32(sym)) & ctxMask
+		out = append(out, sym)
+	}
+	d.rng, d.code = rng, code
+	m.ctx = ctx
+	if flag != nil {
+		*flag = f
+	}
+	return out
 }
 
 // decodeStep decodes one bit under P(0) = p0 and returns it as a mask (see
@@ -284,15 +315,13 @@ func (p *Prob) Update(bit int) { p.updateMask(bitMask(bit)) }
 
 // updateMask moves the model toward the bit that mask selects (see
 // bitMask): a 0 adds (ProbOne-v)>>adaptShift, a 1 subtracts v>>adaptShift.
+// From any uint16 state a 0 stays below ProbOne and a 1 reaches 0 only
+// from the zero value, so the one clamp the range needs is that 0 becomes
+// 1, which (v-1)>>31 does without a branch.
 func (p *Prob) updateMask(mask uint32) {
 	v := uint32(*p)
 	v += (ProbOne-v)>>adaptShift&^mask - v>>adaptShift&mask
-	if v == 0 {
-		v = 1
-	}
-	if v >= ProbOne {
-		v = ProbOne - 1
-	}
+	v += (v - 1) >> 31 // lift 0 to 1
 	*p = Prob(v)
 }
 

@@ -217,16 +217,12 @@ func TestSymbolModelRoundTrip(t *testing.T) {
 		}
 		me := NewSymbolModel(order)
 		e := NewEncoder(len(syms))
-		for _, s := range syms {
-			me.Encode(e, s)
-		}
+		e.EncodeLiterals(nil, me, syms)
 		out := e.Finish()
 		md := NewSymbolModel(order)
-		d := NewDecoder(out)
-		for i, want := range syms {
-			if got := md.Decode(d); got != want {
-				t.Fatalf("order %d sym %d: got %d want %d", order, i, got, want)
-			}
+		got := NewDecoder(out).DecodeLiterals(nil, md, nil, uint64(len(syms)))
+		if !bytes.Equal(got, syms) {
+			t.Fatalf("order %d: %d symbols decoded, first difference at %d", order, len(got), firstDifference(got, syms))
 		}
 		// The repetitive source must compress below 2 bits/base.
 		bpb := float64(len(out)*8) / float64(len(syms))
@@ -247,7 +243,7 @@ func TestSymbolModelObserve(t *testing.T) {
 		if skip[i] {
 			me.Observe(s)
 		} else {
-			me.Encode(e, s)
+			e.EncodeLiterals(nil, me, syms[i:i+1])
 		}
 	}
 	md := NewSymbolModel(2)
@@ -257,8 +253,8 @@ func TestSymbolModelObserve(t *testing.T) {
 			md.Observe(want)
 			continue
 		}
-		if got := md.Decode(d); got != want {
-			t.Fatalf("sym %d: got %d want %d", i, got, want)
+		if got := d.DecodeLiterals(nil, md, nil, 1); got[0] != want {
+			t.Fatalf("sym %d: got %d want %d", i, got[0], want)
 		}
 	}
 }
@@ -267,7 +263,7 @@ func TestSymbolModelReset(t *testing.T) {
 	m := NewSymbolModel(2)
 	e := NewEncoder(64)
 	for i := 0; i < 100; i++ {
-		m.Encode(e, byte(i%4))
+		e.EncodeLiterals(nil, m, []byte{byte(i % 4)})
 	}
 	m.Reset()
 	fresh := NewSymbolModel(2)
@@ -310,16 +306,22 @@ func BenchmarkEncodeBitAdaptive(b *testing.B) {
 	}
 }
 
+// BenchmarkSymbolModelOrder2 codes runs of 4,096 symbols through an
+// order-2 model, with no flag: throughput is per symbol.
 func BenchmarkSymbolModelOrder2(b *testing.B) {
+	syms := make([]byte, 4096)
+	for i := range syms {
+		syms[i] = byte(i * 7 % 4)
+	}
 	m := NewSymbolModel(2)
 	e := NewEncoder(1 << 20)
 	b.ReportAllocs()
-	b.SetBytes(1)
+	b.SetBytes(int64(len(syms)))
 	for i := 0; i < b.N; i++ {
 		if e.Len() > 1<<22 {
 			e = NewEncoder(1 << 20)
 		}
-		m.Encode(e, byte(i&3))
+		e.EncodeLiterals(nil, m, syms)
 	}
 }
 
@@ -392,9 +394,9 @@ func refUpdate(p *Prob, bit int) {
 // oneBits are the values a caller may pass for a 1 bit: any non-zero int.
 var oneBits = []int{1, 1, 1, -1, 2, 3, 255, math.MaxInt, math.MinInt}
 
-// encodeSymbol and encodeToken are the references for SymbolModel.Encode
-// and EncodeLiteral: the symbol's two bits through its context's models,
-// and the flag bit before them, one encodeBit call each.
+// encodeSymbol and encodeToken are the per-symbol references for
+// EncodeLiterals: the symbol's two bits through its context's models, and
+// the flag bit before them, one encodeBit call each.
 func (e *refEncoder) encodeSymbol(m *SymbolModel, sym byte) {
 	base := m.ctx * 3
 	hi := int(sym >> 1)
@@ -410,8 +412,8 @@ func (e *refEncoder) encodeToken(flag *Prob, m *SymbolModel, bit int, sym byte) 
 	}
 }
 
-// decodeSymbol and decodeToken are the references for SymbolModel.Decode
-// and DecodeLiteral.
+// decodeSymbol and decodeToken are the per-symbol references for
+// DecodeLiterals.
 func (d *refDecoder) decodeSymbol(m *SymbolModel) byte {
 	base := m.ctx * 3
 	hi := d.decodeBit(&m.probs[base])
@@ -428,14 +430,31 @@ func (d *refDecoder) decodeToken(flag *Prob, m *SymbolModel) (sym byte, ok bool)
 	return d.decodeSymbol(m), true
 }
 
+// decodeRun is the reference for DecodeLiterals: tokens one at a time
+// while out holds fewer than n symbols, or symbols alone with a nil flag.
+func (d *refDecoder) decodeRun(flag *Prob, m *SymbolModel, out []byte, n uint64) []byte {
+	for uint64(len(out)) < n {
+		if flag == nil {
+			out = append(out, d.decodeSymbol(m))
+			continue
+		}
+		sym, ok := d.decodeToken(flag, m)
+		if !ok {
+			break
+		}
+		out = append(out, sym)
+	}
+	return out
+}
+
 // stepKind is what one step of an oracle schedule codes.
 type stepKind int
 
 const (
 	staticStep   stepKind = iota // a bit with static P(0) = p0
 	adaptiveStep                 // a bit through model slot
-	symbolStep                   // sym through the symbol model
-	tokenStep                    // a flag bit through model slot, then on a 0 sym through the symbol model
+	symbolStep                   // a run of syms through the symbol model, no flag
+	tokenStep                    // a run of literal tokens, flag in model slot, then on bit 1 a repeat flag
 )
 
 // codedBit is one step of an oracle schedule.
@@ -444,7 +463,8 @@ type codedBit struct {
 	slot int
 	p0   uint32
 	bit  int
-	sym  byte
+	syms []byte
+	n    uint64 // the token run's limit for DecodeLiterals
 }
 
 // reset sets one model before a step: symbol-model entry idx if sym, else
@@ -471,12 +491,30 @@ func sameSymbolModel(a, b *SymbolModel) bool {
 	return a.ctx == b.ctx && slices.Equal(a.probs, b.probs)
 }
 
-// oracleSchedule draws n mixed static, adaptive, symbol and token steps.
-// Static probabilities include both extremes, 1 and ProbOne-1; adaptive
-// slots and symbol-model entries are now and then reset to the zero-value
-// Prob or to ProbOne-1. A zero-valued model leaves a 0 bit an empty
-// sub-range in either coder, so its next bit is a 1: a token whose flag is
-// zero-valued is a repeat, and a zero-valued symbol model codes a 1.
+// runLength draws the length of a run: 0 or 1 symbol now and then, and
+// otherwise up to 40, with a long run of up to 1,000 once in a while.
+func runLength(rng *rand.Rand) int {
+	switch r := rng.Intn(64); {
+	case r < 8:
+		return 0
+	case r < 24:
+		return 1
+	case r == 63:
+		return rng.Intn(1000)
+	default:
+		return 2 + rng.Intn(39)
+	}
+}
+
+// oracleSchedule draws n mixed static, adaptive, symbol-run and token-run
+// steps. Static probabilities include both extremes, 1 and ProbOne-1;
+// adaptive slots and symbol-model entries are now and then reset to the
+// zero-value Prob or to ProbOne-1. A zero-valued model leaves a 0 bit an
+// empty sub-range in either coder, so its next bit is a 1: a token run
+// whose flag is zero-valued is an empty run cut by a repeat flag, and a
+// zero-valued symbol model codes a 1. A token run is cut by a repeat flag
+// (bit 1) a quarter of the time, its limit n then lying past the run, up
+// to the largest uint64; otherwise n is its length and no flag follows.
 func oracleSchedule(rng *rand.Rand, n, slots int) (steps []codedBit, resets map[int]reset) {
 	steps = make([]codedBit, n)
 	resets = make(map[int]reset)
@@ -544,20 +582,32 @@ func oracleSchedule(rng *rand.Rand, n, slots int) (steps []codedBit, resets map[
 			}
 			zero[s.slot] = false
 			continue
-		case tokenStep:
-			// Mostly literals, as in a parse.
-			if rng.Intn(4) == 0 || zero[s.slot] {
+		}
+		l := runLength(rng)
+		if s.kind == tokenStep {
+			if zero[s.slot] {
+				l, s.bit = 0, 1
+			} else if rng.Intn(4) == 0 {
 				s.bit = 1
 			}
-			zero[s.slot] = false
+			zero[s.slot] = zero[s.slot] && l == 0 && s.bit == 0
+			s.n = uint64(l)
 			if s.bit != 0 {
-				continue
+				switch rng.Intn(4) {
+				case 0:
+					s.n = math.MaxUint64
+				default:
+					s.n += 1 + uint64(rng.Intn(3))
+				}
 			}
 		}
-		hi := symbolBit(ctx * 3)
-		lo := symbolBit(ctx*3 + 1 + hi)
-		s.sym = byte(hi<<1 | lo)
-		ctx = (ctx<<2 | int(s.sym)) & 3
+		s.syms = make([]byte, l)
+		for j := range s.syms {
+			hi := symbolBit(ctx * 3)
+			lo := symbolBit(ctx*3 + 1 + hi)
+			s.syms[j] = byte(hi<<1 | lo)
+			ctx = (ctx<<2 | int(s.syms[j])) & 3
+		}
 	}
 	return steps, resets
 }
@@ -591,11 +641,13 @@ func oracleModels(slots int) []Prob {
 }
 
 // TestMaskCoderMatchesReference drives over a million mixed static,
-// adaptive, symbol and token steps through the mask coder and the
+// adaptive, symbol-run and token-run steps through the mask coder and the
 // branching reference in lockstep: output bytes, every model state, every
 // decoded bit and symbol and the bytes each decoder consumed must be
-// equal. A token is EncodeLiteral's flag and symbol on a 0 and
-// EncodeBit's flag alone on a 1, decoded by DecodeLiteral either way.
+// equal. A token run is EncodeLiterals, then on bit 1 EncodeBit's repeat
+// flag; the reference codes it a token at a time. Runs hold 0, 1 or many
+// symbols, and DecodeLiterals must stop on the repeat flag or at n,
+// whichever the run was cut by, without decoding a token past it.
 func TestMaskCoderMatchesReference(t *testing.T) {
 	const n, slots = 1<<20 + 4099, 64
 	steps, resets := oracleSchedule(rand.New(rand.NewSource(2015)), n, slots)
@@ -616,15 +668,19 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 			e.EncodeBit(&ps[s.slot], s.bit)
 			re.encodeBit(&rps[s.slot], s.bit)
 		case symbolStep:
-			sm.Encode(e, s.sym)
-			re.encodeSymbol(rsm, s.sym)
-		case tokenStep:
-			if s.bit == 0 {
-				e.EncodeLiteral(&ps[s.slot], sm, s.sym)
-			} else {
-				e.EncodeBit(&ps[s.slot], s.bit)
+			e.EncodeLiterals(nil, sm, s.syms)
+			for _, sym := range s.syms {
+				re.encodeSymbol(rsm, sym)
 			}
-			re.encodeToken(&rps[s.slot], rsm, s.bit, s.sym)
+		case tokenStep:
+			e.EncodeLiterals(&ps[s.slot], sm, s.syms)
+			for _, sym := range s.syms {
+				re.encodeToken(&rps[s.slot], rsm, 0, sym)
+			}
+			if s.bit != 0 {
+				e.EncodeBit(&ps[s.slot], s.bit)
+				re.encodeToken(&rps[s.slot], rsm, s.bit, 0)
+			}
 		}
 		if ps[s.slot] != rps[s.slot] {
 			t.Fatalf("step %d: encoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
@@ -642,6 +698,7 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 	d, rd := NewDecoder(out), &refDecoder{*NewDecoder(out)}
 	ps, rps = oracleModels(slots), oracleModels(slots)
 	sm, rsm = oracleSymbolModel(), oracleSymbolModel()
+	var run, refRun []byte
 	for i, s := range steps {
 		if r, ok := resets[i]; ok {
 			r.apply(ps, sm)
@@ -657,15 +714,19 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 			got, want = d.DecodeBitP(s.p0), rd.decodeBitP(s.p0)
 		case adaptiveStep:
 			got, want = d.DecodeBit(&ps[s.slot]), rd.decodeBit(&rps[s.slot])
-		case symbolStep:
-			got, want, coded = int(sm.Decode(d)), int(rd.decodeSymbol(rsm)), int(s.sym)
-		case tokenStep:
-			sym, ok := d.DecodeLiteral(&ps[s.slot], sm)
-			rsym, rok := rd.decodeToken(&rps[s.slot], rsm)
-			if ok != rok || ok != (coded == 0) {
-				t.Fatalf("step %d: literal %v, reference %v, coded flag %d", i, ok, rok, coded)
+		case symbolStep, tokenStep:
+			var flag, refFlag *Prob
+			limit := uint64(len(s.syms))
+			if s.kind == tokenStep {
+				flag, refFlag, limit = &ps[s.slot], &rps[s.slot], s.n
 			}
-			got, want, coded = int(sym), int(rsym), int(s.sym)
+			run = d.DecodeLiterals(flag, sm, run[:0], limit)
+			refRun = rd.decodeRun(refFlag, rsm, refRun[:0], limit)
+			if !bytes.Equal(run, refRun) || !bytes.Equal(run, s.syms) {
+				t.Fatalf("step %d: decoded a run of %d symbols, reference %d, coded %d; first difference at %d",
+					i, len(run), len(refRun), len(s.syms), firstDifference(run, s.syms))
+			}
+			got, want, coded = len(run), len(refRun), len(s.syms)
 		}
 		if ps[s.slot] != rps[s.slot] {
 			t.Fatalf("step %d: decoder model %d, reference %d", i, ps[s.slot], rps[s.slot])
@@ -676,9 +737,9 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 		if got != want || got != coded {
 			t.Fatalf("step %d: decoded %d, reference %d, coded %d", i, got, want, coded)
 		}
-	}
-	if d.BytesRead() != rd.BytesRead() {
-		t.Fatalf("decoder read %d bytes, reference %d", d.BytesRead(), rd.BytesRead())
+		if d.BytesRead() != rd.BytesRead() {
+			t.Fatalf("step %d: decoder read %d bytes, reference %d", i, d.BytesRead(), rd.BytesRead())
+		}
 	}
 }
 
@@ -717,11 +778,13 @@ func fuzzP0(s byte) uint32 {
 
 // FuzzDecoderMatchesReference decodes arbitrary payload bytes, as a stored
 // frame's decoder does, under a fuzzed schedule of static probabilities,
-// adaptive models (zero-valued ones included), symbols and literal tokens.
-// The mask decoder must give the reference's bits, symbols, model states
-// and BytesRead. A schedule byte below 0x80 is a static bit; 0x80–0xBF an
-// adaptive bit through slot s&15; 0xC0–0xDF a token, DecodeLiteral, with
-// its flag in slot s&15; 0xE0–0xFF a symbol.
+// adaptive models (zero-valued ones included), symbol runs and literal
+// token runs. The mask decoder must give the reference's bits, symbols,
+// model states and BytesRead. A schedule byte below 0x80 is a static bit;
+// 0x80–0xBF an adaptive bit through slot s&15; 0xC0–0xDF a token run,
+// DecodeLiterals with its flag in slot s&15 and a limit of the next
+// schedule byte's value in symbols, so that a run may stop on a repeat
+// flag or at its limit; 0xE0–0xFF a run of s&31 symbols with no flag.
 func FuzzDecoderMatchesReference(f *testing.F) {
 	e := NewEncoder(64)
 	p := NewProb()
@@ -742,15 +805,17 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 	{
 		e := NewEncoder(64)
 		flag, m := NewProb(), NewSymbolModel(1)
-		for i := 0; i < 200; i++ {
-			if i%9 == 8 {
-				e.EncodeBit(&flag, 1)
-				continue
+		syms := make([]byte, 8)
+		for i := 0; i < 25; i++ {
+			for j := range syms {
+				syms[j] = byte((8*i + j) * 5 % 4)
 			}
-			e.EncodeLiteral(&flag, m, byte(i*5%4))
+			e.EncodeLiterals(&flag, m, syms)
+			e.EncodeBit(&flag, 1)
 		}
 		f.Add(e.Finish(), []byte{0xC0})
-		f.Add([]byte{0x00, 0x80, 0x00, 0x00, 0x00, 0x01}, []byte{0xC3, 0xE0, 0xC3, 0x8b, 0x21})
+		f.Add(e.Finish(), []byte{0xC0, 0x08, 0xC0, 0x00, 0xC0, 0x01, 0xC0, 0x09})
+		f.Add([]byte{0x00, 0x80, 0x00, 0x00, 0x00, 0x01}, []byte{0xC3, 0xE0, 0xC3, 0x8b, 0x21, 0xE1, 0xFF})
 	}
 	f.Fuzz(func(t *testing.T, payload, schedule []byte) {
 		if len(schedule) == 0 {
@@ -759,6 +824,7 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 		d, rd := NewDecoder(payload), &refDecoder{*NewDecoder(payload)}
 		ps, rps := oracleModels(16), oracleModels(16)
 		sm, rsm := oracleSymbolModel(), oracleSymbolModel()
+		var run, refRun []byte
 		for i := 0; i < 8*len(payload)+64; i++ {
 			s := schedule[i%len(schedule)]
 			slot := s & 15
@@ -768,15 +834,19 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 				got, want = d.DecodeBitP(fuzzP0(s)), rd.decodeBitP(fuzzP0(s))
 			case s < 0xC0:
 				got, want = d.DecodeBit(&ps[slot]), rd.decodeBit(&rps[slot])
-			case s < 0xE0:
-				sym, ok := d.DecodeLiteral(&ps[slot], sm)
-				rsym, rok := rd.decodeToken(&rps[slot], rsm)
-				if ok != rok {
-					t.Fatalf("step %d: literal %v, reference %v", i, ok, rok)
-				}
-				got, want = int(sym), int(rsym)
 			default:
-				got, want = int(sm.Decode(d)), int(rd.decodeSymbol(rsm))
+				var flag, refFlag *Prob
+				limit := uint64(s & 31)
+				if s < 0xE0 {
+					flag, refFlag = &ps[slot], &rps[slot]
+					limit = uint64(schedule[(i+1)%len(schedule)])
+				}
+				run = d.DecodeLiterals(flag, sm, run[:0], limit)
+				refRun = rd.decodeRun(refFlag, rsm, refRun[:0], limit)
+				if !bytes.Equal(run, refRun) {
+					t.Fatalf("step %d: decoded a run of %d symbols, reference %d; first difference at %d",
+						i, len(run), len(refRun), firstDifference(run, refRun))
+				}
 			}
 			if ps[slot] != rps[slot] {
 				t.Fatalf("step %d: model %d, reference %d", i, ps[slot], rps[slot])

@@ -5,7 +5,8 @@ package arith
 // owns a tiny binary tree of three adaptive bit models: one for the high bit
 // of the next symbol and one per branch for the low bit. Order-2 instances of
 // this model are the "order-2 arithmetic coding" literal coder named by
-// BioCompress-2, DNAPack and DNAX in the paper's Table 1.
+// BioCompress-2, DNAPack and DNAX in the paper's Table 1. Symbols are coded
+// through it by Encoder.EncodeLiterals and Decoder.DecodeLiterals.
 type SymbolModel struct {
 	order int
 	mask  uint32
@@ -41,15 +42,6 @@ func (m *SymbolModel) Reset() {
 	for i := range m.probs {
 		m.probs[i] = NewProb()
 	}
-}
-
-// Encode codes sym (0..3) into e and advances the context.
-func (m *SymbolModel) Encode(e *Encoder, sym byte) { e.EncodeLiteral(nil, m, sym) }
-
-// Decode returns the next symbol from d and advances the context.
-func (m *SymbolModel) Decode(d *Decoder) byte {
-	sym, _ := d.DecodeLiteral(nil, m)
-	return sym
 }
 
 // Observe advances the context without coding, used when a stretch of

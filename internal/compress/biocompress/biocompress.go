@@ -99,44 +99,52 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 	var literals, matches, copied int64
 	run := uint64(0) // pending literal-run length
-	i := 0
-	for i < len(src) {
-		m.Advance(i)
-		mt, ok := m.FindBest(i)
-		if ok && mt.Len >= c.cfg.MinRepeat && c.worthIt(mt, i) {
-			if err := fib.Encode(tokens, run+1); err != nil {
-				return nil, compress.Stats{}, err
+	for i := 0; i < len(src); {
+		// [i, j) are literals: FindBest would find both buckets empty at
+		// each of them.
+		j := m.NextCandidate(i)
+		var mt match.Match
+		repeat := false
+		if j < len(src) {
+			mt, repeat = m.FindBest(j)
+			if repeat = repeat && mt.Len >= c.cfg.MinRepeat && c.worthIt(mt, j); !repeat {
+				j++ // no repeat worth its descriptor: j is a literal too
 			}
-			run = 0
-			if mt.RC {
-				tokens.WriteBit(1)
-			} else {
-				tokens.WriteBit(0)
-			}
-			if err := fib.Encode(tokens, uint64(mt.Len-c.cfg.MinRepeat+1)); err != nil {
-				return nil, compress.Stats{}, err
-			}
-			var dist int
-			if mt.RC {
-				dist = i - (mt.Src + mt.Len)
-			} else {
-				dist = i - mt.Src - 1
-			}
-			if err := fib.Encode(tokens, uint64(dist+1)); err != nil {
-				return nil, compress.Stats{}, err
-			}
-			for t := 0; t < mt.Len; t++ {
-				lit.Observe(src[i+t])
-			}
-			matches++
-			copied += int64(mt.Len)
-			i += mt.Len
+		}
+		enc.EncodeLiterals(nil, lit, src[i:j])
+		literals += int64(j - i)
+		run += uint64(j - i)
+		i = j
+		if !repeat {
 			continue
 		}
-		run++
-		lit.Encode(enc, src[i])
-		literals++
-		i++
+		if err := fib.Encode(tokens, run+1); err != nil {
+			return nil, compress.Stats{}, err
+		}
+		run = 0
+		if mt.RC {
+			tokens.WriteBit(1)
+		} else {
+			tokens.WriteBit(0)
+		}
+		if err := fib.Encode(tokens, uint64(mt.Len-c.cfg.MinRepeat+1)); err != nil {
+			return nil, compress.Stats{}, err
+		}
+		var dist int
+		if mt.RC {
+			dist = i - (mt.Src + mt.Len)
+		} else {
+			dist = i - mt.Src - 1
+		}
+		if err := fib.Encode(tokens, uint64(dist+1)); err != nil {
+			return nil, compress.Stats{}, err
+		}
+		for t := 0; t < mt.Len; t++ {
+			lit.Observe(src[i+t])
+		}
+		matches++
+		copied += int64(mt.Len)
+		i += mt.Len
 	}
 	if err := fib.Encode(tokens, run+1); err != nil {
 		return nil, compress.Stats{}, err
@@ -198,11 +206,8 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if run > nBases-uint64(len(out)) {
 			return nil, compress.Stats{}, compress.Corruptf("biocompress: literal run %d overruns output", run)
 		}
-		for j := uint64(0); j < run; j++ {
-			b := lit.Decode(dec)
-			out = append(out, b)
-			literals++
-		}
+		out = dec.DecodeLiterals(nil, lit, out, uint64(len(out))+run)
+		literals += int64(run)
 		if uint64(len(out)) >= nBases {
 			break
 		}

@@ -186,7 +186,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 			i += best.TLen
 			continue
 		}
-		enc.EncodeLiteral(&flag, lit, src[i])
+		enc.EncodeLiterals(&flag, lit, src[i:i+1])
 		literals++
 		i++
 	}
@@ -255,12 +255,14 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied, opsReplayed int64
-	for uint64(len(out)) < nBases {
-		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
-			out = append(out, sym)
-			literals++
-			continue
+	for {
+		before := len(out)
+		out = dec.DecodeLiterals(&flag, lit, out, nBases)
+		literals += int64(len(out) - before)
+		if uint64(len(out)) >= nBases {
+			break
 		}
+		// The run stopped on a repeat flag.
 		dist := int(distM.Decode(dec)) + 1
 		srcPos := len(out) - dist
 		tlen := int(lenM.Decode(dec)) + c.cfg.MinLen

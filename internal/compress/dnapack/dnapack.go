@@ -200,9 +200,13 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 			i += cd.tlen
 			continue
 		}
-		enc.EncodeLiteral(&flag, lit, src[i])
-		literals++
-		i++
+		j := i + 1
+		for j < n && !take[j] {
+			j++
+		}
+		enc.EncodeLiterals(&flag, lit, src[i:j])
+		literals += int64(j - i)
+		i = j
 	}
 	payload := enc.Finish()
 	out := make([]byte, 0, hn+len(payload))
@@ -246,12 +250,14 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied int64
-	for uint64(len(out)) < nBases {
-		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
-			out = append(out, sym)
-			literals++
-			continue
+	for {
+		before := len(out)
+		out = dec.DecodeLiterals(&flag, lit, out, nBases)
+		literals += int64(len(out) - before)
+		if uint64(len(out)) >= nBases {
+			break
 		}
+		// The run stopped on a repeat flag.
 		dist := int(distM.Decode(dec)) + 1
 		srcPos := len(out) - dist
 		tlen := int(lenM.Decode(dec)) + c.cfg.MinRepeat

@@ -147,35 +147,43 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	enc := arith.NewEncoder(len(src)/3 + 64)
 
 	var literals, matches, copied int64
-	i := 0
-	for i < len(src) {
-		m.Advance(i)
-		mt, ok := m.FindBest(i)
-		if ok && c.accept(mt, i) {
-			enc.EncodeBit(&flag, 1)
-			rcBit := 0
-			if mt.RC {
-				rcBit = 1
+	for i := 0; i < len(src); {
+		// [i, j) are literals: FindBest would find both buckets empty at
+		// each of them.
+		j := m.NextCandidate(i)
+		var mt match.Match
+		repeat := false
+		if j < len(src) {
+			mt, repeat = m.FindBest(j)
+			if repeat = repeat && c.accept(mt, j); !repeat {
+				j++ // no repeat worth its descriptor: j is a literal too
 			}
-			enc.EncodeBit(&orient, rcBit)
-			lenM.Encode(enc, uint64(mt.Len-c.cfg.MinRepeat))
-			if mt.RC {
-				distM.Encode(enc, uint64(i-(mt.Src+mt.Len)))
-			} else {
-				distM.Encode(enc, uint64(i-mt.Src-1))
-			}
-			// Keep the literal model's context aligned across the copy.
-			for t := 0; t < mt.Len; t++ {
-				lit.Observe(src[i+t])
-			}
-			matches++
-			copied += int64(mt.Len)
-			i += mt.Len
+		}
+		enc.EncodeLiterals(&flag, lit, src[i:j])
+		literals += int64(j - i)
+		i = j
+		if !repeat {
 			continue
 		}
-		enc.EncodeLiteral(&flag, lit, src[i])
-		literals++
-		i++
+		enc.EncodeBit(&flag, 1)
+		rcBit := 0
+		if mt.RC {
+			rcBit = 1
+		}
+		enc.EncodeBit(&orient, rcBit)
+		lenM.Encode(enc, uint64(mt.Len-c.cfg.MinRepeat))
+		if mt.RC {
+			distM.Encode(enc, uint64(i-(mt.Src+mt.Len)))
+		} else {
+			distM.Encode(enc, uint64(i-mt.Src-1))
+		}
+		// Keep the literal model's context aligned across the copy.
+		for t := 0; t < mt.Len; t++ {
+			lit.Observe(src[i+t])
+		}
+		matches++
+		copied += int64(mt.Len)
+		i += mt.Len
 	}
 	payload := enc.Finish()
 	out := make([]byte, 0, hn+len(payload))
@@ -225,12 +233,14 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 
 	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
 	var literals, matches, copied int64
-	for uint64(len(out)) < nBases {
-		if sym, ok := dec.DecodeLiteral(&flag, lit); ok {
-			out = append(out, sym)
-			literals++
-			continue
+	for {
+		before := len(out)
+		out = dec.DecodeLiterals(&flag, lit, out, nBases)
+		literals += int64(len(out) - before)
+		if uint64(len(out)) >= nBases {
+			break
 		}
+		// The run stopped on a repeat flag.
 		rc := dec.DecodeBit(&orient) == 1
 		l := int(lenM.Decode(dec)) + c.cfg.MinRepeat
 		if l <= 0 || uint64(len(out))+uint64(l) > nBases {

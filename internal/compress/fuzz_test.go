@@ -72,6 +72,15 @@ func FuzzDecompressAll(f *testing.F) {
 // hostileLiterals are the 40 bases the hostile streams start with.
 const hostileLiterals = 40
 
+// hostileBases returns the n literal bases a hostile stream starts with.
+func hostileBases(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i * 7 % 4)
+	}
+	return b
+}
+
 // hostileDnax is a dnax stream of lits literals and then one 16-base
 // repeat whose distance field is d: a forward distance of d+1 or, with rc,
 // a reverse-complement gap of d.
@@ -81,9 +90,7 @@ func hostileDnax(lits int, rc bool, d uint64) []byte {
 	flag, orient := arith.NewProb(), arith.NewProb()
 	lenM, distM := arith.NewUintModel(), arith.NewUintModel()
 	enc := arith.NewEncoder(64)
-	for i := 0; i < lits; i++ {
-		enc.EncodeLiteral(&flag, lit, byte(i*7%4))
-	}
+	enc.EncodeLiterals(&flag, lit, hostileBases(lits))
 	enc.EncodeBit(&flag, 1)
 	rcBit := 0
 	if rc {
@@ -156,11 +163,8 @@ func hostileBiocompress(f *testing.F, rc bool, dv uint64) []byte {
 			f.Fatal(err)
 		}
 	}
-	lit := arith.NewSymbolModel(2)
 	enc := arith.NewEncoder(64)
-	for i := 0; i < hostileLiterals; i++ {
-		lit.Encode(enc, byte(i*7%4))
-	}
+	enc.EncodeLiterals(nil, arith.NewSymbolModel(2), hostileBases(hostileLiterals))
 	tb := tokens.Bytes()
 	out := binary.AppendUvarint(nil, hostileLiterals+24)
 	out = binary.AppendUvarint(out, uint64(len(tb)))

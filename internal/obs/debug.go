@@ -39,8 +39,8 @@ func DebugHandler(reg *Registry) http.Handler {
 	return mux
 }
 
-// DebugServer is the lifecycle-managed HTTP server behind ServeDebug and
-// the dnacompd daemon: the listener is bound synchronously in
+// DebugServer is the lifecycle-managed HTTP server behind the -pprof flags
+// and the dnacompd daemon: the listener is bound synchronously in
 // NewDebugServer (so a bad address fails before any goroutine spawns, and
 // ":0" is usable because Addr reports the kernel-assigned port), serving
 // happens in Serve, and Shutdown drains in-flight requests. Header-read
@@ -111,16 +111,4 @@ func (s *DebugServer) Shutdown(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// ServeDebug serves DebugHandler(reg) on addr, blocking until the listener
-// fails. Long sweeps run it in a goroutine (-pprof flag) so profiles and
-// live metrics are scrapable mid-run; CLIs that need the bind error
-// synchronously (or a graceful drain) use NewDebugServer directly.
-func ServeDebug(addr string, reg *Registry) error {
-	s, err := NewDebugServer(addr, DebugHandler(reg))
-	if err != nil {
-		return err
-	}
-	return s.Serve()
 }

@@ -81,9 +81,3 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	s := tr.start(name, parent, remote)
 	return context.WithValue(ctx, spanKey, s), s
 }
-
-// SpanFrom returns the innermost span carried by ctx, nil when none.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
-}
