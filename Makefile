@@ -82,7 +82,9 @@ bench-smoke:
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
-# case, single CXA1 frames), any drift of the range decoder or its literal
+# case, single CXA1 frames), any repeat-token list that a repeat codec
+# decodes other than a plain interpreter does (FuzzRepeatTokens), any
+# drift of the range decoder or its literal
 # runs from the branching reference, any matcher scan that stops anywhere
 # but where a per-position parse would first walk a chain, any daemon query that slips a bad range or context
 # past its parser, any body that Cleanse turns into bad symbols or stats,
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzCacheKey -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
+	$(GO) test ./internal/compress/token -run='^$$' -fuzz=FuzzRepeatTokens -fuzztime=5s
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
 	$(GO) test ./internal/match -run='^$$' -fuzz=FuzzNextCandidate -fuzztime=5s
 	$(GO) test ./internal/serve -run='^$$' -fuzz=FuzzRequestParams -fuzztime=5s

@@ -221,7 +221,7 @@ func (d *Decoder) DecodeBit(p *Prob) int {
 // run that stops short of n stopped on a repeat flag, whose fields it
 // leaves to the caller. n is compared with len(out) as uint64, so a base
 // count read from a stream needs no conversion. Bits, model states and
-// BytesRead are those of DecodeBit(flag) and, on a 0, the symbol's two
+// bytes read are those of DecodeBit(flag) and, on a 0, the symbol's two
 // bits through m, token after token; like EncodeLiterals it keeps the
 // range, the flag model and m's context in locals. A nil flag decodes
 // symbols alone until out holds n.
@@ -294,10 +294,6 @@ func (d *Decoder) renorm(rng, code uint32) (uint32, uint32) {
 	}
 	return rng, code
 }
-
-// BytesRead reports how many input bytes have been consumed (may exceed
-// len(input) by a small amount at end of stream due to zero-fill).
-func (d *Decoder) BytesRead() int { return d.pos }
 
 // Prob is an adaptive binary model: the fixed-point probability that the
 // next bit is zero. The zero value is NOT valid; use NewProb.

@@ -329,6 +329,10 @@ func BenchmarkSymbolModelOrder2(b *testing.B) {
 // update that the mask form replaced, kept as the oracle: every stored
 // stream was written by them, so the mask form must reproduce their output
 // bytes, model states and decoded bits exactly.
+// BytesRead reports how many input bytes have been consumed (may exceed
+// len(input) by a small amount at end of stream due to zero-fill).
+func (d *Decoder) BytesRead() int { return d.pos }
+
 type refEncoder struct{ Encoder }
 
 func (e *refEncoder) encodeBitP(p0 uint32, bit int) {

@@ -1,5 +1,7 @@
 package arith
 
+import "math/bits"
+
 // UintModel codes unsigned integers inside an arithmetic stream as an
 // adaptive Elias-gamma analogue: the value's bit-length is sent in unary
 // through per-position adaptive models (so frequent magnitudes become cheap)
@@ -36,7 +38,7 @@ func (m *UintModel) Encode(e *Encoder, v uint64) {
 		panic("arith: UintModel cannot encode MaxUint64")
 	}
 	x := v + 1 // x >= 1; bit length in [1,64]
-	n := bitLen(x)
+	n := bits.Len64(x)
 	for i := 0; i < n-1; i++ {
 		e.EncodeBit(&m.lenProbs[i], 1)
 	}
@@ -57,13 +59,4 @@ func (m *UintModel) Decode(d *Decoder) uint64 {
 		x = x<<1 | uint64(d.DecodeBit(&m.bitProbs[i]))
 	}
 	return x - 1
-}
-
-func bitLen(x uint64) int {
-	n := 0
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
 }

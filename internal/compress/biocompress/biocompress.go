@@ -18,7 +18,9 @@
 // Decoding replays the token stream, pulling literal bases from the second
 // section, so the two coding styles never interleave in one bit budget.
 // Encoding runs rather than per-base flags keeps the literal overhead at
-// ~0.001 bits/base instead of a ruinous 1 bit/base.
+// ~0.001 bits/base instead of a ruinous 1 bit/base. Less one, a repeat's
+// length and distance are dnax's fields, and token.CopyExact bounds and
+// replays them as it does dnax's.
 package biocompress
 
 import (
@@ -27,6 +29,7 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/bitio"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/fib"
 	"github.com/srl-nuces/ctxdna/internal/match"
 )
@@ -188,7 +191,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	if used2 <= 0 {
 		return nil, compress.Stats{}, compress.Corruptf("biocompress: bad token-section header")
 	}
-	if nBases > 1<<34 || uint64(used+used2)+tokenLen > uint64(len(data)) {
+	if nBases > token.MaxBases || uint64(used+used2)+tokenLen > uint64(len(data)) {
 		return nil, compress.Stats{}, compress.Corruptf("biocompress: sections overrun input")
 	}
 	tokens := bitio.NewReader(data[used+used2 : uint64(used+used2)+tokenLen])
@@ -223,37 +226,14 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if err != nil {
 			return nil, compress.Stats{}, compress.Corruptf("biocompress: truncated distance: %v", err)
 		}
-		l := int(lv) + c.cfg.MinRepeat - 1
-		if l <= 0 || uint64(len(out))+uint64(l) > nBases {
-			return nil, compress.Stats{}, compress.Corruptf("biocompress: repeat length %d overruns", l)
-		}
-		// dv is compared as read, in uint64, so that no hostile value can
-		// wrap into range: an RC gap of dv-1 must leave the source block
-		// inside the output so far, and a distance of dv must lie in
-		// [1, len(out)] (dv-1 wraps for a dv of 0).
-		if rcBit == 1 {
-			if l > len(out) || dv-1 > uint64(len(out)-l) {
-				return nil, compress.Stats{}, compress.Corruptf("biocompress: RC source underrun")
-			}
-			srcPos := len(out) - int(dv-1) - l
-			for t := 0; t < l; t++ {
-				b := 3 - (out[srcPos+l-1-t] & 3)
-				out = append(out, b)
-				lit.Observe(b)
-			}
-		} else {
-			if dv-1 >= uint64(len(out)) {
-				return nil, compress.Stats{}, compress.Corruptf("biocompress: source underrun")
-			}
-			srcPos := len(out) - int(dv)
-			for t := 0; t < l; t++ {
-				b := out[srcPos+t]
-				out = append(out, b)
-				lit.Observe(b)
-			}
+		// Less one, the length and distance fields are dnax's.
+		before := len(out)
+		var ok bool
+		if out, ok = token.CopyExact(out, nBases, lit, rcBit == 1, c.cfg.MinRepeat, lv-1, dv-1); !ok {
+			return nil, compress.Stats{}, compress.Corruptf("biocompress: repeat (rc %d, length %d, distance %d) out of range at base %d of %d", rcBit, lv, dv, before, nBases)
 		}
 		matches++
-		copied += int64(l)
+		copied += int64(len(out) - before)
 	}
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it

@@ -9,18 +9,19 @@
 // Each anchor is validated and grown by the same bounded edit-distance
 // extension GenCompress uses, but started from scratch (k = 0) so that
 // don't-care-position mismatches inside the seed window become ordinary
-// substitution ops. The stream layout matches GenCompress's (flag, distance,
-// length, edit script, order-2 literals).
+// substitution ops. The stream is GenCompress's: package token's, with its
+// Edit repeat records (distance - 1, length - MinLen, the edit script) and
+// order-2 literals.
 //
 // Simplification: only direct-strand repeats are coded; the original also
 // anchors complemented palindromes (documented divergence, DESIGN.md).
 package dnacompress
 
 import (
-	"encoding/binary"
+	"math/bits"
 
-	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/match"
 )
 
@@ -99,28 +100,16 @@ const (
 	implFactor          = 2.0
 )
 
-func bitLen32(v int) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 func (c *Codec) score(am match.ApproxMatch, pos int) int {
 	if am.TLen < c.cfg.MinLen {
 		return -1
 	}
-	cost := 2 + 2*bitLen32(pos-am.Src) + 2*bitLen32(am.TLen-c.cfg.MinLen+1) + 2*bitLen32(len(am.Ops)+1) + 8*len(am.Ops)
+	cost := 2 + 2*bits.Len(uint(pos-am.Src)) + 2*bits.Len(uint(am.TLen-c.cfg.MinLen+1)) + 2*bits.Len(uint(len(am.Ops)+1)) + 8*len(am.Ops)
 	return 2*am.TLen - cost - 8
 }
 
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
-
 	// Validate every symbol up front: a byte above 3 inside a repeat would
 	// otherwise match its source through the 2-bit seed and be copied as
 	// that source base.
@@ -131,18 +120,9 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	}
 	idx := match.NewSpacedIndex(src, c.seed, 4*c.cfg.MaxCandidates)
 	defer idx.Release()
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	opCountM := arith.NewUintModel()
-	opOffM := arith.NewUintModel()
-	kindProbs := arith.NewProbSlice(2)
-	baseProbs := arith.NewProbSlice(2)
-	enc := arith.NewEncoder(len(src)/3 + 64)
+	w := token.NewWriter(len(src), 2)
 
 	var searchStats match.Stats
-	var literals, matches, copied, opsEmitted int64
 
 	i := 0
 	for i < len(src) {
@@ -163,170 +143,48 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		})
 
 		if bestScore > 0 {
-			enc.EncodeBit(&flag, 1)
-			distM.Encode(enc, uint64(i-best.Src-1))
-			lenM.Encode(enc, uint64(best.TLen-c.cfg.MinLen))
-			opCountM.Encode(enc, uint64(len(best.Ops)))
-			prevOff := 0
-			for _, op := range best.Ops {
-				encodeOpKind(enc, kindProbs, op.Kind)
-				opOffM.Encode(enc, uint64(op.Off-prevOff))
-				prevOff = op.Off
-				if op.Kind != match.OpDel {
-					enc.EncodeBit(&baseProbs[0], int(op.Base>>1))
-					enc.EncodeBit(&baseProbs[1], int(op.Base&1))
-				}
-			}
-			for t := 0; t < best.TLen; t++ {
-				lit.Observe(src[i+t])
-			}
-			matches++
-			copied += int64(best.TLen)
-			opsEmitted += int64(len(best.Ops))
+			w.Edit(uint64(i-best.Src-1), uint64(best.TLen-c.cfg.MinLen), uint64(len(best.Ops)), best.Ops, src[i:i+best.TLen])
 			i += best.TLen
 			continue
 		}
-		enc.EncodeLiterals(&flag, lit, src[i:i+1])
-		literals++
+		w.Literals(src[i : i+1])
 		i++
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	out = append(out, payload...)
+	out := w.Finish()
 
-	st := idx.Stats()
+	st, n := idx.Stats(), w.Counts
 	searchStats.Probes += st.Probes
 	stats := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
 		WorkNS: startupCompressNS + int64(implFactor*(float64(nsPerProbe*float64(searchStats.Probes))+
 			float64(nsPerExtend*float64(searchStats.Extends))+
-			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
-			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+
-			float64(nsPerOp*float64(opsEmitted))+float64(nsPerCopied*float64(copied)))),
-		PeakMem: idx.MemoryFootprint() + lit.MemoryFootprint() + len(src) + len(out) + 5*distM.MemoryFootprint(),
+			float64(nsPerSearch*float64(n.Literals+n.Repeats))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(n.Literals))+float64(nsPerMatch*float64(n.Repeats))+
+			float64(nsPerOp*float64(n.Ops))+float64(nsPerCopied*float64(n.Copied)))),
+		PeakMem: idx.MemoryFootprint() + w.ModelBytes(5) + len(src) + len(out),
 	}
 	return out, stats, nil
 }
 
-func encodeOpKind(e *arith.Encoder, probs []arith.Prob, k match.OpKind) {
-	if k == match.OpSub {
-		e.EncodeBit(&probs[0], 0)
-		return
-	}
-	e.EncodeBit(&probs[0], 1)
-	if k == match.OpIns {
-		e.EncodeBit(&probs[1], 0)
-	} else {
-		e.EncodeBit(&probs[1], 1)
-	}
-}
-
-func decodeOpKind(d *arith.Decoder, probs []arith.Prob) match.OpKind {
-	if d.DecodeBit(&probs[0]) == 0 {
-		return match.OpSub
-	}
-	if d.DecodeBit(&probs[1]) == 0 {
-		return match.OpIns
-	}
-	return match.OpDel
-}
-
-// Decompress implements compress.Codec. The stream is structurally
-// identical to GenCompress's, replayed the same way.
+// Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	nBases, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, compress.Stats{}, compress.Corruptf("dnacompress: bad length header")
+	r, err := token.NewReader(data, "dnacompress", 2)
+	if err != nil {
+		return nil, compress.Stats{}, err
 	}
-	if nBases > 1<<34 {
-		return nil, compress.Stats{}, compress.Corruptf("dnacompress: implausible length %d", nBases)
+	for r.Next() {
+		if err := r.Edit(c.cfg.MinLen, c.cfg.Approx.MaxOps); err != nil {
+			return nil, compress.Stats{}, err
+		}
 	}
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	opCountM := arith.NewUintModel()
-	opOffM := arith.NewUintModel()
-	kindProbs := arith.NewProbSlice(2)
-	baseProbs := arith.NewProbSlice(2)
-	dec := arith.NewDecoder(data[used:])
-
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
-	var literals, matches, copied, opsReplayed int64
-	for {
-		before := len(out)
-		out = dec.DecodeLiterals(&flag, lit, out, nBases)
-		literals += int64(len(out) - before)
-		if uint64(len(out)) >= nBases {
-			break
-		}
-		// The run stopped on a repeat flag.
-		dist := int(distM.Decode(dec)) + 1
-		srcPos := len(out) - dist
-		tlen := int(lenM.Decode(dec)) + c.cfg.MinLen
-		nOps := int(opCountM.Decode(dec))
-		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nOps < 0 || nOps > tlen+c.cfg.Approx.MaxOps+1 {
-			return nil, compress.Stats{}, compress.Corruptf("dnacompress: descriptor out of range (src %d len %d ops %d)", srcPos, tlen, nOps)
-		}
-		// nOps is bounded only by tlen, itself bounded only by the header's
-		// nBases claim — commit memory as ops actually decode, not up front.
-		ops := make([]match.EditOp, 0, min(nOps, 4096))
-		prevOff := 0
-		for oi := 0; oi < nOps; oi++ {
-			kind := decodeOpKind(dec, kindProbs)
-			off := prevOff + int(opOffM.Decode(dec))
-			prevOff = off
-			op := match.EditOp{Kind: kind, Off: off}
-			if kind != match.OpDel {
-				hi := dec.DecodeBit(&baseProbs[0])
-				lo := dec.DecodeBit(&baseProbs[1])
-				op.Base = byte(hi<<1 | lo)
-			}
-			if off > tlen {
-				return nil, compress.Stats{}, compress.Corruptf("dnacompress: op offset %d beyond %d", off, tlen)
-			}
-			ops = append(ops, op)
-		}
-		start := len(out)
-		s := srcPos
-		opIdx := 0
-		for len(out)-start < tlen {
-			if opIdx < len(ops) && ops[opIdx].Off == len(out)-start {
-				op := ops[opIdx]
-				opIdx++
-				switch op.Kind {
-				case match.OpSub:
-					out = append(out, op.Base)
-					lit.Observe(op.Base)
-					s++
-				case match.OpIns:
-					out = append(out, op.Base)
-					lit.Observe(op.Base)
-				case match.OpDel:
-					s++
-				}
-				continue
-			}
-			if s < 0 || s >= start {
-				return nil, compress.Stats{}, compress.Corruptf("dnacompress: replay source %d escapes processed region", s)
-			}
-			b := out[s]
-			out = append(out, b)
-			lit.Observe(b)
-			s++
-		}
-		matches++
-		copied += int64(tlen)
-		opsReplayed += int64(nOps)
-	}
+	n := r.Counts
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
-		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(literals))+
-			float64(nsPerMatch*float64(matches))+float64(nsPerOp*float64(opsReplayed))+float64(nsPerCopied*float64(copied)))),
-		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases) + 5*distM.MemoryFootprint(),
+		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(n.Literals))+
+			float64(nsPerMatch*float64(n.Repeats))+float64(nsPerOp*float64(n.Ops))+float64(nsPerCopied*float64(n.Copied)))),
+		PeakMem: r.ModelBytes(5) + len(data) + len(r.Out),
 	}
-	return out, st, nil
+	return r.Out, st, nil
 }

@@ -12,20 +12,15 @@
 // left-to-right pass so that every repeat's source lies strictly in the
 // decoded prefix.
 //
-// Stream layout (one range-coder stream after a uvarint base count):
-//
-//	token   : flag bit (0 literal / 1 repeat)
-//	literal : symbol through the order-2 context model
-//	repeat  : distance-1 (UintModel), length-minRepeat (UintModel),
-//	          subCount (UintModel), then per substitution a delta offset
-//	          (UintModel) and the 2-bit base
+// The stream is package token's, with its Subs repeat records: distance
+// - 1, length - MinRepeat and the substitutions, with order-2 literals.
 package dnapack
 
 import (
-	"encoding/binary"
+	"math/bits"
 
-	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/match"
 )
 
@@ -88,18 +83,9 @@ const (
 	subCB     = 900 // offset delta + base, adaptive average
 )
 
-func bitLen32(v int) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 func descriptorCB(c candidate, pos int) int64 {
 	dist := pos - c.src
-	return int64(flagCB + 100*(2*bitLen32(dist)+2*bitLen32(c.tlen)+2*bitLen32(len(c.subs)+1)) +
+	return int64(flagCB + 100*(2*bits.Len(uint(dist))+2*bits.Len(uint(c.tlen))+2*bits.Len(uint(len(c.subs)+1))) +
 		subCB*len(c.subs))
 }
 
@@ -122,9 +108,6 @@ const (
 
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
-
 	for i, s := range src {
 		if s > 3 {
 			return nil, compress.Stats{}, compress.Corruptf("dnapack: invalid symbol %d at %d", s, i)
@@ -166,37 +149,12 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	}
 
 	// Pass 3: emit the optimal parse.
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	subCountM := arith.NewUintModel()
-	subOffM := arith.NewUintModel()
-	baseProbs := arith.NewProbSlice(2)
-	enc := arith.NewEncoder(len(src)/3 + 64)
-
-	var literals, matches, copied, subsEmitted int64
+	w := token.NewWriter(n, 2)
 	i := 0
 	for i < n {
 		if take[i] {
 			cd := cands[i]
-			enc.EncodeBit(&flag, 1)
-			distM.Encode(enc, uint64(i-cd.src-1))
-			lenM.Encode(enc, uint64(cd.tlen-c.cfg.MinRepeat))
-			subCountM.Encode(enc, uint64(len(cd.subs)))
-			prev := 0
-			for _, op := range cd.subs {
-				subOffM.Encode(enc, uint64(op.Off-prev))
-				prev = op.Off
-				enc.EncodeBit(&baseProbs[0], int(op.Base>>1))
-				enc.EncodeBit(&baseProbs[1], int(op.Base&1))
-			}
-			for t := 0; t < cd.tlen; t++ {
-				lit.Observe(src[i+t])
-			}
-			matches++
-			copied += int64(cd.tlen)
-			subsEmitted += int64(len(cd.subs))
+			w.Subs(uint64(i-cd.src-1), uint64(cd.tlen-c.cfg.MinRepeat), uint64(len(cd.subs)), cd.subs, src[i:i+cd.tlen])
 			i += cd.tlen
 			continue
 		}
@@ -204,16 +162,12 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		for j < n && !take[j] {
 			j++
 		}
-		enc.EncodeLiterals(&flag, lit, src[i:j])
-		literals += int64(j - i)
+		w.Literals(src[i:j])
 		i = j
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	out = append(out, payload...)
+	out := w.Finish()
 
-	ms := m.Stats()
+	ms, k := m.Stats(), w.Counts
 	searchStats.Probes += ms.Probes
 	searchStats.Extends += ms.Extends
 	st := compress.Stats{
@@ -222,8 +176,8 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		WorkNS: startupCompressNS + int64(implFactor*(float64(nsPerProbe*float64(searchStats.Probes))+
 			float64(nsPerExtend*float64(searchStats.Extends))+float64(nsPerSearch*float64(n))+
 			float64(nsPerIndexed*float64(n))+float64(nsPerDPStep*float64(n))+
-			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied)))),
-		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() +
+			float64(nsPerLiteral*float64(k.Literals))+float64(nsPerMatch*float64(k.Repeats))+float64(nsPerCopied*float64(k.Copied)))),
+		PeakMem: m.MemoryFootprint() + w.ModelBytes(0) +
 			16*n + // cands + cost + take
 			len(src) + len(out),
 	}
@@ -232,68 +186,22 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	nBases, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, compress.Stats{}, compress.Corruptf("dnapack: bad length header")
+	r, err := token.NewReader(data, "dnapack", 2)
+	if err != nil {
+		return nil, compress.Stats{}, err
 	}
-	if nBases > 1<<34 {
-		return nil, compress.Stats{}, compress.Corruptf("dnapack: implausible length %d", nBases)
+	for r.Next() {
+		if err := r.Subs(c.cfg.MinRepeat, c.cfg.MaxSubs); err != nil {
+			return nil, compress.Stats{}, err
+		}
 	}
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	subCountM := arith.NewUintModel()
-	subOffM := arith.NewUintModel()
-	baseProbs := arith.NewProbSlice(2)
-	dec := arith.NewDecoder(data[used:])
-
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
-	var literals, matches, copied int64
-	for {
-		before := len(out)
-		out = dec.DecodeLiterals(&flag, lit, out, nBases)
-		literals += int64(len(out) - before)
-		if uint64(len(out)) >= nBases {
-			break
-		}
-		// The run stopped on a repeat flag.
-		dist := int(distM.Decode(dec)) + 1
-		srcPos := len(out) - dist
-		tlen := int(lenM.Decode(dec)) + c.cfg.MinRepeat
-		nSubs := int(subCountM.Decode(dec))
-		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nSubs < 0 || nSubs > c.cfg.MaxSubs+1 || srcPos+tlen > len(out) {
-			return nil, compress.Stats{}, compress.Corruptf("dnapack: repeat descriptor out of range (src %d len %d subs %d)", srcPos, tlen, nSubs)
-		}
-		subs := make(map[int]byte, nSubs)
-		prev := 0
-		for s := 0; s < nSubs; s++ {
-			off := prev + int(subOffM.Decode(dec))
-			prev = off
-			hi := dec.DecodeBit(&baseProbs[0])
-			lo := dec.DecodeBit(&baseProbs[1])
-			if off >= tlen {
-				return nil, compress.Stats{}, compress.Corruptf("dnapack: substitution offset %d beyond repeat %d", off, tlen)
-			}
-			subs[off] = byte(hi<<1 | lo)
-		}
-		for t := 0; t < tlen; t++ {
-			b := out[srcPos+t]
-			if sb, ok := subs[t]; ok {
-				b = sb
-			}
-			out = append(out, b)
-			lit.Observe(b)
-		}
-		matches++
-		copied += int64(tlen)
-	}
+	n := r.Counts
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
-		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(literals))+
-			float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied)))),
-		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases),
+		WorkNS: startupDecompressNS + int64(implFactor*(float64(nsPerLiteral*float64(n.Literals))+
+			float64(nsPerMatch*float64(n.Repeats))+float64(nsPerCopied*float64(n.Copied)))),
+		PeakMem: r.ModelBytes(0) + len(data) + len(r.Out),
 	}
-	return out, st, nil
+	return r.Out, st, nil
 }

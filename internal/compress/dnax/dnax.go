@@ -13,23 +13,16 @@
 // whose constants come from the surrounding (approximately repetitive)
 // match statistics rather than from a fixed length threshold.
 //
-// Stream layout (all inside one range-coder stream after a varint header):
-//
-//	header : uvarint originalBaseCount
-//	token  : flag bit (0 = literal, 1 = repeat), adaptive
-//	literal: one symbol through the order-2 context model
-//	repeat : orientation bit (0 = direct, 1 = reverse complement),
-//	         length - K   through UintModel "len",
-//	         distance     through UintModel "dist"
-//	         (direct: distance = i - src >= 1, coded as distance-1;
-//	          RC:     gap = i - (src+len) >= 0, coded directly)
+// The stream is package token's, with its Exact repeat records: an
+// orientation bit, length - MinRepeat, and a direct repeat's distance
+// minus one or a reverse complement's gap.
 package dnax
 
 import (
-	"encoding/binary"
+	"math/bits"
 
-	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/match"
 )
 
@@ -114,21 +107,8 @@ const (
 	nsPerIndexed        = 15.0  // k-mer packing + chain insert per indexed position (compress only)
 )
 
-// bitLen32 is the number of significant bits (for descriptor cost estimates).
-func bitLen32(v int) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
-
 	// Validate every symbol up front: a byte above 3 inside a repeat would
 	// otherwise match its source through the 2-bit anchor and be copied as
 	// that source base.
@@ -139,14 +119,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	}
 	m := match.NewHashMatcher(src, match.WithMaxChain(c.cfg.MaxChain), match.WithStride(c.cfg.Stride))
 	defer m.Release()
-	lit := arith.NewSymbolModel(c.cfg.LiteralOrder)
-	flag := arith.NewProb()
-	orient := arith.NewProb()
-	lenM := arith.NewUintModel()
-	distM := arith.NewUintModel()
-	enc := arith.NewEncoder(len(src)/3 + 64)
-
-	var literals, matches, copied int64
+	w := token.NewWriter(len(src), c.cfg.LiteralOrder)
 	for i := 0; i < len(src); {
 		// [i, j) are literals: FindBest would find both buckets empty at
 		// each of them.
@@ -159,46 +132,28 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 				j++ // no repeat worth its descriptor: j is a literal too
 			}
 		}
-		enc.EncodeLiterals(&flag, lit, src[i:j])
-		literals += int64(j - i)
+		w.Literals(src[i:j])
 		i = j
 		if !repeat {
 			continue
 		}
-		enc.EncodeBit(&flag, 1)
-		rcBit := 0
+		dist := i - mt.Src - 1
 		if mt.RC {
-			rcBit = 1
+			dist = i - (mt.Src + mt.Len)
 		}
-		enc.EncodeBit(&orient, rcBit)
-		lenM.Encode(enc, uint64(mt.Len-c.cfg.MinRepeat))
-		if mt.RC {
-			distM.Encode(enc, uint64(i-(mt.Src+mt.Len)))
-		} else {
-			distM.Encode(enc, uint64(i-mt.Src-1))
-		}
-		// Keep the literal model's context aligned across the copy.
-		for t := 0; t < mt.Len; t++ {
-			lit.Observe(src[i+t])
-		}
-		matches++
-		copied += int64(mt.Len)
+		w.Exact(mt.RC, uint64(mt.Len-c.cfg.MinRepeat), uint64(dist), src[i:i+mt.Len])
 		i += mt.Len
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	out = append(out, payload...)
+	out := w.Finish()
 
-	ms := m.Stats()
+	ms, n := m.Stats(), w.Counts
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
 		WorkNS: startupCompressNS + int64(float64(nsPerProbe*float64(ms.Probes))+float64(nsPerExtend*float64(ms.Extends))+
-			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
-			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
-		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() + lenM.MemoryFootprint() +
-			distM.MemoryFootprint() + len(src) + len(out),
+			float64(nsPerSearch*float64(n.Literals+n.Repeats))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(n.Literals))+float64(nsPerMatch*float64(n.Repeats))+float64(nsPerCopied*float64(n.Copied))),
+		PeakMem: m.MemoryFootprint() + w.ModelBytes(2) + len(src) + len(out),
 	}
 	return out, st, nil
 }
@@ -211,79 +166,30 @@ func (c *Codec) accept(mt match.Match, pos int) bool {
 		return false
 	}
 	dist := pos - mt.Src
-	estBits := 2 + 2*bitLen32(mt.Len-c.cfg.MinRepeat+1) + 2*bitLen32(dist+1)
+	estBits := 2 + 2*bits.Len(uint(mt.Len-c.cfg.MinRepeat+1)) + 2*bits.Len(uint(dist+1))
 	return estBits+8 < 2*mt.Len
 }
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	nBases, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, compress.Stats{}, compress.Corruptf("dnax: bad length header")
+	r, err := token.NewReader(data, "dnax", c.cfg.LiteralOrder)
+	if err != nil {
+		return nil, compress.Stats{}, err
 	}
-	if nBases > 1<<34 {
-		return nil, compress.Stats{}, compress.Corruptf("dnax: implausible length %d", nBases)
+	for r.Next() {
+		if err := r.Exact(c.cfg.MinRepeat); err != nil {
+			return nil, compress.Stats{}, err
+		}
 	}
-	lit := arith.NewSymbolModel(c.cfg.LiteralOrder)
-	flag := arith.NewProb()
-	orient := arith.NewProb()
-	lenM := arith.NewUintModel()
-	distM := arith.NewUintModel()
-	dec := arith.NewDecoder(data[used:])
-
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
-	var literals, matches, copied int64
-	for {
-		before := len(out)
-		out = dec.DecodeLiterals(&flag, lit, out, nBases)
-		literals += int64(len(out) - before)
-		if uint64(len(out)) >= nBases {
-			break
-		}
-		// The run stopped on a repeat flag.
-		rc := dec.DecodeBit(&orient) == 1
-		l := int(lenM.Decode(dec)) + c.cfg.MinRepeat
-		if l <= 0 || uint64(len(out))+uint64(l) > nBases {
-			return nil, compress.Stats{}, compress.Corruptf("dnax: repeat length %d overruns output", l)
-		}
-		// The distance field is compared as read, in uint64, so that no
-		// hostile value can wrap into range.
-		d := distM.Decode(dec)
-		if rc {
-			// The source block [len(out)-gap-l, len(out)-gap) must lie in
-			// the output so far.
-			if l > len(out) || d > uint64(len(out)-l) {
-				return nil, compress.Stats{}, compress.Corruptf("dnax: RC repeat gap %d with length %d overruns %d bases", d, l, len(out))
-			}
-			srcPos := len(out) - int(d) - l
-			for t := 0; t < l; t++ {
-				b := 3 - (out[srcPos+l-1-t] & 3)
-				out = append(out, b)
-				lit.Observe(b)
-			}
-		} else {
-			// distance = d+1 must be in [1, len(out)].
-			if d >= uint64(len(out)) {
-				return nil, compress.Stats{}, compress.Corruptf("dnax: repeat distance %d+1 overruns %d bases", d, len(out))
-			}
-			srcPos := len(out) - int(d) - 1
-			for t := 0; t < l; t++ { // byte-wise: overlapping copies legal
-				b := out[srcPos+t]
-				out = append(out, b)
-				lit.Observe(b)
-			}
-		}
-		matches++
-		copied += int64(l)
-	}
+	n := r.Counts
 	st := compress.Stats{
 		// Decompression skips all match finding: only literal decoding and
 		// copying remain, which is why DNAX posts the best decompression
 		// times in the paper.
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
-		WorkNS:  startupDecompressNS + int64(float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+float64(nsPerCopied*float64(copied))),
-		PeakMem: lit.MemoryFootprint() + lenM.MemoryFootprint() + distM.MemoryFootprint() + len(data) + int(nBases),
+		WorkNS:  startupDecompressNS + int64(float64(nsPerLiteral*float64(n.Literals))+float64(nsPerMatch*float64(n.Repeats))+float64(nsPerCopied*float64(n.Copied))),
+		PeakMem: r.ModelBytes(2) + len(data) + len(r.Out),
 	}
-	return out, st, nil
+	return r.Out, st, nil
 }

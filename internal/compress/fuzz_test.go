@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/bitio"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/fib"
+	"github.com/srl-nuces/ctxdna/internal/match"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/dnacompress"
@@ -48,8 +51,11 @@ func FuzzDecompressAll(f *testing.F) {
 		f.Add(hostileDnax(hostileLiterals, true, d))
 	}
 	for _, dv := range []uint64{41, 1 << 63, ^uint64(0) - 4, ^uint64(0)} {
-		f.Add(hostileBiocompress(f, false, dv))
-		f.Add(hostileBiocompress(f, true, dv))
+		f.Add(hostileBiocompress(f, false, 1, dv, 24))
+		f.Add(hostileBiocompress(f, true, 1, dv, 24))
+	}
+	for _, tc := range repeatFieldCases(f) {
+		f.Add(tc.stream)
 	}
 	names := compress.Names()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -81,25 +87,20 @@ func hostileBases(n int) []byte {
 	return b
 }
 
+// hostileStream is a token stream of lits literal bases and then one
+// repeat record, written by rec, whose header claims lits+extra bases.
+func hostileStream(lits, extra int, rec func(w *token.Writer)) []byte {
+	w := token.NewWriter(lits+extra, 2)
+	w.Literals(hostileBases(lits))
+	rec(w)
+	return w.Finish()
+}
+
 // hostileDnax is a dnax stream of lits literals and then one 16-base
 // repeat whose distance field is d: a forward distance of d+1 or, with rc,
 // a reverse-complement gap of d.
 func hostileDnax(lits int, rc bool, d uint64) []byte {
-	out := binary.AppendUvarint(nil, uint64(lits+16))
-	lit := arith.NewSymbolModel(2)
-	flag, orient := arith.NewProb(), arith.NewProb()
-	lenM, distM := arith.NewUintModel(), arith.NewUintModel()
-	enc := arith.NewEncoder(64)
-	enc.EncodeLiterals(&flag, lit, hostileBases(lits))
-	enc.EncodeBit(&flag, 1)
-	rcBit := 0
-	if rc {
-		rcBit = 1
-	}
-	enc.EncodeBit(&orient, rcBit)
-	lenM.Encode(enc, 0)
-	distM.Encode(enc, d)
-	return append(out, enc.Finish()...)
+	return hostileStream(lits, 16, func(w *token.Writer) { w.Exact(rc, 0, d, nil) })
 }
 
 // TestDnaxRepeatDistanceBounds decodes dnax repeats at the edges of the
@@ -146,29 +147,114 @@ func TestDnaxRepeatDistanceBounds(t *testing.T) {
 }
 
 // hostileBiocompress is a biocompress stream of hostileLiterals literals
-// and then one 24-base repeat whose distance field is dv: a forward
-// distance of dv or, with rc, a reverse-complement gap of dv-1.
-func hostileBiocompress(f *testing.F, rc bool, dv uint64) []byte {
+// and then one repeat whose Fibonacci fields are lv and dv: a length of
+// lv+23 and a forward distance of dv or, with rc, a reverse-complement gap
+// of dv-1. Its header claims extra bases past the literals.
+func hostileBiocompress(tb testing.TB, rc bool, lv, dv uint64, extra int) []byte {
 	tokens := bitio.NewWriter(16)
 	rcBit := uint(0)
 	if rc {
 		rcBit = 1
 	}
-	for _, v := range []uint64{hostileLiterals + 1, 0, 1, dv} { // run+1, orientation, length, distance
+	for _, v := range []uint64{hostileLiterals + 1, 0, lv, dv} { // run+1, orientation, length, distance
 		if v == 0 {
 			tokens.WriteBit(rcBit)
 			continue
 		}
 		if err := fib.Encode(tokens, v); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	enc := arith.NewEncoder(64)
 	enc.EncodeLiterals(nil, arith.NewSymbolModel(2), hostileBases(hostileLiterals))
-	tb := tokens.Bytes()
-	out := binary.AppendUvarint(nil, hostileLiterals+24)
-	out = binary.AppendUvarint(out, uint64(len(tb)))
-	return append(append(out, tb...), enc.Finish()...)
+	tb2 := tokens.Bytes()
+	out := binary.AppendUvarint(nil, uint64(hostileLiterals+extra))
+	out = binary.AppendUvarint(out, uint64(len(tb2)))
+	return append(append(out, tb2...), enc.Finish()...)
+}
+
+// repeatFieldCase is one hostile stream for a codec, and whether it
+// decodes.
+type repeatFieldCase struct {
+	name, codec string
+	stream      []byte
+	ok          bool
+}
+
+// repeatFieldCases are repeat records whose fields sit at the edges of the
+// output so far or wrap a signed int:
+//   - in the codecs whose records carry only a forward distance, distance
+//     fields of len(out)-1, len(out), 2^63, 2^63+1 and 2^64-2 after 0, 1 and
+//     40 literals: only the first, after 40, has its source in the output
+//     (after 1 literal the source overlaps the repeat, which neither an edit
+//     script nor dnapack copies);
+//   - in every codec, a length field of 2^64-2 (a Fibonacci length of
+//     2^64-1 in biocompress) under a header claiming the codec's minimum - 2
+//     bases past the literals, which an int conversion takes for a repeat
+//     of that length;
+//   - in the edit and substitution records, a second op offset delta of
+//     2^64-3, offset -2 as an int.
+func repeatFieldCases(tb testing.TB) []repeatFieldCase {
+	const lits, max = hostileLiterals, ^uint64(0)
+	edit := func(w *token.Writer, d, length uint64, ops ...match.EditOp) {
+		w.Edit(d, length, uint64(len(ops)), ops, nil)
+	}
+	subs := func(w *token.Writer, d, length uint64, ops ...match.EditOp) {
+		w.Subs(d, length, uint64(len(ops)), ops, nil)
+	}
+	wrapped := []match.EditOp{{Kind: match.OpSub, Off: 1, Base: 2}, {Kind: match.OpSub, Off: -2, Base: 2}}
+	var cases []repeatFieldCase
+	for _, g := range []struct {
+		codec string
+		min   int
+		rec   func(w *token.Writer, d, length uint64, ops ...match.EditOp)
+	}{
+		{"gencompress", 16, edit},
+		{"dnacompress", 20, edit},
+		{"dnapack", 16, subs},
+	} {
+		for _, n := range []int{0, 1, lits} {
+			for _, d := range []uint64{uint64(n) - 1, uint64(n), 1 << 63, 1<<63 + 1, max - 1} {
+				if d == max {
+					continue // len(out)-1 of no literals
+				}
+				cases = append(cases, repeatFieldCase{
+					fmt.Sprintf("distance %d after %d", d, n), g.codec,
+					hostileStream(n, g.min, func(w *token.Writer) { g.rec(w, d, 0) }),
+					n == lits && d == lits-1,
+				})
+			}
+		}
+		cases = append(cases,
+			repeatFieldCase{"length 2^64-2", g.codec, hostileStream(lits, g.min-2, func(w *token.Writer) { g.rec(w, lits-1, max-1) }), false},
+			repeatFieldCase{"op offset -2", g.codec, hostileStream(lits, g.min, func(w *token.Writer) { g.rec(w, lits-1, 0, wrapped...) }), false},
+		)
+	}
+	return append(cases,
+		repeatFieldCase{"length 2^64-2", "dnax", hostileStream(lits, 16-2, func(w *token.Writer) { w.Exact(false, max-1, lits-1, nil) }), false},
+		repeatFieldCase{"Fibonacci length 2^64-1", "biocompress", hostileBiocompress(tb, false, max, lits, 24-2), false},
+	)
+}
+
+// TestRepeatFieldBounds decodes repeatFieldCases: a record whose source
+// lies in the output so far decodes to a copy of it, and every other is
+// ErrCorrupt, not a panic, a short repeat or a dropped edit.
+func TestRepeatFieldBounds(t *testing.T) {
+	for _, tc := range repeatFieldCases(t) {
+		c, err := compress.New(tc.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := c.Decompress(tc.stream)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s %s: %v", tc.codec, tc.name, err)
+		case tc.ok && !bytes.Equal(out, append(hostileBases(hostileLiterals), out[:len(out)-hostileLiterals]...)):
+			t.Errorf("%s %s: decoded %v", tc.codec, tc.name, out)
+		case !tc.ok && !errors.Is(err, compress.ErrCorrupt):
+			t.Errorf("%s %s: %d bases, err %v, want ErrCorrupt", tc.codec, tc.name, len(out), err)
+		}
+	}
 }
 
 // FuzzCacheKey exercises the result-cache key path: identical content must

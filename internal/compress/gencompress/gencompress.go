@@ -13,22 +13,15 @@
 // Figure 5 — and why its decompression (a mere replay of edit scripts) is
 // fast, near DNAX's.
 //
-// Stream layout after a uvarint base-count header (one range-coder stream):
-//
-//	token   : flag bit (0 literal / 1 repeat)
-//	literal : symbol through order-2 context model
-//	repeat  : distance-1      (UintModel)
-//	          tlen - minLen   (UintModel)
-//	          opCount         (UintModel)
-//	          ops             (kind: 2 adaptive bits; delta-offset: UintModel;
-//	                           base for sub/ins: 2 adaptive bits)
+// The stream is package token's, with its Edit repeat records: distance
+// - 1, length - MinLen and the edit script, with order-2 literals.
 package gencompress
 
 import (
-	"encoding/binary"
+	"math/bits"
 
-	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/compress/token"
 	"github.com/srl-nuces/ctxdna/internal/match"
 )
 
@@ -123,15 +116,6 @@ const (
 	implFactor = 4.0
 )
 
-func bitLen32(v int) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 // score estimates the bit gain of emitting am at position pos: bases covered
 // at ~2 bits each minus the descriptor cost.
 func (c *Codec) score(am match.ApproxMatch, pos int) int {
@@ -139,7 +123,7 @@ func (c *Codec) score(am match.ApproxMatch, pos int) int {
 		return -1
 	}
 	dist := pos - am.Src
-	cost := 2 + 2*bitLen32(dist) + 2*bitLen32(am.TLen-c.cfg.MinLen+1) + 2*bitLen32(len(am.Ops)+1)
+	cost := 2 + 2*bits.Len(uint(dist)) + 2*bits.Len(uint(am.TLen-c.cfg.MinLen+1)) + 2*bits.Len(uint(len(am.Ops)+1))
 	for range am.Ops {
 		cost += 2 + 4 + 2 // kind + delta + base, rough adaptive averages
 	}
@@ -148,9 +132,6 @@ func (c *Codec) score(am match.ApproxMatch, pos int) int {
 
 // Compress implements compress.Codec.
 func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
-
 	// Validate every symbol up front: a byte above 3 inside a repeat would
 	// otherwise match its source through the 2-bit anchor and be copied as
 	// that source base.
@@ -161,18 +142,9 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	}
 	m := match.NewHashMatcher(src, match.WithK(c.cfg.SeedK), match.WithMaxChain(2*c.cfg.MaxCandidates))
 	defer m.Release()
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	opCountM := arith.NewUintModel()
-	opOffM := arith.NewUintModel()
-	kindProbs := arith.NewProbSlice(2)
-	baseProbs := arith.NewProbSlice(2)
-	enc := arith.NewEncoder(len(src)/3 + 64)
+	w := token.NewWriter(len(src), 2)
 
 	var searchStats match.Stats
-	var literals, matches, copied, opsEmitted int64
 	// Edit-script buffers for the candidate search: each candidate extends
 	// into cur, and a winner swaps its buffer with the one best held, so
 	// the search reuses two buffers instead of allocating per candidate.
@@ -199,176 +171,51 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		})
 
 		if bestScore > 0 {
-			enc.EncodeBit(&flag, 1)
-			distM.Encode(enc, uint64(i-best.Src-1))
-			lenM.Encode(enc, uint64(best.TLen-c.cfg.MinLen))
-			opCountM.Encode(enc, uint64(len(best.Ops)))
-			prevOff := 0
-			for _, op := range best.Ops {
-				encodeOpKind(enc, kindProbs, op.Kind)
-				opOffM.Encode(enc, uint64(op.Off-prevOff))
-				prevOff = op.Off
-				if op.Kind != match.OpDel {
-					enc.EncodeBit(&baseProbs[0], int(op.Base>>1))
-					enc.EncodeBit(&baseProbs[1], int(op.Base&1))
-				}
-			}
-			for t := 0; t < best.TLen; t++ {
-				lit.Observe(src[i+t])
-			}
-			matches++
-			copied += int64(best.TLen)
-			opsEmitted += int64(len(best.Ops))
+			w.Edit(uint64(i-best.Src-1), uint64(best.TLen-c.cfg.MinLen), uint64(len(best.Ops)), best.Ops, src[i:i+best.TLen])
 			i += best.TLen
 			continue
 		}
-		enc.EncodeLiterals(&flag, lit, src[i:i+1])
-		literals++
+		w.Literals(src[i : i+1])
 		i++
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	out = append(out, payload...)
+	out := w.Finish()
 
-	ms := m.Stats()
+	ms, n := m.Stats(), w.Counts
 	searchStats.Probes += ms.Probes
 	searchStats.Extends += ms.Extends
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
 		WorkNS: startupNS + int64(implFactor*(float64(nsPerProbe*float64(searchStats.Probes))+float64(nsPerExtend*float64(searchStats.Extends))+
-			float64(nsPerSearch*float64(literals+matches))+float64(nsPerIndexed*float64(len(src)))+
-			float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+
-			float64(nsPerOp*float64(opsEmitted))+float64(nsPerCopied*float64(copied)))),
+			float64(nsPerSearch*float64(n.Literals+n.Repeats))+float64(nsPerIndexed*float64(len(src)))+
+			float64(nsPerLiteral*float64(n.Literals))+float64(nsPerMatch*float64(n.Repeats))+
+			float64(nsPerOp*float64(n.Ops))+float64(nsPerCopied*float64(n.Copied)))),
 		// The approximate-repeat search keeps per-candidate extension state
 		// and scoring buffers alive alongside the chain tables — the "RAM
 		// usage of GenCompress is high" observation.
-		PeakMem: m.MemoryFootprint() + lit.MemoryFootprint() + 2*len(src) + len(out) +
-			5*distM.MemoryFootprint(),
+		PeakMem: m.MemoryFootprint() + w.ModelBytes(5) + 2*len(src) + len(out),
 	}
 	return out, st, nil
-}
-
-// encodeOpKind writes the op kind with two adaptive bits: first "is sub?",
-// then (if not) "is ins?".
-func encodeOpKind(e *arith.Encoder, probs []arith.Prob, k match.OpKind) {
-	if k == match.OpSub {
-		e.EncodeBit(&probs[0], 0)
-		return
-	}
-	e.EncodeBit(&probs[0], 1)
-	if k == match.OpIns {
-		e.EncodeBit(&probs[1], 0)
-	} else {
-		e.EncodeBit(&probs[1], 1)
-	}
-}
-
-func decodeOpKind(d *arith.Decoder, probs []arith.Prob) match.OpKind {
-	if d.DecodeBit(&probs[0]) == 0 {
-		return match.OpSub
-	}
-	if d.DecodeBit(&probs[1]) == 0 {
-		return match.OpIns
-	}
-	return match.OpDel
 }
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	nBases, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, compress.Stats{}, compress.Corruptf("gencompress: bad length header")
+	r, err := token.NewReader(data, "gencompress", 2)
+	if err != nil {
+		return nil, compress.Stats{}, err
 	}
-	if nBases > 1<<34 {
-		return nil, compress.Stats{}, compress.Corruptf("gencompress: implausible length %d", nBases)
+	for r.Next() {
+		if err := r.Edit(c.cfg.MinLen, c.cfg.Approx.MaxOps); err != nil {
+			return nil, compress.Stats{}, err
+		}
 	}
-	lit := arith.NewSymbolModel(2)
-	flag := arith.NewProb()
-	distM := arith.NewUintModel()
-	lenM := arith.NewUintModel()
-	opCountM := arith.NewUintModel()
-	opOffM := arith.NewUintModel()
-	kindProbs := arith.NewProbSlice(2)
-	baseProbs := arith.NewProbSlice(2)
-	dec := arith.NewDecoder(data[used:])
-
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
-	var literals, matches, copied, opsReplayed int64
-	for {
-		before := len(out)
-		out = dec.DecodeLiterals(&flag, lit, out, nBases)
-		literals += int64(len(out) - before)
-		if uint64(len(out)) >= nBases {
-			break
-		}
-		// The run stopped on a repeat flag.
-		dist := int(distM.Decode(dec)) + 1
-		srcPos := len(out) - dist
-		tlen := int(lenM.Decode(dec)) + c.cfg.MinLen
-		nOps := int(opCountM.Decode(dec))
-		if srcPos < 0 || tlen <= 0 || uint64(len(out))+uint64(tlen) > nBases || nOps < 0 || nOps > tlen+c.cfg.Approx.MaxOps+1 {
-			return nil, compress.Stats{}, compress.Corruptf("gencompress: repeat descriptor out of range (src %d len %d ops %d)", srcPos, tlen, nOps)
-		}
-		// nOps is bounded only by tlen, itself bounded only by the header's
-		// nBases claim — commit memory as ops actually decode, not up front.
-		ops := make([]match.EditOp, 0, min(nOps, 4096))
-		prevOff := 0
-		for oi := 0; oi < nOps; oi++ {
-			kind := decodeOpKind(dec, kindProbs)
-			off := prevOff + int(opOffM.Decode(dec))
-			prevOff = off
-			op := match.EditOp{Kind: kind, Off: off}
-			if kind != match.OpDel {
-				hi := dec.DecodeBit(&baseProbs[0])
-				lo := dec.DecodeBit(&baseProbs[1])
-				op.Base = byte(hi<<1 | lo)
-			}
-			if off > tlen {
-				return nil, compress.Stats{}, compress.Corruptf("gencompress: op offset %d beyond repeat length %d", off, tlen)
-			}
-			ops = append(ops, op)
-		}
-		// Replay the edit script against the already-produced output.
-		start := len(out)
-		s := srcPos
-		opIdx := 0
-		for len(out)-start < tlen {
-			if opIdx < len(ops) && ops[opIdx].Off == len(out)-start {
-				op := ops[opIdx]
-				opIdx++
-				switch op.Kind {
-				case match.OpSub:
-					out = append(out, op.Base)
-					lit.Observe(op.Base)
-					s++
-				case match.OpIns:
-					out = append(out, op.Base)
-					lit.Observe(op.Base)
-				case match.OpDel:
-					s++
-				}
-				continue
-			}
-			if s < 0 || s >= start {
-				return nil, compress.Stats{}, compress.Corruptf("gencompress: edit replay source %d escapes processed region", s)
-			}
-			b := out[s]
-			out = append(out, b)
-			lit.Observe(b)
-			s++
-		}
-		matches++
-		copied += int64(tlen)
-		opsReplayed += int64(nOps)
-	}
+	n := r.Counts
 	st := compress.Stats{
 		// float64(...) rounds each product on its own, so arm64 cannot fuse it
 		// into the sum and move WorkNS (make fma-check).
-		WorkNS: startupNS + int64(implFactor*(float64(nsPerLiteral*float64(literals))+float64(nsPerMatch*float64(matches))+
-			float64(nsPerOp*float64(opsReplayed))+float64(nsPerCopied*float64(copied)))),
-		PeakMem: lit.MemoryFootprint() + len(data) + int(nBases) + 5*distM.MemoryFootprint(),
+		WorkNS: startupNS + int64(implFactor*(float64(nsPerLiteral*float64(n.Literals))+float64(nsPerMatch*float64(n.Repeats))+
+			float64(nsPerOp*float64(n.Ops))+float64(nsPerCopied*float64(n.Copied)))),
+		PeakMem: r.ModelBytes(5) + len(data) + len(r.Out),
 	}
-	return out, st, nil
+	return r.Out, st, nil
 }

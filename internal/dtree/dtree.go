@@ -197,18 +197,6 @@ func Accuracy(t *Tree, ds Dataset) float64 {
 	return float64(hits) / float64(len(ds.Y))
 }
 
-// ConfusionMatrix returns counts[actual][predicted].
-func ConfusionMatrix(t *Tree, ds Dataset) [][]int {
-	m := make([][]int, len(t.ClassNames))
-	for i := range m {
-		m[i] = make([]int, len(t.ClassNames))
-	}
-	for i, row := range ds.X {
-		m[ds.Y[i]][t.Predict(row)]++
-	}
-	return m
-}
-
 func majority(counts []int) int {
 	best, bestN := 0, -1
 	for c, n := range counts {

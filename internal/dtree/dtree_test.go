@@ -204,6 +204,18 @@ func TestRulesCoverFeatureSpace(t *testing.T) {
 	}
 }
 
+// ConfusionMatrix returns counts[actual][predicted].
+func ConfusionMatrix(t *Tree, ds Dataset) [][]int {
+	m := make([][]int, len(t.ClassNames))
+	for i := range m {
+		m[i] = make([]int, len(t.ClassNames))
+	}
+	for i, row := range ds.X {
+		m[ds.Y[i]][t.Predict(row)]++
+	}
+	return m
+}
+
 func TestConfusionMatrix(t *testing.T) {
 	ds := axisDataset(300, 0, 11)
 	tree, err := TrainCART(ds, Config{})

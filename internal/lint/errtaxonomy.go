@@ -11,13 +11,18 @@ import (
 // verification, the result cache and the fuzz harness all classify decode
 // failures with errors.Is(err, compress.ErrCorrupt); a bare fmt.Errorf in a
 // Decompress path mints an error outside that taxonomy and the failure
-// stops being recognizable as corruption.
+// stops being recognizable as corruption. A decode path starts at a
+// Decompress function or at a shared stream reader's API (the repeat
+// codecs decode through package token's Reader), and follows calls within
+// the package.
 var ErrTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
-	Doc: `flags fmt.Errorf calls reachable from a Decompress function whose
-format neither wraps with %w nor goes through compress.Corruptf, so
-errors.Is(err, compress.ErrCorrupt) keeps classifying corrupt streams.
-Scope: internal/compress and its codec subpackages.`,
+	Doc: `flags fmt.Errorf calls reachable from a Decompress function, or from
+an exported method of a type named Reader or an exported function that
+returns one, whose format neither wraps with %w nor goes through
+compress.Corruptf, so errors.Is(err, compress.ErrCorrupt) keeps
+classifying corrupt streams. Scope: internal/compress and its codec
+subpackages.`,
 	Scope: scopeUnder("internal/compress"),
 	Run:   runErrTaxonomy,
 }
@@ -36,7 +41,7 @@ func runErrTaxonomy(pass *Pass) {
 			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
 				decls[fn] = fd
 			}
-			if fd.Name.Name == "Decompress" {
+			if fd.Name.Name == "Decompress" || readerAPI(pass.Info, fd) {
 				roots = append(roots, fd)
 			}
 		}
@@ -45,9 +50,9 @@ func runErrTaxonomy(pass *Pass) {
 		return
 	}
 
-	// Breadth-first over static same-package calls from the Decompress
-	// roots. Function literals inside a reachable declaration are part of
-	// its body and are walked with it.
+	// Breadth-first over static same-package calls from the roots.
+	// Function literals inside a reachable declaration are part of its
+	// body and are walked with it.
 	reachable := map[*ast.FuncDecl]bool{}
 	queue := append([]*ast.FuncDecl(nil), roots...)
 	for len(queue) > 0 {
@@ -99,6 +104,34 @@ func runErrTaxonomy(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// readerAPI reports whether fd is exported and is a method of a type
+// named Reader or returns one.
+func readerAPI(info *types.Info, fd *ast.FuncDecl) bool {
+	fn, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok || !fd.Name.IsExported() {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if recv := sig.Recv(); recv != nil {
+		return isReader(recv.Type())
+	}
+	for i := 0; i < sig.Results().Len(); i++ {
+		if isReader(sig.Results().At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isReader reports whether t is, or points to, a named type Reader.
+func isReader(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Reader"
 }
 
 // constantString evaluates e as a compile-time string constant.

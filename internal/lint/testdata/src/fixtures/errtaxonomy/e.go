@@ -1,6 +1,6 @@
 // Package errtaxonomy is a dnalint fixture for the corrupt-stream error
-// taxonomy: fmt.Errorf reachable from Decompress must wrap with %w or go
-// through compress.Corruptf.
+// taxonomy: fmt.Errorf reachable from Decompress, or from a shared stream
+// reader's exported API, must wrap with %w or go through compress.Corruptf.
 package errtaxonomy
 
 import (
@@ -54,4 +54,52 @@ func Compress(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("empty input") // ok: compress side, not a decode path
 	}
 	return append([]byte{0}, src...), nil
+}
+
+// Reader is a shared stream reader: its exported methods, and the exported
+// functions that return one, are decode paths of every codec that uses it.
+type Reader struct {
+	data []byte
+	out  []byte
+}
+
+func NewReader(data []byte) (*Reader, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("no header") // want `without %w or compress\.Corruptf`
+	}
+	return &Reader{data: data[1:]}, nil
+}
+
+func (r *Reader) Repeat(n int) error {
+	if n > len(r.out) {
+		return fmt.Errorf("repeat of %d overruns %d bases", n, len(r.out)) // want `without %w or compress\.Corruptf`
+	}
+	return r.replay(n)
+}
+
+// replay is reachable from Repeat, so its errors are decode-path errors too.
+func (r *Reader) replay(n int) error {
+	if n == 0 {
+		return fmt.Errorf("empty repeat") // want `without %w or compress\.Corruptf`
+	}
+	r.out = append(r.out, r.out[len(r.out)-n:]...)
+	return nil
+}
+
+func (r *Reader) Literal(b byte) error {
+	if b > 3 {
+		return compress.Corruptf("symbol %d", b) // ok: inside the taxonomy
+	}
+	r.out = append(r.out, b)
+	return nil
+}
+
+// Writer's methods are compress-side: no decode path starts there.
+type Writer struct{ out []byte }
+
+func (w *Writer) Repeat(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("bad repeat length %d", n) // ok: compress side
+	}
+	return nil
 }

@@ -164,8 +164,8 @@ func ExtendApprox(data []byte, src, dst, k int, cfg ApproxConfig, stats *Stats, 
 }
 
 // Reconstruct applies an approximate match against data (for the source
-// bases) and returns the target bases it produces. Used by tests and codec
-// self-checks; the GenCompress decoder inlines the same loop.
+// bases) and returns the target bases it produces. Used by tests;
+// token.Reader.Edit replays an edit script the same way.
 func (am ApproxMatch) Reconstruct(data []byte) []byte {
 	out := make([]byte, 0, am.TLen)
 	s := am.Src

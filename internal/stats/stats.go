@@ -28,26 +28,6 @@ func Gini(counts []int) float64 {
 	return 1 - sumSq
 }
 
-// Entropy returns the Shannon entropy (bits) of a class-count vector.
-func Entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // ChiSquare computes the chi-squared statistic and degrees of freedom for a
 // contingency table (rows = categories of the predictor, cols = classes).
 // Rows and columns whose totals are zero are ignored.

@@ -27,6 +27,26 @@ func TestGini(t *testing.T) {
 	}
 }
 
+// Entropy returns the Shannon entropy (bits) of a class-count vector.
+func Entropy(counts []int) float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(total)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
 func TestEntropy(t *testing.T) {
 	if got := Entropy([]int{5, 5}); !almostEq(got, 1, 1e-12) {
 		t.Errorf("Entropy(5,5) = %v, want 1", got)

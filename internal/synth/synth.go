@@ -221,23 +221,12 @@ type File struct {
 	Data []byte // symbol codes 0..3
 }
 
-// SizeBytes reports the raw (1 byte per base) size, the quantity the paper's
-// file-size context variable refers to.
-func (f File) SizeBytes() int { return len(f.Data) }
-
 // CorpusSpec configures ExperimentCorpus.
 type CorpusSpec struct {
 	NumFiles int   // paper: 132
 	MinSize  int   // bases; paper corpus starts around 1 KB
 	MaxSize  int   // bases; paper restricted files to 10 MB
 	Seed     int64 // master seed; file i derives seed Seed*1e6 + i
-}
-
-// DefaultCorpusSpec mirrors the paper's corpus shape scaled to CI-friendly
-// sizes: 132 files log-spaced between 1 KB and 512 KB. Pass a larger MaxSize
-// (up to 10 MB, the paper's cap) for full-scale runs via cmd/experiment.
-func DefaultCorpusSpec() CorpusSpec {
-	return CorpusSpec{NumFiles: 132, MinSize: 1 << 10, MaxSize: 512 << 10, Seed: 2015}
 }
 
 // ExperimentCorpus generates spec.NumFiles sequences with log-spaced sizes

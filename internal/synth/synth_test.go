@@ -132,6 +132,17 @@ func TestBenchmarkCorpus(t *testing.T) {
 	}
 }
 
+// SizeBytes reports the raw (1 byte per base) size, the quantity the paper's
+// file-size context variable refers to.
+func (f File) SizeBytes() int { return len(f.Data) }
+
+// DefaultCorpusSpec mirrors the paper's corpus shape scaled to CI-friendly
+// sizes: 132 files log-spaced between 1 KB and 512 KB. Pass a larger MaxSize
+// (up to 10 MB, the paper's cap) for full-scale runs via cmd/experiment.
+func DefaultCorpusSpec() CorpusSpec {
+	return CorpusSpec{NumFiles: 132, MinSize: 1 << 10, MaxSize: 512 << 10, Seed: 2015}
+}
+
 func TestExperimentCorpus(t *testing.T) {
 	spec := CorpusSpec{NumFiles: 20, MinSize: 1000, MaxSize: 64000, Seed: 1}
 	files := ExperimentCorpus(spec)
