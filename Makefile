@@ -52,13 +52,15 @@ test:
 # the daemon tests included, and so are the observability checks: trace
 # continuity into a fleet replica, recorder attribution, the SLO verdict,
 # and the experiment binary's -metrics/-trace export leaving its CSV
-# byte-identical. Then two stress tests ten times over: the decoded-block
+# byte-identical. Then three stress tests ten times over: the decoded-block
 # cache's, goroutines slicing shared readers through one small, constantly
-# evicting cache, each window checked against a plain decode; and CTW's
+# evicting cache, each window checked against a plain decode; CTW's
 # pooled arenas, goroutines compressing and decompressing at depths 2, 16
 # and 30 plus a hostile depth-30 frame through pooled trees, whose node
 # and child-link arrays must stay in step, each result checked against a
-# sequential run. `make verify`
+# sequential run; and the daemon's range reads racing overwrites of their
+# container with different content, each window checked to be one
+# version's. `make verify`
 # adds only what these runs cannot show: the -count=2 determinism rerun
 # (chaos), the serve process smoke and one run of every codec-layer
 # benchmark (bench-smoke).
@@ -66,6 +68,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
 	$(GO) test -race -count=10 -run 'PooledArenasConcurrent' ./internal/compress/ctw
+	$(GO) test -race -count=10 -run 'RangeReadsRaceOverwrites' ./internal/serve
 
 # The benchmark is a module of its own, so `go test ./...` at the root never
 # reaches its tests: plan determinism, the metric tables against
@@ -82,7 +85,9 @@ bench-smoke:
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
-# case, single CXA1 frames), any repeat-token list that a repeat codec
+# case, single CXA1 frames; FuzzBlockIndexOpen the header-and-index open a
+# range read starts with, on any prefix and declared size), any
+# repeat-token list that a repeat codec
 # decodes other than a plain interpreter does (FuzzRepeatTokens), any
 # drift of the range decoder or its literal
 # runs from the branching reference, any matcher scan that stops anywhere
@@ -99,6 +104,7 @@ fuzz-smoke:
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzCacheKey -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzFrameOpen -fuzztime=5s
 	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockContainerOpen -fuzztime=5s
+	$(GO) test ./internal/compress -run='^$$' -fuzz=FuzzBlockIndexOpen -fuzztime=5s
 	$(GO) test ./internal/compress/token -run='^$$' -fuzz=FuzzRepeatTokens -fuzztime=5s
 	$(GO) test ./internal/arith -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=5s
 	$(GO) test ./internal/match -run='^$$' -fuzz=FuzzNextCandidate -fuzztime=5s

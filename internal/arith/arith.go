@@ -193,12 +193,24 @@ func (d *Decoder) next() byte {
 		d.pos++
 		return b
 	}
-	// Reading past the end yields zero bytes; a well-formed stream never
-	// depends on more than a few of them (the decoder knows the symbol
-	// count from framing above this layer).
+	// Reading past the end yields zero bytes, and Overrun reports it: the
+	// decoder knows the symbol count only from framing above this layer.
 	d.pos++
 	return 0
 }
+
+// Overrun reports whether the decoder has read past the end of its input.
+// A well-formed stream never makes it: Finish flushes the five bytes the
+// decoder primes with, so decoding the symbols coded reads the stream to
+// its last byte and no further. A decoder that has read past it is
+// decoding a truncated stream, whose zero fill would go on yielding
+// symbols for as long as a header claims.
+func (d *Decoder) Overrun() bool { return d.pos > len(d.in) }
+
+// OverrunStride is the most symbols a decoder of a stream that claims its
+// length produces between two Overrun checks: what a truncated stream
+// costs before it is stopped.
+const OverrunStride = 1 << 16
 
 // DecodeBitP decodes one bit with static probability p0 = P(bit == 0).
 func (d *Decoder) DecodeBitP(p0 uint32) int {

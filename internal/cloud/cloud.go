@@ -142,10 +142,15 @@ var (
 // Store is the blob-store surface the exchange pipeline operates on. It is
 // satisfied by *BlobStore and by *FaultyStore, so the same pipeline runs
 // against a reliable backend or a fault-injected one.
+//
+// GetRange is the ranged download (the REST API's Range header): bytes
+// [off, off+n) of the blob, fewer when the blob ends first and none when
+// off is at or past its end. A negative off or n is an error.
 type Store interface {
 	CreateContainer(name string) error
 	Put(container, blob string, data []byte) error
 	Get(container, blob string) ([]byte, error)
+	GetRange(container, blob string, off, n int) ([]byte, error)
 	Delete(container, blob string) error
 }
 
@@ -199,6 +204,27 @@ func (s *BlobStore) Get(container, blob string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: blob %q in %q", ErrNotFound, blob, container)
 	}
 	return append([]byte(nil), data...), nil
+}
+
+// GetRange downloads bytes [off, off+n) of a BLOB, clipped to its end,
+// copying only that span.
+func (s *BlobStore) GetRange(container, blob string, off, n int) ([]byte, error) {
+	if off < 0 || n < 0 {
+		return nil, fmt.Errorf("cloud: range [%d, +%d) of blob %q is negative", off, n, blob)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c, ok := s.containers[container]
+	if !ok {
+		return nil, fmt.Errorf("%w: container %q", ErrNotFound, container)
+	}
+	data, ok := c[blob]
+	if !ok {
+		return nil, fmt.Errorf("%w: blob %q in %q", ErrNotFound, blob, container)
+	}
+	lo := min(off, len(data))
+	hi := lo + min(n, len(data)-lo)
+	return append([]byte(nil), data[lo:hi]...), nil
 }
 
 // Delete removes a BLOB; deleting a missing BLOB is an error.

@@ -32,23 +32,25 @@ func IsTransient(err error) bool {
 
 // FaultConfig parameterizes a FaultyStore.
 type FaultConfig struct {
-	// Rate is the probability in [0, 1] that any single Put/Get/Delete
-	// attempt fails with a *TransientError. The decision is a deterministic
-	// hash of (Seed, op, container, blob, attempt), so a given key always
-	// fails the same attempts regardless of how ops on other keys interleave.
+	// Rate is the probability in [0, 1] that any single data-path attempt
+	// (Put, Get, GetRange, Delete) fails with a *TransientError. The
+	// decision is a deterministic hash of (Seed, op, container, blob,
+	// attempt), so a given key always fails the same attempts regardless of
+	// how ops on other keys interleave.
 	Rate float64
 	// Seed selects the fault schedule; the same seed reproduces it exactly.
 	Seed uint64
-	// OpDelay, when positive, is slept before every Put/Get/Delete. It adds
-	// real latency (to widen race windows in chaos tests and to exercise
-	// per-op timeouts) without touching any modeled or returned value.
+	// OpDelay, when positive, is slept before every data-path attempt. It
+	// adds real latency (to widen race windows in chaos tests and to
+	// exercise per-op timeouts) without touching any modeled or returned
+	// value.
 	OpDelay time.Duration
 }
 
 // FaultyStore wraps a Store and injects seeded, deterministic transient
-// failures into Put, Get and Delete. CreateContainer is passed through
-// untouched (it is setup, not the data path). Safe for concurrent use if
-// the wrapped store is.
+// failures into Put, Get, GetRange and Delete. CreateContainer is passed
+// through untouched (it is setup, not the data path). Safe for concurrent
+// use if the wrapped store is.
 type FaultyStore struct {
 	inner Store
 	cfg   FaultConfig
@@ -132,6 +134,16 @@ func (s *FaultyStore) Get(container, blob string) ([]byte, error) {
 		return nil, err
 	}
 	return s.inner.Get(container, blob)
+}
+
+// GetRange downloads a span of a BLOB, or fails transiently per the fault
+// schedule. A ranged read is a get to the schedule: it rolls under the
+// same op and advances the same attempt counter.
+func (s *FaultyStore) GetRange(container, blob string, off, n int) ([]byte, error) {
+	if err := s.roll("get", container, blob); err != nil {
+		return nil, err
+	}
+	return s.inner.GetRange(container, blob, off, n)
 }
 
 // Delete removes a BLOB, or fails transiently per the fault schedule.

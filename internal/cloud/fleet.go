@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -777,29 +778,125 @@ func (f *Fleet) Get(container, blob string) ([]byte, error) {
 // "fleet.replica.get" child per replica attempted (the quorum loop stops
 // early, so the trace shows which replicas were actually consulted).
 func (f *Fleet) GetCtx(ctx context.Context, container, blob string) ([]byte, error) {
+	rr, err := f.quorumRead(ctx, "get", container, blob, 0, func(st Store) (replicaRead, error, error) {
+		env, err := st.Get(container, blob)
+		if err != nil {
+			return replicaRead{}, nil, err
+		}
+		ver, payload, perr := openVersion(env)
+		return replicaRead{ver: ver, data: payload, moved: len(env)}, perr, nil
+	})
+	return rr.data, err
+}
+
+// ErrVersionMoved reports a ranged read pinned to a version its read quorum
+// no longer holds as the newest: the blob was overwritten after the read
+// that returned the pin. The caller starts again from an unpinned read.
+var ErrVersionMoved = errors.New("cloud: blob version moved")
+
+// GetRange reads bytes [off, off+n) of the blob's payload, clipped to its
+// end, with Get's quorum, not-found proof and *DegradedError semantics.
+func (f *Fleet) GetRange(container, blob string, off, n int) ([]byte, error) {
+	data, _, err := f.GetRangeCtx(context.Background(), container, blob, off, n, 0)
+	return data, err
+}
+
+// GetRangeCtx is GetRange that also returns the version it read and,
+// when pin is not 0, reads only that version: if the newest version its
+// quorum holds is another, it fails with ErrVersionMoved (and returns the
+// version it found). Two ranged reads of one blob, the second pinned to
+// the version the first returned, therefore see one write, never parts of
+// two. Traced as "fleet.getrange" with "fleet.replica.getrange" children.
+func (f *Fleet) GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error) {
+	if off < 0 || n < 0 || off > math.MaxInt-binary.MaxVarintLen64 || n > math.MaxInt-binary.MaxVarintLen64 {
+		return nil, 0, fmt.Errorf("cloud: range [%d, +%d) of blob %q is out of bounds", off, n, blob)
+	}
+	rr, err := f.quorumRead(ctx, "getrange", container, blob, pin, func(st Store) (replicaRead, error, error) {
+		return readEnvelopeRange(st, container, blob, off, n)
+	})
+	return rr.data, rr.ver, err
+}
+
+// replicaRead is one replica's answer to a read: its envelope's version,
+// the payload bytes asked for, and the bytes the store returned.
+type replicaRead struct {
+	ver   uint64
+	data  []byte
+	moved int
+	// torn marks a ranged read during which the envelope's version
+	// changed: its bytes may belong to either version.
+	torn bool
+}
+
+// readEnvelopeRange reads payload bytes [off, off+n) of one replica's
+// version envelope. A read from the start is one store op, whose span
+// covers the version header too. Any other read is three: the header, the
+// span, and the header again. A replica writes each version once, so two
+// equal headers prove the span between them is that version's; unequal
+// ones mark the read torn. The returned envelope error is the replica's
+// fault, the store error the shard's.
+func readEnvelopeRange(st Store, container, blob string, off, n int) (replicaRead, error, error) {
+	if off == 0 {
+		env, err := st.GetRange(container, blob, 0, binary.MaxVarintLen64+n)
+		if err != nil {
+			return replicaRead{}, nil, err
+		}
+		ver, payload, perr := openVersion(env)
+		return replicaRead{ver: ver, data: payload[:min(n, len(payload))], moved: len(env)}, perr, nil
+	}
+	hdr, err := st.GetRange(container, blob, 0, binary.MaxVarintLen64)
+	if err != nil {
+		return replicaRead{}, nil, err
+	}
+	ver, h := binary.Uvarint(hdr)
+	if h <= 0 {
+		return replicaRead{}, fmt.Errorf("cloud: replica envelope has no version header"), nil
+	}
+	data, err := st.GetRange(container, blob, h+off, n)
+	if err != nil {
+		return replicaRead{}, nil, err
+	}
+	again, err := st.GetRange(container, blob, 0, binary.MaxVarintLen64)
+	if err != nil {
+		return replicaRead{}, nil, err
+	}
+	ver2, h2 := binary.Uvarint(again)
+	return replicaRead{ver: ver2, data: data, moved: len(hdr) + len(data) + len(again), torn: h2 <= 0 || ver2 != ver}, nil, nil
+}
+
+// quorumRead is the read loop of Get and GetRange: read tries replicas in
+// ring preference order until ReadQuorum of them answer, and the newest
+// version wins, an untorn read of it over a torn one. A read pinned to a
+// version (pin != 0) that is not the winner, or a torn winner, fails with
+// ErrVersionMoved. Below quorum, one answer still serves the read as a
+// degraded read; with none, a read quorum of misses is ErrNotFound and
+// anything else a *DegradedError. Spans and metrics are labeled op.
+func (f *Fleet) quorumRead(ctx context.Context, op, container, blob string, pin uint64, read func(Store) (replicaRead, error, error)) (replicaRead, error) {
 	reps := f.replicaShards(container, blob)
-	ctx, span := obs.Start(ctx, "fleet.get")
+	ctx, span := obs.Start(ctx, "fleet."+op)
 	defer span.End()
 	span.SetAttr("container", container)
 	span.SetAttr("blob", blob)
 	span.SetAttr("replicas", len(reps))
 	var (
-		best      []byte
-		bestVer   uint64
+		best      replicaRead
 		successes int
 		misses    int
 		failures  []ShardError
 		modelMS   float64
 	)
 	for _, sh := range reps {
-		var env []byte
+		var (
+			rr     replicaRead
+			envErr error
+		)
 		err := func() error {
-			_, rspan := obs.Start(ctx, "fleet.replica.get")
+			_, rspan := obs.Start(ctx, "fleet.replica."+op)
 			defer rspan.End()
 			rspan.SetAttr("shard", sh.spec.Name)
-			gerr := f.shardOp(sh, "get", 0, func(st Store) error {
+			gerr := f.shardOp(sh, op, 0, func(st Store) error {
 				var serr error
-				env, serr = st.Get(container, blob)
+				rr, envErr, serr = read(st)
 				return serr
 			})
 			rspan.SetAttr("outcome", replicaOutcome(gerr))
@@ -807,15 +904,14 @@ func (f *Fleet) GetCtx(ctx context.Context, container, blob string) ([]byte, err
 		}()
 		switch {
 		case err == nil:
-			ver, payload, perr := openVersion(env)
-			if perr != nil {
-				failures = append(failures, ShardError{Shard: sh.spec.Name, Err: perr})
+			if envErr != nil {
+				failures = append(failures, ShardError{Shard: sh.spec.Name, Err: envErr})
 				continue
 			}
-			modelMS += sh.modeledMS(len(env))
+			modelMS += sh.modeledMS(rr.moved)
 			successes++
-			if best == nil || ver > bestVer {
-				best, bestVer = payload, ver
+			if successes == 1 || rr.ver > best.ver || rr.ver == best.ver && best.torn {
+				best = rr
 			}
 		case errors.Is(err, ErrNotFound):
 			misses++
@@ -828,13 +924,16 @@ func (f *Fleet) GetCtx(ctx context.Context, container, blob string) ([]byte, err
 	}
 	span.SetAttr("acks", successes)
 	switch {
+	case successes > 0 && (best.torn || pin != 0 && best.ver != pin):
+		f.opOutcome(op, "moved")
+		return replicaRead{ver: best.ver}, fmt.Errorf("%w: %s/%s read at version %d, pinned to %d", ErrVersionMoved, container, blob, best.ver, pin)
 	case successes >= f.cfg.ReadQuorum:
-		f.opOutcome("get", "ok")
-		f.reg.Histogram("dna_fleet_quorum_ms", "Modeled quorum latency per fleet op (slowest acked replica).", obs.DefMSBuckets(), "op", "get").Observe(modelMS)
+		f.opOutcome(op, "ok")
+		f.reg.Histogram("dna_fleet_quorum_ms", "Modeled quorum latency per fleet op (slowest acked replica).", obs.DefMSBuckets(), "op", op).Observe(modelMS)
 		return best, nil
 	case successes > 0:
-		f.opOutcome("get", "degraded_read")
-		f.reg.Counter("dna_fleet_failovers_total", "Ops that succeeded despite replica failures.", "op", "get").Inc()
+		f.opOutcome(op, "degraded_read")
+		f.reg.Counter("dna_fleet_failovers_total", "Ops that succeeded despite replica failures.", "op", op).Inc()
 		f.reg.Counter("dna_fleet_degraded_reads_total", "Reads served below read quorum (possibly stale).").Inc()
 		return best, nil
 	case misses >= f.cfg.ReadQuorum, len(failures) == 0:
@@ -842,11 +941,11 @@ func (f *Fleet) GetCtx(ctx context.Context, container, blob string) ([]byte, err
 		// written (every write reaches a write quorum and quorums
 		// intersect), so even a partially-dead fleet can answer "not
 		// found" instead of "unavailable".
-		f.opOutcome("get", "notfound")
-		return nil, fmt.Errorf("%w: blob %q in %q on %d of %d replicas", ErrNotFound, blob, container, misses, len(reps))
+		f.opOutcome(op, "notfound")
+		return replicaRead{}, fmt.Errorf("%w: blob %q in %q on %d of %d replicas", ErrNotFound, blob, container, misses, len(reps))
 	default:
-		f.opOutcome("get", "degraded")
-		return nil, &DegradedError{Op: "get", Container: container, Blob: blob, Acks: successes, Need: 1, Replicas: len(reps), Misses: misses, Failures: failures}
+		f.opOutcome(op, "degraded")
+		return replicaRead{}, &DegradedError{Op: op, Container: container, Blob: blob, Acks: successes, Need: 1, Replicas: len(reps), Misses: misses, Failures: failures}
 	}
 }
 

@@ -209,7 +209,10 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if run > nBases-uint64(len(out)) {
 			return nil, compress.Stats{}, compress.Corruptf("biocompress: literal run %d overruns output", run)
 		}
-		out = dec.DecodeLiterals(nil, lit, out, uint64(len(out))+run)
+		var ok bool
+		if out, ok = token.Literals(dec, nil, lit, out, uint64(len(out))+run); !ok {
+			return nil, compress.Stats{}, compress.Corruptf("biocompress: literal stream ends before base %d of %d", len(out), nBases)
+		}
 		literals += int64(run)
 		if uint64(len(out)) >= nBases {
 			break
@@ -228,7 +231,6 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		}
 		// Less one, the length and distance fields are dnax's.
 		before := len(out)
-		var ok bool
 		if out, ok = token.CopyExact(out, nBases, lit, rcBit == 1, c.cfg.MinRepeat, lv-1, dv-1); !ok {
 			return nil, compress.Stats{}, compress.Corruptf("biocompress: repeat (rc %d, length %d, distance %d) out of range at base %d of %d", rcBit, lv, dv, before, nBases)
 		}

@@ -245,23 +245,106 @@ func BlockHeaderSize(codecName string) int { return blockFixedOverhead + len(cod
 // hostile frame inside a well-formed container is contained exactly like
 // a hostile single frame.
 //
+// A reader opened by OpenBlockIndex holds only the frames that came with
+// its header and index; AttachFrames hands it the span FrameSpan names
+// before a read. OpenBlocks is that open with every frame attached.
+//
 // A reader is safe for concurrent use once opened (and, if it has one,
-// once its cache is attached): it holds no decode state, every read
-// decodes into caller-local buffers, and a BlockCache it shares with other
-// readers locks its own state.
+// once its cache and frames are attached): it holds no decode state,
+// every read decodes into caller-local buffers, and a BlockCache it shares
+// with other readers locks its own state.
 type BlockReader struct {
 	codec     string
 	bases     int
 	blockSize int
 	outputSum uint32
 	entries   []BlockEntry
-	offsets   []int // payload-area offset of each block's frame
-	payload   []byte
+	offsets   []int // container offset of each block's frame
+	size      int   // container bytes: header, index and every frame
+	// frames holds the container bytes [framesAt, framesAt+len(frames)).
+	frames   []byte
+	framesAt int
 	// maxCompressed is the resolved per-block payload ceiling from the
 	// Limits handed to OpenBlocks.
 	maxCompressed int
 	met           blockMetrics
 	cache         *BlockCache
+}
+
+// blockHeader is a parsed and checksum-verified CXB1 header.
+type blockHeader struct {
+	codec                   string
+	bases, blockSize, count uint64
+	outputSum               uint32
+	indexStart              int
+}
+
+// parseBlockHeader validates the CXB1 header at the start of data: magic,
+// version, field bounds, header checksum and limit enforcement, and that
+// the block count matches the symbol count and block size.
+func parseBlockHeader(data []byte, maxOutput int) (blockHeader, error) {
+	if len(data) < blockFixedOverhead+1 {
+		return blockHeader{}, Corruptf("blocks: %d bytes is shorter than the minimum header", len(data))
+	}
+	if string(data[0:4]) != BlockMagic {
+		return blockHeader{}, Corruptf("blocks: bad magic %q", data[0:4])
+	}
+	if data[4] != BlockVersion {
+		return blockHeader{}, Corruptf("blocks: unsupported version %d", data[4])
+	}
+	n := int(data[5])
+	if n == 0 || n > maxFrameCodecName {
+		return blockHeader{}, Corruptf("blocks: codec name length %d out of range", n)
+	}
+	if len(data) < blockFixedOverhead+n {
+		return blockHeader{}, Corruptf("blocks: truncated header (%d bytes for name length %d)", len(data), n)
+	}
+	headerSum := binary.BigEndian.Uint32(data[34+n:])
+	if got := Checksum(data[:34+n]); got != headerSum {
+		return blockHeader{}, Corruptf("blocks: header checksum mismatch (stored %08x, computed %08x)", headerSum, got)
+	}
+	bases := binary.BigEndian.Uint64(data[6+n:])
+	if bases > math.MaxInt {
+		return blockHeader{}, Corruptf("blocks: symbol count %d overflows int", bases)
+	}
+	if int(bases) > maxOutput {
+		return blockHeader{}, Corruptf("blocks: container claims %d symbols, limit %d", bases, maxOutput)
+	}
+	blockSize := binary.BigEndian.Uint64(data[14+n:])
+	if blockSize == 0 || blockSize > math.MaxInt {
+		return blockHeader{}, Corruptf("blocks: block size %d out of range", blockSize)
+	}
+	count := binary.BigEndian.Uint64(data[22+n:])
+	if want := (bases + blockSize - 1) / blockSize; count != want {
+		return blockHeader{}, Corruptf("blocks: %d blocks indexed, %d symbols at block size %d require %d", count, bases, blockSize, want)
+	}
+	return blockHeader{
+		codec:      string(data[6 : 6+n]),
+		bases:      bases,
+		blockSize:  blockSize,
+		count:      count,
+		outputSum:  binary.BigEndian.Uint32(data[30+n:]),
+		indexStart: blockFixedOverhead + n,
+	}, nil
+}
+
+// BlockIndexLen reads the header at the start of prefix and returns how
+// many leading container bytes OpenBlockIndex needs: the header and the
+// index. prefix must hold the whole header, which its first 102 bytes (38
+// fixed, and a codec name of at most 64) always do. A CXA1 frame, the
+// one-block case, is its own index, so its answer is the whole frame.
+// Every failure satisfies errors.Is(err, ErrCorrupt).
+func BlockIndexLen(prefix []byte, lim Limits) (int, error) {
+	_, maxOutput := lim.effective()
+	if len(prefix) >= len(FrameMagic) && string(prefix[:len(FrameMagic)]) == FrameMagic {
+		return frameLen(prefix)
+	}
+	h, err := parseBlockHeader(prefix, maxOutput)
+	if err != nil {
+		return 0, err
+	}
+	// count <= bases <= maxOutput, so the product cannot overflow.
+	return h.indexStart + int(h.count)*blockIndexEntrySize + 4, nil
 }
 
 // OpenBlocks parses and validates a container from untrusted bytes without
@@ -283,10 +366,38 @@ func OpenBlocks(data []byte, lim Limits) (*BlockReader, error) {
 }
 
 // OpenBlocksObserved is OpenBlocks recording seek/decode counters into reg
-// (nil means the default registry).
+// (nil means the default registry): OpenBlockIndex over data with every
+// frame attached, the container required to end where its last frame does.
 func OpenBlocksObserved(reg *obs.Registry, data []byte, lim Limits) (*BlockReader, error) {
+	return openBlocks(reg, data, lim, true)
+}
+
+// OpenBlockIndex opens a reader from the leading container bytes: at least
+// the BlockIndexLen bytes of header and index, validated as OpenBlocks
+// validates them, and any frame bytes after them, which the reader keeps.
+// The container's size comes from its index. Reads need the frames
+// FrameSpan names; AttachFrames supplies them. A CXA1 frame is its own
+// index, so its reader opens with its frame attached. Every failure
+// satisfies errors.Is(err, ErrCorrupt), and allocation stays proportional
+// to the bytes present, whatever the header claims. Metrics land in reg
+// (nil means the default registry).
+func OpenBlockIndex(reg *obs.Registry, head []byte, lim Limits) (*BlockReader, error) {
+	return openBlocks(reg, head, lim, false)
+}
+
+// openBlocks is OpenBlockIndex, and with whole set OpenBlocks: then data
+// must be the container, every frame is attached, and the frames must end
+// exactly where data does.
+func openBlocks(reg *obs.Registry, data []byte, lim Limits, whole bool) (*BlockReader, error) {
 	maxCompressed, maxOutput := lim.effective()
 	if len(data) >= len(FrameMagic) && string(data[:len(FrameMagic)]) == FrameMagic {
+		if !whole {
+			n, err := frameLen(data)
+			if err != nil {
+				return nil, err
+			}
+			data = data[:min(n, len(data))]
+		}
 		fr, err := Open(data)
 		if err != nil {
 			return nil, err
@@ -301,86 +412,89 @@ func OpenBlocksObserved(reg *obs.Registry, data []byte, lim Limits) (*BlockReade
 			outputSum:     fr.OutputSum,
 			entries:       []BlockEntry{{Length: len(data), Sum: Checksum(data)}},
 			offsets:       []int{0},
-			payload:       data,
+			size:          len(data),
+			frames:        data,
 			maxCompressed: maxCompressed,
 			met:           newBlockMetrics(reg, fr.Codec),
 		}, nil
 	}
-	if len(data) < blockFixedOverhead+1 {
-		return nil, Corruptf("blocks: %d bytes is shorter than the minimum header", len(data))
-	}
-	if string(data[0:4]) != BlockMagic {
-		return nil, Corruptf("blocks: bad magic %q", data[0:4])
-	}
-	if data[4] != BlockVersion {
-		return nil, Corruptf("blocks: unsupported version %d", data[4])
-	}
-	n := int(data[5])
-	if n == 0 || n > maxFrameCodecName {
-		return nil, Corruptf("blocks: codec name length %d out of range", n)
-	}
-	if len(data) < blockFixedOverhead+n {
-		return nil, Corruptf("blocks: truncated header (%d bytes for name length %d)", len(data), n)
-	}
-	headerSum := binary.BigEndian.Uint32(data[34+n:])
-	if got := Checksum(data[:34+n]); got != headerSum {
-		return nil, Corruptf("blocks: header checksum mismatch (stored %08x, computed %08x)", headerSum, got)
-	}
-	bases := binary.BigEndian.Uint64(data[6+n:])
-	if bases > math.MaxInt {
-		return nil, Corruptf("blocks: symbol count %d overflows int", bases)
-	}
-	if int(bases) > maxOutput {
-		return nil, Corruptf("blocks: container claims %d symbols, limit %d", bases, maxOutput)
-	}
-	blockSize := binary.BigEndian.Uint64(data[14+n:])
-	if blockSize == 0 || blockSize > math.MaxInt {
-		return nil, Corruptf("blocks: block size %d out of range", blockSize)
-	}
-	count := binary.BigEndian.Uint64(data[22+n:])
-	if want := (bases + blockSize - 1) / blockSize; count != want {
-		return nil, Corruptf("blocks: %d blocks indexed, %d symbols at block size %d require %d", count, bases, blockSize, want)
+	h, err := parseBlockHeader(data, maxOutput)
+	if err != nil {
+		return nil, err
 	}
 	// The index must fit in the bytes that are actually present. Checking
 	// against the buffer before allocating anything sized by the claim is
 	// what keeps a hostile count from costing more than this comparison.
-	indexStart := blockFixedOverhead + n
-	avail := len(data) - indexStart - 4
-	if avail < 0 || count > uint64(avail/blockIndexEntrySize) {
-		return nil, Corruptf("blocks: truncated block index (%d bytes for %d entries)", len(data)-indexStart, count)
+	avail := len(data) - h.indexStart - 4
+	if avail < 0 || h.count > uint64(avail/blockIndexEntrySize) {
+		return nil, Corruptf("blocks: truncated block index (%d bytes for %d entries)", len(data)-h.indexStart, h.count)
 	}
-	payloadStart := indexStart + int(count)*blockIndexEntrySize + 4
+	payloadStart := h.indexStart + int(h.count)*blockIndexEntrySize + 4
 	indexSum := binary.BigEndian.Uint32(data[payloadStart-4:])
-	if got := Checksum(data[indexStart : payloadStart-4]); got != indexSum {
+	if got := Checksum(data[h.indexStart : payloadStart-4]); got != indexSum {
 		return nil, Corruptf("blocks: index checksum mismatch (stored %08x, computed %08x)", indexSum, got)
 	}
 
 	r := &BlockReader{
-		codec:         string(data[6 : 6+n]),
-		bases:         int(bases),
-		blockSize:     int(blockSize),
-		outputSum:     binary.BigEndian.Uint32(data[30+n:]),
-		entries:       make([]BlockEntry, count),
-		offsets:       make([]int, count),
-		payload:       data[payloadStart:],
+		codec:         h.codec,
+		bases:         int(h.bases),
+		blockSize:     int(h.blockSize),
+		outputSum:     h.outputSum,
+		entries:       make([]BlockEntry, h.count),
+		offsets:       make([]int, h.count),
+		frames:        data[payloadStart:],
+		framesAt:      payloadStart,
 		maxCompressed: maxCompressed,
-		met:           newBlockMetrics(reg, string(data[6:6+n])),
+		met:           newBlockMetrics(reg, h.codec),
+	}
+	// room is what the frames may total: the bytes present after the
+	// index for a whole container, else whatever an int can address.
+	room := math.MaxInt - payloadStart
+	if whole {
+		room = len(r.frames)
 	}
 	pos := 0
 	for k := range r.entries {
-		e := indexStart + k*blockIndexEntrySize
+		e := h.indexStart + k*blockIndexEntrySize
 		length := binary.BigEndian.Uint64(data[e:])
-		if length > uint64(len(r.payload)-pos) {
-			return nil, Corruptf("blocks: index entry %d claims %d frame bytes, %d remain", k, length, len(r.payload)-pos)
+		if length > uint64(room-pos) {
+			return nil, Corruptf("blocks: index entry %d claims %d frame bytes, %d remain", k, length, room-pos)
 		}
 		r.entries[k] = BlockEntry{Length: int(length), Sum: binary.BigEndian.Uint32(data[e+8:])}
-		r.offsets[k] = pos
+		r.offsets[k] = payloadStart + pos
 		pos += int(length)
 	}
-	if pos != len(r.payload) {
-		return nil, Corruptf("blocks: %d trailing bytes after the last frame", len(r.payload)-pos)
+	if whole && pos != room {
+		return nil, Corruptf("blocks: %d trailing bytes after the last frame", room-pos)
 	}
+	r.size = payloadStart + pos
 	return r, nil
+}
+
+// Size returns the container's length in bytes, from its index.
+func (r *BlockReader) Size() int { return r.size }
+
+// FrameSpan returns the container bytes [lo, hi) holding the frames of
+// the blocks that symbols [off, off+n) overlap: what a reader opened by
+// OpenBlockIndex needs attached before Slice(off, n). Slice's range rules
+// apply; outside them the span is empty.
+func (r *BlockReader) FrameSpan(off, n int) (lo, hi int) {
+	if off < 0 || n <= 0 || off+n > r.bases || off+n < 0 {
+		return 0, 0
+	}
+	first, last := off/r.blockSize, (off+n-1)/r.blockSize
+	return r.offsets[first], r.offsets[last] + r.entries[last].Length
+}
+
+// AttachFrames hands the reader the container bytes [lo, lo+len(frames)),
+// in place of any it held. A block whose frame they do not cover fails to
+// decode as corrupt: a container that ends early reads that way. The
+// reader keeps frames, as OpenBlocks keeps its data, and reads them only
+// through checksums, so the caller must not write to them afterwards. Call
+// it before the reader is shared.
+func (r *BlockReader) AttachFrames(lo int, frames []byte) {
+	//lint:ignore copydiscipline the reader aliases the container bytes it is handed, as OpenBlocks does; a copy would double every range read's fetch
+	r.frames, r.framesAt = frames, lo
 }
 
 // Codec returns the registry identifier recorded in the container header.
@@ -424,7 +538,11 @@ func (r *BlockReader) blockBases(k int) int {
 // by codec and SHA-256 first, and a block that passed every check is
 // stored.
 func (r *BlockReader) block(k int) (blockSyms, Stats, error) {
-	frame := r.payload[r.offsets[k] : r.offsets[k]+r.entries[k].Length]
+	lo := r.offsets[k] - r.framesAt
+	if lo < 0 || r.entries[k].Length > len(r.frames)-lo {
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame [%d, %d) lies outside the container bytes read [%d, %d)", k, r.offsets[k], r.offsets[k]+r.entries[k].Length, r.framesAt, r.framesAt+len(r.frames))
+	}
+	frame := r.frames[lo : lo+r.entries[k].Length]
 	if got := Checksum(frame); got != r.entries[k].Sum {
 		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame checksum mismatch (stored %08x, computed %08x)", k, r.entries[k].Sum, got)
 	}

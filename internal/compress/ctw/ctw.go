@@ -20,6 +20,7 @@ package ctw
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
@@ -88,32 +89,47 @@ type tree struct {
 	fresh int
 }
 
-// maxPooledNodes bounds the arenas treePool keeps, in nodes of either
-// array: enough for a full DefaultDepth context space, so a frame that
-// claims a deep context cannot leave a large arena behind.
-const maxPooledNodes = 1 << (DefaultDepth + 1)
+// maxPooledClass is the largest size class treePools keep: arenas of up
+// to maxPooledNodes nodes in either array, enough for a full DefaultDepth
+// context space, so a frame that claims a deep context cannot leave a
+// large arena behind.
+const (
+	maxPooledClass = DefaultDepth + 1
+	maxPooledNodes = 1 << maxPooledClass
+)
 
-// treePool recycles tree arenas across calls. The serving path builds a
-// fresh codec per request, so the arenas cannot live on a Codec.
-var treePool = sync.Pool{New: func() any { return new(tree) }}
+// treePools recycle tree arenas across calls, one pool per size class:
+// class c holds arenas with room for at least 1<<c nodes in both arrays.
+// An arena goes back to the largest class it can serve, and newTree takes
+// the smallest pooled arena that holds its hint, so no arena that fits is
+// dropped, whatever sizes the calls mix. The serving path builds a fresh
+// codec per request, so the arenas cannot live on a Codec.
+var treePools [maxPooledClass + 1]sync.Pool
 
 func newTree(depth, bitCount int) *tree {
-	t := treePool.Get().(*tree)
-	t.depth = depth
 	// The arena can never exceed the context space (2^(depth+1)-1 nodes) and
 	// rarely exceeds a few nodes per coded bit.
 	hint := 4*bitCount + 16
 	if maxNodes := 1 << (depth + 1); hint > maxNodes {
 		hint = maxNodes
 	}
+	// The smallest class that holds hint nodes. Past the pooled classes a
+	// fresh arena holds exactly hint nodes, and release drops it.
+	class := bits.Len(uint(hint - 1))
+	var t *tree
+	for c := class; t == nil && c <= maxPooledClass; c++ {
+		t, _ = treePools[c].Get().(*tree)
+	}
+	if t == nil {
+		n := hint
+		if class <= maxPooledClass {
+			n = 1 << class
+		}
+		t = &tree{nodes: make([]node, 1, n), kids: make([][2]int32, 1, n)}
+	}
+	t.depth = depth
 	// Truncating to the root is a full reset: newNode appends every later
 	// node in full.
-	if cap(t.nodes) < hint {
-		t.nodes = make([]node, 1, hint)
-	}
-	if cap(t.kids) < hint {
-		t.kids = make([][2]int32, 1, hint)
-	}
 	t.nodes = t.nodes[:1]
 	t.kids = t.kids[:1]
 	t.nodes[0] = node{beta: 1}
@@ -121,10 +137,12 @@ func newTree(depth, bitCount int) *tree {
 	return t
 }
 
-// release returns t to treePool; t must not be used afterwards.
+// release returns t to the pool of the largest class it can serve, unless
+// either array has grown past maxPooledNodes; t must not be used
+// afterwards.
 func (t *tree) release() {
 	if cap(t.nodes) <= maxPooledNodes && cap(t.kids) <= maxPooledNodes {
-		treePool.Put(t)
+		treePools[bits.Len(uint(min(cap(t.nodes), cap(t.kids))))-1].Put(t)
 	}
 }
 
@@ -376,6 +394,11 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 			sym = sym<<1 | byte(bit)
 		}
 		out = append(out, sym)
+		// A truncated stream reads as zeros past its end: checked once a
+		// stride, it stops within one stride of it.
+		if len(out)%arith.OverrunStride == 0 && dec.Overrun() {
+			return nil, compress.Stats{}, compress.Corruptf("ctw: stream ends before base %d of %d", len(out), nBases)
+		}
 	}
 	st := compress.Stats{
 		WorkNS:  c.work(2 * len(out)),

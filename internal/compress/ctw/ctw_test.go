@@ -110,7 +110,7 @@ func TestNodeBudget(t *testing.T) {
 // TestPooledArenasConcurrent runs compress and decompress at depths 2, 16
 // and 30 from several goroutines at once, mixed with a hostile frame whose
 // header claims the deepest context, and demands every output and Stats
-// equal a sequential run: an arena reused from treePool must behave exactly
+// equal a sequential run: an arena reused from treePools must behave exactly
 // like a fresh one, whatever depth it served before.
 func TestPooledArenasConcurrent(t *testing.T) {
 	type result struct {

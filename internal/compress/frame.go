@@ -110,25 +110,9 @@ func SealSum(codecName string, bases int, outputSum uint32, payload []byte) []by
 // Open proves the payload arrived intact; it does not run the codec. Use
 // SafeDecompress to also restore and verify the symbols.
 func Open(data []byte) (Frame, error) {
-	if len(data) < frameFixedOverhead+1 {
-		return Frame{}, Corruptf("frame: %d bytes is shorter than the minimum header", len(data))
-	}
-	if string(data[0:4]) != FrameMagic {
-		return Frame{}, Corruptf("frame: bad magic %q", data[0:4])
-	}
-	if data[4] != FrameVersion {
-		return Frame{}, Corruptf("frame: unsupported version %d", data[4])
-	}
-	n := int(data[5])
-	if n == 0 || n > maxFrameCodecName {
-		return Frame{}, Corruptf("frame: codec name length %d out of range", n)
-	}
-	if len(data) < frameFixedOverhead+n {
-		return Frame{}, Corruptf("frame: truncated header (%d bytes for name length %d)", len(data), n)
-	}
-	headerSum := binary.BigEndian.Uint32(data[30+n:])
-	if got := Checksum(data[:30+n]); got != headerSum {
-		return Frame{}, Corruptf("frame: header checksum mismatch (stored %08x, computed %08x)", headerSum, got)
+	n, err := frameHeader(data)
+	if err != nil {
+		return Frame{}, err
 	}
 	bases := binary.BigEndian.Uint64(data[6+n:])
 	if bases > math.MaxInt {
@@ -153,4 +137,45 @@ func Open(data []byte) (Frame, error) {
 		return Frame{}, Corruptf("frame: payload checksum mismatch (stored %08x, computed %08x)", fr.PayloadSum, got)
 	}
 	return fr, nil
+}
+
+// frameHeader validates the frame header at the start of data (magic,
+// version, codec name length and the header checksum) and returns the
+// codec name's length.
+func frameHeader(data []byte) (int, error) {
+	if len(data) < frameFixedOverhead+1 {
+		return 0, Corruptf("frame: %d bytes is shorter than the minimum header", len(data))
+	}
+	if string(data[0:4]) != FrameMagic {
+		return 0, Corruptf("frame: bad magic %q", data[0:4])
+	}
+	if data[4] != FrameVersion {
+		return 0, Corruptf("frame: unsupported version %d", data[4])
+	}
+	n := int(data[5])
+	if n == 0 || n > maxFrameCodecName {
+		return 0, Corruptf("frame: codec name length %d out of range", n)
+	}
+	if len(data) < frameFixedOverhead+n {
+		return 0, Corruptf("frame: truncated header (%d bytes for name length %d)", len(data), n)
+	}
+	headerSum := binary.BigEndian.Uint32(data[30+n:])
+	if got := Checksum(data[:30+n]); got != headerSum {
+		return 0, Corruptf("frame: header checksum mismatch (stored %08x, computed %08x)", headerSum, got)
+	}
+	return n, nil
+}
+
+// frameLen validates the frame header at the start of data and returns
+// the frame's length.
+func frameLen(data []byte) (int, error) {
+	n, err := frameHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	payloadLen := binary.BigEndian.Uint64(data[14+n:])
+	if payloadLen > uint64(math.MaxInt-frameFixedOverhead-n) {
+		return 0, Corruptf("frame: payload length %d overflows int", payloadLen)
+	}
+	return frameFixedOverhead + n + int(payloadLen), nil
 }

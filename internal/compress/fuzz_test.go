@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
@@ -57,6 +60,9 @@ func FuzzDecompressAll(f *testing.F) {
 	for _, tc := range repeatFieldCases(f) {
 		f.Add(tc.stream)
 	}
+	for _, tc := range truncatedStreams(f) {
+		f.Add(tc.stream)
+	}
 	names := compress.Names()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -73,6 +79,13 @@ func FuzzDecompressAll(f *testing.F) {
 			}
 		}
 	})
+}
+
+var heapSample = []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+
+func heapAllocs() uint64 {
+	metrics.Read(heapSample)
+	return heapSample[0].Value.Uint64()
 }
 
 // hostileLiterals are the 40 bases the hostile streams start with.
@@ -253,6 +266,67 @@ func TestRepeatFieldBounds(t *testing.T) {
 			t.Errorf("%s %s: decoded %v", tc.codec, tc.name, out)
 		case !tc.ok && !errors.Is(err, compress.ErrCorrupt):
 			t.Errorf("%s %s: %d bases, err %v, want ErrCorrupt", tc.codec, tc.name, len(out), err)
+		}
+	}
+}
+
+// truncatedStream is a stream that runs out long before its claims.
+type truncatedStream struct {
+	name, codec string
+	stream      []byte
+}
+
+// truncatedStreams claim far more than their bytes code: the range
+// decoder would read zeros past their ends and yield symbols, or ops, for
+// as long as the claims say.
+func truncatedStreams(tb testing.TB) []truncatedStream {
+	const claim = 1 << 31
+	oneSub := []match.EditOp{{Kind: match.OpSub, Off: 0, Base: 2}}
+	// A biocompress token section of one literal run of the whole claim,
+	// with no literal section behind it.
+	tokens := bitio.NewWriter(16)
+	if err := fib.Encode(tokens, claim+1); err != nil {
+		tb.Fatal(err)
+	}
+	bio := binary.AppendUvarint(nil, claim)
+	bio = binary.AppendUvarint(bio, uint64(len(tokens.Bytes())))
+	bio = append(bio, tokens.Bytes()...)
+	var cases []truncatedStream
+	for _, name := range []string{"dnax", "xm"} {
+		cases = append(cases, truncatedStream{"header only", name, binary.AppendUvarint(nil, claim)})
+	}
+	for _, name := range []string{"gencompress", "dnacompress"} {
+		// The ops record of the 2^22-op claim, and one within the op bound
+		// whose ops run past the stream's end.
+		cases = append(cases,
+			truncatedStream{"2^22 ops", name, hostileStream(hostileLiterals, 16+1<<22, func(w *token.Writer) { w.Edit(39, 1<<22, 1<<22, oneSub, nil) })},
+			truncatedStream{"24 ops", name, hostileStream(hostileLiterals, 16+1<<22, func(w *token.Writer) { w.Edit(39, 1<<22, 24, oneSub, nil) })})
+	}
+	return append(cases,
+		truncatedStream{"header only", "ctw", binary.AppendUvarint([]byte{16}, claim)},
+		truncatedStream{"literal run", "biocompress", bio})
+}
+
+// TestTruncatedStreamsStopEarly: a stream that runs out is ErrCorrupt, and
+// its decoder stops within a stride of its end, not at its claims. Before
+// the overrun check the dnax header alone decoded 2^31 literals, and the
+// 2^22-op gencompress record allocated about 505 MB before it was
+// rejected.
+func TestTruncatedStreamsStopEarly(t *testing.T) {
+	for _, tc := range truncatedStreams(t) {
+		c, err := compress.New(tc.codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		out, _, err := c.Decompress(tc.stream)
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("%s %s (%d bytes): %d bases, err %v, want ErrCorrupt", tc.codec, tc.name, len(tc.stream), len(out), err)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s %s (%d bytes): allocated %d bytes decoding it", tc.codec, tc.name, len(tc.stream), alloc)
 		}
 	}
 }
@@ -442,6 +516,111 @@ func FuzzBlockContainerOpen(f *testing.F) {
 			}
 			if !bytes.Equal(got, out[probe[0]:probe[0]+probe[1]]) {
 				t.Fatalf("Slice(%d, %d) differs from Decompress output", probe[0], probe[1])
+			}
+		}
+	})
+}
+
+// declare rewrites the size a container's header declares to claim: a
+// CXB1 header's symbol count, with the block count it implies, or a CXA1
+// header's payload length, resealing the header checksum. Anything else,
+// or a header cut short, is returned as is.
+func declare(data []byte, claim uint64) []byte {
+	if len(data) < 6 || claim == 0 {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	n := int(out[5])
+	switch string(out[:4]) {
+	case compress.BlockMagic:
+		if len(out) < compress.BlockHeaderSize(string(out[6:6+min(n, len(out)-6)])) || n == 0 {
+			return data
+		}
+		blockSize := binary.BigEndian.Uint64(out[14+n:])
+		if blockSize == 0 {
+			return data
+		}
+		binary.BigEndian.PutUint64(out[6+n:], claim)
+		binary.BigEndian.PutUint64(out[22+n:], claim/blockSize+min(claim%blockSize, 1))
+		binary.BigEndian.PutUint32(out[34+n:], compress.Checksum(out[:34+n]))
+	case compress.FrameMagic:
+		if len(out) < compress.Overhead(string(out[6:6+min(n, len(out)-6)])) || n == 0 {
+			return data
+		}
+		binary.BigEndian.PutUint64(out[14+n:], claim)
+		binary.BigEndian.PutUint32(out[30+n:], compress.Checksum(out[:30+n]))
+	}
+	return out
+}
+
+// FuzzBlockIndexOpen holds the header-and-index open, the first thing a
+// range read of a stored container parses, to its contract: fed any prefix
+// of a container whose header may declare any size, BlockIndexLen and
+// OpenBlockIndex never panic, fail only with ErrCorrupt, allocate in
+// proportion to the bytes present, not to a declared count, and a reader
+// they open reads back, within the prefix, what OpenBlocks reads from the
+// whole container.
+func FuzzBlockIndexOpen(f *testing.F) {
+	src := hostileBases(3000)
+	for _, opts := range []compress.BlockOptions{{BlockSize: 100}, {BlockSize: 700}, {BlockSize: 1}} {
+		if container, _, err := compress.BlockCompress("dnapack", src, opts); err == nil {
+			for _, cut := range []uint16{0, 5, 45, 300, 512, uint16(min(len(container), 65535))} {
+				f.Add(container, cut, uint64(0))
+			}
+			f.Add(container, uint16(512), uint64(1<<40))
+			f.Add(container, uint16(512), uint64(1)<<63)
+		}
+	}
+	if c, err := compress.New("dnapack"); err == nil {
+		if payload, _, err := c.Compress(src); err == nil {
+			frame := compress.Seal("dnapack", src, payload)
+			f.Add(frame, uint16(512), uint64(0))
+			f.Add(frame, uint16(len(frame)), uint64(0))
+			f.Add(frame, uint16(512), ^uint64(0))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16, claim uint64) {
+		data = declare(data, claim)
+		head := data[:min(int(cut), len(data))]
+		lim := compress.Limits{MaxCompressed: 1 << 20, MaxOutput: 1 << 30}
+		var (
+			need int
+			rd   *compress.BlockReader
+			err  error
+		)
+		grew := uint64(math.MaxUint64)
+		for range 2 { // the smaller of two: the fuzz worker allocates too
+			before := heapAllocs()
+			if need, err = compress.BlockIndexLen(head, lim); err == nil {
+				rd, err = compress.OpenBlockIndex(nil, head, lim)
+			}
+			grew = min(grew, heapAllocs()-before)
+		}
+		if err != nil {
+			if !errors.Is(err, compress.ErrCorrupt) {
+				t.Fatalf("header-and-index open of %d bytes: %v is not ErrCorrupt", len(head), err)
+			}
+			return
+		}
+		if grew > 64<<10+4*uint64(len(head)) {
+			t.Fatalf("opening %d bytes of a %d-block index allocated %d bytes", len(head), rd.Blocks(), grew)
+		}
+		if need > len(head) || rd.Size() < need {
+			t.Fatalf("opened %d bytes that hold %d of header and index, of a %d-byte container", len(head), need, rd.Size())
+		}
+		whole, err := compress.OpenBlocks(data, lim)
+		if err != nil || whole.Size() != rd.Size() {
+			return // the rest of the container is not what the index says
+		}
+		// Windows whose frames the prefix holds decode as they do whole.
+		for _, probe := range [][2]int{{0, rd.Bases()}, {rd.Bases() / 2, 1}, {max(rd.Bases()-3, 0), min(rd.Bases(), 3)}} {
+			if lo, hi := rd.FrameSpan(probe[0], probe[1]); hi > len(head) || lo > hi {
+				continue
+			}
+			got, _, gerr := rd.Slice(probe[0], probe[1])
+			want, _, werr := whole.Slice(probe[0], probe[1])
+			if (gerr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("Slice(%d, %d) of the open prefix: %v; of the whole container: %v", probe[0], probe[1], gerr, werr)
 			}
 		}
 	})

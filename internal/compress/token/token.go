@@ -189,6 +189,7 @@ type Reader struct {
 	dec    *arith.Decoder
 	n      uint64
 	ops    []match.EditOp // the last record's ops, reused
+	err    error          // the stream ran out; the grammar method returns it
 }
 
 // NewReader parses the header of data, a stream whose literals go through
@@ -212,12 +213,45 @@ func NewReader(data []byte, name string, order int) (*Reader, error) {
 }
 
 // Next decodes literals until Out holds the header's count of bases or a
-// repeat flag comes, and reports whether a repeat record follows.
+// repeat flag comes, and reports whether the codec must call its grammar
+// method: a repeat record follows, or the stream ran out before the
+// header's count, which that method then returns as ErrCorrupt.
 func (r *Reader) Next() bool {
 	before := len(r.Out)
-	r.Out = r.dec.DecodeLiterals(&r.flag, r.lit, r.Out, r.n)
+	var ok bool
+	r.Out, ok = Literals(r.dec, &r.flag, r.lit, r.Out, r.n)
 	r.Counts.Literals += int64(len(r.Out) - before)
-	return uint64(len(r.Out)) < r.n
+	if !ok {
+		r.truncated()
+	}
+	return r.err != nil || uint64(len(r.Out)) < r.n
+}
+
+// truncated records and returns the error of a stream that ran out at
+// len(Out). The grammar methods call it once a record's fields are read,
+// if the decoder has read past the stream's end.
+func (r *Reader) truncated() error {
+	r.err = compress.Corruptf("%s: stream ends before base %d of %d", r.name, len(r.Out), r.n)
+	return r.err
+}
+
+// Literals is dec.DecodeLiterals(flag, m, out, n) in chunks of at most
+// arith.OverrunStride literals. After each chunk it checks dec.Overrun,
+// and stops early, reporting false, once dec has read past its input: a
+// truncated stream cannot make it decode in proportion to a claimed
+// count. The symbols, model states and bytes read are DecodeLiterals'
+// own.
+func Literals(dec *arith.Decoder, flag *arith.Prob, m *arith.SymbolModel, out []byte, n uint64) ([]byte, bool) {
+	for {
+		target := min(n, uint64(len(out))+arith.OverrunStride)
+		out = dec.DecodeLiterals(flag, m, out, target)
+		if dec.Overrun() {
+			return out, false
+		}
+		if uint64(len(out)) < target || target == n {
+			return out, true
+		}
+	}
 }
 
 // record reads the distance, length and count fields of an Edit or Subs
@@ -225,6 +259,9 @@ func (r *Reader) Next() bool {
 // bases back, and the repeat, of minLen bases or more, fits in the header's
 // count. It returns the repeat's length.
 func (r *Reader) record(minLen int) (dist uint64, tlen int, count uint64, err error) {
+	if r.err != nil {
+		return 0, 0, 0, r.err
+	}
 	dist = r.dist.Decode(r.dec)
 	length := r.length.Decode(r.dec)
 	count = r.count.Decode(r.dec)
@@ -243,9 +280,15 @@ func (r *Reader) copied(tlen int, ops int) {
 
 // Exact reads an exact repeat record and appends its bases (CopyExact).
 func (r *Reader) Exact(minLen int) error {
+	if r.err != nil {
+		return r.err
+	}
 	rc := r.dec.DecodeBit(&r.orient) == 1
 	length := r.length.Decode(r.dec)
 	dist := r.dist.Decode(r.dec)
+	if r.dec.Overrun() {
+		return r.truncated()
+	}
 	out, ok := CopyExact(r.Out, r.n, r.lit, rc, minLen, length, dist)
 	if !ok {
 		return compress.Corruptf("%s: repeat (rc %v, length field %d, distance field %d) out of range at base %d of %d", r.name, rc, length, dist, len(r.Out), r.n)
@@ -256,15 +299,15 @@ func (r *Reader) Exact(minLen int) error {
 }
 
 // Edit reads an edit-script repeat record and appends its bases. The
-// record holds at most its length + maxOps + 1 ops, at offsets up to its
-// length, and its source, which the ops advance over, must end before the
-// repeat starts.
+// record holds at most maxOps ops, the most match.ExtendApprox finds, at
+// offsets up to its length, and its source, which the ops advance over,
+// must end before the repeat starts.
 func (r *Reader) Edit(minLen, maxOps int) error {
 	dist, tlen, count, err := r.record(minLen)
 	if err != nil {
 		return err
 	}
-	if count > uint64(tlen+maxOps+1) {
+	if count > uint64(maxOps) {
 		return compress.Corruptf("%s: %d ops in a %d-base repeat", r.name, count, tlen)
 	}
 	ops, off := r.ops[:0], 0
@@ -285,6 +328,9 @@ func (r *Reader) Edit(minLen, maxOps int) error {
 		ops = append(ops, match.EditOp{Kind: kind, Off: off, Base: base})
 	}
 	r.ops = ops
+	if r.dec.Overrun() {
+		return r.truncated()
+	}
 	out, start, lit := r.Out, len(r.Out), r.lit
 	s, next := start-int(dist)-1, 0
 	for len(out)-start < tlen {
@@ -336,6 +382,9 @@ func (r *Reader) Subs(minLen, maxSubs int) error {
 		subs = append(subs, match.EditOp{Kind: match.OpSub, Off: off, Base: base})
 	}
 	r.ops = subs
+	if r.dec.Overrun() {
+		return r.truncated()
+	}
 	out, lit := r.Out, r.lit
 	src, next := len(out)-int(dist)-1, 0
 	for t := range tlen {

@@ -31,7 +31,7 @@ type codec struct {
 	compress.Codec
 	grammar grammar
 	min     int // minimum repeat length
-	maxOps  int // Edit: ops allowed past the length; Subs: substitutions
+	maxOps  int // Edit: the most ops a record holds; Subs: substitutions past one
 }
 
 var codecs = []codec{
@@ -109,7 +109,7 @@ func (c codec) step(out []byte, n uint64, t *tok) ([]byte, bool) {
 		}
 		out = append(out, copied...)
 	case edit:
-		if count > l+c.maxOps+1 {
+		if count > c.maxOps {
 			return out, false
 		}
 		for s, k := src, 0; len(out) < have+l; {
@@ -237,7 +237,7 @@ func (c codec) token(b *fuzzBytes, have, n uint64) tok {
 	t.length = b.field(0, have, have+1, 1<<63, room-m, room-m+1)
 	l := t.length + m
 	t.dist = b.field(0, have, have+1, 1<<63, have-1, have-l, have-l+1, l-1, l-2)
-	t.count = b.field(0, have, have+1, 1<<63, l+maxOps+1, l+maxOps+2, maxOps+1, maxOps+2)
+	t.count = b.field(0, have, have+1, 1<<63, maxOps, maxOps+1, maxOps+2)
 	for off := uint64(0); uint64(len(t.ops)) < min(t.count, 64); {
 		o := op{kind: match.OpKind(b.next() % 3)}
 		o.delta = b.field(0, 1, l-off-1, l-off, l-off+1, math.MaxUint64-2, 1<<63)
@@ -386,13 +386,16 @@ func tokenSeeds() [][]byte {
 		// Wrapped lengths, and a length one past the header's count.
 		seed(54, lits(40), rep(false, max-1, 39, 0)),
 		seed(56, lits(40), rep(false, 1, 39, 0)),
-		// Op counts at and one past each grammar's bound; past the count
-		// listed, ops read as substitutions at offset 0.
-		seed(56, lits(40), rep(false, 0, 39, 16+24+1)),
-		seed(56, lits(40), rep(false, 0, 39, 16+24+2)),
-		seed(60, lits(40), rep(false, 0, 39, 20+24+2)),
+		// Op counts at and one past each grammar's bound (24 edit ops; 9
+		// substitutions); past the count listed, ops read as
+		// substitutions at offset 0.
+		seed(56, lits(40), rep(false, 0, 39, 24)),
+		seed(56, lits(40), rep(false, 0, 39, 25)),
+		seed(60, lits(40), rep(false, 0, 39, 25)),
 		seed(56, lits(40), rep(false, 0, 39, 8+1)),
 		seed(56, lits(40), rep(false, 0, 39, 8+2)),
+		// A record claiming 2^22 ops in a repeat the header allows.
+		seed(1<<31, lits(40), rep(false, 1<<22, 39, 1<<22)),
 	}
 	// Op offsets at and past each grammar's length (16, or 20 for
 	// dnacompress), and wrapped below 0; 4 literals end the 60 bases.

@@ -352,6 +352,11 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		sym := decodeSym(dec, &dist)
 		p.observe(sym)
 		out = append(out, sym)
+		// A truncated stream reads as zeros past its end: checked once a
+		// stride, it stops within one stride of it.
+		if len(out)%arith.OverrunStride == 0 && dec.Overrun() {
+			return nil, compress.Stats{}, compress.Corruptf("xm: stream ends before base %d of %d", len(out), nBases)
+		}
 	}
 	st := compress.Stats{
 		WorkNS:  c.work(len(out)),

@@ -4,10 +4,13 @@
 package untrustedflow
 
 import (
+	"context"
+	"io"
 	"os"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/serve"
 )
 
 // rawCodec stands in for any registered codec's raw decode entry point.
@@ -46,6 +49,49 @@ func reassembled(store cloud.Store) ([]byte, error) {
 	}
 	var c rawCodec
 	return c.Decompress(all) // want `untrusted bytes reach a raw Decompress`
+}
+
+// rangeFromStore proves a ranged read is as untrusted as a whole one.
+func rangeFromStore(store cloud.Store) ([]byte, error) {
+	span, err := store.GetRange("c", "b", 0, 512)
+	if err != nil {
+		return nil, err
+	}
+	var c rawCodec
+	return c.Decompress(span) // want `untrusted bytes reach a raw Decompress`
+}
+
+// versioned is the daemon's shape of a fleet's pinned ranged read: an
+// interface declared outside internal/cloud.
+type versioned interface {
+	GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error)
+}
+
+func rangeFromVersioned(ctx context.Context, vs versioned) []byte {
+	head, _, _ := vs.GetRangeCtx(ctx, "c", "b", 0, 512, 0)
+	return make([]byte, int(head[0])) // want `sized by untrusted input`
+}
+
+// indexSized proves OpenBlockIndex sanitizes: what the reader it opens
+// reports was checked against the bytes present.
+func indexSized(store cloud.Store) []byte {
+	head, _ := store.GetRange("c", "b", 0, 512)
+	rd, err := compress.OpenBlockIndex(nil, head, compress.Limits{})
+	if err != nil {
+		return nil
+	}
+	return make([]byte, rd.Size()) // ok: the open bounded every claim
+}
+
+// fromBody proves a request body read through serve.ReadBody is
+// untrusted, as one read through io.ReadAll is.
+func fromBody(r io.Reader) ([]byte, error) {
+	body, err := serve.ReadBody(r, -1, 1<<20)
+	if err != nil {
+		return nil, err
+	}
+	var c rawCodec
+	return c.Decompress(body) // want `untrusted bytes reach a raw Decompress`
 }
 
 // fromFile proves os.ReadFile results are untrusted.

@@ -14,12 +14,14 @@ import (
 // allocation sized by attacker bytes.
 var UntrustedFlow = &Analyzer{
 	Name: "untrustedflow",
-	Doc: `taint-tracks untrusted bytes (cloud.Store Get/Download results,
-os.ReadFile/io.ReadAll input, []byte parameters) through assignments,
-appends, slices and branches, and flags flows into a raw Decompress call
-or into make() sizing without an intervening bound check. Sanctioned
-sinks: compress.SafeDecompress, SafeDecompressAny, Open, OpenBlocks,
-OpenBlocksObserved. Scope: internal/cloud, internal/serve and cmd/.`,
+	Doc: `taint-tracks untrusted bytes (cloud.Store Get/GetRange/Download
+results, a GetRange or GetRangeCtx through any interface, os.ReadFile,
+io.ReadAll and serve.ReadBody input, []byte parameters) through
+assignments, appends, slices and branches, and flags flows into a raw
+Decompress call or into make() sizing without an intervening bound check.
+Sanctioned sinks: compress.SafeDecompress, SafeDecompressAny, Open,
+OpenBlocks, OpenBlocksObserved, OpenBlockIndex. Scope: internal/cloud,
+internal/serve and cmd/.`,
 	Scope: scopeUnder("internal/cloud", "internal/serve", "cmd"),
 	Run:   runUntrustedFlow,
 }
@@ -33,10 +35,23 @@ var untrustedSanitizers = map[string]bool{
 	"Open":               true,
 	"OpenBlocks":         true,
 	"OpenBlocksObserved": true,
+	"OpenBlockIndex":     true,
+}
+
+// untrustedStoreReads are the methods whose results are remote bytes: on
+// any internal/cloud type, interface or concrete, all of them; on an
+// interface declared elsewhere, the ranged reads, which is how the daemon
+// reaches a versioned store.
+var untrustedStoreReads = map[string]bool{
+	"Get":         true,
+	"Download":    true,
+	"GetRange":    true,
+	"GetRangeCtx": true,
 }
 
 func runUntrustedFlow(pass *Pass) {
 	cloudPath := ModulePath + "/internal/cloud"
+	servePath := ModulePath + "/internal/serve"
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -57,15 +72,16 @@ func runUntrustedFlow(pass *Pass) {
 						return false
 					}
 					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-						// Store.Get / Store.Download on any internal/cloud
-						// type (interface or concrete) returns remote bytes.
-						if fn.Pkg() != nil && fn.Pkg().Path() == cloudPath &&
-							(fn.Name() == "Get" || fn.Name() == "Download") {
+						if !untrustedStoreReads[fn.Name()] {
+							return false
+						}
+						if fn.Pkg() != nil && fn.Pkg().Path() == cloudPath {
 							return true
 						}
-						return false
+						return types.IsInterface(sig.Recv().Type()) && (fn.Name() == "GetRange" || fn.Name() == "GetRangeCtx")
 					}
-					return isPkgFunc(fn, "os", "ReadFile") || isPkgFunc(fn, "io", "ReadAll")
+					return isPkgFunc(fn, "os", "ReadFile") || isPkgFunc(fn, "io", "ReadAll") ||
+						isPkgFunc(fn, servePath, "ReadBody")
 				},
 				Sanitizer: func(call *ast.CallExpr) bool {
 					fn := calleeFunc(pass.Info, call)

@@ -124,3 +124,50 @@ func VerifyMatch(data []byte, dst int, mt Match) bool {
 	}
 	return true
 }
+
+// Reconstruct applies an approximate match against data (for the source
+// bases) and returns the target bases it produces: the oracle of the
+// approximate-match tests. token.Reader.Edit replays an edit script the
+// same way.
+func (am ApproxMatch) Reconstruct(data []byte) []byte {
+	out := make([]byte, 0, am.TLen)
+	s := am.Src
+	opIdx := 0
+	for len(out) < am.TLen {
+		if opIdx < len(am.Ops) && am.Ops[opIdx].Off == len(out) {
+			op := am.Ops[opIdx]
+			opIdx++
+			switch op.Kind {
+			case OpSub:
+				out = append(out, op.Base)
+				s++
+			case OpIns:
+				out = append(out, op.Base)
+			case OpDel:
+				s++
+			}
+			continue
+		}
+		out = append(out, data[s])
+		s++
+	}
+	return out
+}
+
+// Valid reports whether the match's bookkeeping is internally consistent
+// and reproduces data[dst:dst+TLen].
+func (am ApproxMatch) Valid(data []byte, dst int) bool {
+	if am.TLen < 0 || am.SLen < 0 || am.Src < 0 || am.Src+am.SLen > len(data) || dst+am.TLen > len(data) {
+		return false
+	}
+	got := am.Reconstruct(data)
+	if len(got) != am.TLen {
+		return false
+	}
+	for i, b := range got {
+		if data[dst+i] != b {
+			return false
+		}
+	}
+	return true
+}

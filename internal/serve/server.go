@@ -7,10 +7,11 @@
 // tree picks for that context. POST /decompress (and GET range reads over
 // containers stored by name) opens either format once as a
 // compress.BlockReader — a CXA1 frame is its one-block case — and restores
-// the whole sequence or a range through it. GET reads of stored containers
-// share one bounded compress.BlockCache of verified decoded blocks, keyed
-// by the SHA-256 of each block frame, so a hot block is decoded once;
-// POSTed containers bypass it.
+// the whole sequence or a range through it. A GET read of a stored
+// container fetches only its header and index and then the frames it
+// decodes. GET reads share one bounded compress.BlockCache of verified
+// decoded blocks, keyed by the SHA-256 of each block frame, so a hot block
+// is decoded once; POSTed containers bypass it.
 //
 // Concurrency model: requests are admitted into a bounded queue and
 // executed by a fixed worker pool; a full queue answers 429 with
@@ -634,13 +635,40 @@ func errorResponse(status int, msg string) *response {
 // readBody reads the request body under the configured cap. A too-large
 // body is a client error the admission metrics count separately.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, *response) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
 		s.met.rejected("body_too_large")
 		return nil, errorResponse(http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 	}
 	return body, nil
+}
+
+// maxBodyPrealloc caps what a request's declared length alone commits
+// (1 MiB); past it, the body buffer grows only with the bytes received.
+const maxBodyPrealloc = 1 << 20
+
+// ReadBody reads r to its end, as io.ReadAll does, into one buffer sized
+// from declared, the length the request declared (Content-Length, -1 when
+// unknown), capped at limit and at maxBodyPrealloc, and no smaller than
+// io.ReadAll's first 512 bytes. A body no longer than it declared and no
+// longer than the caps arrives in that one allocation; one spare byte
+// lets the read that meets the end land without growing.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	b := make([]byte, 0, max(min(max(declared, 0), limit, maxBodyPrealloc)+1, 512))
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // --- handlers ----------------------------------------------------------
@@ -858,7 +886,14 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, rx, t0, errorResponse(http.StatusBadRequest, err.Error()))
 		return
 	}
-	var container []byte
+	// One open per request: the reader's codec keys the per-codec
+	// semaphore. A container that fails to open is still admitted, with no
+	// semaphore, and the worker answers its 422, so drain and backpressure
+	// statuses never depend on whether the bytes parse.
+	var (
+		rd      *compress.BlockReader
+		openErr error
+	)
 	switch r.Method {
 	case http.MethodPost:
 		body, errResp := s.readBody(w, r)
@@ -866,7 +901,8 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			s.finish(w, rx, t0, errResp)
 			return
 		}
-		container = body
+		rx.rec.InBytes = len(body)
+		rd, openErr = compress.OpenBlocksObserved(s.reg, body, s.cfg.Limits)
 	case http.MethodGet:
 		name := r.URL.Query().Get("name")
 		if name == "" {
@@ -876,26 +912,20 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		}
 		rx.rec.StoreName = name
 		var errResp *response
-		if container, errResp = s.storeGet(rx.ctx, name); errResp != nil {
+		if rd, rx.rec.InBytes, openErr, errResp = s.fetchStored(rx.ctx, name, rng); errResp != nil {
 			s.finish(w, rx, t0, errResp)
 			return
+		}
+		if openErr == nil {
+			rd.UseCache(s.blocks)
 		}
 	default:
 		s.finish(w, rx, t0, errorResponse(http.StatusMethodNotAllowed, "POST a container or GET ?name="))
 		return
 	}
-	rx.rec.InBytes = len(container)
-	// One open per request: the reader's codec keys the per-codec
-	// semaphore. A container that fails to open is still admitted, with no
-	// semaphore, and the worker answers its 422, so drain and backpressure
-	// statuses never depend on whether the bytes parse.
-	rd, openErr := compress.OpenBlocksObserved(s.reg, container, s.cfg.Limits)
 	codec := ""
 	if openErr == nil {
 		codec = rd.Codec()
-		if r.Method == http.MethodGet {
-			rd.UseCache(s.blocks)
-		}
 	}
 	rx.rec.Codec, rx.rec.CodecSource = codec, "container"
 	resp := s.submit(rx, codec, func(ctx context.Context) *response {
@@ -1008,11 +1038,10 @@ func (s *Server) storePut(ctx context.Context, name string, container []byte) *r
 	return nil
 }
 
-// ctxStore is the optional context-aware face of a cloud store (satisfied
-// by *cloud.Fleet): the same ops, with request-scoped trace propagation.
+// ctxStore is the optional context-aware face of a cloud store's writes
+// (satisfied by *cloud.Fleet), with request-scoped trace propagation.
 type ctxStore interface {
 	PutCtx(ctx context.Context, container, blob string, data []byte) error
-	GetCtx(ctx context.Context, container, blob string) ([]byte, error)
 }
 
 func storePutCtx(ctx context.Context, st cloud.Store, container, blob string, data []byte) error {
@@ -1022,34 +1051,124 @@ func storePutCtx(ctx context.Context, st cloud.Store, container, blob string, da
 	return st.Put(container, blob, data)
 }
 
-func storeGetCtx(ctx context.Context, st cloud.Store, container, blob string) ([]byte, error) {
-	if cs, ok := st.(ctxStore); ok {
-		return cs.GetCtx(ctx, container, blob)
-	}
-	return st.Get(container, blob)
+// versionedStore is the face of a cloud store whose ranged reads report
+// and pin the version they read (satisfied by *cloud.Fleet).
+type versionedStore interface {
+	GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error)
 }
 
-// storeGet fetches a named container, returning a non-nil error response
-// on failure: 404 for an unknown name, 503 + Retry-After when the fleet
-// cannot reach any replica of a name that exists.
-func (s *Server) storeGet(ctx context.Context, name string) ([]byte, *response) {
+// spanReader reads bytes [off, off+n) of one stored container, clipped to
+// its end. pin 0 reads the newest version; any other pin reads only that
+// version, failing with cloud.ErrVersionMoved once it is gone. It returns
+// the version it read.
+type spanReader func(off, n int, pin uint64) ([]byte, uint64, error)
+
+// sliceReader serves spans of a container already in memory: one version.
+func sliceReader(c []byte) spanReader {
+	return func(off, n int, _ uint64) ([]byte, uint64, error) {
+		lo := min(off, len(c))
+		return c[lo : lo+min(n, len(c)-lo)], 0, nil
+	}
+}
+
+const (
+	// indexPrefix is the first read of a stored container: any header
+	// (at most 102 bytes) and, for dnax, the index of up to 38 blocks. A
+	// longer index takes a second read.
+	indexPrefix = 512
+	// fetchAttempts bounds how often a GET read starts again from the
+	// index after an overwrite moved the container's version under it.
+	fetchAttempts = 3
+)
+
+// fetchStored opens the container stored under name for a GET read of rng.
+// It moves only what the read decodes: the header and index, then the
+// frames of the blocks rng overlaps, pinned to the version the index came
+// from. An overwrite that moves the version in between restarts the read
+// from the index, up to fetchAttempts times, then answers 503 +
+// Retry-After; so a window never mixes two versions. The in-process store
+// looks the container up once and serves both reads from it. It returns
+// the reader, the container's size from its index (or the bytes read, if
+// they do not open), and the open error the worker answers 422 with; a
+// non-nil response is a fetch failure: 404 for an unknown name, 503 +
+// Retry-After when the fleet cannot serve it.
+func (s *Server) fetchStored(ctx context.Context, name string, rng rangeParams) (*compress.BlockReader, int, error, *response) {
 	ctx, span := obs.Start(ctx, "serve.fetch")
 	defer span.End()
 	span.SetAttr("name", name)
-	if s.cfg.FleetStore == nil {
+	var read spanReader
+	switch vs, ok := s.cfg.FleetStore.(versionedStore); {
+	case s.cfg.FleetStore == nil:
 		s.storeMu.RLock()
 		c, ok := s.store[name]
 		s.storeMu.RUnlock()
 		if !ok {
-			return nil, errorResponse(http.StatusNotFound, fmt.Sprintf("no stored container %q", name))
+			return nil, 0, nil, errorResponse(http.StatusNotFound, fmt.Sprintf("no stored container %q", name))
 		}
-		return c, nil
+		read = sliceReader(c)
+	case ok:
+		read = func(off, n int, pin uint64) ([]byte, uint64, error) {
+			return vs.GetRangeCtx(ctx, s.cfg.FleetContainer, name, off, n, pin)
+		}
+	default:
+		c, err := s.cfg.FleetStore.Get(s.cfg.FleetContainer, name)
+		if err != nil {
+			return nil, 0, nil, s.fleetError("fetch", err)
+		}
+		read = sliceReader(c)
 	}
-	c, err := storeGetCtx(ctx, s.cfg.FleetStore, s.cfg.FleetContainer, name)
+	for attempt := 1; ; attempt++ {
+		rd, size, openErr, err := s.openStored(read, rng)
+		switch {
+		case err == nil:
+			return rd, size, openErr, nil
+		case !errors.Is(err, cloud.ErrVersionMoved):
+			return nil, 0, nil, s.fleetError("fetch", err)
+		case attempt == fetchAttempts:
+			s.met.rejected("version_moved")
+			return nil, 0, nil, s.backpressure(http.StatusServiceUnavailable,
+				fmt.Sprintf("stored container %q was overwritten during each of %d reads", name, fetchAttempts))
+		}
+	}
+}
+
+// openStored is one attempt of fetchStored: the prefix read, a second read
+// if the index runs past it, the open, and the frames rng needs unless the
+// prefix already held them. A prefix shorter than asked for is the whole
+// container, opened as a POSTed one is. A range outside the container
+// fetches no frames: the worker answers its 416.
+func (s *Server) openStored(read spanReader, rng rangeParams) (*compress.BlockReader, int, error, error) {
+	head, ver, err := read(0, indexPrefix, 0)
 	if err != nil {
-		return nil, s.fleetError("fetch", err)
+		return nil, 0, nil, err
 	}
-	return c, nil
+	if len(head) < indexPrefix {
+		rd, openErr := compress.OpenBlocksObserved(s.reg, head, s.cfg.Limits)
+		return rd, len(head), openErr, nil
+	}
+	need, openErr := compress.BlockIndexLen(head, s.cfg.Limits)
+	if openErr != nil {
+		return nil, len(head), openErr, nil
+	}
+	if need > len(head) {
+		if head, _, err = read(0, need, ver); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	rd, openErr := compress.OpenBlockIndex(s.reg, head, s.cfg.Limits)
+	if openErr != nil {
+		return nil, len(head), openErr, nil
+	}
+	if off, n, err := resolveRange(rng, rd.Bases()); err == nil {
+		if lo, hi := rd.FrameSpan(off, n); hi > len(head) {
+			frames, _, err := read(lo, hi-lo, ver)
+			if err != nil {
+				return nil, 0, nil, err
+			}
+			rd.AttachFrames(lo, frames)
+		}
+	}
+	return rd, rd.Size(), nil, nil
 }
 
 // fleetError maps a fleet store failure onto the HTTP surface: a missing
