@@ -26,15 +26,20 @@ lint:
 	./bin/dnalint -ignores ./...
 	$(MAKE) fma-check
 
-# Codec arithmetic must round identically on every architecture: Go fuses
+# Arithmetic must round identically on every architecture: Go fuses
 # `a*b + c` into one instruction on arm64 (not on amd64), which changes CTW
-# and XM stream probabilities and the modeled WorkNS. Wrapping the product
-# in float64(...) forbids the fusion; this cross-builds the daemon for arm64
-# and fails on any fused multiply-add left in the codec packages.
+# and XM stream probabilities, the modeled WorkNS, the cloud cost model and
+# so every Eq. 1 label, the trees, loadgen reports and generated corpora.
+# Wrapping the product in float64(...) forbids the fusion; this
+# cross-builds the daemon and the experiment binary for arm64 and fails on
+# any fused multiply-add left in a function of this module, naming the
+# function and the line.
 fma-check:
 	GOARCH=arm64 $(GO) build -o bin/dnacompd-arm64 ./cmd/dnacompd
-	@fused="$$($(GO) tool objdump -s 'ctxdna/internal/compress' bin/dnacompd-arm64 | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB')"; \
-	if [ -n "$$fused" ]; then echo "fused multiply-add in codec code; wrap the product in float64(...):"; echo "$$fused"; exit 1; fi; \
+	GOARCH=arm64 $(GO) build -o bin/experiment-arm64 ./cmd/experiment
+	@fused="$$(for b in dnacompd experiment; do $(GO) tool objdump -s 'srl-nuces/ctxdna/' bin/$$b-arm64; done | \
+		awk '/^TEXT/ { fn = $$2 } /FMADD|FMSUB|FNMADD|FNMSUB/ { print fn, $$1 }')"; \
+	if [ -n "$$fused" ]; then echo "fused multiply-add in repo code; wrap the product in float64(...):"; echo "$$fused"; exit 1; fi; \
 	echo "fma-check: ok"
 
 # Quick pre-commit pass: just the dnalint suite (standalone driver, no
@@ -93,6 +98,7 @@ bench-smoke:
 # runs from the branching reference, any matcher scan that stops anywhere
 # but where a per-position parse would first walk a chain, any daemon query that slips a bad range or context
 # past its parser, any body that Cleanse turns into bad symbols or stats,
+# writes to, or cleanses differently in place,
 # any traceparent header that parses to malformed IDs, any replica
 # envelope that opens to a payload other than its suffix and any model
 # file that loads into a tree whose Predict panics or answers a class out
@@ -130,7 +136,10 @@ serve:
 # Determinism rerun: the fault-injection, exchange, backoff and fleet
 # chaos tests under -race, run twice in one process to prove the seeded
 # fault schedules, retry backoff and shard kills reproduce exactly (same
-# seed => byte-identical reports, golden digest included).
+# seed => byte-identical reports, golden digest included), and the fleet's
+# ranged reads with them: pinned reads, which take their span from one
+# replica, checked against unpinned ones on random fleets with stale
+# replicas (TestFleetPinnedReadsMatchQuorumRead).
 chaos:
 	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff|Fleet'
 

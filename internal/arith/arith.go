@@ -20,7 +20,8 @@ const (
 
 // Encoder is a binary range encoder. Create one with NewEncoder, feed bits
 // through EncodeBit/EncodeBitP, then call Finish exactly once to flush and
-// obtain the output buffer.
+// obtain the output buffer, which begins with the leading bytes NewEncoder
+// was given.
 //
 // The coder follows the canonical LZMA construction: the first output byte is
 // always a zero "carry sponge" that later additions may increment; the
@@ -35,13 +36,17 @@ type Encoder struct {
 	finished bool
 }
 
-// NewEncoder returns an Encoder whose output buffer is preallocated to
-// sizeHint bytes.
-func NewEncoder(sizeHint int) *Encoder {
+// NewEncoder returns an Encoder whose output begins with a copy of lead,
+// in a buffer preallocated to hold sizeHint coded bytes behind it. A codec
+// passes its stream header as lead, and Finish returns header and payload
+// in one buffer. A carry never reaches back into lead: it only adds to
+// bytes the coder still holds.
+func NewEncoder(lead []byte, sizeHint int) *Encoder {
 	if sizeHint < 16 {
 		sizeHint = 16
 	}
-	return &Encoder{rng: 0xFFFFFFFF, pending: 1, out: make([]byte, 0, sizeHint)}
+	out := append(make([]byte, 0, len(lead)+sizeHint), lead...)
+	return &Encoder{rng: 0xFFFFFFFF, pending: 1, out: out}
 }
 
 func (e *Encoder) shiftLow() {
@@ -151,8 +156,8 @@ func (e *Encoder) renorm(rng uint32, low uint64) (uint32, uint64) {
 	return rng, e.low
 }
 
-// Finish flushes the coder state and returns the complete output. The
-// Encoder must not be used afterwards.
+// Finish flushes the coder state and returns the complete output, leading
+// bytes first. The Encoder must not be used afterwards.
 func (e *Encoder) Finish() []byte {
 	if !e.finished {
 		for i := 0; i < 5; i++ {
@@ -163,8 +168,8 @@ func (e *Encoder) Finish() []byte {
 	return e.out
 }
 
-// Len reports the number of output bytes produced so far (excluding the
-// up-to-5 bytes that Finish will flush).
+// Len reports the number of output bytes produced so far, the leading
+// bytes included (excluding the up-to-5 bytes that Finish will flush).
 func (e *Encoder) Len() int { return len(e.out) }
 
 // Decoder is the matching binary range decoder.

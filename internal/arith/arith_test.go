@@ -13,7 +13,7 @@ import (
 func TestStaticBitRoundTrip(t *testing.T) {
 	bits := []int{0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0}
 	const p0 = ProbOne / 2
-	e := NewEncoder(32)
+	e := NewEncoder(nil, 32)
 	for _, b := range bits {
 		e.EncodeBitP(p0, b)
 	}
@@ -21,6 +21,25 @@ func TestStaticBitRoundTrip(t *testing.T) {
 	for i, want := range bits {
 		if got := d.DecodeBitP(p0); got != want {
 			t.Fatalf("bit %d: got %d want %d", i, got, want)
+		}
+	}
+}
+
+// TestEncoderLead: an encoder given leading bytes returns them, then the
+// bytes an encoder given none returns for the same bits, whatever carries
+// the bits propagate (0xFF leads and skewed probabilities make many).
+func TestEncoderLead(t *testing.T) {
+	for _, lead := range [][]byte{nil, {7}, bytes.Repeat([]byte{0xFF}, binary.MaxVarintLen64)} {
+		rng := rand.New(rand.NewSource(int64(len(lead))))
+		plain, led := NewEncoder(nil, 16), NewEncoder(lead, 16)
+		for i := 0; i < 50000; i++ {
+			p0, bit := uint32(1+rng.Intn(ProbOne-1)), rng.Intn(2)
+			plain.EncodeBitP(p0, bit)
+			led.EncodeBitP(p0, bit)
+		}
+		want := plain.Finish()
+		if got := led.Finish(); !bytes.Equal(got[:len(lead)], lead) || !bytes.Equal(got[len(lead):], want) {
+			t.Fatalf("lead %x: output is not the lead and then the %d bytes coded without it", lead, len(want))
 		}
 	}
 }
@@ -35,7 +54,7 @@ func TestSkewedProbabilities(t *testing.T) {
 				bits[i] = 1
 			}
 		}
-		e := NewEncoder(1024)
+		e := NewEncoder(nil, 1024)
 		for _, b := range bits {
 			e.EncodeBitP(p0, b)
 		}
@@ -58,7 +77,7 @@ func TestAdaptiveRoundTrip(t *testing.T) {
 		}
 	}
 	pe, pd := NewProb(), NewProb()
-	e := NewEncoder(4096)
+	e := NewEncoder(nil, 4096)
 	for _, b := range bits {
 		e.EncodeBit(&pe, b)
 	}
@@ -80,7 +99,7 @@ func TestCompressionOfBiasedSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 100000
 	p := NewProb()
-	e := NewEncoder(n / 4)
+	e := NewEncoder(nil, n/4)
 	for i := 0; i < n; i++ {
 		b := 0
 		if rng.Float64() < 0.05 {
@@ -102,7 +121,7 @@ func TestRandomSourceNearOneBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 50000
 	p := NewProb()
-	e := NewEncoder(n / 8)
+	e := NewEncoder(nil, n/8)
 	for i := 0; i < n; i++ {
 		e.EncodeBit(&p, rng.Intn(2))
 	}
@@ -139,7 +158,7 @@ func TestProbUpdateBounds(t *testing.T) {
 func TestCarryPropagation(t *testing.T) {
 	// Long runs of maximally-probable bits push low close to the range top,
 	// manufacturing pending-carry chains inside the encoder.
-	e := NewEncoder(1024)
+	e := NewEncoder(nil, 1024)
 	pattern := make([]int, 5000)
 	for i := range pattern {
 		if i%97 == 96 {
@@ -161,7 +180,7 @@ func TestCarryPropagation(t *testing.T) {
 }
 
 func TestFinishIdempotent(t *testing.T) {
-	e := NewEncoder(16)
+	e := NewEncoder(nil, 16)
 	e.EncodeBitP(ProbOne/2, 1)
 	a := e.Finish()
 	b := e.Finish()
@@ -180,7 +199,7 @@ func TestQuickBitstream(t *testing.T) {
 		for i := range probs {
 			probs[i] = uint32(rng.Intn(ProbOne-2)) + 1
 		}
-		e := NewEncoder(len(data) * 2)
+		e := NewEncoder(nil, len(data)*2)
 		for i, b := range data {
 			for k := 7; k >= 0; k-- {
 				e.EncodeBitP(probs[(i+k)%16], int(b>>uint(k))&1)
@@ -216,7 +235,7 @@ func TestSymbolModelRoundTrip(t *testing.T) {
 			}
 		}
 		me := NewSymbolModel(order)
-		e := NewEncoder(len(syms))
+		e := NewEncoder(nil, len(syms))
 		e.EncodeLiterals(nil, me, syms)
 		out := e.Finish()
 		md := NewSymbolModel(order)
@@ -238,7 +257,7 @@ func TestSymbolModelObserve(t *testing.T) {
 	syms := []byte{0, 1, 2, 3, 0, 0, 1, 1, 2, 2, 3, 3}
 	skip := map[int]bool{3: true, 7: true}
 	me := NewSymbolModel(2)
-	e := NewEncoder(64)
+	e := NewEncoder(nil, 64)
 	for i, s := range syms {
 		if skip[i] {
 			me.Observe(s)
@@ -261,7 +280,7 @@ func TestSymbolModelObserve(t *testing.T) {
 
 func TestSymbolModelReset(t *testing.T) {
 	m := NewSymbolModel(2)
-	e := NewEncoder(64)
+	e := NewEncoder(nil, 64)
 	for i := 0; i < 100; i++ {
 		e.EncodeLiterals(nil, m, []byte{byte(i % 4)})
 	}
@@ -296,11 +315,11 @@ func TestSymbolModelOrderPanics(t *testing.T) {
 
 func BenchmarkEncodeBitAdaptive(b *testing.B) {
 	p := NewProb()
-	e := NewEncoder(1 << 20)
+	e := NewEncoder(nil, 1<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if e.Len() > 1<<22 {
-			e = NewEncoder(1 << 20)
+			e = NewEncoder(nil, 1<<20)
 		}
 		e.EncodeBit(&p, i&1)
 	}
@@ -314,12 +333,12 @@ func BenchmarkSymbolModelOrder2(b *testing.B) {
 		syms[i] = byte(i * 7 % 4)
 	}
 	m := NewSymbolModel(2)
-	e := NewEncoder(1 << 20)
+	e := NewEncoder(nil, 1<<20)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(syms)))
 	for i := 0; i < b.N; i++ {
 		if e.Len() > 1<<22 {
-			e = NewEncoder(1 << 20)
+			e = NewEncoder(nil, 1<<20)
 		}
 		e.EncodeLiterals(nil, m, syms)
 	}
@@ -656,7 +675,7 @@ func TestMaskCoderMatchesReference(t *testing.T) {
 	const n, slots = 1<<20 + 4099, 64
 	steps, resets := oracleSchedule(rand.New(rand.NewSource(2015)), n, slots)
 
-	e, re := NewEncoder(n/8), &refEncoder{*NewEncoder(n / 8)}
+	e, re := NewEncoder(nil, n/8), &refEncoder{*NewEncoder(nil, n/8)}
 	ps, rps := oracleModels(slots), oracleModels(slots)
 	sm, rsm := oracleSymbolModel(), oracleSymbolModel()
 	for i, s := range steps {
@@ -790,7 +809,7 @@ func fuzzP0(s byte) uint32 {
 // schedule byte's value in symbols, so that a run may stop on a repeat
 // flag or at its limit; 0xE0–0xFF a run of s&31 symbols with no flag.
 func FuzzDecoderMatchesReference(f *testing.F) {
-	e := NewEncoder(64)
+	e := NewEncoder(nil, 64)
 	p := NewProb()
 	for i := 0; i < 300; i++ {
 		e.EncodeBit(&p, i%3&1)
@@ -807,7 +826,7 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 	f.Add(edge, []byte{0x40})
 	// Literal tokens and repeats, as a parse writes them, on fresh models.
 	{
-		e := NewEncoder(64)
+		e := NewEncoder(nil, 64)
 		flag, m := NewProb(), NewSymbolModel(1)
 		syms := make([]byte, 8)
 		for i := 0; i < 25; i++ {

@@ -9,7 +9,7 @@ import (
 func TestUintModelRoundTrip(t *testing.T) {
 	vals := []uint64{0, 1, 2, 3, 7, 8, 100, 1000, 1 << 20, 1<<40 + 12345}
 	m := NewUintModel()
-	e := NewEncoder(256)
+	e := NewEncoder(nil, 256)
 	for _, v := range vals {
 		m.Encode(e, v)
 	}
@@ -27,7 +27,7 @@ func TestUintModelAdapts(t *testing.T) {
 	// time than a fresh gamma-style code (~2 log2 v bits).
 	rng := rand.New(rand.NewSource(5))
 	m := NewUintModel()
-	e := NewEncoder(4096)
+	e := NewEncoder(nil, 4096)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		m.Encode(e, uint64(200+rng.Intn(50)))
@@ -47,7 +47,7 @@ func TestUintModelQuick(t *testing.T) {
 			vals[i] >>= 2 // keep clear of MaxUint64
 		}
 		m := NewUintModel()
-		e := NewEncoder(len(vals)*10 + 16)
+		e := NewEncoder(nil, len(vals)*10+16)
 		for _, v := range vals {
 			m.Encode(e, v)
 		}
@@ -71,5 +71,5 @@ func TestUintModelRejectsMax(t *testing.T) {
 			t.Fatal("Encode(MaxUint64) did not panic")
 		}
 	}()
-	NewUintModel().Encode(NewEncoder(16), ^uint64(0))
+	NewUintModel().Encode(NewEncoder(nil, 16), ^uint64(0))
 }

@@ -70,7 +70,7 @@ func (vm VM) ramPressure(peakMemBytes int) float64 {
 		return 1
 	}
 	over := float64(peakMemBytes-availBytes) / float64(availBytes)
-	return 1 + thrashFactor*over
+	return 1 + float64(thrashFactor*over)
 }
 
 // ExecMS converts modeled codec stats into milliseconds on this VM.
@@ -82,20 +82,20 @@ func (vm VM) ExecMS(st compress.Stats) float64 {
 // paper's stream-conversion step (CPU- and RAM-sensitive) plus REST latency
 // plus bandwidth-limited transfer.
 func (vm VM) UploadMS(sizeBytes int) float64 {
-	conv := streamConvNSPerByte * float64(sizeBytes) / 1e6 * vm.cpuScale()
+	conv := float64(streamConvNSPerByte * float64(sizeBytes) / 1e6 * vm.cpuScale())
 	// Low-RAM guests pay extra buffering cost on the conversion: the SDK
 	// stages the stream through memory the guest may not have.
 	if vm.RAMMB < 2048 {
-		conv *= 1 + 0.5*float64(2048-vm.RAMMB)/2048
+		conv = float64(conv * (1 + float64(0.5*float64(2048-vm.RAMMB)/2048)))
 	}
-	transfer := float64(sizeBytes) * 8 / (vm.BandwidthMbps * 1e6) * 1e3
+	transfer := float64(float64(sizeBytes) * 8 / (vm.BandwidthMbps * 1e6) * 1e3)
 	return uploadLatencyMS + conv + transfer
 }
 
 // DownloadMS models the cloud VM fetching a BLOB from the storage account.
 func (vm VM) DownloadMS(sizeBytes int) float64 {
-	conv := streamConvNSPerByte / 2 * float64(sizeBytes) / 1e6 * vm.cpuScale()
-	transfer := float64(sizeBytes) * 8 / (vm.BandwidthMbps * 1e6) * 1e3
+	conv := float64(streamConvNSPerByte / 2 * float64(sizeBytes) / 1e6 * vm.cpuScale())
+	transfer := float64(float64(sizeBytes) * 8 / (vm.BandwidthMbps * 1e6) * 1e3)
 	return downloadLatencyMS + conv + transfer
 }
 

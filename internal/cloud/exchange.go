@@ -49,7 +49,7 @@ func (p RetryPolicy) BackoffMS(op string, retry int) float64 {
 		d = p.CapMS
 	}
 	if p.JitterFrac > 0 {
-		d *= 1 + p.JitterFrac*(2*hashUnit(p.Seed, "backoff", op, fmt.Sprintf("%d", retry))-1)
+		d *= 1 + float64(p.JitterFrac*(float64(2*hashUnit(p.Seed, "backoff", op, fmt.Sprintf("%d", retry)))-1))
 	}
 	return d
 }
@@ -293,7 +293,7 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 func transferMS(pieces []piece, traces []OpTrace, cost func(sizeBytes int) float64) float64 {
 	ms := 0.0
 	for i, tr := range traces {
-		ms += cost(len(pieces[i].data)) * float64(tr.Attempts)
+		ms += float64(cost(len(pieces[i].data)) * float64(tr.Attempts))
 	}
 	return ms
 }

@@ -88,9 +88,11 @@ func hash64(seed uint64, parts ...string) uint64 {
 }
 
 // hashUnit maps (seed, parts...) to a deterministic value in [0, 1) by
-// taking the top 53 bits of hash64.
+// taking the top 53 bits of hash64. The scaling compiles to a
+// multiplication; float64(...) rounds it alone, so arm64 cannot fuse it
+// into a caller's sum.
 func hashUnit(seed uint64, parts ...string) float64 {
-	return float64(hash64(seed, parts...)>>11) / float64(1<<53)
+	return float64(float64(hash64(seed, parts...)>>11) / float64(1<<53))
 }
 
 // roll advances the attempt counter for (op, container, blob) and returns

@@ -520,7 +520,7 @@ func (f *Fleet) record(sh *fleetShard, kind outcomeKind, nbytes int) {
 		sh.failures++
 	}
 	a := f.cfg.Breaker.EWMAAlpha
-	sh.ewma = (1-a)*sh.ewma + a*x
+	sh.ewma = float64((1-a)*sh.ewma) + float64(a*x)
 	sh.samples++
 	sh.ops++
 	sh.bytesMoved += uint64(nbytes)
@@ -606,7 +606,7 @@ func (f *Fleet) shardOp(sh *fleetShard, op string, nbytes int, fn func(Store) er
 func (sh *fleetShard) modeledMS(nbytes int) float64 {
 	ms := sh.spec.LatencyMS
 	if sh.spec.BandwidthMbps > 0 {
-		ms += float64(nbytes) * 8 / (sh.spec.BandwidthMbps * 1e6) * 1e3
+		ms += float64(float64(nbytes) * 8 / (sh.spec.BandwidthMbps * 1e6) * 1e3)
 	}
 	return ms
 }
@@ -806,13 +806,22 @@ func (f *Fleet) GetRange(container, blob string, off, n int) ([]byte, error) {
 // quorum holds is another, it fails with ErrVersionMoved (and returns the
 // version it found). Two ranged reads of one blob, the second pinned to
 // the version the first returned, therefore see one write, never parts of
-// two. Traced as "fleet.getrange" with "fleet.replica.getrange" children.
+// two. A pinned read takes the span from one replica, the first that
+// reads it untorn at the pin. A span is returned only at the pin, so each
+// further replica the quorum needs sends only its version header. Traced
+// as "fleet.getrange" with "fleet.replica.getrange" children.
 func (f *Fleet) GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error) {
 	if off < 0 || n < 0 || off > math.MaxInt-binary.MaxVarintLen64 || n > math.MaxInt-binary.MaxVarintLen64 {
 		return nil, 0, fmt.Errorf("cloud: range [%d, +%d) of blob %q is out of bounds", off, n, blob)
 	}
+	spanRead := false
 	rr, err := f.quorumRead(ctx, "getrange", container, blob, pin, func(st Store) (replicaRead, error, error) {
-		return readEnvelopeRange(st, container, blob, off, n)
+		if spanRead {
+			return readEnvelopeVersion(st, container, blob)
+		}
+		rr, envErr, err := readEnvelopeRange(st, container, blob, off, n)
+		spanRead = pin != 0 && err == nil && envErr == nil && rr.ver == pin && !rr.torn
+		return rr, envErr, err
 	})
 	return rr.data, rr.ver, err
 }
@@ -862,6 +871,18 @@ func readEnvelopeRange(st Store, container, blob string, off, n int) (replicaRea
 	}
 	ver2, h2 := binary.Uvarint(again)
 	return replicaRead{ver: ver2, data: data, moved: len(hdr) + len(data) + len(again), torn: h2 <= 0 || ver2 != ver}, nil, nil
+}
+
+// readEnvelopeVersion reads only one replica's version header, in one
+// store op of binary.MaxVarintLen64 bytes: the answer of a replica whose
+// span a pinned read already holds from another.
+func readEnvelopeVersion(st Store, container, blob string) (replicaRead, error, error) {
+	hdr, err := st.GetRange(container, blob, 0, binary.MaxVarintLen64)
+	if err != nil {
+		return replicaRead{}, nil, err
+	}
+	ver, _, perr := openVersion(hdr)
+	return replicaRead{ver: ver, moved: len(hdr)}, perr, nil
 }
 
 // quorumRead is the read loop of Get and GetRange: read tries replicas in
@@ -1065,7 +1086,7 @@ func (f *Fleet) Report() FleetReport {
 			ErrorEWMA: sh.ewma,
 			Ops:       sh.ops,
 			Failures:  sh.failures,
-			ModeledMS: float64(sh.ops)*sh.spec.LatencyMS + func() float64 {
+			ModeledMS: float64(float64(sh.ops)*sh.spec.LatencyMS) + func() float64 {
 				if sh.spec.BandwidthMbps <= 0 {
 					return 0
 				}

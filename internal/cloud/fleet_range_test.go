@@ -151,3 +151,119 @@ func TestFleetGetRangeTornReadMoves(t *testing.T) {
 		t.Fatalf("torn read: %q v%d %v, want ErrVersionMoved", span, v, err)
 	}
 }
+
+// TestFleetPinnedReadsMatchQuorumRead checks pinned ranged reads, which
+// take the span from one replica and only version headers from the rest
+// of the quorum, against unpinned ones on random fleets: 3 to 7 shards,
+// replication 1 to 3, some shards failing every op transiently and one
+// shard dead. An overwrite runs with one of the blob's replicas killed,
+// revived after it, so a stale replica can lead the preference order.
+// Each read is pinned to the version an unpinned read just returned,
+// sometimes with an overwrite in between. A pinned read that succeeds
+// returns that version's window, as a full unpinned read recorded it, and
+// an unpinned read after it agrees; one that fails with ErrVersionMoved
+// does so only when an unpinned read now sees a newer version; any other
+// outcome class is the unpinned read's.
+func TestFleetPinnedReadsMatchQuorumRead(t *testing.T) {
+	ctx := context.Background()
+	var served, moved, staleLed int
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 3 + rng.Intn(5)
+		specs := make([]ShardSpec, n)
+		for i := range specs {
+			specs[i] = ShardSpec{Name: fmt.Sprintf("s%d", i), FaultSeed: uint64(trial)}
+			if rng.Intn(4) == 0 {
+				specs[i].FaultRate = 1
+			}
+		}
+		f, err := NewFleet(FleetConfig{Shards: specs, Replication: 1 + rng.Intn(3), Seed: uint64(trial),
+			Clock: obs.NewFake(time.Unix(1700000000, 0).UTC()), Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.CreateContainer("c")
+		dead := specs[rng.Intn(n)].Name
+		f.Kill(dead)
+		// versions[blob][v] is version v of blob as a full unpinned read
+		// returned it.
+		versions := map[string]map[uint64][]byte{}
+		record := func(blob string) {
+			whole, v, err := f.GetRangeCtx(ctx, "c", blob, 0, 4000, 0)
+			if err != nil {
+				return
+			}
+			if versions[blob] == nil {
+				versions[blob] = map[uint64][]byte{}
+			}
+			if old, ok := versions[blob][v]; ok && !bytes.Equal(old, whole) {
+				t.Fatalf("trial %d: %s v%d read as two contents", trial, blob, v)
+			}
+			versions[blob][v] = whole
+		}
+		// overwrite writes blob anew with one of its live replicas killed
+		// for the write, and reports whether that replica leads the blob's
+		// preference order.
+		overwrite := func(blob string) bool {
+			reps := f.Replicas("c", blob)
+			stale := reps[rng.Intn(len(reps))]
+			if stale != dead {
+				f.Kill(stale)
+				defer f.Revive(stale)
+			}
+			data := make([]byte, rng.Intn(3000))
+			rng.Read(data)
+			f.Put("c", blob, data) // may fail: the blob keeps its old version
+			return stale != dead && stale == reps[0]
+		}
+		for b := 0; b < 6; b++ {
+			blob := fmt.Sprintf("b%d", b)
+			for v := 0; v <= rng.Intn(3); v++ {
+				overwrite(blob)
+			}
+			record(blob)
+		}
+		for q := 0; q < 30; q++ {
+			blob := fmt.Sprintf("b%d", rng.Intn(7)) // b6 was never written
+			off, size := rng.Intn(3200), rng.Intn(1200)
+			if q%5 == 0 {
+				off = 0
+			}
+			_, pin, err := f.GetRangeCtx(ctx, "c", blob, off, size, 0)
+			if err != nil {
+				continue
+			}
+			led := false
+			if rng.Intn(3) == 0 {
+				led = overwrite(blob)
+				record(blob)
+			}
+			part, v, perr := f.GetRangeCtx(ctx, "c", blob, off, size, pin)
+			now, nowV, nerr := f.GetRangeCtx(ctx, "c", blob, off, size, 0)
+			switch {
+			case errors.Is(perr, ErrVersionMoved):
+				moved++
+				if nerr != nil || nowV <= pin {
+					t.Fatalf("trial %d: %s pinned to v%d moved, but an unpinned read now gives v%d %v", trial, blob, pin, nowV, nerr)
+				}
+			case perr == nil:
+				served++
+				if led {
+					staleLed++
+				}
+				want, ok := versions[blob][pin]
+				if v != pin || !ok || !bytes.Equal(part, clip(want, off, size)) {
+					t.Fatalf("trial %d: %s [%d, +%d) pinned to v%d: read v%d, %d bytes, not the version's window", trial, blob, off, size, pin, v, len(part))
+				}
+				if nerr != nil || nowV != pin || !bytes.Equal(now, part) {
+					t.Fatalf("trial %d: %s pinned to v%d served, but an unpinned read now gives v%d %v", trial, blob, pin, nowV, nerr)
+				}
+			case outcomeClass(perr) != outcomeClass(nerr):
+				t.Fatalf("trial %d: %s [%d, +%d) pinned to v%d: %v, unpinned %v", trial, blob, off, size, pin, perr, nerr)
+			}
+		}
+	}
+	if served == 0 || moved == 0 || staleLed == 0 {
+		t.Errorf("pinned reads served %d (%d after a stale replica took the lead), moved %d: want each above 0", served, staleLed, moved)
+	}
+}

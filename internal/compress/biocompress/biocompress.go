@@ -98,7 +98,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	defer m.Release()
 	tokens := bitio.NewWriter(len(src) / 16)
 	lit := arith.NewSymbolModel(2)
-	enc := arith.NewEncoder(len(src)/3 + 64)
+	enc := arith.NewEncoder(nil, len(src)/3+64)
 
 	var literals, matches, copied int64
 	run := uint64(0) // pending literal-run length

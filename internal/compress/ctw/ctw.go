@@ -318,7 +318,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	hi, lo := newTree(c.depth, len(src)), newTree(c.depth, len(src))
 	defer hi.release()
 	defer lo.release()
-	enc := arith.NewEncoder(len(src)/3 + 64)
+	enc := arith.NewEncoder(hdr[:n], len(src)/3+64)
 	var ctx uint32
 	ctxMask := uint32(1<<c.depth) - 1
 	for _, sym := range src {
@@ -340,10 +340,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		lo.update(bLo)
 		ctx = (ctxLo<<1 | uint32(bLo)) & ctxMask
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, n+len(payload))
-	out = append(out, hdr[:n]...)
-	out = append(out, payload...)
+	out := enc.Finish()
 	st := compress.Stats{
 		WorkNS:  c.work(2 * len(src)),
 		PeakMem: hi.memory() + lo.memory() + len(out),
@@ -399,6 +396,10 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if len(out)%arith.OverrunStride == 0 && dec.Overrun() {
 			return nil, compress.Stats{}, compress.Corruptf("ctw: stream ends before base %d of %d", len(out), nBases)
 		}
+	}
+	// The last check: a stream that ran out within the last stride.
+	if dec.Overrun() {
+		return nil, compress.Stats{}, compress.Corruptf("ctw: stream ends before its %d bases", nBases)
 	}
 	st := compress.Stats{
 		WorkNS:  c.work(2 * len(out)),

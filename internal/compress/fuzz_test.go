@@ -178,7 +178,7 @@ func hostileBiocompress(tb testing.TB, rc bool, lv, dv uint64, extra int) []byte
 			tb.Fatal(err)
 		}
 	}
-	enc := arith.NewEncoder(64)
+	enc := arith.NewEncoder(nil, 64)
 	enc.EncodeLiterals(nil, arith.NewSymbolModel(2), hostileBases(hostileLiterals))
 	tb2 := tokens.Bytes()
 	out := binary.AppendUvarint(nil, uint64(hostileLiterals+extra))
@@ -302,6 +302,20 @@ func truncatedStreams(tb testing.TB) []truncatedStream {
 			truncatedStream{"2^22 ops", name, hostileStream(hostileLiterals, 16+1<<22, func(w *token.Writer) { w.Edit(39, 1<<22, 1<<22, oneSub, nil) })},
 			truncatedStream{"24 ops", name, hostileStream(hostileLiterals, 16+1<<22, func(w *token.Writer) { w.Edit(39, 1<<22, 24, oneSub, nil) })})
 	}
+	// A real stream of 3000 bases, its last byte cut: it runs out within
+	// the first stride, where only the check after the last base sees it.
+	src := synth.Profile{Length: 3000, GC: 0.45}.Generate(3)
+	for _, name := range []string{"ctw", "xm"} {
+		c, err := compress.New(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stream, _, err := c.Compress(src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cases = append(cases, truncatedStream{"short, last byte cut", name, stream[:len(stream)-1]})
+	}
 	return append(cases,
 		truncatedStream{"header only", "ctw", binary.AppendUvarint([]byte{16}, claim)},
 		truncatedStream{"literal run", "biocompress", bio})
@@ -311,7 +325,8 @@ func truncatedStreams(tb testing.TB) []truncatedStream {
 // its decoder stops within a stride of its end, not at its claims. Before
 // the overrun check the dnax header alone decoded 2^31 literals, and the
 // 2^22-op gencompress record allocated about 505 MB before it was
-// rejected.
+// rejected; before the check after the last base, a CTW or XM stream cut
+// short within its first stride decoded to fabricated bases.
 func TestTruncatedStreamsStopEarly(t *testing.T) {
 	for _, tc := range truncatedStreams(t) {
 		c, err := compress.New(tc.codec)

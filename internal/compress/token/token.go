@@ -81,13 +81,15 @@ type Writer struct {
 	models
 	Counts Counts
 	enc    *arith.Encoder
-	n      int
 }
 
 // NewWriter returns a Writer for a stream of n bases whose literals go
-// through an order-order context model.
+// through an order-order context model. The header goes first, and the
+// range coder appends its payload behind it.
 func NewWriter(n, order int) *Writer {
-	return &Writer{models: newModels(order), enc: arith.NewEncoder(n/3 + 64), n: n}
+	var hdr [binary.MaxVarintLen64]byte
+	hn := binary.PutUvarint(hdr[:], uint64(n))
+	return &Writer{models: newModels(order), enc: arith.NewEncoder(hdr[:hn], n/3+64)}
 }
 
 // Literals writes syms as literal tokens.
@@ -169,14 +171,7 @@ func (w *Writer) writeBase(b byte) {
 
 // Finish returns the stream: the header, then the range coder's payload.
 // The Writer must not be used afterwards.
-func (w *Writer) Finish() []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(w.n))
-	payload := w.enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	return append(out, payload...)
-}
+func (w *Writer) Finish() []byte { return w.enc.Finish() }
 
 // Reader reads a token stream: Next decodes literals up to the next
 // repeat record, and the codec's grammar method, Exact, Edit or Subs,

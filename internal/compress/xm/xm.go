@@ -284,7 +284,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	var hdr [binary.MaxVarintLen64]byte
 	hn := binary.PutUvarint(hdr[:], uint64(len(src)))
 	p := newPanel(c.cfg, len(src))
-	enc := arith.NewEncoder(len(src)/3 + 64)
+	enc := arith.NewEncoder(hdr[:hn], len(src)/3+64)
 	var dist [4]float64
 	for _, sym := range src {
 		if sym > 3 {
@@ -294,10 +294,7 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 		encodeSym(enc, &dist, sym)
 		p.observe(sym)
 	}
-	payload := enc.Finish()
-	out := make([]byte, 0, hn+len(payload))
-	out = append(out, hdr[:hn]...)
-	out = append(out, payload...)
+	out := enc.Finish()
 	st := compress.Stats{
 		WorkNS:  c.work(len(src)),
 		PeakMem: p.memory() + len(out),
@@ -357,6 +354,10 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 		if len(out)%arith.OverrunStride == 0 && dec.Overrun() {
 			return nil, compress.Stats{}, compress.Corruptf("xm: stream ends before base %d of %d", len(out), nBases)
 		}
+	}
+	// The last check: a stream that ran out within the last stride.
+	if dec.Overrun() {
+		return nil, compress.Stats{}, compress.Corruptf("xm: stream ends before its %d bases", nBases)
 	}
 	st := compress.Stats{
 		WorkNS:  c.work(len(out)),

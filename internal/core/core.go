@@ -95,11 +95,11 @@ func RAMTimeWeights(wRAM, wTime float64) Weights {
 
 // Score evaluates Eq. 1 for one measurement.
 func (w Weights) Score(m Measurement) float64 {
-	return w.CompressTime*m.CompressMS +
-		w.DecompressTime*m.DecompressMS +
-		w.UploadTime*m.UploadMS +
-		w.DownloadTime*m.DownloadMS +
-		w.RAM*float64(m.RAMBytes)/1024
+	return float64(w.CompressTime*m.CompressMS) +
+		float64(w.DecompressTime*m.DecompressMS) +
+		float64(w.UploadTime*m.UploadMS) +
+		float64(w.DownloadTime*m.DownloadMS) +
+		float64(w.RAM*float64(m.RAMBytes)/1024)
 }
 
 // Label returns the codec minimizing Eq. 1 — the paper's labeling step:

@@ -279,7 +279,7 @@ func growCART(ds Dataset, cfg Config, idx []int, depth int) *node {
 				continue
 			}
 			gain := baseImp -
-				(float64(nLeft)*stats.Gini(leftCounts)+float64(nRight)*stats.Gini(rightCounts))/nTotal
+				(float64(float64(nLeft)*stats.Gini(leftCounts))+float64(float64(nRight)*stats.Gini(rightCounts)))/nTotal
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f

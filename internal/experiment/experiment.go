@@ -129,13 +129,13 @@ func (g *Grid) expand(noise NoiseConfig) {
 				}
 				key := []string{fr.Name, vm.Name, run.Codec}
 				if noise.TimeAmp > 0 {
-					m.CompressMS *= 1 + noise.TimeAmp*(2*hashUnit(noise.Seed, append(key, "ct")...)-1)
-					m.DecompressMS *= 1 + noise.TimeAmp*(2*hashUnit(noise.Seed, append(key, "dt")...)-1)
-					m.UploadMS *= 1 + noise.TimeAmp*(2*hashUnit(noise.Seed, append(key, "ut")...)-1)
-					m.DownloadMS *= 1 + noise.TimeAmp*(2*hashUnit(noise.Seed, append(key, "dl")...)-1)
+					m.CompressMS *= 1 + float64(noise.TimeAmp*(float64(2*hashUnit(noise.Seed, append(key, "ct")...))-1))
+					m.DecompressMS *= 1 + float64(noise.TimeAmp*(float64(2*hashUnit(noise.Seed, append(key, "dt")...))-1))
+					m.UploadMS *= 1 + float64(noise.TimeAmp*(float64(2*hashUnit(noise.Seed, append(key, "ut")...))-1))
+					m.DownloadMS *= 1 + float64(noise.TimeAmp*(float64(2*hashUnit(noise.Seed, append(key, "dl")...))-1))
 				}
 				ram := float64(run.CompressStats.PeakMem)
-				ram += (noise.RAMBaseMB + noise.RAMAmpMB*hashUnit(noise.Seed, append(key, "rb")...)) * (1 << 20)
+				ram += float64((noise.RAMBaseMB + float64(noise.RAMAmpMB*hashUnit(noise.Seed, append(key, "rb")...))) * (1 << 20))
 				if noise.BusyCPUDoubles && hashUnit(noise.Seed, append(key, "busy")...) > 0.7 {
 					ram *= 1.8
 				}

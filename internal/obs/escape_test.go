@@ -52,9 +52,22 @@ func TestEscapeLabelValueNoAlloc(t *testing.T) {
 }
 
 func TestLabelSignatureCanonical(t *testing.T) {
-	a := labelSignature([]string{"b", "2", "a", "1"})
-	b := labelSignature([]string{"a", "1", "b", "2"})
+	a := string(appendLabelSignature(nil, []string{"b", "2", "a", "1"}))
+	b := string(appendLabelSignature(nil, []string{"a", "1", "b", "2"}))
 	if a != b || a != `a="1",b="2"` {
 		t.Fatalf("signatures not canonical: %q vs %q", a, b)
+	}
+	// More pairs than the sort's stack holds, in reverse key order.
+	var labels []string
+	var want strings.Builder
+	for k := 'a'; k <= 'k'; k++ {
+		labels = append([]string{string(k), "v"}, labels...)
+		if k > 'a' {
+			want.WriteByte(',')
+		}
+		want.WriteString(string(k) + `="v"`)
+	}
+	if got := string(appendLabelSignature(nil, labels)); got != want.String() {
+		t.Fatalf("11 pairs in reverse: signature %q, want %q", got, want.String())
 	}
 }

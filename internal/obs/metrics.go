@@ -99,12 +99,12 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // bound); they are sorted defensively and a +Inf bucket is implicit. The
 // family's bucket layout is fixed by the first call; later calls reuse it.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	sorted := append([]float64(nil), buckets...)
-	sort.Float64s(sorted)
-	f := r.family(name, help, KindHistogram, sorted)
+	f := r.family(name, help, KindHistogram, buckets)
 	return f.lookup(labels, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
+// family returns the family named name, creating it on first use with a
+// sorted copy of buckets.
 func (r *Registry) family(name, help string, kind Kind, buckets []float64) *family {
 	r.mu.RLock()
 	f := r.families[name]
@@ -113,7 +113,9 @@ func (r *Registry) family(name, help string, kind Kind, buckets []float64) *fami
 		r.mu.Lock()
 		f = r.families[name]
 		if f == nil {
-			f = &family{name: name, help: help, kind: kind, buckets: buckets, series: map[string]any{}}
+			sorted := append([]float64(nil), buckets...)
+			sort.Float64s(sorted)
+			f = &family{name: name, help: help, kind: kind, buckets: sorted, series: map[string]any{}}
 			r.families[name] = f
 		}
 		r.mu.Unlock()
@@ -124,45 +126,50 @@ func (r *Registry) family(name, help string, kind Kind, buckets []float64) *fami
 	return f
 }
 
+// lookup returns the series of labels, creating it with make on first
+// use. It builds the signature in a stack buffer and allocates its string
+// only for a new series, so a lookup of an existing one allocates nothing.
 func (f *family) lookup(labels []string, make func() any) any {
-	sig := labelSignature(labels)
+	var buf [256]byte
+	sig := appendLabelSignature(buf[:0], labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	h, ok := f.series[sig]
+	h, ok := f.series[string(sig)]
 	if !ok {
 		h = make()
-		f.series[sig] = h
+		f.series[string(sig)] = h
 	}
 	return h
 }
 
-// labelSignature canonicalizes alternating key/value pairs into the exact
-// text Prometheus exposition uses, sorted by key so {a,b} and {b,a} name
-// the same series.
-func labelSignature(labels []string) string {
-	if len(labels) == 0 {
-		return ""
-	}
+// appendLabelSignature appends the canonical form of alternating
+// key/value pairs to dst: the exact text Prometheus exposition uses,
+// sorted by key (an insertion sort, stable, over the few pairs a series
+// has) so {a,b} and {b,a} name the same series.
+func appendLabelSignature(dst []byte, labels []string) []byte {
 	if len(labels)%2 != 0 {
-		panic(fmt.Sprintf("obs: odd label list %q: want key, value pairs", labels))
+		panic(fmt.Sprintf("obs: odd label list %q: want key, value pairs", append([]string(nil), labels...)))
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	var keys [8]int
+	order := keys[:0] // indexes of the keys in labels, in key order
 	for i := 0; i < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var sb strings.Builder
-	for i, p := range pairs {
-		if i > 0 {
-			sb.WriteByte(',')
+		order = append(order, i)
+		j := len(order) - 1
+		for ; j > 0 && labels[order[j-1]] > labels[i]; j-- {
+			order[j] = order[j-1]
 		}
-		sb.WriteString(p.k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(p.v))
-		sb.WriteByte('"')
+		order[j] = i
 	}
-	return sb.String()
+	for n, i := range order {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, labels[i]...)
+		dst = append(dst, `="`...)
+		dst = appendLabelValue(dst, labels[i+1])
+		dst = append(dst, '"')
+	}
+	return dst
 }
 
 // escapeLabelValue escapes a label value per the Prometheus 0.0.4 text
@@ -174,21 +181,24 @@ func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	var sb strings.Builder
-	sb.Grow(len(v) + 8)
+	return string(appendLabelValue(make([]byte, 0, len(v)+8), v))
+}
+
+// appendLabelValue appends v to dst as escapeLabelValue escapes it.
+func appendLabelValue(dst []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
 		switch v[i] {
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		default:
-			sb.WriteByte(v[i])
+			dst = append(dst, v[i])
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // escapeHelp escapes HELP text per the 0.0.4 format: only backslash and

@@ -249,3 +249,25 @@ func TestExpvarAndDebugHandler(t *testing.T) {
 		t.Fatal("/debug/pprof/ index not served")
 	}
 }
+
+// TestSeriesLookupAllocatesNothing: once a series exists, looking it up
+// again through Counter, Gauge or Histogram, its labels in any order,
+// allocates nothing; the signature string is made only for a new series.
+func TestSeriesLookupAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	op, outcome := "getrange", "ok"
+	reg.Counter("ops_total", "", "op", op, "outcome", outcome)
+	reg.Gauge("busy", "", "shard", "s1")
+	reg.Histogram("quorum_ms", "", DefMSBuckets(), "op", op)
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.Counter("ops_total", "", "outcome", outcome, "op", op).Inc()
+		reg.Gauge("busy", "", "shard", "s1").Set(1)
+		reg.Histogram("quorum_ms", "", DefMSBuckets(), "op", op).Observe(2)
+	})
+	if allocs != 0 {
+		t.Errorf("lookups of existing series made %v allocations, want 0", allocs)
+	}
+	if got := reg.Counter("ops_total", "", "op", op, "outcome", outcome).Value(); got != 101 {
+		t.Errorf("counter reads %d after 101 increments of one series", got)
+	}
+}

@@ -22,10 +22,18 @@ var iupacAmbiguity = func() [256]bool {
 // everything outside the ACGT alphabet, and reports what was removed.
 func Clean(raw []byte) ([]byte, CleanStats) {
 	var st CleanStats
-	out := make([]byte, 0, len(raw))
+	return AppendClean(make([]byte, 0, len(raw)), raw, &st), st
+}
+
+// AppendClean is Clean into a caller's buffer: it appends raw's symbol
+// codes to dst, adds what it removed to st, and returns the extended
+// buffer. dst may share raw's memory when dst ends at or before raw's
+// start (dst = raw[:0] cleans in place): each code is written at or
+// before the byte it came from, after that byte is read.
+func AppendClean(dst, raw []byte, st *CleanStats) []byte {
 	for _, b := range raw {
 		if c := baseToCode[b]; c != 0xFF {
-			out = append(out, c)
+			dst = append(dst, c)
 			st.Kept++
 			continue
 		}
@@ -35,5 +43,5 @@ func Clean(raw []byte) ([]byte, CleanStats) {
 		}
 		st.Other++
 	}
-	return out, st
+	return dst
 }

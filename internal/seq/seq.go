@@ -70,13 +70,20 @@ func Encode(ascii []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode converts symbol codes back to upper-case ASCII.
+// Decode converts symbol codes back to upper-case ASCII, in a new buffer.
 func Decode(codes []byte) []byte {
-	out := make([]byte, len(codes))
+	return DecodeTo(make([]byte, len(codes)), codes)
+}
+
+// DecodeTo writes the upper-case ASCII of codes into dst, which must be
+// at least as long, and returns dst[:len(codes)]. dst may be codes
+// itself: the conversion is then in place.
+func DecodeTo(dst, codes []byte) []byte {
+	dst = dst[:len(codes)]
 	for i, c := range codes {
-		out[i] = codeToBase[c&3]
+		dst[i] = codeToBase[c&3]
 	}
-	return out
+	return dst
 }
 
 // Valid reports whether every element of codes is a legal symbol (0..3).

@@ -222,6 +222,30 @@ func TestCleanAccountsForEveryByte(t *testing.T) {
 	}
 }
 
+// TestQuickInPlace: cleaning a buffer in place (AppendClean into raw[:0])
+// gives Clean's codes and stats, and decoding codes in place (DecodeTo into
+// codes) gives Decode's text. Half the bytes are made bases.
+func TestQuickInPlace(t *testing.T) {
+	f := func(raw []byte) bool {
+		for i, b := range raw {
+			if b&1 == 0 {
+				raw[i] = "ACGTacgt"[b>>1&7]
+			}
+		}
+		want, wst := Clean(raw)
+		var st CleanStats
+		got := AppendClean(raw[:0], raw, &st)
+		if !bytes.Equal(got, want) || st != wst {
+			return false
+		}
+		text := Decode(got)
+		return bytes.Equal(DecodeTo(got, got), text)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ascii := make([]byte, 1<<20)

@@ -46,17 +46,26 @@ func FuzzRequestParams(f *testing.F) {
 	})
 }
 
-// FuzzCleanse feeds arbitrary bodies to Cleanse, which every /compress body
-// and every dnacomp input passes through. Whatever the bytes, it returns
-// only symbol codes 0..3, one per kept base, and cleansing the decoded
-// symbols gives them back; a body not led by '>' accounts for each of its
-// bytes as kept, ambiguous or other.
+// FuzzCleanse feeds arbitrary bodies to Cleanse, which every dnacomp
+// input passes through, and to the in-place cleansing of every /compress
+// body. Whatever the bytes, Cleanse leaves them unchanged and returns only
+// symbol codes 0..3, one per kept base, and cleansing the decoded symbols
+// gives them back; a body not led by '>' accounts for each of its bytes as
+// kept, ambiguous or other. Cleansing a copy of the body in place gives
+// Cleanse's symbols and stats.
 func FuzzCleanse(f *testing.F) {
 	for _, tc := range cleanseCases() {
 		f.Add([]byte(tc.in))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		body := append([]byte(nil), raw...)
 		symbols, st := Cleanse(raw)
+		if !bytes.Equal(raw, body) {
+			t.Fatalf("body %.64q: Cleanse wrote to its input", body)
+		}
+		if inPlace, ipst := appendCleansed(body[:0], body); !bytes.Equal(inPlace, symbols) || ipst != st {
+			t.Fatalf("body %.64q: cleansed in place to %d symbols %+v, Cleanse to %d %+v", raw, len(inPlace), ipst, len(symbols), st)
+		}
 		if !seq.Valid(symbols) {
 			t.Fatalf("body %.64q: symbol outside 0..3", raw)
 		}

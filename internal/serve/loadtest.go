@@ -283,7 +283,7 @@ func planUnits(o LoadOptions) []loadUnit {
 		n := opts.MinBases + rng.Intn(opts.MaxBases-opts.MinBases+1)
 		p := synth.Profile{
 			Length:     n,
-			GC:         0.35 + 0.2*rng.Float64(),
+			GC:         0.35 + float64(0.2*rng.Float64()),
 			RepeatProb: 0.002,
 			RepeatMin:  16,
 			RepeatMax:  128,
@@ -437,7 +437,7 @@ func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p*float64(len(sorted)-1) + 0.5)
+	i := int(float64(p*float64(len(sorted)-1)) + 0.5)
 	if i >= len(sorted) {
 		i = len(sorted) - 1
 	}

@@ -127,9 +127,10 @@ func trim(s string) string {
 
 // TestRangeReadFetchesOnlyItsFrames counts the bytes the fleet's shard
 // stores return for windows of a 16-block archive that each lie inside one
-// block: per replica read, at most the prefix read for the header and
-// index, and the window's frame, plus the version envelopes' headers; a
-// small fraction of what a whole read moves.
+// block: the prefix read for the header and index from each replica of the
+// read quorum, the window's frame from one of them, and the version
+// envelopes' headers; a small fraction of what a whole read moves. A whole
+// read moves the container once, plus the prefixes and headers.
 func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 	fleet, moved, reads := countingFleet(t)
 	_, ts := newTestServer(t, Config{FleetStore: fleet})
@@ -145,6 +146,10 @@ func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 	}
 	index := compress.BlockHeaderSize("twobit") + 16*12 + 4
 	const quorum = 2 // replicas a read of 3 replicas waits for
+	// Store reads per range read: the prefix from each replica, then the
+	// frame as header, span and header from one, the header alone from
+	// each other.
+	const wantReads = quorum + 3 + (quorum - 1)
 	for _, k := range []int{0, 7, 15} {
 		off := k*blockSize + 1000
 		moved.Store(0)
@@ -154,17 +159,18 @@ func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 			t.Fatalf("block %d: HTTP %d, body is not the window", k, resp.StatusCode)
 		}
 		frame := rd.Index()[k].Length
-		// The prefix read (one store read per replica) and the frame read
-		// (a version header, the span, the header again).
-		limit := quorum * (max(indexPrefix, index) + binary.MaxVarintLen64 + frame + 2*binary.MaxVarintLen64)
-		if got := moved.Load(); got > int64(limit) || reads.Load() != 4*quorum {
+		limit := quorum*(max(indexPrefix, index)+binary.MaxVarintLen64) + frame + (quorum+1)*binary.MaxVarintLen64
+		if got := moved.Load(); got > int64(limit) || reads.Load() != wantReads {
 			t.Errorf("block %d: stores returned %d bytes in %d reads, want at most %d in %d (frame %d bytes, container %d)",
-				k, got, reads.Load(), limit, 4*quorum, frame, len(container))
+				k, got, reads.Load(), limit, wantReads, frame, len(container))
 		}
 	}
 	moved.Store(0)
-	if resp, _ := get(t, ts.URL+"/decompress?name=arc"); resp.StatusCode != http.StatusOK || moved.Load() < int64(quorum*len(container)) {
-		t.Errorf("whole read: HTTP %d, stores returned %d bytes of a %d-byte container", resp.StatusCode, moved.Load(), len(container))
+	headers := (quorum + 1) * binary.MaxVarintLen64
+	lo, hi := len(container)+headers, len(container)+quorum*(indexPrefix+binary.MaxVarintLen64)+headers
+	if resp, _ := get(t, ts.URL+"/decompress?name=arc"); resp.StatusCode != http.StatusOK || moved.Load() < int64(lo) || moved.Load() > int64(hi) {
+		t.Errorf("whole read: HTTP %d, stores returned %d bytes of a %d-byte container, want %d to %d",
+			resp.StatusCode, moved.Load(), len(container), lo, hi)
 	}
 }
 

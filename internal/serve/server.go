@@ -763,8 +763,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	rx.rec.InBytes = len(body)
 	// Codec resolution happens before admission so the per-codec semaphore
-	// key is known; it is a pure function of (params, body, model).
-	symbols, _ := Cleanse(body)
+	// key is known; it is a pure function of (params, body, model). The
+	// body is cleansed in its own buffer: nothing reads the text after.
+	symbols, _ := appendCleansed(body[:0], body)
 	if len(symbols) == 0 {
 		s.finish(w, rx, t0, errorResponse(http.StatusBadRequest, "input contains no ACGT bases"))
 		return
@@ -976,11 +977,14 @@ func (s *Server) doDecompress(ctx context.Context, rx *reqObs, r *compress.Block
 	if !rng.whole {
 		header["X-Dnacomp-Range"] = fmt.Sprintf("%d:%d", off, n)
 	}
+	// Decompress and Slice return a buffer the caller owns: fresh, or a
+	// one-block codec output the block cache kept only a packed copy of.
+	// So the bases turn into ASCII in place.
 	return &response{
 		status:      http.StatusOK,
 		contentType: "text/plain; charset=utf-8",
 		header:      header,
-		body:        seq.Decode(symbols),
+		body:        seq.DecodeTo(symbols, symbols),
 	}
 }
 
@@ -1193,18 +1197,25 @@ func (s *Server) fleetError(op string, err error) *response {
 // Input is FASTA when its first non-space byte is '>'; then each line is
 // trimmed of surrounding space (bytes.TrimSpace), blank and '>' header
 // lines are skipped, and the rest is cleaned, with no limit on line length.
-// Any other input is cleaned whole.
+// Any other input is cleaned whole. Cleanse never writes to raw.
 func Cleanse(raw []byte) ([]byte, seq.CleanStats) {
+	return appendCleansed(make([]byte, 0, len(raw)), raw)
+}
+
+// appendCleansed is Cleanse appending the symbols to dst. dst may be
+// raw[:0], which cleanses raw in its own buffer: a line is cleaned after
+// it is cut from the rest, and each symbol lands at or before its byte.
+func appendCleansed(dst, raw []byte) ([]byte, seq.CleanStats) {
+	var st seq.CleanStats
 	if !bytes.HasPrefix(bytes.TrimSpace(raw), []byte(">")) {
-		return seq.Clean(raw)
+		return seq.AppendClean(dst, raw, &st), st
 	}
-	text := make([]byte, 0, len(raw))
 	for rest := raw; len(rest) > 0; {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte("\n"))
 		if line = bytes.TrimSpace(line); len(line) > 0 && line[0] != '>' {
-			text = append(text, line...)
+			dst = seq.AppendClean(dst, line, &st)
 		}
 	}
-	return seq.Clean(text)
+	return dst, st
 }

@@ -23,7 +23,7 @@ func Gini(counts []int) float64 {
 	sumSq := 0.0
 	for _, c := range counts {
 		p := float64(c) / float64(total)
-		sumSq += p * p
+		sumSq += float64(p * p)
 	}
 	return 1 - sumSq
 }
@@ -118,13 +118,13 @@ func gammaPSeries(a, x float64) float64 {
 	del := sum
 	for i := 0; i < 500; i++ {
 		ap++
-		del *= x / ap
+		del = float64(del * (x / ap))
 		sum += del
 		if math.Abs(del) < math.Abs(sum)*1e-15 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 }
 
 func gammaQContinued(a, x float64) float64 {
@@ -137,7 +137,7 @@ func gammaQContinued(a, x float64) float64 {
 	for i := 1; i < 500; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
-		d = an*d + b
+		d = float64(an*d) + b
 		if math.Abs(d) < tiny {
 			d = tiny
 		}
@@ -146,13 +146,13 @@ func gammaQContinued(a, x float64) float64 {
 			c = tiny
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < 1e-15 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return math.Exp(-x+float64(a*math.Log(x))-lg) * h
 }
 
 // Normalize min-max scales values into [0,1]; constant slices map to zeros.

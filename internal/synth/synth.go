@@ -106,8 +106,11 @@ func (p Profile) Generate(seed int64) []byte {
 			total := 0.0
 			for b := 0; b < 4; b++ {
 				// Tilt in [1-bias, 1+bias], deterministic given the rng.
-				tilt := 1 + p.LocalBias*(2*rng.Float64()-1)
-				w[b] = baseP[b] * tilt
+				// Each product is rounded alone (float64(...)), the one
+				// rng.Float64 ends in too, so arm64 fuses none into a sum.
+				u := float64(rng.Float64())
+				tilt := 1 + float64(p.LocalBias*(float64(2*u)-1))
+				w[b] = float64(baseP[b] * tilt)
 				total += w[b]
 			}
 			acc := 0.0
