@@ -81,12 +81,14 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# Every benchmark of the range coder, the matcher and the codecs, run once
-# (-benchtime 1x), so that the benchmarks paired parent/change runs rely
-# on keep building and running: dnax's ExchangeBlocks and CTW's PaperSmall
-# two-worker benchmarks among them. It times nothing worth reading.
+# Every benchmark of the range coder, the matcher, the codecs and the
+# cloud exchange, run once (-benchtime 1x), so that the benchmarks paired
+# parent/change runs rely on keep building and running: dnax's
+# ExchangeBlocks and CTW's PaperSmall two-worker benchmarks among them, and
+# cloud's ExchangeBlocks, one 1 MiB exchange through an in-memory fleet
+# with its B/op. It times nothing worth reading.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/arith ./internal/match ./internal/compress/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/arith ./internal/match ./internal/compress/... ./internal/cloud
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block

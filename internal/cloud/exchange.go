@@ -263,16 +263,19 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 	// The receiving VM restores and verifies from the received bytes alone:
 	// header, index and payload checksums, contained codec execution, and
 	// the restored output's length and checksum. No source bytes are
-	// consulted. The reader books its block counters into reg.
-	var restored []byte
+	// consulted. It never hands the bases on, so it verifies block by
+	// block (Verify) and holds one block of them at a time. The reader
+	// books its block counters into reg.
+	var restored int
 	var dst compress.Stats
 	rd, err := compress.OpenBlocksObserved(reg, received, opts.Limits)
 	if err == nil && rd.Codec() != codecName {
 		err = compress.Corruptf("container records codec %q, want %q", rd.Codec(), codecName)
 	} else if err == nil {
-		restored, dst, err = rd.Decompress()
+		dst, err = rd.Verify()
+		restored = rd.Bases()
 	}
-	compress.ObserveDecompress(reg, codecName, len(received), len(restored), dst, err)
+	compress.ObserveDecompress(reg, codecName, len(received), restored, dst, err)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: decompress: %w", err)
 	}

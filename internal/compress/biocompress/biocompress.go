@@ -25,6 +25,7 @@ package biocompress
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/bitio"
@@ -183,6 +184,11 @@ func (c *Codec) worthIt(mt match.Match, pos int) bool {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (c *Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	nBases, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, compress.Stats{}, compress.Corruptf("biocompress: bad length header")
@@ -198,7 +204,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	lit := arith.NewSymbolModel(2)
 	dec := arith.NewDecoder(data[uint64(used+used2)+tokenLen:])
 
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
+	out := slices.Grow(dst[:0], compress.HeaderPrealloc(nBases))
 	var literals, matches, copied int64
 	for uint64(len(out)) < nBases {
 		runPlus1, err := fib.Decode(tokens)

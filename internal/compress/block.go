@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"sync"
@@ -159,7 +160,8 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	// Compress blocks into index-ordered slots. Workers pull block indices
 	// from a channel; a slot only ever has one writer, so no lock guards
 	// the result slices and the assembly below is deterministic.
-	frames := make([][]byte, count)
+	payloads := make([][]byte, count)
+	sums := make([]uint32, count) // CRC32-C of each block's symbols
 	stats := make([]Stats, count)
 	errs := make([]error, count)
 	idx := make(chan int)
@@ -182,8 +184,7 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 					errs[k] = fmt.Errorf("block %d (%d bases at offset %d): %w", k, len(block), lo, err)
 					continue
 				}
-				frames[k] = Seal(codecName, block, payload)
-				stats[k] = st
+				payloads[k], sums[k], stats[k] = payload, Checksum(block), st
 				met.sealed.Inc()
 				met.sealMS.Observe(float64(st.WorkNS) / 1e6)
 			}
@@ -202,15 +203,17 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 
 	var total Stats
 	frameBytes := 0
-	for k := range frames {
+	for k, payload := range payloads {
 		total.Add(stats[k])
-		frameBytes += len(frames[k])
+		frameBytes += Overhead(codecName) + len(payload)
 	}
 
+	// Each block's frame is sealed straight into the container behind the
+	// header and index, which are filled in around it.
 	n := len(codecName)
 	indexStart := blockFixedOverhead + n
 	payloadStart := indexStart + count*blockIndexEntrySize + 4
-	out := make([]byte, payloadStart+frameBytes)
+	out := make([]byte, payloadStart, payloadStart+frameBytes)
 	copy(out[0:4], BlockMagic)
 	out[4] = BlockVersion
 	out[5] = byte(n)
@@ -220,12 +223,12 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	binary.BigEndian.PutUint64(out[22+n:], uint64(count))
 	binary.BigEndian.PutUint32(out[30+n:], Checksum(src))
 	binary.BigEndian.PutUint32(out[34+n:], Checksum(out[:34+n]))
-	pos := payloadStart
-	for k, frame := range frames {
+	for k, payload := range payloads {
+		lo := len(out)
+		out = appendFrame(out, codecName, min(blockSize, len(src)-k*blockSize), sums[k], payload)
 		e := indexStart + k*blockIndexEntrySize
-		binary.BigEndian.PutUint64(out[e:], uint64(len(frame)))
-		binary.BigEndian.PutUint32(out[e+8:], Checksum(frame))
-		pos += copy(out[pos:], frame)
+		binary.BigEndian.PutUint64(out[e:], uint64(len(out)-lo))
+		binary.BigEndian.PutUint32(out[e+8:], Checksum(out[lo:]))
 	}
 	binary.BigEndian.PutUint32(out[payloadStart-4:], Checksum(out[indexStart:payloadStart-4]))
 	return out, total, nil
@@ -241,9 +244,9 @@ func BlockHeaderSize(codecName string) int { return blockFixedOverhead + len(cod
 // parsed and checksum-verified, block frames are located but not decoded.
 // A single CXA1 frame is the one-block case: one index entry spans the
 // frame. Decoding happens per block on demand (Slice) or across all blocks
-// (Decompress), always through SafeDecompress with per-block limits, so a
-// hostile frame inside a well-formed container is contained exactly like
-// a hostile single frame.
+// (Decompress, Verify), always through SafeDecompress's path with
+// per-block limits, so a hostile frame inside a well-formed container is
+// contained exactly like a hostile single frame.
 //
 // A reader opened by OpenBlockIndex holds only the frames that came with
 // its header and index; AttachFrames hands it the span FrameSpan names
@@ -529,15 +532,15 @@ func (r *BlockReader) blockBases(k int) int {
 	return r.blockSize
 }
 
-// block restores block k through the hardened per-frame path: the index
-// checksum proves the frame bytes arrived intact before any parsing, then
-// SafeDecompress pins the container's codec, bounds the block's output to
-// exactly its slot in symbol space, contains codec panics, and verifies
-// the restored symbols against the frame's own checksum. With a cache, a
-// frame past the index checksum and within the payload limit is looked up
-// by codec and SHA-256 first, and a block that passed every check is
-// stored.
-func (r *BlockReader) block(k int) (blockSyms, Stats, error) {
+// block restores block k through the hardened per-frame path into
+// dst[:0]'s backing array: the index checksum proves the frame bytes
+// arrived intact before any parsing, then SafeDecompress's path pins the
+// container's codec, bounds the block's output to exactly its slot in
+// symbol space, contains codec panics, and verifies the restored symbols
+// against the frame's own checksum. With a cache, a frame past the index
+// checksum and within the payload limit is looked up by codec and SHA-256
+// first, and a block that passed every check is stored.
+func (r *BlockReader) block(k int, dst []byte) (blockSyms, Stats, error) {
 	lo := r.offsets[k] - r.framesAt
 	if lo < 0 || r.entries[k].Length > len(r.frames)-lo {
 		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame [%d, %d) lies outside the container bytes read [%d, %d)", k, r.offsets[k], r.offsets[k]+r.entries[k].Length, r.framesAt, r.framesAt+len(r.frames))
@@ -555,7 +558,7 @@ func (r *BlockReader) block(k int) (blockSyms, Stats, error) {
 			return blockSyms{hit: e}, e.st, nil
 		}
 	}
-	out, st, err := SafeDecompress(r.codec, frame, Limits{MaxCompressed: r.maxCompressed, MaxOutput: want})
+	out, st, err := safeDecompress(dst, r.codec, frame, Limits{MaxCompressed: r.maxCompressed, MaxOutput: want})
 	if err != nil {
 		return blockSyms{}, Stats{}, Corruptf("blocks: block %d: %v", k, err)
 	}
@@ -571,38 +574,64 @@ func (r *BlockReader) block(k int) (blockSyms, Stats, error) {
 }
 
 // Decompress restores the full symbol sequence: every block decoded
-// through the hardened per-block path into a single output buffer, then
-// the container's whole-output checksum verified over the result. That
-// final check is what per-block frames cannot provide — it catches blocks
-// reordered or substituted together with a consistently rewritten index.
-// A one-block reader that decodes returns the block's own buffer;
-// otherwise peak memory is the output plus one block's working set.
+// through the hardened per-block path straight into its slot of one output
+// buffer, then the container's whole-output checksum verified over the
+// result. That final check is what per-block frames cannot provide — it
+// catches blocks reordered or substituted together with a consistently
+// rewritten index. A block's slot is capped at its length, so a codec
+// that overruns it reallocates rather than write into the next slot, and
+// the length check refuses the block. A one-block reader returns the
+// codec's own buffer, which grows with the symbols decoded; otherwise
+// peak memory is the output plus one block's working set.
 func (r *BlockReader) Decompress() ([]byte, Stats, error) {
-	var out []byte
-	if len(r.entries) != 1 {
-		out = make([]byte, r.bases)
+	if len(r.entries) == 1 {
+		return r.restore(nil)
 	}
+	out := make([]byte, r.bases)
+	_, st, err := r.restore(out)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return out, st, nil
+}
+
+// Verify proves the container restores — every check Decompress makes,
+// the whole-output checksum included, with the same verdict — without
+// holding its output: each block decodes into the buffer the block before
+// it used, and the checksum is taken block by block. Peak memory is one
+// block and one block's working set. It returns Decompress's Stats.
+func (r *BlockReader) Verify() (Stats, error) {
+	_, st, err := r.restore(nil)
+	return st, err
+}
+
+// restore is Decompress's and Verify's one loop. It decodes every block
+// in order: with out, block k into its slot out[lo:lo:hi]; without, into
+// the previous block's buffer, the first into a buffer its codec
+// allocates. It takes the CRC32-C of the symbols as they come, checks it
+// against the header's, and returns the last block's symbols.
+func (r *BlockReader) restore(out []byte) ([]byte, Stats, error) {
 	var total Stats
+	var sum uint32
+	var syms []byte
 	for k := range r.entries {
-		b, st, err := r.block(k)
+		dst := syms[:0]
+		if out != nil {
+			lo := k * r.blockSize
+			dst = out[lo : lo : lo+r.blockBases(k)]
+		}
+		b, st, err := r.block(k, dst)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		total.Add(st)
-		switch {
-		case len(r.entries) != 1:
-			b.copyTo(out[k*r.blockSize:], 0)
-		case b.hit == nil:
-			out = b.plain
-		default:
-			out = make([]byte, r.bases)
-			b.copyTo(out, 0)
-		}
+		syms = b.in(dst, r.blockBases(k))
+		sum = crc32.Update(sum, crcTable, syms)
 	}
-	if got := Checksum(out); got != r.outputSum {
-		return nil, Stats{}, Corruptf("blocks: restored output checksum mismatch (stored %08x, computed %08x)", r.outputSum, got)
+	if sum != r.outputSum {
+		return nil, Stats{}, Corruptf("blocks: restored output checksum mismatch (stored %08x, computed %08x)", r.outputSum, sum)
 	}
-	return out, total, nil
+	return syms, total, nil
 }
 
 // Slice decodes and returns the n symbols starting at off, decoding only
@@ -619,7 +648,7 @@ func (r *BlockReader) Slice(off, n int) ([]byte, Stats, error) {
 	var total Stats
 	for copied := 0; copied < n; {
 		k := (off + copied) / r.blockSize
-		b, st, err := r.block(k)
+		b, st, err := r.block(k, nil)
 		if err != nil {
 			return nil, Stats{}, err
 		}

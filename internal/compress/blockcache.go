@@ -2,6 +2,7 @@ package compress
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/obs"
@@ -107,6 +108,19 @@ func (c *BlockCache) put(k Key, syms []byte, st Stats) {
 type blockSyms struct {
 	plain []byte
 	hit   *blockEntry
+}
+
+// in returns the block's n symbols in dst's backing array if it has room
+// for them: a hit unpacked there, and a decode that came back elsewhere
+// copied there. Without room, a decode stays where it is and a hit
+// unpacks into a new buffer.
+func (b blockSyms) in(dst []byte, n int) []byte {
+	if b.hit == nil && (n == 0 || cap(dst) < n || &b.plain[0] == &dst[:1][0]) {
+		return b.plain
+	}
+	syms := slices.Grow(dst[:0], n)[:n]
+	b.copyTo(syms, 0)
+	return syms
 }
 
 // copyTo copies the block's symbols from lo on into dst, unpacking a hit

@@ -305,8 +305,9 @@ func TestBlockCacheLRUOracle(t *testing.T) {
 
 // TestBlockCacheConcurrentSlices: goroutines slice overlapping windows of
 // shared readers through one cache small enough to evict all the time, and
-// every window must equal the same slice of a plain decode. make race runs
-// it under -race -count=10.
+// every window must equal the same slice of a plain decode. Now and then
+// each also decodes a whole reader, which must equal the plain decode, and
+// verifies one. make race runs it under -race -count=10.
 func TestBlockCacheConcurrentSlices(t *testing.T) {
 	const bs = 256
 	reg := obs.NewRegistry()
@@ -344,6 +345,12 @@ func TestBlockCacheConcurrentSlices(t *testing.T) {
 				if op%40 == 0 {
 					if whole, _, err := s.r.Decompress(); err != nil || !bytes.Equal(whole, s.plain) {
 						t.Errorf("Decompress: %v, or output differs from a plain decode", err)
+						return
+					}
+				}
+				if op%40 == 20 {
+					if _, err := s.r.Verify(); err != nil {
+						t.Errorf("Verify: %v", err)
 						return
 					}
 				}

@@ -50,8 +50,16 @@ type Codec interface {
 	// byte stream.
 	Compress(src []byte) ([]byte, Stats, error)
 	// Decompress restores the exact symbol sequence from a stream produced
-	// by the same codec.
+	// by the same codec. Every codec's is DecompressTo(nil, data).
 	Decompress(data []byte) ([]byte, Stats, error)
+	// DecompressTo is Decompress restoring into dst[:0]'s backing array,
+	// grown by append once its capacity runs out, so a caller that hands
+	// it room for the output gets the symbols back in that room. It
+	// preallocates no more than HeaderPrealloc of a size claim, reads
+	// only the symbols it restored in this call (a repeat never reaches
+	// below dst[0]), and gives Decompress's symbols and verdict whatever
+	// dst held before.
+	DecompressTo(dst, data []byte) ([]byte, Stats, error)
 }
 
 // ErrCorrupt reports a malformed or truncated compressed stream.

@@ -17,10 +17,12 @@ import (
 // codec's own whole-slice behavior.
 //
 //   - RoundTripBoundaries: containers at sizes 0, 1, blockSize-1,
-//     blockSize, blockSize+1 and non-multiple tails restore exactly.
+//     blockSize, blockSize+1 and non-multiple tails restore exactly, and
+//     Verify accepts them.
 //   - SeekEquivalence: random (off, len) probes through Slice equal the
 //     corresponding slice of the full decode — the property behind -seek —
-//     on the container and on the same source sealed as one CXA1 frame.
+//     on the container and on the same source sealed as one CXA1 frame;
+//     Verify accepts both.
 //   - JobsDeterminism: jobs 1, 2 and 8 produce byte-identical containers.
 //   - DifferentialWholeSlice: on benchmark-corpus inputs, the block path
 //     restores byte-identically to the codec's whole-slice round trip, and
@@ -54,6 +56,7 @@ func BlockSuite(t *testing.T, name string) {
 			if !bytes.Equal(got, src) {
 				t.Fatalf("%s: n=%d: block round trip mismatch at %d", name, n, firstDiff(got, src))
 			}
+			verifies(t, name, container)
 		}
 	})
 
@@ -82,6 +85,7 @@ func BlockSuite(t *testing.T, name string) {
 			if !bytes.Equal(full, src) {
 				t.Fatalf("%s: %s: full decode mismatch", name, format)
 			}
+			verifies(t, name, sealed)
 			rng := rand.New(rand.NewSource(2015))
 			for probe := 0; probe < blockSuiteProbes; probe++ {
 				off := rng.Intn(len(src) + 1)
@@ -154,6 +158,23 @@ func BlockSuite(t *testing.T, name string) {
 	})
 }
 
+// verifies fails the test unless a reader over sealed, a container that
+// restores, verifies it with the Stats its Decompress reports.
+func verifies(t *testing.T, name string, sealed []byte) {
+	t.Helper()
+	r, err := compress.OpenBlocks(sealed, compress.Limits{})
+	if err != nil {
+		t.Fatalf("%s: OpenBlocks: %v", name, err)
+	}
+	_, want, err := r.Decompress()
+	if err != nil {
+		t.Fatalf("%s: Decompress: %v", name, err)
+	}
+	if got, err := r.Verify(); err != nil || got != want {
+		t.Fatalf("%s: Verify: %v, Stats %+v, want nil and Decompress's %+v", name, err, got, want)
+	}
+}
+
 // RunBlockSuiteAll runs BlockSuite over every registered codec.
 func RunBlockSuiteAll(t *testing.T) {
 	t.Helper()
@@ -174,7 +195,8 @@ func RunBlockSuiteAll(t *testing.T) {
 // untrustworthy store would — per-block bit flips, index tampering with
 // recomputed checksums, block reorder, cross-block truncation — and
 // demands every mutant is rejected with compress.ErrCorrupt, without
-// panics, and without wrong symbols ever returned as success.
+// panics, and without wrong symbols ever returned as success. Verify must
+// reach Decompress's verdict on every mutant that opens.
 func BlockCorruptionSuite(t *testing.T, name string) {
 	t.Helper()
 	const bs = 512
@@ -203,6 +225,11 @@ func BlockCorruptionSuite(t *testing.T, name string) {
 				}
 			}()
 			out, _, err := compress.SafeDecompressAny("", m.data, compress.Limits{})
+			if r, oerr := compress.OpenBlocks(m.data, compress.Limits{}); oerr == nil {
+				if _, verr := r.Verify(); (verr == nil) != (err == nil) || (verr != nil && !errors.Is(verr, compress.ErrCorrupt)) {
+					t.Fatalf("%s/%s: Verify's verdict (%v) differs from Decompress's (%v)", name, m.name, verr, err)
+				}
+			}
 			if err == nil {
 				// As in the single-frame suite, a resealed mutant may touch
 				// only don't-care bits; accepting it is fine iff the restored

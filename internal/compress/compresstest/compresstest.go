@@ -5,6 +5,7 @@ package compresstest
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -159,6 +160,42 @@ func Conformance(t *testing.T, ctor func() compress.Codec) {
 			c.Decompress(in) // must not panic
 		}
 	})
+}
+
+// DecompressToAgrees checks c.DecompressTo against c.Decompress on data in
+// the four ways a caller can hand it a buffer: nil, one with room for the
+// output (whose array the result must then share), one too short, and one
+// with room whose bytes are garbage. Each call must give Decompress's
+// verdict and, on success, its symbols and Stats: no stream may surface a
+// byte the buffer held before.
+func DecompressToAgrees(t *testing.T, c compress.Codec, data []byte) {
+	t.Helper()
+	want, wantSt, wantErr := c.Decompress(data)
+	n := len(want)
+	garbage := func(size int) []byte { return bytes.Repeat([]byte{0xEE}, size) }
+	for _, tc := range []struct {
+		name   string
+		dst    []byte
+		shares bool // the result must live in dst's array
+	}{
+		{"nil", nil, false},
+		{"room", make([]byte, 0, n+16), true},
+		{"short", garbage(n / 2), false},
+		{"garbage", garbage(n + 16), true},
+	} {
+		got, st, err := c.DecompressTo(tc.dst, data)
+		switch {
+		case (err == nil) != (wantErr == nil) || errors.Is(err, compress.ErrCorrupt) != errors.Is(wantErr, compress.ErrCorrupt):
+			t.Fatalf("%s: DecompressTo into %s buffer: error %v, Decompress's %v", c.Name(), tc.name, err, wantErr)
+		case err != nil:
+		case !bytes.Equal(got, want):
+			t.Fatalf("%s: DecompressTo into %s buffer restored other symbols than Decompress (first diff at %d)", c.Name(), tc.name, firstDiff(got, want))
+		case st != wantSt:
+			t.Fatalf("%s: DecompressTo into %s buffer: Stats %+v, Decompress's %+v", c.Name(), tc.name, st, wantSt)
+		case tc.shares && n > 0 && &got[0] != &tc.dst[:1][0]:
+			t.Fatalf("%s: DecompressTo into %s buffer with room for %d symbols restored them elsewhere", c.Name(), tc.name, n)
+		}
+	}
 }
 
 // InstrumentedRoundTrip wraps c with compress.Instrument over a fresh

@@ -18,7 +18,7 @@ import (
 // mutant with an error satisfying errors.Is(err, compress.ErrCorrupt),
 // without panicking and without ever returning wrong symbols as success.
 // The container reader, which opens a frame as its one-block case, must
-// reach the same verdict through both Decompress and Slice(0, Bases()).
+// reach the same verdict through Decompress, Verify and Slice(0, Bases()).
 func CorruptionSuite(t *testing.T, name string) {
 	t.Helper()
 	sources := []struct {
@@ -91,6 +91,8 @@ func CorruptionSuite(t *testing.T, name string) {
 					}
 					out, _, err = r.Decompress()
 					agrees("Decompress", out, err)
+					_, err = r.Verify() // judged with the symbols Decompress restored
+					agrees("Verify", out, err)
 					if r.Bases() > 0 { // Slice(0, 0) reads no block: nothing to refuse
 						out, _, err = r.Slice(0, r.Bases())
 						agrees("Slice", out, err)

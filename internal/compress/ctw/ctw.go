@@ -21,6 +21,7 @@ package ctw
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
@@ -350,6 +351,11 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (c *Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	if len(data) < 1 {
 		return nil, compress.Stats{}, compress.Corruptf("ctw: empty stream")
 	}
@@ -373,7 +379,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	defer trees[0].release()
 	defer trees[1].release()
 	dec := arith.NewDecoder(data[1+used:])
-	out := make([]byte, 0, hint)
+	out := slices.Grow(dst[:0], hint)
 	var ctx uint32
 	ctxMask := uint32(1<<depth) - 1
 	// The trees take turns: each one's context waits on the bit the other

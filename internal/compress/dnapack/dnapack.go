@@ -186,7 +186,12 @@ func (c *Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	r, err := token.NewReader(data, "dnapack", 2)
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (c *Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
+	r, err := token.NewReader(dst, data, "dnapack", 2)
 	if err != nil {
 		return nil, compress.Stats{}, err
 	}

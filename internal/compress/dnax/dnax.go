@@ -172,7 +172,12 @@ func (c *Codec) accept(mt match.Match, pos int) bool {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	r, err := token.NewReader(data, "dnax", c.cfg.LiteralOrder)
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (c *Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
+	r, err := token.NewReader(dst, data, "dnax", c.cfg.LiteralOrder)
 	if err != nil {
 		return nil, compress.Stats{}, err
 	}

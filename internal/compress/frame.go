@@ -84,22 +84,26 @@ func Seal(codecName string, src, payload []byte) []byte {
 // know their count and checksum (a relay re-armoring a stream, or a test
 // constructing a deliberately inconsistent frame).
 func SealSum(codecName string, bases int, outputSum uint32, payload []byte) []byte {
+	return appendFrame(make([]byte, 0, Overhead(codecName)+len(payload)), codecName, bases, outputSum, payload)
+}
+
+// appendFrame appends to dst the frame SealSum returns: the header, then
+// payload. The block engine seals each block's frame straight into its
+// container through it.
+func appendFrame(dst []byte, codecName string, bases int, outputSum uint32, payload []byte) []byte {
 	if len(codecName) == 0 || len(codecName) > maxFrameCodecName {
 		panic("compress: Seal: codec name length out of range")
 	}
-	n := len(codecName)
-	out := make([]byte, frameFixedOverhead+n+len(payload))
-	copy(out[0:4], FrameMagic)
-	out[4] = FrameVersion
-	out[5] = byte(n)
-	copy(out[6:], codecName)
-	binary.BigEndian.PutUint64(out[6+n:], uint64(bases))
-	binary.BigEndian.PutUint64(out[14+n:], uint64(len(payload)))
-	binary.BigEndian.PutUint32(out[22+n:], outputSum)
-	binary.BigEndian.PutUint32(out[26+n:], Checksum(payload))
-	binary.BigEndian.PutUint32(out[30+n:], Checksum(out[:30+n]))
-	copy(out[34+n:], payload)
-	return out
+	h := len(dst)
+	dst = append(dst, FrameMagic...)
+	dst = append(dst, FrameVersion, byte(len(codecName)))
+	dst = append(dst, codecName...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(bases))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, outputSum)
+	dst = binary.BigEndian.AppendUint32(dst, Checksum(payload))
+	dst = binary.BigEndian.AppendUint32(dst, Checksum(dst[h:]))
+	return append(dst, payload...)
 }
 
 // Open parses and validates an armored frame from untrusted bytes: magic,

@@ -25,9 +25,11 @@ import (
 
 // FuzzDecompressAll feeds arbitrary bytes to every registered codec's
 // decompressor: none may panic, loop forever, or allocate absurdly; they
-// either error or produce some output. Run `go test -fuzz FuzzDecompressAll
-// ./internal/compress` for a longer campaign; the seeds below run in plain
-// `go test`.
+// either error or produce some output. Each input is decoded a second time
+// by DecompressTo into a buffer of garbage, which must give the same
+// verdict and bases: no stream may surface a caller's old bytes. Run `go
+// test -fuzz FuzzDecompressAll ./internal/compress` for a longer campaign;
+// the seeds below run in plain `go test`.
 func FuzzDecompressAll(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -76,6 +78,12 @@ func FuzzDecompressAll(f *testing.F) {
 			out, _, err := c.Decompress(data)
 			if err == nil && len(out) > 1<<26 {
 				t.Fatalf("%s: decompressed %d bytes from %d-byte garbage", name, len(out), len(data))
+			}
+			// 0xEE is no symbol, so a garbage byte cannot pass for a base.
+			garbage := bytes.Repeat([]byte{0xEE}, min(len(out), 1<<20)+64)
+			into, _, intoErr := c.DecompressTo(garbage, data)
+			if (intoErr == nil) != (err == nil) || !bytes.Equal(into, out) {
+				t.Fatalf("%s: DecompressTo into garbage gave %d bases, error %v; Decompress gave %d, error %v", name, len(into), intoErr, len(out), err)
 			}
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"slices"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/seq"
@@ -81,7 +82,12 @@ func (c Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 }
 
 // Decompress implements compress.Codec.
-func (Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+func (c Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, compress.Stats{}, compress.Corruptf("gzip: %v", err)
@@ -91,7 +97,7 @@ func (Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	if err != nil {
 		return nil, compress.Stats{}, compress.Corruptf("gzip: %v", err)
 	}
-	out, err := seq.Encode(ascii)
+	out, err := seq.EncodeTo(slices.Grow(dst[:0], len(ascii))[:len(ascii)], ascii)
 	if err != nil {
 		return nil, compress.Stats{}, compress.Corruptf("gzip: payload is not a nucleotide sequence: %v", err)
 	}

@@ -62,10 +62,10 @@ type instrumented struct {
 	dec   opMetrics
 }
 
-// Instrument wraps c so every Compress and Decompress call records call
-// counts, byte volumes, modeled cost and error-taxonomy outcomes into reg
-// (nil means the default registry). Wrapping an already-instrumented codec
-// returns it unchanged to avoid double counting.
+// Instrument wraps c so every Compress, Decompress and DecompressTo call
+// records call counts, byte volumes, modeled cost and error-taxonomy
+// outcomes into reg (nil means the default registry). Wrapping an
+// already-instrumented codec returns it unchanged to avoid double counting.
 func Instrument(reg *obs.Registry, c Codec) Codec {
 	if c == nil {
 		return nil
@@ -89,7 +89,11 @@ func (w *instrumented) Compress(src []byte) ([]byte, Stats, error) {
 }
 
 func (w *instrumented) Decompress(data []byte) ([]byte, Stats, error) {
-	out, st, err := w.inner.Decompress(data)
+	return w.DecompressTo(nil, data)
+}
+
+func (w *instrumented) DecompressTo(dst, data []byte) ([]byte, Stats, error) {
+	out, st, err := w.inner.DecompressTo(dst, data)
 	w.dec.observe(len(data), len(out), st, err)
 	return out, st, err
 }

@@ -24,10 +24,14 @@ func (s stubCodec) Compress(src []byte) ([]byte, Stats, error) {
 }
 
 func (s stubCodec) Decompress(data []byte) ([]byte, Stats, error) {
+	return s.DecompressTo(nil, data)
+}
+
+func (s stubCodec) DecompressTo(dst, data []byte) ([]byte, Stats, error) {
 	if s.decompressErr != nil {
 		return nil, Stats{}, s.decompressErr
 	}
-	return append([]byte(nil), data...), Stats{WorkNS: 1_000_000, PeakMem: 512}, nil
+	return append(dst[:0], data...), Stats{WorkNS: 1_000_000, PeakMem: 512}, nil
 }
 
 func counterValue(t *testing.T, reg *obs.Registry, name string, labels ...string) uint64 {

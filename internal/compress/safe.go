@@ -75,6 +75,13 @@ func (l Limits) effective() (maxCompressed, maxOutput int) {
 // mismatch — satisfies errors.Is(err, ErrCorrupt), so callers classify
 // hostile input with one check and never crash on it.
 func SafeDecompress(name string, data []byte, lim Limits) ([]byte, Stats, error) {
+	return safeDecompress(nil, name, data, lim)
+}
+
+// safeDecompress is SafeDecompress restoring into dst[:0]'s backing array
+// through Codec.DecompressTo: the one decode path of every frame and
+// every block.
+func safeDecompress(dst []byte, name string, data []byte, lim Limits) ([]byte, Stats, error) {
 	maxCompressed, maxOutput := lim.effective()
 	fr, err := Open(data)
 	if err != nil {
@@ -93,7 +100,7 @@ func SafeDecompress(name string, data []byte, lim Limits) ([]byte, Stats, error)
 	if err != nil {
 		return nil, Stats{}, Corruptf("frame records unknown codec %q", fr.Codec)
 	}
-	out, st, err := decompressRecovering(codec, fr.Payload)
+	out, st, err := decompressRecovering(codec, dst, fr.Payload)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			return nil, Stats{}, err
@@ -109,16 +116,16 @@ func SafeDecompress(name string, data []byte, lim Limits) ([]byte, Stats, error)
 	return out, st, nil
 }
 
-// decompressRecovering runs codec.Decompress with panic containment: a
+// decompressRecovering runs codec.DecompressTo with panic containment: a
 // decoder tripped up by bytes the checksums could not rule out (a hostile
 // frame with internally consistent checksums) surfaces as ErrCorrupt
 // instead of crashing the receiving process.
-func decompressRecovering(codec Codec, payload []byte) (out []byte, st Stats, err error) {
+func decompressRecovering(codec Codec, dst, payload []byte) (out []byte, st Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, st = nil, Stats{}
 			err = Corruptf("codec %s panicked: %v", codec.Name(), r)
 		}
 	}()
-	return codec.Decompress(payload)
+	return codec.DecompressTo(dst, payload)
 }

@@ -34,6 +34,7 @@ package token
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -189,8 +190,11 @@ type Reader struct {
 
 // NewReader parses the header of data, a stream whose literals go through
 // an order-order context model, for the codec named name, the prefix of
-// every error the Reader returns.
-func NewReader(data []byte, name string, order int) (*Reader, error) {
+// every error the Reader returns. Out restores into dst[:0]'s backing
+// array, grown to HeaderPrealloc of the header's count if it has less
+// room, then by append: a repeat's source indexes Out, so it never
+// reaches a byte of dst that this stream did not restore.
+func NewReader(dst, data []byte, name string, order int) (*Reader, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, compress.Corruptf("%s: bad length header", name)
@@ -200,7 +204,7 @@ func NewReader(data []byte, name string, order int) (*Reader, error) {
 	}
 	return &Reader{
 		models: newModels(order),
-		Out:    make([]byte, 0, compress.HeaderPrealloc(n)),
+		Out:    slices.Grow(dst[:0], compress.HeaderPrealloc(n)),
 		name:   name,
 		dec:    arith.NewDecoder(data[used:]),
 		n:      n,

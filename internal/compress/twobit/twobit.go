@@ -43,7 +43,12 @@ func (Codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 }
 
 // Decompress implements compress.Codec.
-func (Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+func (c Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, compress.Stats{}, compress.Corruptf("twobit: bad length header")
@@ -51,7 +56,7 @@ func (Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	if n > uint64(len(data))*4 {
 		return nil, compress.Stats{}, compress.Corruptf("twobit: declared %d bases exceeds payload", n)
 	}
-	out, err := seq.Unpack(data[used:], int(n))
+	out, err := seq.Unpack(dst, data[used:], int(n))
 	if err != nil {
 		return nil, compress.Stats{}, compress.Corruptf("twobit: %v", err)
 	}

@@ -24,6 +24,7 @@ package xm
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"github.com/srl-nuces/ctxdna/internal/arith"
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -331,6 +332,11 @@ func decodeSym(dec *arith.Decoder, dist *[4]float64) byte {
 
 // Decompress implements compress.Codec.
 func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+
+// DecompressTo implements compress.Codec.
+func (c *Codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	nBases, used := binary.Uvarint(data)
 	if used <= 0 {
 		return nil, compress.Stats{}, compress.Corruptf("xm: bad length header")
@@ -342,7 +348,7 @@ func (c *Codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
 	// it; the panel grows with symbols actually decoded.
 	p := newPanel(c.cfg, compress.HeaderPrealloc(nBases))
 	dec := arith.NewDecoder(data[used:])
-	out := make([]byte, 0, compress.HeaderPrealloc(nBases))
+	out := slices.Grow(dst[:0], compress.HeaderPrealloc(nBases))
 	var dist [4]float64
 	for uint64(len(out)) < nBases {
 		p.mix(&dist)

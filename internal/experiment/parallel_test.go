@@ -39,11 +39,15 @@ func (s stubCodec) Compress(src []byte) ([]byte, compress.Stats, error) {
 }
 
 func (s stubCodec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return s.DecompressTo(nil, data)
+}
+
+func (s stubCodec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 || int(n) != len(data)-k {
 		return nil, compress.Stats{}, compress.ErrCorrupt
 	}
-	return append([]byte(nil), data[k:]...), compress.Stats{WorkNS: 1000, PeakMem: 1024}, nil
+	return append(dst[:0], data[k:]...), compress.Stats{WorkNS: 1000, PeakMem: 1024}, nil
 }
 
 func init() {

@@ -6,9 +6,10 @@ import (
 )
 
 // AllocGuard generalizes the CXB1 hostile-header discipline: a decoded
-// size field is an attacker's claim, and `make` must never size an
-// allocation from a claim that no comparison has bounded. The canonical
-// in-repo shape is OpenBlocks' `count > uint64(avail/12)` check before
+// size field is an attacker's claim, and neither `make` nor `slices.Grow`
+// (how a decoder sizes the caller's buffer) may size an allocation from a
+// claim that no comparison has bounded. The canonical in-repo shape is
+// OpenBlocks' `count > uint64(avail/12)` check before
 // `make([]BlockEntry, count)` — the claim is compared against the bytes
 // actually present. The other sanctioned shapes are clamping through
 // compress.HeaderPrealloc (or the min builtin) and growing incrementally
@@ -16,8 +17,9 @@ import (
 // proportion to work actually done.
 var AllocGuard = &Analyzer{
 	Name: "allocguard",
-	Doc: `flags make() calls whose length or capacity derives from a decoded
-header field (encoding/binary reads, fib.Decode) with no dominating bound:
+	Doc: `flags make() and slices.Grow calls whose length, capacity or
+growth derives from a decoded header field (encoding/binary reads,
+fib.Decode) with no dominating bound:
 no comparison of the value against a limit, no min()/compress.HeaderPrealloc
 clamp. Hostile-size claims must be checked against the bytes actually
 present before memory is committed (cf. OpenBlocks' count≤avail/12).
@@ -68,16 +70,20 @@ func runAllocGuard(pass *Pass) {
 					if !ok {
 						return
 					}
-					id, ok := unparen(call.Fun).(*ast.Ident)
-					if !ok {
-						return
+					sink := ""
+					if isPkgFunc(calleeFunc(pass.Info, call), "slices", "Grow") {
+						sink = "slices.Grow"
+					} else if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+						if b, ok := pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
+							sink = "make()"
+						}
 					}
-					if b, ok := pass.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
+					if sink == "" {
 						return
 					}
 					for _, arg := range call.Args[1:] {
 						if tainted(arg) {
-							pass.Reportf(call.Pos(), "make() sized by a decoded header field with no dominating bound check; compare the claim against the bytes actually present (cf. OpenBlocks count≤avail/12) or clamp with compress.HeaderPrealloc and grow by append")
+							pass.Reportf(call.Pos(), "%s sized by a decoded header field with no dominating bound check; compare the claim against the bytes actually present (cf. OpenBlocks count≤avail/12) or clamp with compress.HeaderPrealloc and grow by append", sink)
 							break
 						}
 					}

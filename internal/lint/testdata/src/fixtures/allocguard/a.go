@@ -1,10 +1,11 @@
 // Package allocguard is a dnalint fixture for the hostile-header
-// allocation discipline: make() must never be sized by a decoded header
-// field that no comparison has bounded.
+// allocation discipline: neither make() nor slices.Grow may be sized by a
+// decoded header field that no comparison has bounded.
 package allocguard
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
 )
@@ -42,6 +43,30 @@ func viaLocals(data []byte) []byte {
 func clamped(data []byte) []byte {
 	claim, _ := binary.Uvarint(data)
 	return make([]byte, 0, compress.HeaderPrealloc(claim)) // ok: clamped
+}
+
+// grownUnguarded grows a caller's buffer by the claim: a decoder restoring
+// into dst commits the claim's memory as surely as make would.
+func grownUnguarded(dst, data []byte) []byte {
+	claim, _ := binary.Uvarint(data)
+	return slices.Grow(dst[:0], int(claim)) // want `slices.Grow sized by a decoded header field`
+}
+
+// grownClamped is the decoders' shape: the caller's buffer grows to the
+// clamped claim at most, then by append.
+func grownClamped(dst, data []byte) []byte {
+	claim, _ := binary.Uvarint(data)
+	return slices.Grow(dst[:0], compress.HeaderPrealloc(claim)) // ok: clamped
+}
+
+// grownGuarded bounds the claim by the bytes present first, as twobit's
+// header check does: the payload holds every claimed base.
+func grownGuarded(dst, data []byte) []byte {
+	claim, _ := binary.Uvarint(data)
+	if claim > uint64(len(data))*4 {
+		return nil
+	}
+	return slices.Grow(dst[:0], int(claim)) // ok: claim bounded by the bytes present
 }
 
 // minClamped uses the builtin min bound.

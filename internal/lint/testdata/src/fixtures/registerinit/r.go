@@ -10,8 +10,11 @@ func (codec) Name() string { return "fixturecodec" }
 func (codec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	return src, compress.Stats{}, nil
 }
-func (codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	return data, compress.Stats{}, nil
+func (c codec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+func (codec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
+	return append(dst[:0], data...), compress.Stats{}, nil
 }
 
 func init() {

@@ -18,6 +18,8 @@ type rawCodec struct{}
 
 func (rawCodec) Decompress(data []byte) ([]byte, error) { return data, nil }
 
+func (rawCodec) DecompressTo(dst, data []byte) ([]byte, error) { return append(dst[:0], data...), nil }
+
 func rawFromStore(store cloud.Store) ([]byte, error) {
 	blob, err := store.Get("c", "b")
 	if err != nil {
@@ -25,6 +27,17 @@ func rawFromStore(store cloud.Store) ([]byte, error) {
 	}
 	var c rawCodec
 	return c.Decompress(blob) // want `untrusted bytes reach a raw Decompress`
+}
+
+// intoBuffer proves the entry point that restores into a caller's buffer
+// is a raw decode, as Decompress is.
+func intoBuffer(store cloud.Store) ([]byte, error) {
+	blob, err := store.Get("c", "b")
+	if err != nil {
+		return nil, err
+	}
+	var c rawCodec
+	return c.DecompressTo(nil, blob) // want `untrusted bytes reach a raw DecompressTo`
 }
 
 func safeFromStore(store cloud.Store) ([]byte, error) {

@@ -18,7 +18,8 @@ var UntrustedFlow = &Analyzer{
 results, a GetRange or GetRangeCtx through any interface, os.ReadFile,
 io.ReadAll and serve.ReadBody input, []byte parameters) through
 assignments, appends, slices and branches, and flags flows into a raw
-Decompress call or into make() sizing without an intervening bound check.
+Decompress or DecompressTo call or into make() sizing without an
+intervening bound check.
 Sanctioned sinks: compress.SafeDecompress, SafeDecompressAny, Open,
 OpenBlocks, OpenBlocksObserved, OpenBlockIndex. Scope: internal/cloud,
 internal/serve and cmd/.`,
@@ -95,10 +96,10 @@ func runUntrustedFlow(pass *Pass) {
 					if !ok {
 						return
 					}
-					if fn := calleeFunc(pass.Info, call); fn != nil && fn.Name() == "Decompress" {
+					if fn := calleeFunc(pass.Info, call); fn != nil && (fn.Name() == "Decompress" || fn.Name() == "DecompressTo") {
 						for _, arg := range call.Args {
 							if tainted(arg) {
-								pass.Reportf(call.Pos(), "untrusted bytes reach a raw Decompress; decode through compress.SafeDecompress/SafeDecompressAny (or OpenBlocks for either container format) so size limits, codec pinning and panic containment apply")
+								pass.Reportf(call.Pos(), "untrusted bytes reach a raw %s; decode through compress.SafeDecompress/SafeDecompressAny (or OpenBlocks for either container format) so size limits, codec pinning and panic containment apply", fn.Name())
 								break
 							}
 						}

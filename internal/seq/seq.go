@@ -10,6 +10,7 @@ package seq
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Nucleotide symbol codes. The complement of code c is 3-c, which makes
@@ -56,18 +57,26 @@ func Base(code byte) byte { return codeToBase[code&3] }
 // Complement returns the complementary symbol code.
 func Complement(code byte) byte { return 3 - (code & 3) }
 
-// Encode converts an ASCII sequence to symbol codes. It fails on the first
-// non-ACGT character; use Clean to strip such characters instead.
+// Encode converts an ASCII sequence to symbol codes, in a new buffer. It
+// fails on the first non-ACGT character; use Clean to strip such
+// characters instead.
 func Encode(ascii []byte) ([]byte, error) {
-	out := make([]byte, len(ascii))
+	return EncodeTo(make([]byte, len(ascii)), ascii)
+}
+
+// EncodeTo is Encode writing the codes into dst, which must be at least as
+// long, and returning dst[:len(ascii)]. dst may be ascii itself: the
+// conversion is then in place.
+func EncodeTo(dst, ascii []byte) ([]byte, error) {
+	dst = dst[:len(ascii)]
 	for i, b := range ascii {
 		c := baseToCode[b]
 		if c == 0xFF {
 			return nil, fmt.Errorf("%w: %q at offset %d", ErrInvalidBase, b, i)
 		}
-		out[i] = c
+		dst[i] = c
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Decode converts symbol codes back to upper-case ASCII, in a new buffer.
@@ -116,12 +125,13 @@ func Pack(codes []byte) []byte {
 	return out
 }
 
-// Unpack expands n symbols from packed 2-bit form.
-func Unpack(packed []byte, n int) ([]byte, error) {
+// Unpack expands n symbols from packed 2-bit form into dst[:0]'s backing
+// array, or a new one if it has less room.
+func Unpack(dst, packed []byte, n int) ([]byte, error) {
 	if need := (n + 3) / 4; need > len(packed) {
 		return nil, fmt.Errorf("seq: packed buffer holds %d bytes, need %d for %d bases", len(packed), need, n)
 	}
-	out := make([]byte, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	UnpackAt(out, packed, 0)
 	return out, nil
 }

@@ -99,7 +99,7 @@ func TestPackUnpack(t *testing.T) {
 		if want := (n + 3) / 4; len(packed) != want {
 			t.Fatalf("n=%d: packed length %d, want %d", n, len(packed), want)
 		}
-		got, err := Unpack(packed, n)
+		got, err := Unpack(nil, packed, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -119,7 +119,7 @@ func TestPackUnpack(t *testing.T) {
 }
 
 func TestUnpackShortBuffer(t *testing.T) {
-	if _, err := Unpack([]byte{0}, 5); err == nil {
+	if _, err := Unpack(nil, []byte{0}, 5); err == nil {
 		t.Fatal("Unpack accepted short buffer")
 	}
 }
@@ -169,7 +169,7 @@ func TestQuickPackUnpack(t *testing.T) {
 		for i, b := range raw {
 			codes[i] = b & 3
 		}
-		got, err := Unpack(Pack(codes), len(codes))
+		got, err := Unpack(nil, Pack(codes), len(codes))
 		return err == nil && bytes.Equal(got, codes)
 	}
 	if err := quick.Check(f, nil); err != nil {

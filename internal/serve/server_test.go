@@ -495,8 +495,11 @@ func (gateCodec) Name() string { return "gatetest" }
 func (gateCodec) Compress(src []byte) ([]byte, compress.Stats, error) {
 	return append([]byte(nil), src...), compress.Stats{}, nil
 }
-func (gateCodec) Decompress(data []byte) ([]byte, compress.Stats, error) {
-	return append([]byte(nil), data...), compress.Stats{}, nil
+func (c gateCodec) Decompress(data []byte) ([]byte, compress.Stats, error) {
+	return c.DecompressTo(nil, data)
+}
+func (gateCodec) DecompressTo(dst, data []byte) ([]byte, compress.Stats, error) {
+	return append(dst[:0], data...), compress.Stats{}, nil
 }
 
 var gateOnce sync.Once
