@@ -93,7 +93,8 @@ bench-smoke:
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block
 # case, single CXA1 frames; FuzzBlockIndexOpen the header-and-index open a
-# range read starts with, on any prefix and declared size), any
+# range read starts with, on any prefix and declared size, and every whole
+# container with its frames attached one block at a time), any
 # repeat-token list that a repeat codec
 # decodes other than a plain interpreter does (FuzzRepeatTokens), any
 # drift of the range decoder or its literal
@@ -139,9 +140,11 @@ serve:
 # chaos tests under -race, run twice in one process to prove the seeded
 # fault schedules, retry backoff and shard kills reproduce exactly (same
 # seed => byte-identical reports, golden digest included), and the fleet's
-# ranged reads with them: pinned reads, which take their span from one
-# replica, checked against unpinned ones on random fleets with stale
-# replicas (TestFleetPinnedReadsMatchQuorumRead).
+# reads with them: pinned reads checked against unpinned ones on random
+# fleets with stale replicas (TestFleetPinnedReadsMatchQuorumRead), and
+# every quorum read, which takes its bytes from one replica, checked
+# against a reference read of every replica in full, bytes moved included
+# (TestFleetReadsMatchReference).
 chaos:
 	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff|Fleet'
 

@@ -8,7 +8,6 @@ package arith
 // BioCompress-2, DNAPack and DNAX in the paper's Table 1. Symbols are coded
 // through it by Encoder.EncodeLiterals and Decoder.DecodeLiterals.
 type SymbolModel struct {
-	order int
 	mask  uint32
 	ctx   uint32
 	probs []Prob // 3 models per context, laid out contiguously
@@ -23,14 +22,10 @@ func NewSymbolModel(order int) *SymbolModel {
 	}
 	nCtx := 1 << (2 * order)
 	return &SymbolModel{
-		order: order,
 		mask:  uint32(nCtx - 1),
 		probs: NewProbSlice(nCtx * 3),
 	}
 }
-
-// Order reports the model order.
-func (m *SymbolModel) Order() int { return m.order }
 
 // MemoryFootprint returns the approximate resident size of the model tables
 // in bytes, used by the metrics layer for RAM accounting.

@@ -34,10 +34,11 @@ type BlockExchangeReport struct {
 // deterministic for any job count) and ship it as 1 + c BLOBs — the
 // container's header+index as "<blob>.cxb1" and block k's armored frame as
 // "<blob>.bNNNNNN" — through a bounded transfer pool, so blocks move
-// concurrently instead of as one monolithic stream. The Azure VM
-// reassembles the container byte-for-byte and restores it through the
-// validated block open path (per-block hardened decode plus the
-// whole-output checksum). Each BLOB gets its own retry schedule, so a
+// concurrently instead of as one monolithic stream. The Azure VM opens
+// the manifest as the container's header and index, attaches each fetched
+// block BLOB as its block's frame without joining them, and verifies the
+// container through the validated block path (per-block hardened decode
+// plus the whole-output checksum). Each BLOB gets its own retry schedule, so a
 // transient fault on one block never re-uploads the others; traces are
 // reported in manifest-then-block-index order regardless of transfer
 // interleaving, keeping reports reproducible under any concurrency.
@@ -56,23 +57,21 @@ func ExchangeBlocks(ctx context.Context, client VM, store Store, codecName strin
 		if err != nil {
 			return nil, cst, fmt.Errorf("cloud: sealed container does not open: %w", err)
 		}
-		index := rd.Index()
-		rep.Blocks = len(index)
+		rep.Blocks = rd.Blocks()
 		rep.ContainerBytes = len(container)
-		// Slice the container into its wire pieces: manifest (header+index),
-		// then one frame per block.
-		pos := len(container)
-		for _, e := range index {
-			pos -= e.Length
-			rep.CompressedBytes += e.Length - compress.Overhead(codecName)
-		}
+		// The wire pieces come from the reader's frame table: the manifest
+		// (header+index), then one frame per block.
 		manifest := blob + ".cxb1"
-		pieces := []piece{{blob: manifest, tag: ":" + manifest, data: container[:pos]}}
-		for k, e := range index {
+		pieces := make([]piece, 1, 1+rd.Blocks())
+		head := len(container)
+		for k := range rd.Blocks() {
+			frame := rd.Frame(k)
+			head -= len(frame)
+			rep.CompressedBytes += len(frame) - compress.Overhead(codecName)
 			name := fmt.Sprintf("%s.b%06d", blob, k)
-			pieces = append(pieces, piece{blob: name, tag: ":" + name, data: container[pos : pos+e.Length]})
-			pos += e.Length
+			pieces = append(pieces, piece{blob: name, tag: ":" + name, data: frame})
 		}
+		pieces[0] = piece{blob: manifest, tag: ":" + manifest, data: container[:head]}
 		return pieces, cst, nil
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/obs"
 )
 
 // TestExchangeBlocksRoundTripPlainStore: block-mode exchange over a reliable
@@ -155,6 +156,65 @@ func TestExchangeBlocksDetectsTamperedBlock(t *testing.T) {
 	})
 	if !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("tampered block delivered %v, want ErrCorrupt", err)
+	}
+}
+
+// alteringStore changes what Get returns, as a transfer that cuts,
+// lengthens or swaps pieces would: a Get of a blob in from returns the
+// named blob's bytes instead, and a blob in edit then has its bytes
+// edited.
+type alteringStore struct {
+	Store
+	from map[string]string
+	edit map[string]func([]byte) []byte
+}
+
+func (s alteringStore) Get(container, blob string) ([]byte, error) {
+	name := blob
+	if from, ok := s.from[blob]; ok {
+		name = from
+	}
+	data, err := s.Store.Get(container, name)
+	if edit := s.edit[blob]; err == nil && edit != nil {
+		data = edit(data)
+	}
+	return data, err
+}
+
+// TestExchangeBlocksRejectsAlteredPieces: the receiver attaches each piece
+// it fetched as its block's frame, so a block piece one byte short or
+// long, a manifest with trailing bytes, or two pieces swapped must each
+// fail the exchange as compress.ErrCorrupt, and each is counted as a
+// corrupt exchange.
+func TestExchangeBlocksRejectsAlteredPieces(t *testing.T) {
+	const manifest, block0, block1, block2 = "seq.cxb1", "seq.b000000", "seq.b000001", "seq.b000002"
+	cut := func(b []byte) []byte { return b[:len(b)-1] }
+	extend := func(b []byte) []byte { return append(b, 0) }
+	cases := []struct {
+		name  string
+		store alteringStore
+	}{
+		{"block one byte short", alteringStore{edit: map[string]func([]byte) []byte{block1: cut}}},
+		{"block one byte long", alteringStore{edit: map[string]func([]byte) []byte{block1: extend}}},
+		{"manifest with trailing bytes", alteringStore{edit: map[string]func([]byte) []byte{manifest: extend}}},
+		{"two blocks swapped", alteringStore{from: map[string]string{block1: block2, block2: block1}}},
+		{"manifest and block swapped", alteringStore{from: map[string]string{manifest: block0, block0: manifest}}},
+	}
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
+	corrupt := reg.Counter("dna_exchange_corrupt_total", "Exchanges that delivered a corrupt frame.")
+	for i, tc := range cases {
+		tc.store.Store = NewBlobStore()
+		_, err := ExchangeBlocks(ctx, chaosClient, tc.store, "dnax", symbols(2048, 18), BlockExchangeOptions{
+			ExchangeOptions: ExchangeOptions{Blob: "seq"},
+			Block:           compress.BlockOptions{BlockSize: 400},
+		})
+		if !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("%s: exchange returned %v, want ErrCorrupt", tc.name, err)
+		}
+		if got := corrupt.Value(); got != uint64(i+1) {
+			t.Errorf("%s: dna_exchange_corrupt_total is %d after %d corrupt exchanges", tc.name, got, i+1)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -171,8 +170,8 @@ type packFunc func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]
 // exchange is the one pipeline behind Exchange and ExchangeBlocks. After
 // pack it moves every piece through a transfer pool of at most jobs
 // workers, each piece under its own retry schedule, charges each piece's
-// modeled transfer once per attempt, reassembles the pieces in order and
-// restores them through the one container reader, which opens a CXA1
+// modeled transfer once per attempt, and restores the pieces in order
+// through the one container reader (openPieces), which opens a CXA1
 // frame as its one-block case and verifies either format from its own
 // checksums.
 func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, jobs int, pack packFunc) (rep BlockExchangeReport, err error) {
@@ -257,25 +256,29 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 	if err != nil {
 		return rep, fmt.Errorf("cloud: download: %w", err)
 	}
-	received := bytes.Join(fetched, nil)
-	reg.Counter("dna_exchange_down_bytes_total", "Frame bytes downloaded (successful GETs).").Add(uint64(len(received)))
+	received := 0
+	for _, p := range fetched {
+		received += len(p)
+	}
+	reg.Counter("dna_exchange_down_bytes_total", "Frame bytes downloaded (successful GETs).").Add(uint64(received))
 
 	// The receiving VM restores and verifies from the received bytes alone:
 	// header, index and payload checksums, contained codec execution, and
 	// the restored output's length and checksum. No source bytes are
-	// consulted. It never hands the bases on, so it verifies block by
-	// block (Verify) and holds one block of them at a time. The reader
-	// books its block counters into reg.
+	// consulted. It holds the pieces as they were fetched (openPieces),
+	// never hands the bases on, so it verifies block by block (Verify) and
+	// holds one block of them at a time. The reader books its block
+	// counters into reg.
 	var restored int
 	var dst compress.Stats
-	rd, err := compress.OpenBlocksObserved(reg, received, opts.Limits)
+	rd, err := openPieces(reg, fetched, opts.Limits)
 	if err == nil && rd.Codec() != codecName {
 		err = compress.Corruptf("container records codec %q, want %q", rd.Codec(), codecName)
 	} else if err == nil {
 		dst, err = rd.Verify()
 		restored = rd.Bases()
 	}
-	compress.ObserveDecompress(reg, codecName, len(received), restored, dst, err)
+	compress.ObserveDecompress(reg, codecName, received, restored, dst, err)
 	if err != nil {
 		return rep, fmt.Errorf("cloud: decompress: %w", err)
 	}
@@ -289,6 +292,29 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 		}
 	}
 	return rep, nil
+}
+
+// openPieces opens the pieces an exchange fetched without joining them:
+// the first must be exactly the header and index (a CXA1 frame is its
+// own), and piece k+1 is attached as block k's frame.
+func openPieces(reg *obs.Registry, pieces [][]byte, lim compress.Limits) (*compress.BlockReader, error) {
+	need, err := compress.BlockIndexLen(pieces[0], lim)
+	if err != nil {
+		return nil, err
+	}
+	if need != len(pieces[0]) {
+		return nil, compress.Corruptf("blocks: manifest is %d bytes, its header and index %d", len(pieces[0]), need)
+	}
+	rd, err := compress.OpenBlockIndex(reg, pieces[0], lim)
+	if err != nil {
+		return nil, err
+	}
+	for k, frame := range pieces[1:] {
+		if err := rd.AttachFrame(k, frame); err != nil {
+			return nil, err
+		}
+	}
+	return rd, nil
 }
 
 // transferMS charges each piece's modeled transfer once per attempt: a

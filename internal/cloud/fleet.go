@@ -765,7 +765,8 @@ func (f *Fleet) PutCtx(ctx context.Context, container, blob string, data []byte)
 
 // Get reads the blob with quorum-preferred failover: replicas are tried in
 // ring preference order until ReadQuorum validated responses arrive, and
-// the newest version wins. If quorum is unreachable but at least one
+// the newest version wins, read in full from one replica (quorumRead).
+// If quorum is unreachable but at least one
 // replica answered, the read still succeeds (replica payloads are
 // self-verifying armored frames) and is counted as a degraded read. The
 // blob is unavailable only when every replica's shard failed: all-miss is
@@ -806,22 +807,15 @@ func (f *Fleet) GetRange(container, blob string, off, n int) ([]byte, error) {
 // quorum holds is another, it fails with ErrVersionMoved (and returns the
 // version it found). Two ranged reads of one blob, the second pinned to
 // the version the first returned, therefore see one write, never parts of
-// two. A pinned read takes the span from one replica, the first that
-// reads it untorn at the pin. A span is returned only at the pin, so each
-// further replica the quorum needs sends only its version header. Traced
-// as "fleet.getrange" with "fleet.replica.getrange" children.
+// two. Like every quorum read, it takes the span from one replica
+// (quorumRead). Traced as "fleet.getrange" with "fleet.replica.getrange"
+// children.
 func (f *Fleet) GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error) {
 	if off < 0 || n < 0 || off > math.MaxInt-binary.MaxVarintLen64 || n > math.MaxInt-binary.MaxVarintLen64 {
 		return nil, 0, fmt.Errorf("cloud: range [%d, +%d) of blob %q is out of bounds", off, n, blob)
 	}
-	spanRead := false
 	rr, err := f.quorumRead(ctx, "getrange", container, blob, pin, func(st Store) (replicaRead, error, error) {
-		if spanRead {
-			return readEnvelopeVersion(st, container, blob)
-		}
-		rr, envErr, err := readEnvelopeRange(st, container, blob, off, n)
-		spanRead = pin != 0 && err == nil && envErr == nil && rr.ver == pin && !rr.torn
-		return rr, envErr, err
+		return readEnvelopeRange(st, container, blob, off, n)
 	})
 	return rr.data, rr.ver, err
 }
@@ -875,7 +869,7 @@ func readEnvelopeRange(st Store, container, blob string, off, n int) (replicaRea
 
 // readEnvelopeVersion reads only one replica's version header, in one
 // store op of binary.MaxVarintLen64 bytes: the answer of a replica whose
-// span a pinned read already holds from another.
+// bytes a quorum read already holds from another.
 func readEnvelopeVersion(st Store, container, blob string) (replicaRead, error, error) {
 	hdr, err := st.GetRange(container, blob, 0, binary.MaxVarintLen64)
 	if err != nil {
@@ -885,13 +879,16 @@ func readEnvelopeVersion(st Store, container, blob string) (replicaRead, error, 
 	return replicaRead{ver: ver, moved: len(hdr)}, perr, nil
 }
 
-// quorumRead is the read loop of Get and GetRange: read tries replicas in
+// quorumRead is the read loop of Get and GetRange: it tries replicas in
 // ring preference order until ReadQuorum of them answer, and the newest
-// version wins, an untorn read of it over a torn one. A read pinned to a
-// version (pin != 0) that is not the winner, or a torn winner, fails with
-// ErrVersionMoved. Below quorum, one answer still serves the read as a
-// degraded read; with none, a read quorum of misses is ErrNotFound and
-// anything else a *DegradedError. Spans and metrics are labeled op.
+// version wins, an untorn read of it over a torn one. Its bytes come from
+// one replica, the first read untorn (at the pin, if pin != 0); each
+// further replica sends only its version header, and one whose header is
+// newer is read in full and takes over. A read pinned to a version that
+// is not the winner, or a torn winner, fails with ErrVersionMoved. Below
+// quorum, one answer still serves the read as a degraded read; with none,
+// a read quorum of misses is ErrNotFound and anything else a
+// *DegradedError. Spans and metrics are labeled op.
 func (f *Fleet) quorumRead(ctx context.Context, op, container, blob string, pin uint64, read func(Store) (replicaRead, error, error)) (replicaRead, error) {
 	reps := f.replicaShards(container, blob)
 	ctx, span := obs.Start(ctx, "fleet."+op)
@@ -911,13 +908,22 @@ func (f *Fleet) quorumRead(ctx context.Context, op, container, blob string, pin 
 			rr     replicaRead
 			envErr error
 		)
+		sourced := successes > 0 && !best.torn && (pin == 0 || best.ver == pin)
 		err := func() error {
 			_, rspan := obs.Start(ctx, "fleet.replica."+op)
 			defer rspan.End()
 			rspan.SetAttr("shard", sh.spec.Name)
 			gerr := f.shardOp(sh, op, 0, func(st Store) error {
 				var serr error
+				if sourced {
+					rr, envErr, serr = readEnvelopeVersion(st, container, blob)
+					if serr != nil || envErr != nil || rr.ver <= best.ver {
+						return serr
+					}
+				}
+				hdr := rr.moved
 				rr, envErr, serr = read(st)
+				rr.moved += hdr
 				return serr
 			})
 			rspan.SetAttr("outcome", replicaOutcome(gerr))

@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -266,4 +267,215 @@ func TestFleetPinnedReadsMatchQuorumRead(t *testing.T) {
 	if served == 0 || moved == 0 || staleLed == 0 {
 		t.Errorf("pinned reads served %d (%d after a stale replica took the lead), moved %d: want each above 0", served, staleLed, moved)
 	}
+}
+
+// readWhole reads one replica's whole version envelope.
+func readWhole(blob string) func(Store) (replicaRead, error, error) {
+	return func(st Store) (replicaRead, error, error) {
+		env, err := st.Get("c", blob)
+		if err != nil {
+			return replicaRead{}, nil, err
+		}
+		ver, payload, perr := openVersion(env)
+		return replicaRead{ver: ver, data: payload, moved: len(env)}, perr, nil
+	}
+}
+
+// referenceRead is a quorum read that reads every replica it tries in
+// full: the loop every fleet read ran before reads took their bytes from
+// one replica. It tries the same replicas through the same shard ops, in
+// preference order, until a read quorum answers, and the newest version
+// wins, an untorn read of it over a torn one.
+func referenceRead(f *Fleet, blob string, pin uint64, read func(Store) (replicaRead, error, error)) (replicaRead, error) {
+	var best replicaRead
+	var successes, misses, failures int
+	for _, sh := range f.replicaShards("c", blob) {
+		var (
+			rr     replicaRead
+			envErr error
+		)
+		err := f.shardOp(sh, "reference", 0, func(st Store) error {
+			var serr error
+			rr, envErr, serr = read(st)
+			return serr
+		})
+		switch {
+		case err == nil && envErr != nil:
+			failures++
+		case err == nil:
+			if successes++; successes == 1 || rr.ver > best.ver || rr.ver == best.ver && best.torn {
+				best = rr
+			}
+		case errors.Is(err, ErrNotFound):
+			misses++
+		default:
+			failures++
+		}
+		if successes >= f.cfg.ReadQuorum {
+			break
+		}
+	}
+	switch {
+	case successes > 0 && (best.torn || pin != 0 && best.ver != pin):
+		return replicaRead{ver: best.ver}, ErrVersionMoved
+	case successes > 0:
+		return best, nil
+	case misses >= f.cfg.ReadQuorum, failures == 0:
+		return replicaRead{}, ErrNotFound
+	default:
+		return replicaRead{}, &DegradedError{Op: "reference", Blob: blob}
+	}
+}
+
+// readClass is outcomeClass with a moved version told apart.
+func readClass(err error) string {
+	if errors.Is(err, ErrVersionMoved) {
+		return "moved"
+	}
+	return outcomeClass(err)
+}
+
+// countingStore is a shard store that totals the bytes its reads return.
+type countingStore struct {
+	*BlobStore
+	moved *int
+}
+
+func (s countingStore) Get(container, blob string) ([]byte, error) {
+	b, err := s.BlobStore.Get(container, blob)
+	*s.moved += len(b)
+	return b, err
+}
+
+func (s countingStore) GetRange(container, blob string, off, n int) ([]byte, error) {
+	b, err := s.BlobStore.GetRange(container, blob, off, n)
+	*s.moved += len(b)
+	return b, err
+}
+
+// TestFleetReadsMatchReference checks every quorum read, which takes its
+// bytes from one replica and only version headers from the rest, against
+// referenceRead on random fleets built as
+// TestFleetPinnedReadsMatchQuorumRead builds them: 3 to 7 shards,
+// replication 1 to 3, some shards failing every op and one shard dead,
+// and one replica killed during each overwrite and revived after it, so a
+// stale replica can lead. A whole Get, an unpinned GetRange and a GetRange
+// pinned to the version the unpinned one returned (sometimes with an
+// overwrite in between) must each return the reference's bytes, version
+// and outcome class. A shard fails every op or none, so both reads meet
+// the same failures whatever number of store ops each makes. With no
+// stale replica, a whole Get of an N-byte blob makes the stores return N
+// bytes, its envelope header, and at most a version header from each
+// other replica of the quorum.
+func TestFleetReadsMatchReference(t *testing.T) {
+	ctx := context.Background()
+	var promoted, bounded int
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 3 + rng.Intn(5)
+		moved := 0
+		specs := make([]ShardSpec, n)
+		for i := range specs {
+			specs[i] = ShardSpec{Name: fmt.Sprintf("s%d", i), FaultSeed: uint64(trial), Store: countingStore{NewBlobStore(), &moved}}
+			if rng.Intn(4) == 0 {
+				specs[i].FaultRate = 1
+			}
+		}
+		f, err := NewFleet(FleetConfig{Shards: specs, Replication: 1 + rng.Intn(3), Seed: uint64(trial),
+			Clock: obs.NewFake(time.Unix(1700000000, 0).UTC()), Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.CreateContainer("c")
+		dead := specs[rng.Intn(n)].Name
+		f.Kill(dead)
+		overwrite := func(blob string) {
+			reps := f.Replicas("c", blob)
+			if stale := reps[rng.Intn(len(reps))]; stale != dead {
+				f.Kill(stale)
+				defer f.Revive(stale)
+			}
+			data := make([]byte, rng.Intn(3000))
+			rng.Read(data)
+			f.Put("c", blob, data) // may fail: the blob keeps its old version
+		}
+		// stale reports whether the replicas of blob a read can reach hold
+		// different versions, a missing blob as version 0.
+		stale := func(blob string) bool {
+			vers := map[uint64]bool{}
+			for _, sh := range f.replicaShards("c", blob) {
+				if sh.down.Load() || sh.spec.FaultRate > 0 {
+					continue
+				}
+				rr, _, _ := readWhole(blob)(sh.spec.Store)
+				vers[rr.ver] = true
+			}
+			return len(vers) > 1
+		}
+		check := func(what, blob string, got []byte, gotV uint64, gerr error, want replicaRead, werr error) {
+			t.Helper()
+			if readClass(gerr) != readClass(werr) || gotV != want.ver || !bytes.Equal(got, want.data) {
+				t.Fatalf("trial %d: %s of %s: v%d, %d bytes, %v; the reference read v%d, %d bytes, %v",
+					trial, what, blob, gotV, len(got), gerr, want.ver, len(want.data), werr)
+			}
+		}
+		for b := 0; b < 6; b++ {
+			blob := fmt.Sprintf("b%d", b)
+			for v := 0; v <= rng.Intn(3); v++ {
+				overwrite(blob)
+			}
+		}
+		for q := 0; q < 30; q++ {
+			blob := fmt.Sprintf("b%d", rng.Intn(7)) // b6 starts unwritten
+			if rng.Intn(3) == 0 {
+				overwrite(blob)
+			}
+			off, size := rng.Intn(3200), rng.Intn(1200)
+			if q%5 == 0 {
+				off = 0
+			}
+
+			staleNow := stale(blob)
+			moved = 0
+			whole, werr := f.Get("c", blob)
+			wholeMoved := moved
+			rr, rerr := f.quorumRead(ctx, "get", "c", blob, 0, readWhole(blob))
+			if readClass(werr) != readClass(rerr) || !bytes.Equal(whole, rr.data) {
+				t.Fatalf("trial %d: Get of %s: %d bytes, %v; its quorum read %d bytes, %v", trial, blob, len(whole), werr, len(rr.data), rerr)
+			}
+			want, wantErr := referenceRead(f, blob, 0, readWhole(blob))
+			check("Get", blob, rr.data, rr.ver, rerr, want, wantErr)
+			if limit := len(whole) + uvarintLen(rr.ver) + (f.cfg.ReadQuorum-1)*binary.MaxVarintLen64; werr == nil && wholeMoved > limit {
+				if !staleNow {
+					t.Fatalf("trial %d: Get of %d-byte %s with no stale replica: stores returned %d bytes, over %d", trial, len(whole), blob, wholeMoved, limit)
+				}
+				promoted++
+			} else if werr == nil && !staleNow {
+				bounded++
+			}
+
+			rangeRead := func(st Store) (replicaRead, error, error) { return readEnvelopeRange(st, "c", blob, off, size) }
+			part, pin, perr := f.GetRangeCtx(ctx, "c", blob, off, size, 0)
+			want, wantErr = referenceRead(f, blob, 0, rangeRead)
+			check("GetRange", blob, part, pin, perr, want, wantErr)
+			if perr != nil {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				overwrite(blob)
+			}
+			part, v, perr := f.GetRangeCtx(ctx, "c", blob, off, size, pin)
+			want, wantErr = referenceRead(f, blob, pin, rangeRead)
+			check(fmt.Sprintf("GetRange pinned to v%d", pin), blob, part, v, perr, want, wantErr)
+		}
+	}
+	if promoted == 0 || bounded == 0 {
+		t.Errorf("whole Gets: %d within the one-replica bound, %d led by a stale replica: want each above 0", bounded, promoted)
+	}
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
 }

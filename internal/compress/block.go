@@ -248,9 +248,10 @@ func BlockHeaderSize(codecName string) int { return blockFixedOverhead + len(cod
 // per-block limits, so a hostile frame inside a well-formed container is
 // contained exactly like a hostile single frame.
 //
-// A reader opened by OpenBlockIndex holds only the frames that came with
-// its header and index; AttachFrames hands it the span FrameSpan names
-// before a read. OpenBlocks is that open with every frame attached.
+// The reader holds one frame slice per block. OpenBlockIndex keeps the
+// frames that came whole with its header and index; AttachFrames hands it
+// the span FrameSpan names, and AttachFrame one block's frame fetched on
+// its own. OpenBlocks is that open with every frame attached.
 //
 // A reader is safe for concurrent use once opened (and, if it has one,
 // once its cache and frames are attached): it holds no decode state,
@@ -261,12 +262,9 @@ type BlockReader struct {
 	bases     int
 	blockSize int
 	outputSum uint32
-	entries   []BlockEntry
-	offsets   []int // container offset of each block's frame
-	size      int   // container bytes: header, index and every frame
-	// frames holds the container bytes [framesAt, framesAt+len(frames)).
-	frames   []byte
-	framesAt int
+	index     []byte   // 12 bytes per block: frame length, frame CRC32-C
+	frames    [][]byte // block k's frame, nil until supplied
+	at, size  int      // container offset of block 0's frame; container bytes
 	// maxCompressed is the resolved per-block payload ceiling from the
 	// Limits handed to OpenBlocks.
 	maxCompressed int
@@ -408,15 +406,16 @@ func openBlocks(reg *obs.Registry, data []byte, lim Limits, whole bool) (*BlockR
 		if fr.Bases > maxOutput {
 			return nil, Corruptf("frame claims %d symbols, limit %d", fr.Bases, maxOutput)
 		}
+		// The frame is its own one-entry index.
+		index := binary.BigEndian.AppendUint64(make([]byte, 0, blockIndexEntrySize), uint64(len(data)))
 		return &BlockReader{
 			codec:         fr.Codec,
 			bases:         fr.Bases,
 			blockSize:     max(fr.Bases, 1),
 			outputSum:     fr.OutputSum,
-			entries:       []BlockEntry{{Length: len(data), Sum: Checksum(data)}},
-			offsets:       []int{0},
+			index:         binary.BigEndian.AppendUint32(index, Checksum(data)),
+			frames:        [][]byte{data},
 			size:          len(data),
-			frames:        data,
 			maxCompressed: maxCompressed,
 			met:           newBlockMetrics(reg, fr.Codec),
 		}, nil
@@ -443,10 +442,9 @@ func openBlocks(reg *obs.Registry, data []byte, lim Limits, whole bool) (*BlockR
 		bases:         int(h.bases),
 		blockSize:     int(h.blockSize),
 		outputSum:     h.outputSum,
-		entries:       make([]BlockEntry, h.count),
-		offsets:       make([]int, h.count),
-		frames:        data[payloadStart:],
-		framesAt:      payloadStart,
+		index:         data[h.indexStart : payloadStart-4],
+		frames:        make([][]byte, h.count),
+		at:            payloadStart,
 		maxCompressed: maxCompressed,
 		met:           newBlockMetrics(reg, h.codec),
 	}
@@ -454,23 +452,21 @@ func openBlocks(reg *obs.Registry, data []byte, lim Limits, whole bool) (*BlockR
 	// index for a whole container, else whatever an int can address.
 	room := math.MaxInt - payloadStart
 	if whole {
-		room = len(r.frames)
+		room = len(data) - payloadStart
 	}
 	pos := 0
-	for k := range r.entries {
-		e := h.indexStart + k*blockIndexEntrySize
-		length := binary.BigEndian.Uint64(data[e:])
+	for k := range r.frames {
+		length := binary.BigEndian.Uint64(r.index[k*blockIndexEntrySize:])
 		if length > uint64(room-pos) {
 			return nil, Corruptf("blocks: index entry %d claims %d frame bytes, %d remain", k, length, room-pos)
 		}
-		r.entries[k] = BlockEntry{Length: int(length), Sum: binary.BigEndian.Uint32(data[e+8:])}
-		r.offsets[k] = payloadStart + pos
 		pos += int(length)
 	}
 	if whole && pos != room {
 		return nil, Corruptf("blocks: %d trailing bytes after the last frame", room-pos)
 	}
 	r.size = payloadStart + pos
+	r.AttachFrames(payloadStart, data[payloadStart:])
 	return r, nil
 }
 
@@ -485,19 +481,55 @@ func (r *BlockReader) FrameSpan(off, n int) (lo, hi int) {
 	if off < 0 || n <= 0 || off+n > r.bases || off+n < 0 {
 		return 0, 0
 	}
-	first, last := off/r.blockSize, (off+n-1)/r.blockSize
-	return r.offsets[first], r.offsets[last] + r.entries[last].Length
+	first, last, at := off/r.blockSize, (off+n-1)/r.blockSize, r.at
+	for k := 0; k <= last; k++ {
+		if k == first {
+			lo = at
+		}
+		at += r.entry(k).Length
+	}
+	return lo, at
 }
 
-// AttachFrames hands the reader the container bytes [lo, lo+len(frames)),
-// in place of any it held. A block whose frame they do not cover fails to
-// decode as corrupt: a container that ends early reads that way. The
-// reader keeps frames, as OpenBlocks keeps its data, and reads them only
-// through checksums, so the caller must not write to them afterwards. Call
-// it before the reader is shared.
-func (r *BlockReader) AttachFrames(lo int, frames []byte) {
-	//lint:ignore copydiscipline the reader aliases the container bytes it is handed, as OpenBlocks does; a copy would double every range read's fetch
-	r.frames, r.framesAt = frames, lo
+// AttachFrames hands the reader the container bytes [lo, lo+len(span)):
+// each block whose whole frame they hold takes its slice of them, and the
+// rest keep what they held. A block left without a frame fails to decode
+// as corrupt: a container that ends early reads that way. The reader
+// keeps span, as OpenBlocks keeps its data, and reads it only through
+// checksums, so the caller must not write to it afterwards. Call it, and
+// AttachFrame, before the reader is shared.
+func (r *BlockReader) AttachFrames(lo int, span []byte) {
+	at := r.at
+	for k := range r.frames {
+		end := at + r.entry(k).Length
+		if at >= lo && end-lo <= len(span) {
+			//lint:ignore copydiscipline the reader aliases the container bytes it is handed, as OpenBlocks does; a copy would double every range read's fetch
+			r.frames[k] = span[at-lo : end-lo]
+		}
+		at = end
+	}
+}
+
+// AttachFrame hands the reader block k's frame, fetched on its own, and
+// keeps it as AttachFrames keeps its span. A block the container lacks,
+// or a frame whose length is not its index entry's, is refused as corrupt.
+func (r *BlockReader) AttachFrame(k int, frame []byte) error {
+	if k < 0 || k >= len(r.frames) {
+		return Corruptf("blocks: a frame for block %d of a %d-block container", k, len(r.frames))
+	}
+	if want := r.entry(k).Length; len(frame) != want {
+		return Corruptf("blocks: block %d frame is %d bytes, its index entry says %d", k, len(frame), want)
+	}
+	//lint:ignore copydiscipline the reader aliases the frame it is handed, as AttachFrames does; a copy would double every received byte
+	r.frames[k] = frame
+	return nil
+}
+
+// Frame returns block k's frame, nil if it has none: the caller's own
+// bytes, which it must not write to.
+func (r *BlockReader) Frame(k int) []byte {
+	//lint:ignore copydiscipline the frame is the caller's own container bytes, never written by the reader; a copy would double what an exchange uploads
+	return r.frames[k]
 }
 
 // Codec returns the registry identifier recorded in the container header.
@@ -510,12 +542,22 @@ func (r *BlockReader) Bases() int { return r.bases }
 func (r *BlockReader) BlockSize() int { return r.blockSize }
 
 // Blocks returns the number of blocks in the container.
-func (r *BlockReader) Blocks() int { return len(r.entries) }
+func (r *BlockReader) Blocks() int { return len(r.frames) }
 
 // Index returns a copy of the per-block index (frame length and checksum
 // per block) — a copy, so callers cannot corrupt the reader's view.
 func (r *BlockReader) Index() []BlockEntry {
-	return append([]BlockEntry(nil), r.entries...)
+	index := make([]BlockEntry, len(r.frames))
+	for k := range index {
+		index[k] = r.entry(k)
+	}
+	return index
+}
+
+// entry returns block k's index entry, whose length open bounded.
+func (r *BlockReader) entry(k int) BlockEntry {
+	e := r.index[k*blockIndexEntrySize:]
+	return BlockEntry{Length: int(binary.BigEndian.Uint64(e)), Sum: binary.BigEndian.Uint32(e[8:])}
 }
 
 // UseCache makes the reader look each block up in c before decoding it
@@ -526,7 +568,7 @@ func (r *BlockReader) UseCache(c *BlockCache) { r.cache = c }
 // blockBases returns the symbol count block k must restore to: a full
 // block everywhere except the tail.
 func (r *BlockReader) blockBases(k int) int {
-	if k == len(r.entries)-1 {
+	if k == len(r.frames)-1 {
 		return r.bases - k*r.blockSize
 	}
 	return r.blockSize
@@ -541,13 +583,12 @@ func (r *BlockReader) blockBases(k int) int {
 // checksum and within the payload limit is looked up by codec and SHA-256
 // first, and a block that passed every check is stored.
 func (r *BlockReader) block(k int, dst []byte) (blockSyms, Stats, error) {
-	lo := r.offsets[k] - r.framesAt
-	if lo < 0 || r.entries[k].Length > len(r.frames)-lo {
-		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame [%d, %d) lies outside the container bytes read [%d, %d)", k, r.offsets[k], r.offsets[k]+r.entries[k].Length, r.framesAt, r.framesAt+len(r.frames))
+	frame, e := r.frames[k], r.entry(k)
+	if frame == nil {
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame of %d bytes was not supplied", k, e.Length)
 	}
-	frame := r.frames[lo : lo+r.entries[k].Length]
-	if got := Checksum(frame); got != r.entries[k].Sum {
-		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame checksum mismatch (stored %08x, computed %08x)", k, r.entries[k].Sum, got)
+	if got := Checksum(frame); got != e.Sum {
+		return blockSyms{}, Stats{}, Corruptf("blocks: block %d frame checksum mismatch (stored %08x, computed %08x)", k, e.Sum, got)
 	}
 	want := r.blockBases(k)
 	var key Key
@@ -574,25 +615,16 @@ func (r *BlockReader) block(k int, dst []byte) (blockSyms, Stats, error) {
 }
 
 // Decompress restores the full symbol sequence: every block decoded
-// through the hardened per-block path straight into its slot of one output
-// buffer, then the container's whole-output checksum verified over the
-// result. That final check is what per-block frames cannot provide — it
-// catches blocks reordered or substituted together with a consistently
-// rewritten index. A block's slot is capped at its length, so a codec
-// that overruns it reallocates rather than write into the next slot, and
-// the length check refuses the block. A one-block reader returns the
-// codec's own buffer, which grows with the symbols decoded; otherwise
-// peak memory is the output plus one block's working set.
+// through the hardened per-block path, then the container's whole-output
+// checksum verified over the result. That final check is what per-block
+// frames cannot provide — it catches blocks reordered or substituted
+// together with a consistently rewritten index. The output grows with the
+// blocks that have decoded (restore), so nothing sized by the header's
+// claim is allocated before block 0 decodes. A one-block reader returns
+// the codec's own buffer; otherwise peak memory is at most about twice
+// the output plus one block's working set.
 func (r *BlockReader) Decompress() ([]byte, Stats, error) {
-	if len(r.entries) == 1 {
-		return r.restore(nil)
-	}
-	out := make([]byte, r.bases)
-	_, st, err := r.restore(out)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return out, st, nil
+	return r.restore(true)
 }
 
 // Verify proves the container restores — every check Decompress makes,
@@ -601,59 +633,85 @@ func (r *BlockReader) Decompress() ([]byte, Stats, error) {
 // it used, and the checksum is taken block by block. Peak memory is one
 // block and one block's working set. It returns Decompress's Stats.
 func (r *BlockReader) Verify() (Stats, error) {
-	_, st, err := r.restore(nil)
+	_, st, err := r.restore(false)
 	return st, err
 }
 
 // restore is Decompress's and Verify's one loop. It decodes every block
-// in order: with out, block k into its slot out[lo:lo:hi]; without, into
-// the previous block's buffer, the first into a buffer its codec
-// allocates. It takes the CRC32-C of the symbols as they come, checks it
-// against the header's, and returns the last block's symbols.
-func (r *BlockReader) restore(out []byte) ([]byte, Stats, error) {
+// in order, block 0 into a buffer its codec allocates. With keep, that
+// buffer is the output, and each later block decodes into a slot at its
+// end, grown by grow and capped at the block's length: a codec that
+// overruns it reallocates, and the length check refuses the block.
+// Without keep, each block decodes into the previous block's buffer, and
+// there is no output. It takes the CRC32-C of the symbols as they come and
+// checks it against the header's.
+func (r *BlockReader) restore(keep bool) ([]byte, Stats, error) {
 	var total Stats
 	var sum uint32
-	var syms []byte
-	for k := range r.entries {
+	var out, syms []byte
+	for k := range r.frames {
+		n := r.blockBases(k)
 		dst := syms[:0]
-		if out != nil {
-			lo := k * r.blockSize
-			dst = out[lo : lo : lo+r.blockBases(k)]
+		if keep && k > 0 {
+			out = grow(out, n, r.bases-len(out))
+			dst = out[len(out) : len(out) : len(out)+n]
 		}
 		b, st, err := r.block(k, dst)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		total.Add(st)
-		syms = b.in(dst, r.blockBases(k))
+		syms = b.in(dst, n)
 		sum = crc32.Update(sum, crcTable, syms)
+		if keep && k == 0 {
+			out = syms
+		} else if keep {
+			out = out[:len(out)+n] // syms, decoded into dst
+		}
 	}
 	if sum != r.outputSum {
 		return nil, Stats{}, Corruptf("blocks: restored output checksum mismatch (stored %08x, computed %08x)", r.outputSum, sum)
 	}
-	return syms, total, nil
+	return out, total, nil
+}
+
+// grow returns out with room for need more symbols, moving it, if it
+// lacks that, into a buffer with room for need or for as many symbols as
+// it holds plus MaxHeaderPrealloc, never past the rest claimed: an output
+// grows geometrically, and a claim commits at most MaxHeaderPrealloc
+// ahead of the symbols decoded. need must not exceed rest.
+func grow(out []byte, need, rest int) []byte {
+	if cap(out)-len(out) >= need {
+		return out
+	}
+	return append(make([]byte, 0, len(out)+max(need, min(rest, len(out)+MaxHeaderPrealloc))), out...)
 }
 
 // Slice decodes and returns the n symbols starting at off, decoding only
-// the blocks the range overlaps. Out-of-range requests are caller errors,
-// not corruption. The seek-equivalence property — Slice(off, n) equals the
-// same slice of Decompress()'s output — is what compresstest.BlockSuite
-// proves for every codec.
+// the blocks the range overlaps, its output grown as they decode (grow).
+// Out-of-range requests are caller errors, not corruption. The
+// seek-equivalence property — Slice(off, n) equals the same slice of
+// Decompress()'s output — is what compresstest.BlockSuite proves for
+// every codec.
 func (r *BlockReader) Slice(off, n int) ([]byte, Stats, error) {
 	if off < 0 || n < 0 || off+n > r.bases || off+n < 0 {
 		return nil, Stats{}, fmt.Errorf("compress: blocks: slice [%d, %d+%d) out of range [0, %d)", off, off, n, r.bases)
 	}
 	r.met.seeks.Inc()
-	dst := make([]byte, n)
+	dst := []byte{}
 	var total Stats
-	for copied := 0; copied < n; {
-		k := (off + copied) / r.blockSize
+	for len(dst) < n {
+		pos := off + len(dst)
+		k := pos / r.blockSize
 		b, st, err := r.block(k, nil)
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		total.Add(st)
-		copied += b.copyTo(dst[copied:], (off+copied)-k*r.blockSize)
+		lo := pos - k*r.blockSize
+		c := min(n-len(dst), r.blockBases(k)-lo)
+		dst = grow(dst, c, n-len(dst))
+		dst = dst[:len(dst)+b.copyTo(dst[len(dst):len(dst)+c], lo)]
 	}
 	return dst, total, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -251,5 +252,101 @@ func TestOpenBlocksHostileHeaders(t *testing.T) {
 	bad[idxStart+3] ^= 0x01
 	if _, err := compress.OpenBlocks(bad, noLimits); err == nil || !strings.Contains(err.Error(), "index checksum") {
 		t.Fatalf("index tamper: %v, want index checksum mismatch", err)
+	}
+}
+
+// allocated returns the fewest bytes the heap allocated over two runs of
+// fn: the runtime's own goroutines allocate now and then.
+func allocated(fn func()) uint64 {
+	var m runtime.MemStats
+	grew := uint64(math.MaxUint64)
+	for range 2 {
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		fn()
+		runtime.ReadMemStats(&m)
+		grew = min(grew, m.TotalAlloc-before)
+	}
+	return grew
+}
+
+// claimingContainer is a CXB1 container of 72 bytes (for dnax) whose
+// checksums are all valid: it claims bases dnax bases in two blocks of
+// bases/2, and each block's frame is one byte.
+func claimingContainer(bases uint64) []byte {
+	const codec = "dnax"
+	c := append([]byte(compress.BlockMagic), compress.BlockVersion, byte(len(codec)))
+	c = append(c, codec...)
+	c = binary.BigEndian.AppendUint64(c, bases)
+	c = binary.BigEndian.AppendUint64(c, bases/2) // block size
+	c = binary.BigEndian.AppendUint64(c, 2)       // blocks
+	c = binary.BigEndian.AppendUint32(c, 0)       // output CRC
+	c = binary.BigEndian.AppendUint32(c, compress.Checksum(c))
+	index := len(c)
+	frames := []byte{0x01, 0x02}
+	for k := range frames {
+		c = binary.BigEndian.AppendUint64(c, 1)
+		c = binary.BigEndian.AppendUint32(c, compress.Checksum(frames[k:k+1]))
+	}
+	c = binary.BigEndian.AppendUint32(c, compress.Checksum(c[index:]))
+	return append(c, frames...)
+}
+
+// TestClaimedBasesAllocateNothingBeforeBlockZero: the 72-byte container
+// claiming 2^30 bases opens under the default Limits, and every decode of
+// it fails at block 0, as corrupt. None may allocate for the claim before
+// block 0 has decoded: each stays under 64 KiB (Decompress and
+// SafeDecompressAny allocated the whole 1 GiB output first).
+func TestClaimedBasesAllocateNothingBeforeBlockZero(t *testing.T) {
+	data := claimingContainer(1 << 30)
+	r, err := compress.OpenBlocks(data, compress.Limits{})
+	if err != nil || len(data) != 72 || r.Bases() != 1<<30 || r.Blocks() != 2 {
+		t.Fatalf("the %d-byte container opened as %v", len(data), err)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"Decompress", func() error { _, _, err := r.Decompress(); return err }},
+		{"SafeDecompressAny", func() error { _, _, err := compress.SafeDecompressAny("dnax", data, compress.Limits{}); return err }},
+		{"Verify", func() error { _, err := r.Verify(); return err }},
+		{"Slice", func() error { _, _, err := r.Slice(0, r.Bases()); return err }},
+	} {
+		grew := allocated(func() { err = tc.decode() })
+		if !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", tc.name, err)
+		}
+		if grew >= 64<<10 {
+			t.Errorf("%s of a container claiming 2^30 bases in two 1-byte frames allocated %d bytes", tc.name, grew)
+		}
+	}
+}
+
+// TestDecompressOutputGrowsWithBlocks: a multi-block Decompress grows its
+// output with the blocks that have decoded and returns exactly the
+// container's bases. Block 0 decodes into its own buffer, and the output
+// grows geometrically from there, so a decode allocates at most about
+// twice its output, per-block codec models included.
+func TestDecompressOutputGrowsWithBlocks(t *testing.T) {
+	src := synth.Profile{Length: 3<<20 + 777, GC: 0.42, RepeatProb: 0.002, RepeatMin: 16, RepeatMax: 128}.Generate(9)
+	for _, blockSize := range []int{1 << 16, 1 << 20, 3 << 19} {
+		container, _, err := compress.BlockCompress("dnax", src, compress.BlockOptions{BlockSize: blockSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := compress.OpenBlocks(container, compress.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		grew := allocated(func() { out, _, err = r.Decompress() })
+		if err != nil || !bytes.Equal(out, src) {
+			t.Fatalf("block size %d: %v, or the output differs from the source", blockSize, err)
+		}
+		// The race build allocates twice the block that slices.Grow
+		// appends in block 0's codec, so the bound holds only without it.
+		if limit := uint64(5 * len(src) / 2); grew > limit && !raceEnabled {
+			t.Errorf("block size %d: Decompress of %d bases allocated %d bytes, over %d", blockSize, len(src), grew, limit)
+		}
 	}
 }

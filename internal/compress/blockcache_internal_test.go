@@ -162,8 +162,8 @@ func TestBlockCacheIgnoresCRCCollision(t *testing.T) {
 	if _, _, err := r.Slice(0, len(src)); err != nil {
 		t.Fatal(err)
 	}
-	start := r.offsets[0]
-	frame := container[start : start+r.entries[0].Length]
+	frame := r.frames[0]
+	start := r.at
 	poisoned := append([]byte(nil), container...)
 	copy(poisoned[start:], forgeCRC(t, frame, len(frame)-1, Overhead("dnapack")))
 	if got, _, err := cachedReader(t, reg, poisoned, c).Slice(0, 10); !errors.Is(err, ErrCorrupt) {

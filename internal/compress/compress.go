@@ -118,20 +118,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// PaperSet returns fresh instances of the four algorithms the paper
-// evaluates, in the order the paper lists them: CTW, DNAX, GenCompress,
-// Gzip. It panics if any of them failed to register, which would mean the
-// build is missing a codec package import.
-func PaperSet() []Codec {
-	names := []string{"ctw", "dnax", "gencompress", "gzip"}
-	out := make([]Codec, len(names))
-	for i, n := range names {
-		c, err := New(n)
-		if err != nil {
-			panic(err)
-		}
-		out[i] = c
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -172,21 +171,6 @@ func verifies(t *testing.T, name string, sealed []byte) {
 	}
 	if got, err := r.Verify(); err != nil || got != want {
 		t.Fatalf("%s: Verify: %v, Stats %+v, want nil and Decompress's %+v", name, err, got, want)
-	}
-}
-
-// RunBlockSuiteAll runs BlockSuite over every registered codec.
-func RunBlockSuiteAll(t *testing.T) {
-	t.Helper()
-	names := compress.Names()
-	if len(names) == 0 {
-		t.Fatal("no codecs registered")
-	}
-	for _, name := range names {
-		name := name
-		t.Run(fmt.Sprintf("codec=%s", name), func(t *testing.T) {
-			BlockSuite(t, name)
-		})
 	}
 }
 
@@ -383,20 +367,4 @@ func blockMutations(t *testing.T, codec string, container []byte) []blockMutatio
 		muts = append(muts, blockMutation{name: "ReorderBlocksResealed", data: reordered, mayBeLossless: true})
 	}
 	return muts
-}
-
-// RunBlockCorruptionAll runs the block corruption suite over every
-// registered codec.
-func RunBlockCorruptionAll(t *testing.T) {
-	t.Helper()
-	names := compress.Names()
-	if len(names) == 0 {
-		t.Fatal("no codecs registered")
-	}
-	for _, name := range names {
-		name := name
-		t.Run(fmt.Sprintf("codec=%s", name), func(t *testing.T) {
-			BlockCorruptionSuite(t, name)
-		})
-	}
 }

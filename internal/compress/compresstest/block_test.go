@@ -1,6 +1,7 @@
 package compresstest_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -16,7 +17,7 @@ func TestBlockSuiteAllCodecs(t *testing.T) {
 	if names := compress.Names(); len(names) < 9 {
 		t.Fatalf("only %d codecs registered: %v", len(names), names)
 	}
-	compresstest.RunBlockSuiteAll(t)
+	forEachCodec(t, compresstest.BlockSuite)
 }
 
 // TestBlockCorruptionAllCodecs extends the corruption gate to multi-block
@@ -25,5 +26,19 @@ func TestBlockSuiteAllCodecs(t *testing.T) {
 // output-checksum tampering must all surface as compress.ErrCorrupt for
 // every registered codec, never as a panic or as wrong symbols.
 func TestBlockCorruptionAllCodecs(t *testing.T) {
-	compresstest.RunBlockCorruptionAll(t)
+	forEachCodec(t, compresstest.BlockCorruptionSuite)
+}
+
+// forEachCodec runs suite over every registered codec, one subtest each.
+func forEachCodec(t *testing.T, suite func(t *testing.T, name string)) {
+	t.Helper()
+	names := compress.Names()
+	if len(names) == 0 {
+		t.Fatal("no codecs registered")
+	}
+	for _, name := range names {
+		t.Run(fmt.Sprintf("codec=%s", name), func(t *testing.T) {
+			suite(t, name)
+		})
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
-	"github.com/srl-nuces/ctxdna/internal/obs"
 	"github.com/srl-nuces/ctxdna/internal/seq"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
@@ -196,40 +195,6 @@ func DecompressToAgrees(t *testing.T, c compress.Codec, data []byte) {
 			t.Fatalf("%s: DecompressTo into %s buffer with room for %d symbols restored them elsewhere", c.Name(), tc.name, n)
 		}
 	}
-}
-
-// InstrumentedRoundTrip wraps c with compress.Instrument over a fresh
-// registry, round-trips src, and verifies the wrapper both preserved the
-// codec's behavior and booked exactly one call with the right byte volumes
-// in each direction. It returns the compressed size, like RoundTrip.
-func InstrumentedRoundTrip(t *testing.T, c compress.Codec, src []byte) int {
-	t.Helper()
-	reg := obs.NewRegistry()
-	w := compress.Instrument(reg, c)
-	if w.Name() != c.Name() {
-		t.Fatalf("Instrument changed codec name: %q -> %q", c.Name(), w.Name())
-	}
-	n := RoundTrip(t, w, src)
-	for op, inOut := range map[string][2]int{
-		"compress":   {len(src), n},
-		"decompress": {n, len(src)},
-	} {
-		labels := []string{"codec", c.Name(), "op", op}
-		if got := reg.Counter("dna_codec_calls_total", "", labels...).Value(); got != 1 {
-			t.Errorf("%s: %s calls = %d, want 1", c.Name(), op, got)
-		}
-		if got := reg.Counter("dna_codec_in_bytes_total", "", labels...).Value(); got != uint64(inOut[0]) {
-			t.Errorf("%s: %s in bytes = %d, want %d", c.Name(), op, got, inOut[0])
-		}
-		if got := reg.Counter("dna_codec_out_bytes_total", "", labels...).Value(); got != uint64(inOut[1]) {
-			t.Errorf("%s: %s out bytes = %d, want %d", c.Name(), op, got, inOut[1])
-		}
-		if got := reg.Counter("dna_codec_corrupt_total", "", labels...).Value() +
-			reg.Counter("dna_codec_failures_total", "", labels...).Value(); got != 0 {
-			t.Errorf("%s: %s booked %d errors on a clean round-trip", c.Name(), op, got)
-		}
-	}
-	return n
 }
 
 // RatioUnder asserts the codec compresses the given profile below maxBitsPerBase.

@@ -3,7 +3,6 @@ package compresstest
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -177,20 +176,4 @@ func otherCodec(name string) string {
 		}
 	}
 	return ""
-}
-
-// RunCorruptionAll runs the corruption suite over every registered codec —
-// the cross-codec entry point mirroring CrossCodecParallel.
-func RunCorruptionAll(t *testing.T) {
-	t.Helper()
-	names := compress.Names()
-	if len(names) == 0 {
-		t.Fatal("no codecs registered")
-	}
-	for _, name := range names {
-		name := name
-		t.Run(fmt.Sprintf("codec=%s", name), func(t *testing.T) {
-			CorruptionSuite(t, name)
-		})
-	}
 }

@@ -16,5 +16,5 @@ func TestCorruptionAllCodecs(t *testing.T) {
 	if names := compress.Names(); len(names) < 9 {
 		t.Fatalf("only %d codecs registered: %v", len(names), names)
 	}
-	compresstest.RunCorruptionAll(t)
+	forEachCodec(t, compresstest.CorruptionSuite)
 }

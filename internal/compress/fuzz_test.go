@@ -489,6 +489,10 @@ func FuzzBlockContainerOpen(f *testing.F) {
 	if container, _, err := compress.BlockCompress("xm", nil, compress.BlockOptions{BlockSize: 64}); err == nil {
 		f.Add(container)
 	}
+	// Checksum-valid containers whose two 1-byte frames claim 2^30 bases,
+	// and 2^20 to open within this target's limits.
+	f.Add(claimingContainer(1 << 30))
+	f.Add(claimingContainer(1 << 20))
 	if c, err := compress.New("dnapack"); err == nil {
 		if payload, _, err := c.Compress(seedSrc[:300]); err == nil {
 			frame := compress.Seal("dnapack", seedSrc[:300], payload)
@@ -582,7 +586,10 @@ func declare(data []byte, claim uint64) []byte {
 // OpenBlockIndex never panic, fail only with ErrCorrupt, allocate in
 // proportion to the bytes present, not to a declared count, and a reader
 // they open reads back, within the prefix, what OpenBlocks reads from the
-// whole container.
+// whole container. Frames also arrive the other way: every whole
+// container that opens is opened again from exactly its header and index,
+// with each block's frame attached on its own as an exchange receives it
+// (attachEach).
 func FuzzBlockIndexOpen(f *testing.F) {
 	src := hostileBases(3000)
 	for _, opts := range []compress.BlockOptions{{BlockSize: 100}, {BlockSize: 700}, {BlockSize: 1}} {
@@ -606,6 +613,10 @@ func FuzzBlockIndexOpen(f *testing.F) {
 		data = declare(data, claim)
 		head := data[:min(int(cut), len(data))]
 		lim := compress.Limits{MaxCompressed: 1 << 20, MaxOutput: 1 << 30}
+		whole, wholeErr := compress.OpenBlocks(data, lim)
+		if wholeErr == nil {
+			attachEach(t, data, whole, lim)
+		}
 		var (
 			need int
 			rd   *compress.BlockReader
@@ -631,8 +642,7 @@ func FuzzBlockIndexOpen(f *testing.F) {
 		if need > len(head) || rd.Size() < need {
 			t.Fatalf("opened %d bytes that hold %d of header and index, of a %d-byte container", len(head), need, rd.Size())
 		}
-		whole, err := compress.OpenBlocks(data, lim)
-		if err != nil || whole.Size() != rd.Size() {
+		if wholeErr != nil || whole.Size() != rd.Size() {
 			return // the rest of the container is not what the index says
 		}
 		// Windows whose frames the prefix holds decode as they do whole.
@@ -647,6 +657,59 @@ func FuzzBlockIndexOpen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// attachEach opens the whole container data, which whole opened, again
+// as an exchange's receiver does: from exactly its header and index, with
+// each block's frame attached on its own, from a copy of the frames.
+// Attaching a frame one byte short or long must fail as corrupt, and the
+// attached reader's Verify and Decompress must give the verdict and bases
+// the whole container's Decompress gives.
+func attachEach(t *testing.T, data []byte, whole *compress.BlockReader, lim compress.Limits) {
+	t.Helper()
+	need, err := compress.BlockIndexLen(data, lim)
+	if err != nil {
+		t.Fatalf("a container that opens whole has no header and index: %v", err)
+	}
+	rd, err := compress.OpenBlockIndex(nil, data[:need], lim)
+	if err != nil {
+		t.Fatalf("the header and index of a container that opens whole: %v", err)
+	}
+	// A copy of the frames, which follow the index (a CXA1 frame is all of
+	// it), with one byte more so that every frame can be offered one long.
+	start := need
+	if start == len(data) {
+		start = 0
+	}
+	frames := append(append([]byte(nil), data[start:]...), 0)
+	at := 0
+	for k := range whole.Blocks() {
+		n := len(whole.Frame(k))
+		for _, bad := range [][]byte{frames[at : at+n+1], frames[at : at+max(n-1, 0)]} {
+			if len(bad) == n {
+				continue // an empty frame cannot be cut
+			}
+			if err := rd.AttachFrame(k, bad); !errors.Is(err, compress.ErrCorrupt) {
+				t.Fatalf("block %d: attaching %d bytes of a %d-byte frame: %v, want ErrCorrupt", k, len(bad), n, err)
+			}
+		}
+		if err := rd.AttachFrame(k, frames[at:at+n]); err != nil {
+			t.Fatalf("block %d: attaching its frame: %v", k, err)
+		}
+		at += n
+	}
+	want, _, werr := whole.Decompress()
+	got, _, derr := rd.Decompress()
+	_, verr := rd.Verify()
+	if (derr == nil) != (werr == nil) || (verr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("frames attached one by one: Verify %v, Decompress %v (%d bases); whole: %v (%d bases)",
+			verr, derr, len(got), werr, len(want))
+	}
+	for _, err := range []error{verr, derr} {
+		if err != nil && !errors.Is(err, compress.ErrCorrupt) {
+			t.Fatalf("frames attached one by one: %v is not ErrCorrupt", err)
+		}
+	}
 }
 
 // FuzzRoundTripAll compresses arbitrary (masked) symbol sequences with every

@@ -3,5 +3,6 @@
 package compress_test
 
 // raceEnabled reports whether the test binary runs under the race
-// detector, whose instrumentation makes wall-clock timings meaningless.
+// detector, whose instrumentation makes wall-clock timings meaningless and
+// adds allocations of its own.
 const raceEnabled = false

@@ -53,11 +53,6 @@ func (g *Grid) FigCompressionTime() []Series {
 	return g.codecSeries(func(m core.Measurement) float64 { return m.CompressMS })
 }
 
-// FigDecompressionTime supports the paper's §IV.B decompression remarks.
-func (g *Grid) FigDecompressionTime() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return m.DecompressMS })
-}
-
 // FigDownloadTime regenerates Figure 6.
 func (g *Grid) FigDownloadTime() []Series {
 	return g.codecSeries(func(m core.Measurement) float64 { return m.DownloadMS })

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -127,10 +130,10 @@ func trim(s string) string {
 
 // TestRangeReadFetchesOnlyItsFrames counts the bytes the fleet's shard
 // stores return for windows of a 16-block archive that each lie inside one
-// block: the prefix read for the header and index from each replica of the
+// block: the prefix read for the header and index from one replica of the
 // read quorum, the window's frame from one of them, and the version
 // envelopes' headers; a small fraction of what a whole read moves. A whole
-// read moves the container once, plus the prefixes and headers.
+// read moves the container once, plus one prefix and the headers.
 func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 	fleet, moved, reads := countingFleet(t)
 	_, ts := newTestServer(t, Config{FleetStore: fleet})
@@ -146,10 +149,10 @@ func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 	}
 	index := compress.BlockHeaderSize("twobit") + 16*12 + 4
 	const quorum = 2 // replicas a read of 3 replicas waits for
-	// Store reads per range read: the prefix from each replica, then the
-	// frame as header, span and header from one, the header alone from
-	// each other.
-	const wantReads = quorum + 3 + (quorum - 1)
+	// Store reads per range read: the prefix from one replica and the
+	// header alone from each other, then the frame as header, span and
+	// header from one, the header alone from each other.
+	const wantReads = 1 + (quorum - 1) + 3 + (quorum - 1)
 	for _, k := range []int{0, 7, 15} {
 		off := k*blockSize + 1000
 		moved.Store(0)
@@ -159,7 +162,8 @@ func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 			t.Fatalf("block %d: HTTP %d, body is not the window", k, resp.StatusCode)
 		}
 		frame := rd.Index()[k].Length
-		limit := quorum*(max(indexPrefix, index)+binary.MaxVarintLen64) + frame + (quorum+1)*binary.MaxVarintLen64
+		prefix := max(indexPrefix, index) + binary.MaxVarintLen64 + (quorum-1)*binary.MaxVarintLen64
+		limit := prefix + frame + (quorum+1)*binary.MaxVarintLen64
 		if got := moved.Load(); got > int64(limit) || reads.Load() != wantReads {
 			t.Errorf("block %d: stores returned %d bytes in %d reads, want at most %d in %d (frame %d bytes, container %d)",
 				k, got, reads.Load(), limit, wantReads, frame, len(container))
@@ -167,7 +171,8 @@ func TestRangeReadFetchesOnlyItsFrames(t *testing.T) {
 	}
 	moved.Store(0)
 	headers := (quorum + 1) * binary.MaxVarintLen64
-	lo, hi := len(container)+headers, len(container)+quorum*(indexPrefix+binary.MaxVarintLen64)+headers
+	prefix := indexPrefix + binary.MaxVarintLen64 + (quorum-1)*binary.MaxVarintLen64
+	lo, hi := len(container)+headers, len(container)+prefix+headers
 	if resp, _ := get(t, ts.URL+"/decompress?name=arc"); resp.StatusCode != http.StatusOK || moved.Load() < int64(lo) || moved.Load() > int64(hi) {
 		t.Errorf("whole read: HTTP %d, stores returned %d bytes of a %d-byte container, want %d to %d",
 			resp.StatusCode, moved.Load(), len(container), lo, hi)
@@ -295,5 +300,53 @@ func TestReadBodyAllocations(t *testing.T) {
 	}
 	if _, err := ReadBody(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), 1024), int64(len(body)), 1024); err == nil {
 		t.Error("a body over the limit read without an error")
+	}
+}
+
+// claimingContainer is a CXB1 container of 72 bytes whose checksums are
+// all valid: it claims 2^30 dnax bases in two blocks of 2^29, and each
+// block's frame is one byte. It opens under the default Limits.
+func claimingContainer() []byte {
+	const codec = "dnax"
+	c := append([]byte(compress.BlockMagic), compress.BlockVersion, byte(len(codec)))
+	c = append(c, codec...)
+	c = binary.BigEndian.AppendUint64(c, 1<<30) // bases
+	c = binary.BigEndian.AppendUint64(c, 1<<29) // block size
+	c = binary.BigEndian.AppendUint64(c, 2)     // blocks
+	c = binary.BigEndian.AppendUint32(c, 0)     // output CRC
+	c = binary.BigEndian.AppendUint32(c, compress.Checksum(c))
+	index := len(c)
+	frames := []byte{0x01, 0x02}
+	for k := range frames {
+		c = binary.BigEndian.AppendUint64(c, 1)
+		c = binary.BigEndian.AppendUint32(c, compress.Checksum(frames[k:k+1]))
+	}
+	c = binary.BigEndian.AppendUint32(c, compress.Checksum(c[index:]))
+	return append(c, frames...)
+}
+
+// TestDecompressClaimAllocatesLittle: POSTing the 72-byte container that
+// claims 2^30 bases to /decompress answers 422, and the request, handled
+// whole, allocates under 64 KiB: nothing for the claim before block 0
+// decodes. It allocated the claimed 1 GiB output first before.
+func TestDecompressClaimAllocatesLittle(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	body := claimingContainer()
+	var heap runtime.MemStats
+	grew := uint64(math.MaxUint64)
+	for range 3 { // the smallest of three: the first registers metric series
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/decompress", bytes.NewReader(body))
+		runtime.ReadMemStats(&heap)
+		before := heap.TotalAlloc
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&heap)
+		grew = min(grew, heap.TotalAlloc-before)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("POST of the %d-byte container: HTTP %d: %s", len(body), rec.Code, rec.Body)
+		}
+	}
+	if grew >= 64<<10 {
+		t.Errorf("POST /decompress of a container claiming 2^30 bases in two 1-byte frames allocated %d bytes", grew)
 	}
 }
