@@ -57,15 +57,18 @@ test:
 # the daemon tests included, and so are the observability checks: trace
 # continuity into a fleet replica, recorder attribution, the SLO verdict,
 # and the experiment binary's -metrics/-trace export leaving its CSV
-# byte-identical. Then three stress tests ten times over: the decoded-block
+# byte-identical. Then four stress tests ten times over: the decoded-block
 # cache's, goroutines slicing shared readers through one small, constantly
 # evicting cache, each window checked against a plain decode; CTW's
 # pooled arenas, goroutines compressing and decompressing at depths 2, 16
 # and 30 plus a hostile depth-30 frame through pooled trees, whose node
 # and child-link arrays must stay in step, each result checked against a
-# sequential run; and the daemon's range reads racing overwrites of their
+# sequential run; the daemon's range reads racing overwrites of their
 # container with different content, each window checked to be one
-# version's. `make verify`
+# version's; and the fleet's kept envelopes, goroutines overwriting,
+# deleting and reading (whole, ranged, pinned) a few blobs on FaultyStore
+# shards whose replicas keep the one envelope each write sealed, each read
+# checked to be one payload or its window. `make verify`
 # adds only what these runs cannot show: the -count=2 determinism rerun
 # (chaos), the serve process smoke and one run of every codec-layer
 # benchmark (bench-smoke).
@@ -74,6 +77,7 @@ race:
 	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
 	$(GO) test -race -count=10 -run 'PooledArenasConcurrent' ./internal/compress/ctw
 	$(GO) test -race -count=10 -run 'RangeReadsRaceOverwrites' ./internal/serve
+	$(GO) test -race -count=10 -run 'KeptEnvelopesConcurrent' ./internal/cloud
 
 # The benchmark is a module of its own, so `go test ./...` at the root never
 # reaches its tests: plan determinism, the metric tables against
@@ -86,7 +90,8 @@ perfbench-test:
 # parent/change runs rely on keep building and running: dnax's
 # ExchangeBlocks and CTW's PaperSmall two-worker benchmarks among them, and
 # cloud's ExchangeBlocks, one 1 MiB exchange through an in-memory fleet
-# with its B/op. It times nothing worth reading.
+# with its B/op, and FleetPut, one 1 MiB write to 3 replicas, whose B/op is
+# the one envelope they keep. It times nothing worth reading.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/arith ./internal/match ./internal/compress/... ./internal/cloud
 
@@ -144,7 +149,9 @@ serve:
 # fleets with stale replicas (TestFleetPinnedReadsMatchQuorumRead), and
 # every quorum read, which takes its bytes from one replica, checked
 # against a reference read of every replica in full, bytes moved included
-# (TestFleetReadsMatchReference).
+# (TestFleetReadsMatchReference), and random sequences of fleet ops
+# checked against a plain model of blobs, replicas and breakers
+# (TestFleetMatchesOracle).
 chaos:
 	$(GO) test ./internal/cloud -race -count=2 -run 'Faulty|Exchange|Backoff|Fleet'
 

@@ -179,16 +179,38 @@ func (s *BlobStore) CreateContainer(name string) error {
 	return nil
 }
 
-// Put uploads a BLOB, overwriting any previous version.
+// Put uploads a BLOB, overwriting any previous version. The store keeps a
+// copy, so the caller may reuse data.
 func (s *BlobStore) Put(container, blob string, data []byte) error {
+	return s.keep(container, blob, append([]byte(nil), data...))
+}
+
+// keep is Put without the copy: the store keeps data itself, so nothing
+// may write to data afterwards. Unexported, so only the fleet hands a
+// store a buffer this way: the version envelope it sealed.
+func (s *BlobStore) keep(container, blob string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.containers[container]
 	if !ok {
 		return fmt.Errorf("%w: container %q", ErrNotFound, container)
 	}
-	c[blob] = append([]byte(nil), data...)
+	c[blob] = data
 	return nil
+}
+
+// keep stores data as the blob on st without a copy where st is one of
+// this package's in-memory stores. Any other Store, a type that embeds
+// one included, gets Put, which keeps its own copy. Nothing may write to
+// data afterwards.
+func keep(st Store, container, blob string, data []byte) error {
+	switch s := st.(type) {
+	case *BlobStore:
+		return s.keep(container, blob, data)
+	case *FaultyStore:
+		return s.keep(container, blob, data)
+	}
+	return st.Put(container, blob, data)
 }
 
 // Get downloads a BLOB.

@@ -130,6 +130,16 @@ func (s *FaultyStore) Put(container, blob string, data []byte) error {
 	return s.inner.Put(container, blob, data)
 }
 
+// keep is Put for a buffer handed over without a copy: it rolls the same
+// put fault, then has the wrapped store keep data (see the package-level
+// keep).
+func (s *FaultyStore) keep(container, blob string, data []byte) error {
+	if err := s.roll("put", container, blob); err != nil {
+		return err
+	}
+	return keep(s.inner, container, blob, data)
+}
+
 // Get downloads a BLOB, or fails transiently per the fault schedule.
 func (s *FaultyStore) Get(container, blob string) ([]byte, error) {
 	if err := s.roll("get", container, blob); err != nil {

@@ -617,7 +617,8 @@ func (sh *fleetShard) modeledMS(nbytes int) float64 {
 // version + payload) so quorum reads can prefer the newest write when an
 // overwrite only reached a quorum of replicas. The fleet is the single
 // writer, so a fleet-local per-key counter is a sufficient version
-// authority.
+// authority. The envelope is a write's one copy: in-memory replicas keep
+// it as it is (keep), and nothing writes to it once it is sealed.
 func sealVersion(version uint64, data []byte) []byte {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], version)
@@ -691,9 +692,11 @@ func (f *Fleet) CreateContainer(name string) error {
 // replica count, joined before return) and succeeds once WriteQuorum
 // replicas acknowledge. A replica whose shard never saw the container
 // creates it on demand, so a shard that was dead during CreateContainer
-// heals itself on its first write. Concurrent Puts to *different* blobs
-// are safe; callers serialize Puts to the same blob (the exchange
-// pipeline's retry loop already does).
+// heals itself on its first write. The blob is sealed once into a version
+// envelope that every in-memory replica keeps, so data stays the
+// caller's. Concurrent Puts to *different* blobs are safe; callers
+// serialize Puts to the same blob (the exchange pipeline's retry loop
+// already does).
 func (f *Fleet) Put(container, blob string, data []byte) error {
 	return f.PutCtx(context.Background(), container, blob, data)
 }
@@ -721,14 +724,14 @@ func (f *Fleet) PutCtx(ctx context.Context, container, blob string, data []byte)
 			defer rspan.End()
 			rspan.SetAttr("shard", sh.spec.Name)
 			results[i] = f.shardOp(sh, "put", len(env), func(st Store) error {
-				err := st.Put(container, blob, env)
+				err := keep(st, container, blob, env)
 				if err != nil && errors.Is(err, ErrNotFound) {
 					// Container missing on this shard only: create and retry
 					// once. Both steps sit inside the same shardOp outcome.
 					if cerr := st.CreateContainer(container); cerr != nil && !errors.Is(cerr, ErrContainerExists) {
 						return cerr
 					}
-					err = st.Put(container, blob, env)
+					err = keep(st, container, blob, env)
 				}
 				return err
 			})
