@@ -71,7 +71,7 @@ test:
 # checked to be one payload or its window. `make verify`
 # adds only what these runs cannot show: the -count=2 determinism rerun
 # (chaos), the serve process smoke and one run of every codec-layer
-# benchmark (bench-smoke).
+# benchmark and of the root reproduction harness (bench-smoke).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'BlockCacheConcurrentSlices' ./internal/compress
@@ -91,9 +91,15 @@ perfbench-test:
 # ExchangeBlocks and CTW's PaperSmall two-worker benchmarks among them, and
 # cloud's ExchangeBlocks, one 1 MiB exchange through an in-memory fleet
 # with its B/op, and FleetPut, one 1 MiB write to 3 replicas, whose B/op is
-# the one envelope they keep. It times nothing worth reading.
+# the one envelope they keep. Then the root reproduction harness
+# (bench_test.go) once: its Figure 2-6 benchmarks read the one figure
+# computation the figures binary prints (experiment's SummarizeByCodec and
+# MeanBitsPerBase), beside its Table 2, grid-build, block-engine,
+# ablation and codec-metrics (ObserveCompress) benchmarks. It times
+# nothing worth reading.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/arith ./internal/match ./internal/compress/... ./internal/cloud
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # A few seconds per fuzz target: catches shallow decode/cache regressions
 # (FuzzBlockContainerOpen covers CXB1 containers and, as their one-block

@@ -29,7 +29,6 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/experiment"
 	"github.com/srl-nuces/ctxdna/internal/match"
 	"github.com/srl-nuces/ctxdna/internal/obs"
-	"github.com/srl-nuces/ctxdna/internal/stats"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/biocompress"
@@ -46,9 +45,13 @@ var (
 )
 
 // benchGrid builds the shared experiment grid once: 48 files, 2–256 KB,
-// spanning the paper's small-file and large-file regimes.
+// spanning the paper's small-file and large-file regimes. The build is
+// kept out of the calling benchmark's time, so that each benchmark times
+// only the figure it computes.
 func benchGrid(b *testing.B) *experiment.Grid {
 	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
 	gridOnce.Do(func() {
 		files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 48, MinSize: 2 << 10, MaxSize: 256 << 10, Seed: 2015})
 		gridVal, gridErr = experiment.Run(files, cloud.Grid(), paperCodecs, experiment.DefaultNoise())
@@ -59,15 +62,17 @@ func benchGrid(b *testing.B) *experiment.Grid {
 	return gridVal
 }
 
-// meanByCodec reports one custom metric per codec.
-func meanByCodec(b *testing.B, g *experiment.Grid, unit string, value func(core.Measurement) float64) {
+// benchSummary times one Figure 2, 3, 5 or 6 summary of the grid and
+// reports each codec's mean as a custom metric.
+func benchSummary(b *testing.B, unit string, value func(core.Measurement) float64) {
 	b.Helper()
-	for ci, codec := range g.Codecs {
-		var vals []float64
-		for _, row := range g.Rows {
-			vals = append(vals, value(row.Measurements[ci]))
-		}
-		b.ReportMetric(stats.Mean(vals), codec+"_"+unit)
+	g := benchGrid(b)
+	var rows []experiment.CodecSummary
+	for i := 0; i < b.N; i++ {
+		rows = g.SummarizeByCodec(value)
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.Mean, r.Codec+"_"+unit)
 	}
 }
 
@@ -76,44 +81,26 @@ func meanByCodec(b *testing.B, g *experiment.Grid, unit string, value func(core.
 // dominated by latency + size/bandwidth), ordered by compressed size —
 // gzip worst, gencompress best.
 func BenchmarkFig2UploadTime(b *testing.B) {
-	g := benchGrid(b)
-	for i := 0; i < b.N; i++ {
-		_ = g.FigUploadTime()
-	}
-	meanByCodec(b, g, "up_ms", func(m core.Measurement) float64 { return m.UploadMS })
+	benchSummary(b, "up_ms", func(m core.Measurement) float64 { return m.UploadMS })
 }
 
 // BenchmarkFig3RAMUsed regenerates Figure 3: measured RAM per codec.
 // Expected shape: noisy and near-tied (the reason RAM models fail), with
 // gzip lowest on average and CTW heaviest.
 func BenchmarkFig3RAMUsed(b *testing.B) {
-	g := benchGrid(b)
-	for i := 0; i < b.N; i++ {
-		_ = g.FigRAMUsed()
-	}
-	meanByCodec(b, g, "ram_mb", func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) })
+	benchSummary(b, "ram_mb", func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) })
 }
 
 // BenchmarkFig4CompressedSize regenerates Figure 4: bits/base per codec,
 // context-invariant. Expected order: gencompress <= dnax < ctw < gzip.
 func BenchmarkFig4CompressedSize(b *testing.B) {
 	g := benchGrid(b)
+	var bpb []float64
 	for i := 0; i < b.N; i++ {
-		_ = g.FigCompressedSize()
+		bpb = g.MeanBitsPerBase()
 	}
 	for ci, codec := range g.Codecs {
-		seen := map[string]bool{}
-		var sum float64
-		var n int
-		for _, row := range g.Rows {
-			if seen[row.FileName] {
-				continue
-			}
-			seen[row.FileName] = true
-			sum += float64(row.Measurements[ci].CompressedBytes*8) / float64(row.FileBases)
-			n++
-		}
-		b.ReportMetric(sum/float64(n), codec+"_bpb")
+		b.ReportMetric(bpb[ci], codec+"_bpb")
 	}
 }
 
@@ -122,11 +109,7 @@ func BenchmarkFig4CompressedSize(b *testing.B) {
 // best above ~140 KB; CPU scaling matters for all, RAM for none (no codec
 // thrashes at these sizes).
 func BenchmarkFig5CompressionTime(b *testing.B) {
-	g := benchGrid(b)
-	for i := 0; i < b.N; i++ {
-		_ = g.FigCompressionTime()
-	}
-	meanByCodec(b, g, "comp_ms", func(m core.Measurement) float64 { return m.CompressMS })
+	benchSummary(b, "comp_ms", func(m core.Measurement) float64 { return m.CompressMS })
 }
 
 // BenchmarkFig6DownloadTime regenerates Figure 6: download at the fixed
@@ -134,12 +117,8 @@ func BenchmarkFig5CompressionTime(b *testing.B) {
 // the decompression-time observation (DNAX least, CTW worst) reported
 // alongside.
 func BenchmarkFig6DownloadTime(b *testing.B) {
-	g := benchGrid(b)
-	for i := 0; i < b.N; i++ {
-		_ = g.FigDownloadTime()
-	}
-	meanByCodec(b, g, "down_ms", func(m core.Measurement) float64 { return m.DownloadMS })
-	meanByCodec(b, g, "dec_ms", func(m core.Measurement) float64 { return m.DecompressMS })
+	benchSummary(b, "down_ms", func(m core.Measurement) float64 { return m.DownloadMS })
+	benchSummary(b, "dec_ms", func(m core.Measurement) float64 { return m.DecompressMS })
 }
 
 // BenchmarkFig8FileSizes regenerates Figure 8: the file-size-vs-row layout
@@ -244,7 +223,7 @@ func BenchmarkRunParallelJobs(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(benchName("jobs", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.RunParallel(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), jobs); err != nil {
+				if _, _, err := experiment.RunGrid(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), experiment.RunConfig{Jobs: jobs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,12 +238,13 @@ func BenchmarkRunCachedSweep(b *testing.B) {
 	files := parallelBenchFiles()
 	contexts := cloud.Grid()
 	cache := compress.NewCache()
-	if _, err := experiment.RunParallelCached(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), 4, cache); err != nil {
+	cfg := experiment.RunConfig{Jobs: 4, Cache: cache}
+	if _, _, err := experiment.RunGrid(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunParallelCached(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), 4, cache); err != nil {
+		if _, _, err := experiment.RunGrid(context.Background(), files, contexts, paperCodecs, experiment.DefaultNoise(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -483,54 +463,31 @@ func BenchmarkAblationThrash(b *testing.B) {
 
 // --- Observability (DESIGN.md §11) ---
 
-// BenchmarkInstrumentOverhead compares a raw codec against its
-// compress.Instrument wrapper on the same input. The wrapper pre-resolves
-// its series, so each call adds only a handful of atomic operations; the
-// acceptance target is < 5 % overhead on a real codec's compress path.
-// Run both sub-benchmarks and compare ns/op (e.g. with benchstat).
+// BenchmarkInstrumentOverhead compares a raw codec compress against the
+// same compress followed by compress.ObserveCompress, the one way codec
+// metrics are recorded, on the same input. Recording resolves its series
+// and adds a handful of atomic operations; the acceptance target is < 5 %
+// overhead on a real codec's compress path. Run both sub-benchmarks and
+// compare ns/op (e.g. with benchstat).
 func BenchmarkInstrumentOverhead(b *testing.B) {
-	src := ablateSeq()
-	newCodec := func() compress.Codec {
-		c, err := compress.New("dnax")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	b.Run("raw", func(b *testing.B) {
-		c := newCodec()
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Compress(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("instrumented", func(b *testing.B) {
-		c := compress.Instrument(obs.NewRegistry(), newCodec())
-		b.SetBytes(int64(len(src)))
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Compress(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchObserveCompress(b, "dnax", ablateSeq())
 }
 
-// BenchmarkInstrumentWrapperFloor isolates the wrapper's own cost with a
+// BenchmarkInstrumentWrapperFloor isolates the recording's own cost with a
 // near-free codec (twobit packing), the worst case for relative overhead:
 // if even here the delta is small, real codecs cannot notice it.
 func BenchmarkInstrumentWrapperFloor(b *testing.B) {
-	src := ablateSeq()[:4096]
-	newCodec := func() compress.Codec {
-		c, err := compress.New("twobit")
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
+	benchObserveCompress(b, "twobit", ablateSeq()[:4096])
+}
+
+// benchObserveCompress times the named codec's Compress of src, raw and
+// then with its metrics recorded into a fresh registry.
+func benchObserveCompress(b *testing.B, name string, src []byte) {
+	c, err := compress.New(name)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("raw", func(b *testing.B) {
-		c := newCodec()
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
 			if _, _, err := c.Compress(src); err != nil {
@@ -538,11 +495,13 @@ func BenchmarkInstrumentWrapperFloor(b *testing.B) {
 			}
 		}
 	})
-	b.Run("instrumented", func(b *testing.B) {
-		c := compress.Instrument(obs.NewRegistry(), newCodec())
+	b.Run("observed", func(b *testing.B) {
+		reg := obs.NewRegistry()
 		b.SetBytes(int64(len(src)))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Compress(src); err != nil {
+			out, st, err := c.Compress(src)
+			compress.ObserveCompress(reg, name, len(src), len(out), st, err)
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

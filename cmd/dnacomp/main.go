@@ -416,12 +416,12 @@ func doCompress(codecName string, raw []byte, quiet bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec = compress.Instrument(nil, codec)
 	symbols, stats := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return nil, fmt.Errorf("input contains no ACGT bases")
 	}
 	data, st, err := codec.Compress(symbols)
+	compress.ObserveCompress(nil, codec.Name(), len(symbols), len(data), st, err)
 	if err != nil {
 		return nil, err
 	}

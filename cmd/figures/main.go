@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
@@ -29,7 +28,6 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/dtree"
 	"github.com/srl-nuces/ctxdna/internal/experiment"
-	"github.com/srl-nuces/ctxdna/internal/stats"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 
 	_ "github.com/srl-nuces/ctxdna/internal/compress/ctw"
@@ -105,8 +103,8 @@ func loadGrid(gridPath string, jobs int, gen genSpec) (*experiment.Grid, error) 
 		NumFiles: gen.files, MinSize: gen.minKB << 10, MaxSize: gen.maxKB << 10, Seed: gen.seed,
 	})
 	codecs := []string{"ctw", "dnax", "gencompress", "gzip"}
-	cache := compress.NewCache()
-	g, err := experiment.RunParallelCached(context.Background(), files, cloud.Grid(), codecs, experiment.DefaultNoise(), jobs, cache)
+	g, _, err := experiment.RunGrid(context.Background(), files, cloud.Grid(), codecs, experiment.DefaultNoise(),
+		experiment.RunConfig{Jobs: jobs, Cache: compress.NewCache()})
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +123,15 @@ func loadGrid(gridPath string, jobs int, gen genSpec) (*experiment.Grid, error) 
 func renderFigure(g *experiment.Grid, n int) error {
 	switch n {
 	case 2:
-		summarizeByCodec(g, "Figure 2 — upload time (ms)", func(m core.Measurement) float64 { return m.UploadMS })
+		printSummary("Figure 2 — upload time (ms)", g.SummarizeByCodec(func(m core.Measurement) float64 { return m.UploadMS }))
 	case 3:
-		summarizeByCodec(g, "Figure 3 — RAM used (MB)", func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) })
+		printSummary("Figure 3 — RAM used (MB)", g.SummarizeByCodec(func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) }))
 	case 4:
 		ratioTable(g)
 	case 5:
-		summarizeByCodec(g, "Figure 5 — compression time (ms)", func(m core.Measurement) float64 { return m.CompressMS })
+		printSummary("Figure 5 — compression time (ms)", g.SummarizeByCodec(func(m core.Measurement) float64 { return m.CompressMS }))
 	case 6:
-		summarizeByCodec(g, "Figure 6 — download time (ms)", func(m core.Measurement) float64 { return m.DownloadMS })
+		printSummary("Figure 6 — download time (ms)", g.SummarizeByCodec(func(m core.Measurement) float64 { return m.DownloadMS }))
 	case 8:
 		fig8(g)
 	case 9, 10:
@@ -150,19 +148,13 @@ func renderFigure(g *experiment.Grid, n int) error {
 	return nil
 }
 
-// summarizeByCodec prints mean/median/min/max of a per-measurement metric,
-// split by bandwidth class to expose the context dependence.
-func summarizeByCodec(g *experiment.Grid, title string, value func(core.Measurement) float64) {
+// printSummary prints one of Figures 2, 3, 5 and 6: each codec's mean,
+// median, min and max over the grid rows.
+func printSummary(title string, rows []experiment.CodecSummary) {
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("-", len(title)))
 	fmt.Printf("%-12s %10s %10s %10s %10s\n", "codec", "mean", "median", "min", "max")
-	for ci, codec := range g.Codecs {
-		var vals []float64
-		for _, row := range g.Rows {
-			vals = append(vals, value(row.Measurements[ci]))
-		}
-		sort.Float64s(vals)
-		fmt.Printf("%-12s %10.1f %10.1f %10.1f %10.1f\n",
-			codec, stats.Mean(vals), stats.Median(vals), vals[0], vals[len(vals)-1])
+	for _, r := range rows {
+		fmt.Printf("%-12s %10.1f %10.1f %10.1f %10.1f\n", r.Codec, r.Mean, r.Median, r.Min, r.Max)
 	}
 }
 
@@ -170,19 +162,8 @@ func ratioTable(g *experiment.Grid) {
 	title := "Figure 4 — compressed size (bits/base, context-invariant)"
 	fmt.Printf("\n%s\n%s\n", title, strings.Repeat("-", len(title)))
 	fmt.Printf("%-12s %10s\n", "codec", "mean bpb")
-	for ci, codec := range g.Codecs {
-		seen := map[string]bool{}
-		var sum float64
-		var n int
-		for _, row := range g.Rows {
-			if seen[row.FileName] {
-				continue
-			}
-			seen[row.FileName] = true
-			sum += float64(row.Measurements[ci].CompressedBytes*8) / float64(row.FileBases)
-			n++
-		}
-		fmt.Printf("%-12s %10.3f\n", codec, sum/float64(n))
+	for ci, bpb := range g.MeanBitsPerBase() {
+		fmt.Printf("%-12s %10.3f\n", g.Codecs[ci], bpb)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
+	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/experiment"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
@@ -62,30 +64,79 @@ func TestRenderEveryFigure(t *testing.T) {
 	}
 }
 
-// TestFigure4RatioTable: Figure 4 prints its title once and, per codec,
-// the mean bits/base over the corpus files.
-func TestFigure4RatioTable(t *testing.T) {
+// smallFigureGrid is a 4-file, two-codec grid over every context.
+func smallFigureGrid(t *testing.T) *experiment.Grid {
+	t.Helper()
 	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 4, MinSize: 2 << 10, MaxSize: 8 << 10, Seed: 3})
 	g, err := experiment.Run(files, cloud.Grid(), []string{"dnax", "gzip"}, experiment.DefaultNoise())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// renderCaptured renders figure n of g and returns what it printed, after
+// checking that the figure's title appears once.
+func renderCaptured(t *testing.T, g *experiment.Grid, n int) string {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := os.Stdout
 	os.Stdout = w
-	rerr := renderFigure(g, 4)
+	rerr := renderFigure(g, n)
 	os.Stdout = old
 	w.Close()
 	out, err := io.ReadAll(r)
 	if err != nil || rerr != nil {
 		t.Fatalf("render: %v, read: %v", rerr, err)
 	}
-	if n := strings.Count(string(out), "Figure 4"); n != 1 {
-		t.Errorf("Figure 4 title printed %d times:\n%s", n, out)
+	if c := strings.Count(string(out), fmt.Sprintf("Figure %d ", n)); c != 1 {
+		t.Errorf("Figure %d title printed %d times:\n%s", n, c, out)
 	}
+	return string(out)
+}
+
+// TestFigureSummaryTables: Figures 2, 3, 5 and 6 print, per codec, the
+// mean, median, min and max of their measurement over every grid row.
+func TestFigureSummaryTables(t *testing.T) {
+	g := smallFigureGrid(t)
+	for fig, value := range map[int]func(core.Measurement) float64{
+		2: func(m core.Measurement) float64 { return m.UploadMS },
+		3: func(m core.Measurement) float64 { return float64(m.RAMBytes) / (1 << 20) },
+		5: func(m core.Measurement) float64 { return m.CompressMS },
+		6: func(m core.Measurement) float64 { return m.DownloadMS },
+	} {
+		out := renderCaptured(t, g, fig)
+		for ci, codec := range g.Codecs {
+			var vals []float64
+			for _, row := range g.Rows {
+				vals = append(vals, value(row.Measurements[ci]))
+			}
+			sort.Float64s(vals)
+			var sum float64
+			for _, v := range vals {
+				sum += v
+			}
+			n := len(vals)
+			median := vals[n/2]
+			if n%2 == 0 {
+				median = (vals[n/2-1] + vals[n/2]) / 2
+			}
+			line := fmt.Sprintf("%-12s %10.1f %10.1f %10.1f %10.1f\n", codec, sum/float64(n), median, vals[0], vals[n-1])
+			if !strings.Contains(out, line) {
+				t.Errorf("Figure %d: missing row %q in:\n%s", fig, line, out)
+			}
+		}
+	}
+}
+
+// TestFigure4RatioTable: Figure 4 prints its title once and, per codec,
+// the mean bits/base over the corpus files.
+func TestFigure4RatioTable(t *testing.T) {
+	g := smallFigureGrid(t)
+	out := renderCaptured(t, g, 4)
 	for _, codec := range g.Codecs {
 		var sum float64
 		for _, f := range g.Files {
@@ -95,7 +146,7 @@ func TestFigure4RatioTable(t *testing.T) {
 				}
 			}
 		}
-		if line := fmt.Sprintf("%-12s %10.3f\n", codec, sum/float64(len(g.Files))); !strings.Contains(string(out), line) {
+		if line := fmt.Sprintf("%-12s %10.3f\n", codec, sum/float64(len(g.Files))); !strings.Contains(out, line) {
 			t.Errorf("missing row %q in:\n%s", line, out)
 		}
 	}

@@ -278,24 +278,6 @@ func TestSymbolModelObserve(t *testing.T) {
 	}
 }
 
-func TestSymbolModelReset(t *testing.T) {
-	m := NewSymbolModel(2)
-	e := NewEncoder(nil, 64)
-	for i := 0; i < 100; i++ {
-		e.EncodeLiterals(nil, m, []byte{byte(i % 4)})
-	}
-	m.Reset()
-	fresh := NewSymbolModel(2)
-	if m.ctx != fresh.ctx {
-		t.Fatal("Reset did not clear context")
-	}
-	for i := range m.probs {
-		if m.probs[i] != fresh.probs[i] {
-			t.Fatalf("Reset left learned prob at index %d", i)
-		}
-	}
-}
-
 func TestSymbolModelMemoryFootprint(t *testing.T) {
 	m := NewSymbolModel(2)
 	want := (1 << 4) * 3 * 2 // 16 contexts × 3 probs × 2 bytes

@@ -31,14 +31,6 @@ func NewSymbolModel(order int) *SymbolModel {
 // in bytes, used by the metrics layer for RAM accounting.
 func (m *SymbolModel) MemoryFootprint() int { return len(m.probs) * 2 }
 
-// Reset clears the learned statistics and context history.
-func (m *SymbolModel) Reset() {
-	m.ctx = 0
-	for i := range m.probs {
-		m.probs[i] = NewProb()
-	}
-}
-
 // Observe advances the context without coding, used when a stretch of
 // symbols was transmitted by other means (e.g. a copied repeat) but should
 // still condition subsequent literals.

@@ -141,7 +141,8 @@ func Exchange(ctx context.Context, client VM, store Store, codecName string, src
 		if err != nil {
 			return nil, compress.Stats{}, err
 		}
-		data, cst, err := compress.Instrument(reg, codec).Compress(src)
+		data, cst, err := codec.Compress(src)
+		compress.ObserveCompress(reg, codec.Name(), len(src), len(data), cst, err)
 		if err != nil {
 			return nil, cst, fmt.Errorf("cloud: compress: %w", err)
 		}

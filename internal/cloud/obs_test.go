@@ -73,7 +73,7 @@ func TestExchangeObservability(t *testing.T) {
 	if got := counter(reg, "dna_exchange_down_bytes_total"); got != uint64(rep.FrameBytes) {
 		t.Errorf("down bytes = %d, want %d", got, rep.FrameBytes)
 	}
-	// The codec ran instrumented: one compress through the wrapper, one
+	// The codec's metrics: one compress booked by the sender, one
 	// decompress booked by the hardened receive path.
 	if got := counter(reg, "dna_codec_calls_total", "codec", "dnax", "op", "compress"); got != 1 {
 		t.Errorf("codec compress calls = %d, want 1", got)

@@ -55,7 +55,7 @@ func CrossCodecParallel(t *testing.T, names []string, jobs int) {
 		files = append(files, synth.File{Name: dc.Name, Data: symbols})
 	}
 	contexts := cloud.Grid()[:2]
-	g, err := experiment.RunParallel(context.Background(), files, contexts, names, experiment.DefaultNoise(), jobs)
+	g, _, err := experiment.RunGrid(context.Background(), files, contexts, names, experiment.DefaultNoise(), experiment.RunConfig{Jobs: jobs})
 	if err != nil {
 		t.Fatalf("jobs=%d: %v", jobs, err)
 	}

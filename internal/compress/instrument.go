@@ -6,10 +6,9 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/obs"
 )
 
-// opMetrics is the pre-resolved series set for one (codec, op) pair.
-// Resolving series once at construction keeps the per-call cost of an
-// instrumented codec to a handful of atomic operations, which is what lets
-// BenchmarkInstrumentOverhead stay under its budget.
+// opMetrics is the series set for one (codec, op) pair. Recording one
+// operation costs the series lookups plus a handful of atomic operations,
+// which BenchmarkInstrumentOverhead holds under its budget.
 type opMetrics struct {
 	calls    *obs.Counter
 	corrupt  *obs.Counter
@@ -53,54 +52,12 @@ func (m opMetrics) observe(in, out int, st Stats, err error) {
 	m.peakMem.SetMax(float64(st.PeakMem))
 }
 
-// instrumented decorates a Codec with per-operation metrics. It records
-// only modeled figures (byte counts, Stats), never wall time, so wrapping a
-// codec cannot perturb deterministic outputs.
-type instrumented struct {
-	inner Codec
-	comp  opMetrics
-	dec   opMetrics
-}
-
-// Instrument wraps c so every Compress, Decompress and DecompressTo call
-// records call counts, byte volumes, modeled cost and error-taxonomy
-// outcomes into reg (nil means the default registry). Wrapping an
-// already-instrumented codec returns it unchanged to avoid double counting.
-func Instrument(reg *obs.Registry, c Codec) Codec {
-	if c == nil {
-		return nil
-	}
-	if w, ok := c.(*instrumented); ok {
-		return w
-	}
-	return &instrumented{
-		inner: c,
-		comp:  newOpMetrics(reg, c.Name(), "compress"),
-		dec:   newOpMetrics(reg, c.Name(), "decompress"),
-	}
-}
-
-func (w *instrumented) Name() string { return w.inner.Name() }
-
-func (w *instrumented) Compress(src []byte) ([]byte, Stats, error) {
-	out, st, err := w.inner.Compress(src)
-	w.comp.observe(len(src), len(out), st, err)
-	return out, st, err
-}
-
-func (w *instrumented) Decompress(data []byte) ([]byte, Stats, error) {
-	return w.DecompressTo(nil, data)
-}
-
-func (w *instrumented) DecompressTo(dst, data []byte) ([]byte, Stats, error) {
-	out, st, err := w.inner.DecompressTo(dst, data)
-	w.dec.observe(len(data), len(out), st, err)
-	return out, st, err
-}
-
-// ObserveCompress records one compress operation without wrapping a codec —
-// for call sites that already ran the codec (cached pipelines, the hardened
-// decode path) and only need the books updated.
+// ObserveCompress records one compress operation of the named codec into
+// reg (nil means the default registry): the call, its byte volumes, its
+// modeled cost and, on failure, its error-taxonomy outcome. Call it after
+// the codec ran, with what the call took and returned. It records only
+// modeled figures (byte counts, Stats), never wall time, so recording
+// cannot perturb deterministic outputs.
 func ObserveCompress(reg *obs.Registry, codec string, in, out int, st Stats, err error) {
 	newOpMetrics(reg, codec, "compress").observe(in, out, st, err)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
@@ -25,6 +26,27 @@ func smallGrid(t testing.TB) *Grid {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// WinnerBySize returns (sizeKB, winner) pairs for one representative
+// context, sorted by size — the calibration view of the label crossovers.
+func (g *Grid) WinnerBySize(w core.Weights, vmName string) []SizeWinner {
+	var out []SizeWinner
+	labels := g.Labels(w)
+	for i, row := range g.Rows {
+		if row.VM.Name != vmName {
+			continue
+		}
+		out = append(out, SizeWinner{SizeKB: float64(row.FileBases) / 1024, Winner: labels[i]})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].SizeKB < out[b].SizeKB })
+	return out
+}
+
+// SizeWinner pairs a file size with the winning codec in one context.
+type SizeWinner struct {
+	SizeKB float64
+	Winner string
 }
 
 // TestWinnerCrossovers verifies the paper's headline decision structure on

@@ -3,14 +3,13 @@
 // across the 32-context grid, apply deterministic measurement noise, label
 // each (file, context) row with Eq. 1, induce CHAID/CART rules on the
 // training files, and validate on the held-out 25 % — producing every
-// figure series and the Table 2 accuracy sweep.
+// figure's numbers and the Table 2 accuracy sweep.
 package experiment
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/compress"
@@ -97,9 +96,10 @@ func hashUnit(seed uint64, parts ...string) float64 {
 
 // Run compresses every corpus file with every codec once (reference-core
 // stats are context-independent) and expands the grid across contexts. It
-// is the sequential special case of RunParallel (jobs = 1).
+// is RunGrid with one worker.
 func Run(files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseConfig) (*Grid, error) {
-	return RunParallel(context.Background(), files, contexts, codecs, noise, 1)
+	g, _, err := RunGrid(context.Background(), files, contexts, codecs, noise, RunConfig{Jobs: 1})
+	return g, err
 }
 
 // CompactGrid runs the compact training grid that stands in when no grid
@@ -300,25 +300,4 @@ func TrainEval(train, test *Grid, method string, w core.Weights, cfg dtree.Confi
 	}
 	acc := dtree.Accuracy(tree, test.Dataset(w))
 	return tree, acc, nil
-}
-
-// WinnerBySize returns (sizeKB, winner) pairs for one representative
-// context, sorted by size — the calibration view of the label crossovers.
-func (g *Grid) WinnerBySize(w core.Weights, vmName string) []SizeWinner {
-	var out []SizeWinner
-	labels := g.Labels(w)
-	for i, row := range g.Rows {
-		if row.VM.Name != vmName {
-			continue
-		}
-		out = append(out, SizeWinner{SizeKB: float64(row.FileBases) / 1024, Winner: labels[i]})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].SizeKB < out[b].SizeKB })
-	return out
-}
-
-// SizeWinner pairs a file size with the winning codec in one context.
-type SizeWinner struct {
-	SizeKB float64
-	Winner string
 }

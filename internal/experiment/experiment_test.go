@@ -294,15 +294,7 @@ func TestValidationTrace(t *testing.T) {
 	if math.Abs(v.Accuracy-float64(hits)/float64(len(v.Match))) > 1e-12 {
 		t.Fatal("Accuracy inconsistent with Match")
 	}
-	// Figures 9/10 material.
-	classOf := map[string]int{}
-	for i, c := range g.Codecs {
-		classOf[c] = i
-	}
-	ms := v.MatchSeries(classOf)
-	if len(ms.X) != len(v.Rows) {
-		t.Fatal("match series wrong length")
-	}
+	// Figure 10 material.
 	as := v.AnalysisSeries(86)
 	if len(as) != 4 {
 		t.Fatalf("analysis has %d series", len(as))
@@ -343,28 +335,45 @@ func TestCARTFindsSmallFileLabelsCHAIDMisses(t *testing.T) {
 	}
 }
 
+// TestFigureSeriesShapes: Figures 2, 3, 5 and 6 hold one summary per codec,
+// in grid order, each mean and median inside its min-max spread, and
+// Figure 4 one positive bits-per-base value per codec.
 func TestFigureSeriesShapes(t *testing.T) {
 	g := grid(t)
-	for name, series := range map[string][]Series{
-		"fig2": g.FigUploadTime(),
-		"fig3": g.FigRAMUsed(),
-		"fig4": g.FigCompressedSize(),
-		"fig5": g.FigCompressionTime(),
-		"fig6": g.FigDownloadTime(),
+	for name, value := range map[string]func(core.Measurement) float64{
+		"fig2": func(m core.Measurement) float64 { return m.UploadMS },
+		"fig3": func(m core.Measurement) float64 { return float64(m.RAMBytes) },
+		"fig5": func(m core.Measurement) float64 { return m.CompressMS },
+		"fig6": func(m core.Measurement) float64 { return m.DownloadMS },
 	} {
-		if len(series) != len(g.Codecs) {
-			t.Fatalf("%s: %d series", name, len(series))
+		t.Run(name, func(t *testing.T) {
+			rows := g.SummarizeByCodec(value)
+			if len(rows) != len(g.Codecs) {
+				t.Fatalf("%d summaries for %d codecs", len(rows), len(g.Codecs))
+			}
+			for ci, s := range rows {
+				if s.Codec != g.Codecs[ci] {
+					t.Fatalf("summary %d is %s, want %s", ci, s.Codec, g.Codecs[ci])
+				}
+				// A float sum may round the mean of equal values one ulp out.
+				slack := 1e-9 * math.Max(math.Abs(s.Max), 1)
+				if s.Min > s.Median || s.Median > s.Max || s.Mean < s.Min-slack || s.Mean > s.Max+slack {
+					t.Errorf("%s: mean %v, median %v outside [%v, %v]", s.Codec, s.Mean, s.Median, s.Min, s.Max)
+				}
+			}
+		})
+	}
+	t.Run("fig4", func(t *testing.T) {
+		bpb := g.MeanBitsPerBase()
+		if len(bpb) != len(g.Codecs) {
+			t.Fatalf("%d values for %d codecs", len(bpb), len(g.Codecs))
 		}
-		for _, s := range series {
-			if len(s.X) != len(g.Rows) || len(s.Y) != len(g.Rows) {
-				t.Fatalf("%s/%s: bad lengths", name, s.Name)
+		for ci, v := range bpb {
+			if !(v > 0) {
+				t.Errorf("%s: %v bits/base", g.Codecs[ci], v)
 			}
 		}
-	}
-	f8 := g.FigFileSizeByRow()
-	if len(f8.Y) != len(g.Rows) {
-		t.Fatal("fig8 wrong length")
-	}
+	})
 }
 
 func TestCompressedSizeContextInvariant(t *testing.T) {
@@ -388,7 +397,10 @@ func TestGenCompressUploadAdvantage(t *testing.T) {
 	// Paper §V: "For upload Gencompress on average is good ... as compared
 	// to DNAX because of the compression ratio of DNAX."
 	g := grid(t)
-	mean := g.MeanUploadByCodec()
+	mean := map[string]float64{}
+	for _, s := range g.SummarizeByCodec(func(m core.Measurement) float64 { return m.UploadMS }) {
+		mean[s.Codec] = s.Mean
+	}
 	if mean["gencompress"] >= mean["dnax"] {
 		t.Errorf("gencompress mean upload %.1f should beat dnax %.1f", mean["gencompress"], mean["dnax"])
 	}
@@ -407,6 +419,16 @@ func TestSortRowsBySize(t *testing.T) {
 	for i := 1; i < len(g.Rows); i++ {
 		if g.Rows[i].FileBases < g.Rows[i-1].FileBases {
 			t.Fatal("rows not sorted by size")
+		}
+	}
+	// Figure 8 plots the sorted rows' file sizes, one point per row.
+	f8 := g.FigFileSizeByRow()
+	if len(f8.Y) != len(g.Rows) {
+		t.Fatalf("fig8 has %d points, want %d", len(f8.Y), len(g.Rows))
+	}
+	for i, row := range g.Rows {
+		if f8.Y[i] != float64(row.FileBases) {
+			t.Fatalf("fig8 point %d = %v, want %d", i, f8.Y[i], row.FileBases)
 		}
 	}
 }

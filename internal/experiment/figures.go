@@ -16,46 +16,51 @@ type Series struct {
 	Y    []float64
 }
 
-// codecSeries extracts one value per (row, codec) with rows ordered by a
-// sort key, producing one series per codec — the layout of the paper's
-// Figures 2-6 (metric vs context/file, one line per algorithm).
-func (g *Grid) codecSeries(value func(core.Measurement) float64) []Series {
-	out := make([]Series, len(g.Codecs))
-	for ci, name := range g.Codecs {
-		out[ci].Name = name
+// CodecSummary is one codec's line of Figures 2, 3, 5 and 6: the mean,
+// median, min and max of one measurement over the grid rows.
+type CodecSummary struct {
+	Codec                  string
+	Mean, Median, Min, Max float64
+}
+
+// SummarizeByCodec computes Figures 2, 3, 5 and 6: per codec, in grid
+// order, the spread of value over every (file × context) row. The values
+// are sorted before they are averaged, so the mean does not depend on the
+// row order.
+func (g *Grid) SummarizeByCodec(value func(core.Measurement) float64) []CodecSummary {
+	out := make([]CodecSummary, len(g.Codecs))
+	vals := make([]float64, len(g.Rows))
+	for ci, codec := range g.Codecs {
 		for ri, row := range g.Rows {
-			out[ci].X = append(out[ci].X, float64(ri))
-			out[ci].Y = append(out[ci].Y, value(row.Measurements[ci]))
+			vals[ri] = value(row.Measurements[ci])
 		}
+		sort.Float64s(vals)
+		out[ci] = CodecSummary{Codec: codec, Mean: stats.Mean(vals), Median: stats.Median(vals),
+			Min: vals[0], Max: vals[len(vals)-1]}
 	}
 	return out
 }
 
-// FigUploadTime regenerates Figure 2: upload time per codec across the
-// (file × context) rows.
-func (g *Grid) FigUploadTime() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return m.UploadMS })
-}
-
-// FigRAMUsed regenerates Figure 3: measured RAM per codec.
-func (g *Grid) FigRAMUsed() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return float64(m.RAMBytes) })
-}
-
-// FigCompressedSize regenerates Figure 4: compressed bytes per codec. The
-// context does not change it, exactly as the paper observes.
-func (g *Grid) FigCompressedSize() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return float64(m.CompressedBytes) })
-}
-
-// FigCompressionTime regenerates Figure 5.
-func (g *Grid) FigCompressionTime() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return m.CompressMS })
-}
-
-// FigDownloadTime regenerates Figure 6.
-func (g *Grid) FigDownloadTime() []Series {
-	return g.codecSeries(func(m core.Measurement) float64 { return m.DownloadMS })
+// MeanBitsPerBase computes Figure 4: per codec, in grid order, the mean
+// compressed bits per base over the grid's files. The context does not
+// change a file's compressed size, exactly as the paper observes, so each
+// file counts once, at its first row in row order.
+func (g *Grid) MeanBitsPerBase() []float64 {
+	out := make([]float64, len(g.Codecs))
+	seen := map[string]bool{}
+	for _, row := range g.Rows {
+		if seen[row.FileName] {
+			continue
+		}
+		seen[row.FileName] = true
+		for ci := range out {
+			out[ci] += float64(row.Measurements[ci].CompressedBytes*8) / float64(row.FileBases)
+		}
+	}
+	for ci := range out {
+		out[ci] /= float64(len(seen))
+	}
+	return out
 }
 
 // FigFileSizeByRow regenerates Figure 8: file size against row id for the
@@ -107,23 +112,6 @@ func Validate(train, test *Grid, method string, w core.Weights, cfg dtree.Config
 		v.Accuracy = float64(hits) / float64(len(test.Rows))
 	}
 	return v, nil
-}
-
-// MatchSeries renders the validation as the paper's Figures 9/11/13/15: one
-// point per test row, the codec's numeric id when matched and a gap (NaN is
-// avoided — the caller filters) when mismatched. Y is the actual label index
-// +1 on match, 0 on mismatch.
-func (v *Validation) MatchSeries(classOf map[string]int) Series {
-	s := Series{Name: v.Method + "_validation"}
-	for i := range v.Rows {
-		s.X = append(s.X, float64(i))
-		if v.Match[i] {
-			s.Y = append(s.Y, float64(classOf[v.Actual[i]]+1))
-		} else {
-			s.Y = append(s.Y, 0)
-		}
-	}
-	return s
 }
 
 // AnalysisSeries renders the paper's Figures 10/12/14/16: normalized CPU,
@@ -255,22 +243,6 @@ func Table2Lookup(rows []Table2Row, method, weight, var1 string) (float64, bool)
 		}
 	}
 	return 0, false
-}
-
-// MeanUploadByCodec supports the paper's §V remark that GenCompress's
-// better ratio buys it upload time relative to DNAX: mean upload ms per
-// codec across all rows.
-func (g *Grid) MeanUploadByCodec() map[string]float64 {
-	sums := make(map[string]float64)
-	for _, row := range g.Rows {
-		for _, m := range row.Measurements {
-			sums[m.Codec] += m.UploadMS
-		}
-	}
-	for k := range sums {
-		sums[k] /= float64(len(g.Rows))
-	}
-	return sums
 }
 
 // SortRowsBySize orders the grid rows by file size then context, the layout

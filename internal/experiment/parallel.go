@@ -104,38 +104,23 @@ func newGridMetrics(reg *obs.Registry) gridMetrics {
 	}
 }
 
-// RunParallel builds the experiment grid with a bounded worker pool fanning
-// out the (file × codec) compression/decompression runs. jobs <= 0 means
-// runtime.GOMAXPROCS(0); jobs == 1 reproduces the sequential path exactly.
+// RunGrid builds the experiment grid with a bounded worker pool fanning
+// out the (file × codec) compression/decompression runs. It returns the
+// grid, the failed (file, codec) slots, and a fatal error. In the default
+// (strict) mode any failure aborts the build and comes back as both
+// RunErrors and the error; with cfg.Partial the failures are surfaced
+// alongside a usable partial grid.
 //
 // Determinism: results land in slots indexed by (file, codec) position, not
 // appended on completion, so the returned Grid — rows, measurements, labels,
-// CSV export — is byte-identical regardless of jobs or scheduling.
+// CSV export — is byte-identical regardless of cfg.Jobs or scheduling.
 //
-// Cancellation: the first failing run cancels ctx for the whole pool; the
-// aggregated RunErrors names each failed (file, codec) pair. External
-// cancellation via ctx returns ctx.Err() promptly. All workers have exited
-// by the time RunParallel returns.
-func RunParallel(ctx context.Context, files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseConfig, jobs int) (*Grid, error) {
-	return RunParallelCached(ctx, files, contexts, codecs, noise, jobs, nil)
-}
-
-// RunParallelCached is RunParallel with a content-hash keyed result cache;
-// cache may be nil.
-func RunParallelCached(ctx context.Context, files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseConfig, jobs int, cache *compress.Cache) (*Grid, error) {
-	g, _, err := RunGrid(ctx, files, contexts, codecs, noise, RunConfig{Jobs: jobs, Cache: cache})
-	return g, err
-}
-
-// RunGrid is the full-control grid build behind RunParallel and
-// RunParallelCached. It returns the grid, the failed (file, codec) slots,
-// and a fatal error. In the default (strict) mode any failure aborts the
-// build and comes back as both RunErrors and the error; with cfg.Partial
-// the failures are surfaced alongside a usable partial grid.
-//
+// Cancellation: in strict mode the first failing run cancels the whole
+// pool; the aggregated RunErrors names each failed (file, codec) pair.
 // External cancellation always wins: if the caller's ctx is done, RunGrid
-// returns ctx.Err() even when failed runs were recorded in the same race,
-// so callers can tell cancellation from run failure.
+// returns ctx.Err() promptly, even when failed runs were recorded in the
+// same race, so callers can tell cancellation from run failure. All
+// workers have exited by the time RunGrid returns.
 func RunGrid(ctx context.Context, files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseConfig, cfg RunConfig) (*Grid, RunErrors, error) {
 	if len(files) == 0 || len(contexts) == 0 || len(codecs) == 0 {
 		return nil, nil, fmt.Errorf("experiment: empty files, contexts or codecs")

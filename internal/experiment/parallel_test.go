@@ -62,7 +62,7 @@ func equivCorpus() []synth.File {
 	return synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 6, MinSize: 2 << 10, MaxSize: 24 << 10, Seed: 11})
 }
 
-// TestParallelMatchesSequential is the determinism contract: RunParallel at
+// TestParallelMatchesSequential is the determinism contract: RunGrid at
 // jobs ∈ {1, 2, 8} must reproduce the sequential grid exactly — rows,
 // measurements, labels, and the CSV export byte for byte.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -79,7 +79,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	wantLabels := want.Labels(core.TimeOnlyWeights())
 
 	for _, jobs := range []int{1, 2, 8} {
-		got, err := RunParallel(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), jobs)
+		got, _, err := RunGrid(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), RunConfig{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -111,7 +111,7 @@ func TestParallelCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := compress.NewCache()
-	cold, err := RunParallelCached(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), 4, cache)
+	cold, _, err := RunGrid(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), RunConfig{Jobs: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestParallelCacheEquivalence(t *testing.T) {
 	if hits, misses := cache.Counters(); hits != 0 || misses != uint64(len(files)*len(paperCodecs)) {
 		t.Fatalf("cold run: %d hits, %d misses, want 0 and %d", hits, misses, len(files)*len(paperCodecs))
 	}
-	warm, err := RunParallelCached(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), 4, cache)
+	warm, _, err := RunGrid(context.Background(), files, ctxs, paperCodecs, DefaultNoise(), RunConfig{Jobs: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestParallelCacheEquivalence(t *testing.T) {
 func TestParallelErrorAttribution(t *testing.T) {
 	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 4, MinSize: 1024, MaxSize: 2048, Seed: 3})
 	for _, jobs := range []int{1, 4} {
-		_, err := RunParallel(context.Background(), files, cloud.Grid()[:2], []string{"teststub", "testfail"}, DefaultNoise(), jobs)
+		_, _, err := RunGrid(context.Background(), files, cloud.Grid()[:2], []string{"teststub", "testfail"}, DefaultNoise(), RunConfig{Jobs: jobs})
 		if err == nil {
 			t.Fatalf("jobs=%d: failing codec produced no error", jobs)
 		}
@@ -176,7 +176,7 @@ func TestParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	g, err := RunParallel(ctx, files, cloud.Grid()[:2], []string{"testslow"}, DefaultNoise(), 4)
+	g, _, err := RunGrid(ctx, files, cloud.Grid()[:2], []string{"testslow"}, DefaultNoise(), RunConfig{Jobs: 4})
 	elapsed := time.Since(start)
 	if g != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: grid=%v err=%v, want nil grid and context.Canceled", g != nil, err)
@@ -186,11 +186,11 @@ func TestParallelCancellation(t *testing.T) {
 	}
 
 	// The failing-codec path also cancels internally; neither may leak.
-	if _, err := RunParallel(context.Background(), files[:8], cloud.Grid()[:2], []string{"testfail"}, DefaultNoise(), 4); err == nil {
+	if _, _, err := RunGrid(context.Background(), files[:8], cloud.Grid()[:2], []string{"testfail"}, DefaultNoise(), RunConfig{Jobs: 4}); err == nil {
 		t.Fatal("failing codec produced no error")
 	}
 
-	// Workers are joined before RunParallel returns, so the goroutine count
+	// Workers are joined before RunGrid returns, so the goroutine count
 	// settles back to the baseline (give the runtime a moment to reap).
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -305,20 +305,20 @@ func TestExternalCancelBeatsRunErrors(t *testing.T) {
 func TestParallelRejectsBadInput(t *testing.T) {
 	files := synth.ExperimentCorpus(synth.CorpusSpec{NumFiles: 1, MinSize: 1024, MaxSize: 1024, Seed: 1})
 	ctx := context.Background()
-	if _, err := RunParallel(ctx, nil, cloud.Grid(), paperCodecs, DefaultNoise(), 4); err == nil {
+	if _, _, err := RunGrid(ctx, nil, cloud.Grid(), paperCodecs, DefaultNoise(), RunConfig{Jobs: 4}); err == nil {
 		t.Error("empty files accepted")
 	}
-	if _, err := RunParallel(ctx, files, nil, paperCodecs, DefaultNoise(), 4); err == nil {
+	if _, _, err := RunGrid(ctx, files, nil, paperCodecs, DefaultNoise(), RunConfig{Jobs: 4}); err == nil {
 		t.Error("empty contexts accepted")
 	}
-	if _, err := RunParallel(ctx, files, cloud.Grid(), nil, DefaultNoise(), 4); err == nil {
+	if _, _, err := RunGrid(ctx, files, cloud.Grid(), nil, DefaultNoise(), RunConfig{Jobs: 4}); err == nil {
 		t.Error("empty codecs accepted")
 	}
-	if _, err := RunParallel(ctx, files, cloud.Grid(), []string{"nope"}, DefaultNoise(), 4); err == nil {
+	if _, _, err := RunGrid(ctx, files, cloud.Grid(), []string{"nope"}, DefaultNoise(), RunConfig{Jobs: 4}); err == nil {
 		t.Error("unknown codec accepted")
 	}
 	// jobs <= 0 falls back to GOMAXPROCS rather than deadlocking.
-	if _, err := RunParallel(ctx, files, cloud.Grid()[:1], []string{"teststub"}, DefaultNoise(), 0); err != nil {
+	if _, _, err := RunGrid(ctx, files, cloud.Grid()[:1], []string{"teststub"}, DefaultNoise(), RunConfig{Jobs: 0}); err != nil {
 		t.Errorf("jobs=0: %v", err)
 	}
 }

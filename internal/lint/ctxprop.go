@@ -6,7 +6,7 @@ import (
 )
 
 // CtxProp guards the parallel pipeline's cancellation contract: the first
-// failing run cancels every worker and RunParallel joins them all before
+// failing run cancels every worker and RunGrid joins them all before
 // returning. A context.Background() inside the fan-out detaches workers
 // from that chain, so cancellation silently stops propagating.
 var CtxProp = &Analyzer{

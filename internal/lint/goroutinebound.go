@@ -7,7 +7,7 @@ import (
 )
 
 // GoroutineBound demands every `go` statement live inside a recognized
-// bounded-pool shape. The repository's concurrency idiom (RunParallel,
+// bounded-pool shape. The repository's concurrency idiom (RunGrid,
 // BlockCompress, the exchange pipeline's transferPool, the fleet's replica
 // fan-outs) is a fixed worker count joined by a sync.WaitGroup; a stray
 // fire-and-forget goroutine is a leak under the service workloads the

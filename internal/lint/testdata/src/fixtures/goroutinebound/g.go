@@ -6,7 +6,7 @@ package goroutinebound
 
 import "sync"
 
-// pool is the repository's canonical worker-pool shape (RunParallel,
+// pool is the repository's canonical worker-pool shape (RunGrid,
 // BlockCompress): Add before, Done inside, Wait after.
 func pool(n int, work func(int)) {
 	var wg sync.WaitGroup

@@ -41,16 +41,6 @@ var baseToCode = func() [256]byte {
 // codeToBase maps symbol code to upper-case ASCII.
 var codeToBase = [4]byte{'A', 'C', 'G', 'T'}
 
-// Code returns the symbol code for an ASCII base, or an error for characters
-// outside {A,C,G,T} (case-insensitive).
-func Code(b byte) (byte, error) {
-	c := baseToCode[b]
-	if c == 0xFF {
-		return 0, fmt.Errorf("%w: %q", ErrInvalidBase, b)
-	}
-	return c, nil
-}
-
 // Base returns the upper-case ASCII letter for a symbol code 0..3.
 func Base(code byte) byte { return codeToBase[code&3] }
 

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,24 +13,23 @@ func TestCodeBase(t *testing.T) {
 		ascii byte
 		code  byte
 	}{{'A', A}, {'C', C}, {'G', G}, {'T', T}, {'a', A}, {'c', C}, {'g', G}, {'t', T}} {
-		got, err := Code(c.ascii)
+		got, err := Encode([]byte{c.ascii})
 		if err != nil {
-			t.Fatalf("Code(%q): %v", c.ascii, err)
+			t.Fatalf("Encode(%q): %v", c.ascii, err)
 		}
-		if got != c.code {
-			t.Errorf("Code(%q) = %d, want %d", c.ascii, got, c.code)
+		if got[0] != c.code {
+			t.Errorf("Encode(%q) = %d, want %d", c.ascii, got[0], c.code)
 		}
 	}
-	if _, err := Code('N'); err == nil {
-		t.Error("Code('N') should fail")
-	}
-	if _, err := Code('>'); err == nil {
-		t.Error("Code('>') should fail")
+	for _, b := range []byte{'N', '>'} {
+		if _, err := Encode([]byte{b}); !errors.Is(err, ErrInvalidBase) {
+			t.Errorf("Encode(%q) = %v, want ErrInvalidBase", b, err)
+		}
 	}
 	for code := byte(0); code < 4; code++ {
-		back, err := Code(Base(code))
-		if err != nil || back != code {
-			t.Errorf("Base/Code round trip failed for %d", code)
+		back, err := Encode([]byte{Base(code)})
+		if err != nil || back[0] != code {
+			t.Errorf("Base/Encode round trip failed for %d", code)
 		}
 	}
 }

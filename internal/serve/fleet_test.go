@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,24 @@ func testFleet(t *testing.T, shards, replication int) (*cloud.Fleet, *obs.Fake) 
 		t.Fatal(err)
 	}
 	return f, clock
+}
+
+// TestNewServerRefusesNonFleetStore: the daemon's named-container store
+// is the in-process map or a *cloud.Fleet; any other FleetStore is a
+// config error at construction, before the store is touched.
+func TestNewServerRefusesNonFleetStore(t *testing.T) {
+	store := cloud.NewBlobStore()
+	s, err := NewServer(Config{Engine: testEngine(t), FleetStore: store})
+	if err == nil {
+		s.Close()
+		t.Fatal("NewServer accepted a *cloud.BlobStore as FleetStore")
+	}
+	if !strings.Contains(err.Error(), "*cloud.Fleet") {
+		t.Errorf("error %q does not name the store it wants", err)
+	}
+	if err := store.CreateContainer("serve"); err != nil {
+		t.Errorf("refused store was touched: %v", err)
+	}
 }
 
 // TestRetryAfterOnEveryBackpressure is the satellite-bugfix regression:

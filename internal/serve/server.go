@@ -107,10 +107,10 @@ type Config struct {
 	// response (429/503/507); <= 0 means DefaultRetryAfterSeconds.
 	RetryAfterSeconds int
 	// FleetStore, when set, backs the named-container store with a
-	// replicated cloud store (typically a *cloud.Fleet) instead of the
-	// in-process map: stored containers survive shard loss, partial
-	// outages degrade to 503 + Retry-After only when the write/read quorum
-	// is truly lost, and an unknown name is a plain 404.
+	// replicated *cloud.Fleet instead of the in-process map: stored
+	// containers survive shard loss, partial outages degrade to 503 +
+	// Retry-After only when the write/read quorum is truly lost, and an
+	// unknown name is a plain 404. Any other store is a config error.
 	FleetStore cloud.Store
 	// FleetContainer names the fleet container holding stored containers;
 	// "" means "serve". Only read when FleetStore is set.
@@ -236,6 +236,9 @@ type Server struct {
 	slo      *obs.SLOEngine
 	sinkMu   sync.Mutex // serializes TraceSink writes
 
+	// fleet is Config.FleetStore when one is set; nil means the in-process
+	// store below.
+	fleet *cloud.Fleet
 	// store holds named containers. In fleet mode the bytes live on the
 	// fleet and the map entry (nil value) only reserves the name under the
 	// MaxStored cap.
@@ -251,6 +254,10 @@ type Server struct {
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("serve: Config.Engine is required (train or load a model first)")
+	}
+	fleet, isFleet := cfg.FleetStore.(*cloud.Fleet)
+	if cfg.FleetStore != nil && !isFleet {
+		return nil, fmt.Errorf("serve: Config.FleetStore is a %T, want a *cloud.Fleet", cfg.FleetStore)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -289,6 +296,7 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:        make(chan job, cfg.QueueDepth),
 		codecSem:     make(map[string]chan struct{}, len(compress.Names())),
 		codecPending: make(map[string]*atomic.Int64, len(compress.Names())),
+		fleet:        fleet,
 		store:        make(map[string][]byte),
 		blocks:       compress.NewBlockCache(reg),
 	}
@@ -314,8 +322,8 @@ func NewServer(cfg Config) (*Server, error) {
 		s.codecSem[name] = make(chan struct{}, cfg.PerCodec)
 		s.codecPending[name] = &atomic.Int64{}
 	}
-	if cfg.FleetStore != nil {
-		if err := cfg.FleetStore.CreateContainer(cfg.FleetContainer); err != nil && !errors.Is(err, cloud.ErrContainerExists) {
+	if fleet != nil {
+		if err := fleet.CreateContainer(cfg.FleetContainer); err != nil && !errors.Is(err, cloud.ErrContainerExists) {
 			return nil, fmt.Errorf("serve: fleet container %q: %w", cfg.FleetContainer, err)
 		}
 	}
@@ -353,9 +361,6 @@ func (s *Server) worker() {
 // balancers stop routing here while in-flight work completes.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the worker pool after the queue empties. Only call it once
 // no handler can still enqueue — i.e. after BeginDrain plus an HTTP-layer
 // drain (http.Server.Shutdown) — or a racing handler panics on the closed
@@ -382,10 +387,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/debug/slo", s.slo.Handler())
 	return mux
 }
-
-// Recorder exposes the flight recorder (nil when disabled) for harnesses
-// that assert on request attribution without scraping /debug/requests.
-func (s *Server) Recorder() *obs.FlightRecorder { return s.recorder }
 
 // --- admission ---------------------------------------------------------
 
@@ -580,27 +581,15 @@ func (s *Server) finish(w http.ResponseWriter, rx *reqObs, t0 time.Time, resp *r
 	s.writeTraceSink(rx)
 }
 
-// fleetIntrospect is the optional attribution surface of a fleet-backed
-// store (satisfied by *cloud.Fleet): which replicas hold a blob and where
-// every breaker stands right now.
-type fleetIntrospect interface {
-	Replicas(container, blob string) []string
-	BreakerStates() map[string]cloud.BreakerState
-}
-
 // attributeFleet stamps the record with the blob's replica set and the
 // fleet's breaker states at completion, when a fleet-backed store was
 // touched under a name.
 func (s *Server) attributeFleet(rec *obs.RequestRecord) {
-	if rec.StoreName == "" || s.cfg.FleetStore == nil {
+	if rec.StoreName == "" || s.fleet == nil {
 		return
 	}
-	fi, ok := s.cfg.FleetStore.(fleetIntrospect)
-	if !ok {
-		return
-	}
-	rec.Shards = fi.Replicas(s.cfg.FleetContainer, rec.StoreName)
-	states := fi.BreakerStates()
+	rec.Shards = s.fleet.Replicas(s.cfg.FleetContainer, rec.StoreName)
+	states := s.fleet.BreakerStates()
 	rec.Breakers = make(map[string]string, len(states))
 	for name, st := range states {
 		rec.Breakers[name] = st.String()
@@ -1024,14 +1013,14 @@ func (s *Server) storePut(ctx context.Context, name string, container []byte) *r
 		return s.backpressure(http.StatusInsufficientStorage,
 			fmt.Sprintf("container store is full (%d names)", s.cfg.MaxStored))
 	}
-	if s.cfg.FleetStore == nil {
+	if s.fleet == nil {
 		s.store[name] = container
 		s.storeMu.Unlock()
 		return nil
 	}
 	s.store[name] = nil // reserve the name under the cap while the fleet write runs
 	s.storeMu.Unlock()
-	if err := storePutCtx(ctx, s.cfg.FleetStore, s.cfg.FleetContainer, name, container); err != nil {
+	if err := s.fleet.PutCtx(ctx, s.cfg.FleetContainer, name, container); err != nil {
 		if !existed {
 			s.storeMu.Lock()
 			delete(s.store, name)
@@ -1040,25 +1029,6 @@ func (s *Server) storePut(ctx context.Context, name string, container []byte) *r
 		return s.fleetError("store", err)
 	}
 	return nil
-}
-
-// ctxStore is the optional context-aware face of a cloud store's writes
-// (satisfied by *cloud.Fleet), with request-scoped trace propagation.
-type ctxStore interface {
-	PutCtx(ctx context.Context, container, blob string, data []byte) error
-}
-
-func storePutCtx(ctx context.Context, st cloud.Store, container, blob string, data []byte) error {
-	if cs, ok := st.(ctxStore); ok {
-		return cs.PutCtx(ctx, container, blob, data)
-	}
-	return st.Put(container, blob, data)
-}
-
-// versionedStore is the face of a cloud store whose ranged reads report
-// and pin the version they read (satisfied by *cloud.Fleet).
-type versionedStore interface {
-	GetRangeCtx(ctx context.Context, container, blob string, off, n int, pin uint64) ([]byte, uint64, error)
 }
 
 // spanReader reads bytes [off, off+n) of one stored container, clipped to
@@ -1101,8 +1071,7 @@ func (s *Server) fetchStored(ctx context.Context, name string, rng rangeParams) 
 	defer span.End()
 	span.SetAttr("name", name)
 	var read spanReader
-	switch vs, ok := s.cfg.FleetStore.(versionedStore); {
-	case s.cfg.FleetStore == nil:
+	if s.fleet == nil {
 		s.storeMu.RLock()
 		c, ok := s.store[name]
 		s.storeMu.RUnlock()
@@ -1110,16 +1079,10 @@ func (s *Server) fetchStored(ctx context.Context, name string, rng rangeParams) 
 			return nil, 0, nil, errorResponse(http.StatusNotFound, fmt.Sprintf("no stored container %q", name))
 		}
 		read = sliceReader(c)
-	case ok:
+	} else {
 		read = func(off, n int, pin uint64) ([]byte, uint64, error) {
-			return vs.GetRangeCtx(ctx, s.cfg.FleetContainer, name, off, n, pin)
+			return s.fleet.GetRangeCtx(ctx, s.cfg.FleetContainer, name, off, n, pin)
 		}
-	default:
-		c, err := s.cfg.FleetStore.Get(s.cfg.FleetContainer, name)
-		if err != nil {
-			return nil, 0, nil, s.fleetError("fetch", err)
-		}
-		read = sliceReader(c)
 	}
 	for attempt := 1; ; attempt++ {
 		rd, size, openErr, err := s.openStored(read, rng)

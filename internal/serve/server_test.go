@@ -228,8 +228,8 @@ func TestDecodesCountInServerRegistry(t *testing.T) {
 	}
 }
 
-// codecSeries renders reg's dna_codec_* families in the exposition format.
-func codecSeries(t *testing.T, reg *obs.Registry) string {
+// codecExposition renders reg's dna_codec_* families in the exposition format.
+func codecExposition(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	var all, codec bytes.Buffer
 	if err := reg.WritePrometheus(&all); err != nil {
@@ -291,7 +291,7 @@ func TestRangeGetCacheWarmEqualsCold(t *testing.T) {
 			}
 		}
 	}
-	if got, want := codecSeries(t, reg), codecSeries(t, twinReg); got != want {
+	if got, want := codecExposition(t, reg), codecExposition(t, twinReg); got != want {
 		t.Errorf("dna_codec_* series with the cache:\n%s\nwithout:\n%s", got, want)
 	}
 }
@@ -645,8 +645,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !s.draining.Load() {
+		t.Fatal("draining false after BeginDrain")
 	}
 	resp, _ = get(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -330,7 +330,7 @@ func TestLoadgenOriginTagged(t *testing.T) {
 	}
 
 	var organic, loadgen, loadgenTraced int
-	for _, rec := range s.Recorder().Snapshot() {
+	for _, rec := range s.recorder.Snapshot() {
 		switch rec.Origin {
 		case "organic":
 			organic++
