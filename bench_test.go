@@ -269,7 +269,7 @@ func blockBenchSeq() []byte {
 func BenchmarkBlockCompressJobs(b *testing.B) {
 	src := blockBenchSeq()
 	opts := compress.BlockOptions{BlockSize: 64 << 10}
-	base, _, err := compress.BlockCompress("dnax", src, opts)
+	base, _, err := compress.BlockCompressObserved(nil, "dnax", src, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,14 +277,14 @@ func BenchmarkBlockCompressJobs(b *testing.B) {
 		b.Run(benchName("jobs", jobs), func(b *testing.B) {
 			o := opts
 			o.Jobs = jobs
-			container, _, err := compress.BlockCompress("dnax", src, o)
+			container, _, err := compress.BlockCompressObserved(nil, "dnax", src, o)
 			if err != nil || !bytes.Equal(container, base) {
 				b.Fatalf("jobs=%d container diverged (err=%v)", jobs, err)
 			}
 			b.SetBytes(int64(len(src)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := compress.BlockCompress("dnax", src, o); err != nil {
+				if _, _, err := compress.BlockCompressObserved(nil, "dnax", src, o); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func BenchmarkBlockCompressJobs(b *testing.B) {
 // the full-container decode it replaces.
 func BenchmarkBlockSeek(b *testing.B) {
 	src := blockBenchSeq()
-	container, _, err := compress.BlockCompress("dnax", src, compress.BlockOptions{BlockSize: 64 << 10})
+	container, _, err := compress.BlockCompressObserved(nil, "dnax", src, compress.BlockOptions{BlockSize: 64 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}

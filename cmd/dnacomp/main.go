@@ -257,10 +257,8 @@ func run(codecName string, decompress bool, output string, quiet bool, blockSize
 	switch {
 	case decompress:
 		result, err = doDecompress(raw, seekSpec, quiet)
-	case blockSize > 0:
-		result, err = doBlockCompress(codecName, blockSize, raw, quiet)
 	default:
-		result, err = doCompress(codecName, raw, quiet)
+		result, err = doCompress(codecName, blockSize, raw, quiet)
 	}
 	if err != nil {
 		return err
@@ -411,44 +409,28 @@ func openInput(args []string) (io.ReadCloser, string, error) {
 	return f, args[0], nil
 }
 
-func doCompress(codecName string, raw []byte, quiet bool) ([]byte, error) {
-	codec, err := compress.New(codecName)
-	if err != nil {
-		return nil, err
-	}
+// doCompress seals the cleansed input through compress.Pack: one armored
+// frame, or with a positive blockSize the seekable multi-block container,
+// whose blocks compress concurrently into the same bytes for any worker
+// count.
+func doCompress(codecName string, blockSize int, raw []byte, quiet bool) ([]byte, error) {
 	symbols, stats := serve.Cleanse(raw)
 	if len(symbols) == 0 {
 		return nil, fmt.Errorf("input contains no ACGT bases")
 	}
-	data, st, err := codec.Compress(symbols)
-	compress.ObserveCompress(nil, codec.Name(), len(symbols), len(data), st, err)
+	container, st, err := compress.Pack(nil, codecName, symbols, blockSize)
 	if err != nil {
 		return nil, err
 	}
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "dnacomp: %s: %d bases -> %d bytes (%.3f bits/base, dropped %d non-ACGT), modeled %.1f ms / %.1f MB on the reference core\n",
-			codec.Name(), len(symbols), len(data), compress.Ratio(len(symbols), len(data)),
-			stats.Ambiguous+stats.Other, float64(st.WorkNS)/1e6, float64(st.PeakMem)/(1<<20))
-	}
-	return compress.Seal(codec.Name(), symbols, data), nil
-}
-
-// doBlockCompress writes the seekable multi-block container instead of a
-// single frame: blocks are compressed concurrently but the output bytes are
-// deterministic for any worker count.
-func doBlockCompress(codecName string, blockSize int, raw []byte, quiet bool) ([]byte, error) {
-	symbols, stats := serve.Cleanse(raw)
-	if len(symbols) == 0 {
-		return nil, fmt.Errorf("input contains no ACGT bases")
-	}
-	container, st, err := compress.BlockCompressObserved(nil, codecName, symbols, compress.BlockOptions{BlockSize: blockSize})
-	if err != nil {
-		return nil, err
-	}
-	if !quiet {
-		blocks := (len(symbols) + blockSize - 1) / blockSize
-		fmt.Fprintf(os.Stderr, "dnacomp: %s: %d bases -> %d bytes in %d block(s) of %d (%.3f bits/base, dropped %d non-ACGT), modeled %.1f ms / %.1f MB on the reference core\n",
-			codecName, len(symbols), len(container), blocks, blockSize, compress.Ratio(len(symbols), len(container)),
+		// A frame reports its payload bytes, a container all its bytes.
+		size, layout := len(container)-compress.Overhead(codecName), ""
+		if blockSize > 0 {
+			blocks := len(symbols)/blockSize + min(len(symbols)%blockSize, 1)
+			size, layout = len(container), fmt.Sprintf(" in %d block(s) of %d", blocks, blockSize)
+		}
+		fmt.Fprintf(os.Stderr, "dnacomp: %s: %d bases -> %d bytes%s (%.3f bits/base, dropped %d non-ACGT), modeled %.1f ms / %.1f MB on the reference core\n",
+			codecName, len(symbols), size, layout, compress.Ratio(len(symbols), size),
 			stats.Ambiguous+stats.Other, float64(st.WorkNS)/1e6, float64(st.PeakMem)/(1<<20))
 	}
 	return container, nil
@@ -532,7 +514,7 @@ func batchOne(cache *compress.Cache, codecName, outDir, in string) (string, erro
 	if len(symbols) == 0 {
 		return "", fmt.Errorf("input contains no ACGT bases")
 	}
-	r, err := compress.CompressCached(cache, codecName, symbols)
+	r, err := compress.CompressObserved(nil, cache, codecName, symbols)
 	if err != nil {
 		return "", err
 	}

@@ -291,6 +291,42 @@ func TestBlockContainerRoundTripCLI(t *testing.T) {
 	}
 }
 
+// TestCompressBooksOneCodecCall: a compress, with or without -block-size,
+// books one codec compress call into the default registry dnacomp records
+// into: the bases in, and out the codec payload bytes, summed over blocks.
+func TestCompressBooksOneCodecCall(t *testing.T) {
+	const bases = 3000
+	in := writeTemp(t, "seq.txt", synth.Profile{Length: bases, GC: 0.5}.GenerateASCII(53))
+	series := []string{"dna_codec_calls_total", "dna_codec_in_bytes_total", "dna_codec_out_bytes_total"}
+	for _, blockSize := range []int{0, 512} {
+		var before [3]uint64
+		for i, name := range series {
+			before[i] = obs.Default().Counter(name, "", "codec", "dnax", "op", "compress").Value()
+		}
+		packed := filepath.Join(t.TempDir(), "seq.dnax")
+		if err := run("dnax", false, packed, true, blockSize, "", []string{in}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := compress.OpenBlocks(data, compress.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := 0
+		for k := range r.Blocks() {
+			payload += len(r.Frame(k)) - compress.Overhead("dnax")
+		}
+		for i, want := range []int{1, bases, payload} {
+			if got := obs.Default().Counter(series[i], "", "codec", "dnax", "op", "compress").Value() - before[i]; got != uint64(want) {
+				t.Errorf("-block-size %d: %s{op=compress} grew by %d, want %d", blockSize, series[i], got, want)
+			}
+		}
+	}
+}
+
 // TestExchangeModeBlocks: the block-mode exchange loop round-trips through
 // clean and fault-injected stores from the CLI.
 func TestExchangeModeBlocks(t *testing.T) {

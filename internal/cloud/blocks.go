@@ -2,19 +2,19 @@ package cloud
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
-	"github.com/srl-nuces/ctxdna/internal/obs"
 )
 
 // BlockExchangeOptions configures one block-mode exchange: the usual
 // exchange knobs plus the block-engine geometry.
 type BlockExchangeOptions struct {
 	ExchangeOptions
-	// Block configures the block engine: block size and the worker/transfer
-	// concurrency bound.
+	// Block sets the block size (0 means compress.DefaultBlockSize) and, in
+	// Jobs, the transfer pool's bound. Blocks compress on one worker per
+	// processor, as compress.Pack runs them; the bytes are the same for any
+	// worker count.
 	Block compress.BlockOptions
 }
 
@@ -44,34 +44,12 @@ type BlockExchangeReport struct {
 // interleaving, keeping reports reproducible under any concurrency.
 // Everything past the packing step is the pipeline Exchange runs.
 func ExchangeBlocks(ctx context.Context, client VM, store Store, codecName string, src []byte, opts BlockExchangeOptions) (BlockExchangeReport, error) {
-	jobs := opts.Block.Jobs
+	blockSize, jobs := opts.Block.BlockSize, opts.Block.Jobs
+	if blockSize == 0 {
+		blockSize = compress.DefaultBlockSize
+	}
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	return exchange(ctx, client, store, codecName, src, opts.ExchangeOptions, jobs, func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
-		container, cst, err := compress.BlockCompressObserved(reg, codecName, src, opts.Block)
-		if err != nil {
-			return nil, cst, fmt.Errorf("cloud: block compress: %w", err)
-		}
-		rd, err := compress.OpenBlocksObserved(reg, container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
-		if err != nil {
-			return nil, cst, fmt.Errorf("cloud: sealed container does not open: %w", err)
-		}
-		rep.Blocks = rd.Blocks()
-		rep.ContainerBytes = len(container)
-		// The wire pieces come from the reader's frame table: the manifest
-		// (header+index), then one frame per block.
-		manifest := blob + ".cxb1"
-		pieces := make([]piece, 1, 1+rd.Blocks())
-		head := len(container)
-		for k := range rd.Blocks() {
-			frame := rd.Frame(k)
-			head -= len(frame)
-			rep.CompressedBytes += len(frame) - compress.Overhead(codecName)
-			name := fmt.Sprintf("%s.b%06d", blob, k)
-			pieces = append(pieces, piece{blob: name, tag: ":" + name, data: frame})
-		}
-		pieces[0] = piece{blob: manifest, tag: ":" + manifest, data: container[:head]}
-		return pieces, cst, nil
-	})
+	return exchange(ctx, client, store, codecName, src, opts.ExchangeOptions, blockSize, jobs)
 }

@@ -74,7 +74,7 @@ func TestExchangeBlocksStoreHoldsContainerPieces(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	container, _, err := compress.BlockCompress("dnax", src, opts)
+	container, _, err := compress.BlockCompressObserved(nil, "dnax", src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,19 +136,7 @@ func (r ExchangeReport) AttemptCount() int {
 // or byte counts, so instrumentation never perturbs the deterministic
 // report.
 func Exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions) (ExchangeReport, error) {
-	rep, err := exchange(ctx, client, store, codecName, src, opts, 1, func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
-		codec, err := compress.New(codecName)
-		if err != nil {
-			return nil, compress.Stats{}, err
-		}
-		data, cst, err := codec.Compress(src)
-		compress.ObserveCompress(reg, codec.Name(), len(src), len(data), cst, err)
-		if err != nil {
-			return nil, cst, fmt.Errorf("cloud: compress: %w", err)
-		}
-		rep.CompressedBytes = len(data)
-		return []piece{{blob: blob, data: compress.Seal(codecName, src, data)}}, cst, nil
-	})
+	rep, err := exchange(ctx, client, store, codecName, src, opts, 0, 1)
 	return rep.ExchangeReport, err
 }
 
@@ -162,20 +150,49 @@ type piece struct {
 	data      []byte
 }
 
-// packFunc is the step in which Exchange and ExchangeBlocks differ: it
-// compresses src into the pieces that travel under the exchange's blob
-// name, fills the report's payload figures, and returns the compress-side
-// stats.
-type packFunc func(reg *obs.Registry, blob string, rep *BlockExchangeReport) ([]piece, compress.Stats, error)
+// pack is the step in which Exchange and ExchangeBlocks differ: it
+// compresses src through compress.Pack, one frame at blockSize 0, and
+// splits what it sealed into the pieces that travel under blob, filling
+// the report's payload figures. A frame travels whole as blob. A
+// container's manifest (header+index) travels as "<blob>.cxb1" and block
+// k's frame as "<blob>.bNNNNNN", both taken from the reader's frame table.
+func pack(reg *obs.Registry, codecName string, src []byte, blob string, blockSize int, rep *BlockExchangeReport) ([]piece, compress.Stats, error) {
+	container, cst, err := compress.Pack(reg, codecName, src, blockSize)
+	if err != nil {
+		return nil, cst, fmt.Errorf("cloud: compress: %w", err)
+	}
+	if blockSize == 0 {
+		rep.CompressedBytes = len(container) - compress.Overhead(codecName)
+		return []piece{{blob: blob, data: container}}, cst, nil
+	}
+	rd, err := compress.OpenBlocksObserved(reg, container, compress.Limits{MaxCompressed: -1, MaxOutput: -1})
+	if err != nil {
+		return nil, cst, fmt.Errorf("cloud: sealed container does not open: %w", err)
+	}
+	rep.Blocks = rd.Blocks()
+	rep.ContainerBytes = len(container)
+	manifest := blob + ".cxb1"
+	pieces := make([]piece, 1, 1+rd.Blocks())
+	head := len(container)
+	for k := range rd.Blocks() {
+		frame := rd.Frame(k)
+		head -= len(frame)
+		rep.CompressedBytes += len(frame) - compress.Overhead(codecName)
+		name := fmt.Sprintf("%s.b%06d", blob, k)
+		pieces = append(pieces, piece{blob: name, tag: ":" + name, data: frame})
+	}
+	pieces[0] = piece{blob: manifest, tag: ":" + manifest, data: container[:head]}
+	return pieces, cst, nil
+}
 
 // exchange is the one pipeline behind Exchange and ExchangeBlocks. After
-// pack it moves every piece through a transfer pool of at most jobs
-// workers, each piece under its own retry schedule, charges each piece's
-// modeled transfer once per attempt, and restores the pieces in order
-// through the one container reader (openPieces), which opens a CXA1
-// frame as its one-block case and verifies either format from its own
-// checksums.
-func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, jobs int, pack packFunc) (rep BlockExchangeReport, err error) {
+// pack, at blockSize, it moves every piece through a transfer pool of at
+// most jobs workers, each piece under its own retry schedule, charges
+// each piece's modeled transfer once per attempt, and restores the pieces
+// in order through the one container reader (openPieces), which opens a
+// CXA1 frame as its one-block case and verifies either format from its
+// own checksums.
+func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, blockSize, jobs int) (rep BlockExchangeReport, err error) {
 	rep.Codec, rep.OriginalBases = codecName, len(src)
 	if store == nil {
 		return rep, fmt.Errorf("cloud: nil store")
@@ -215,7 +232,7 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 		span.End()
 	}()
 
-	pieces, cst, err := pack(reg, opts.Blob, &rep)
+	pieces, cst, err := pack(reg, codecName, src, opts.Blob, blockSize, &rep)
 	if err != nil {
 		return rep, err
 	}

@@ -651,41 +651,18 @@ func (f *Fleet) nextVersion(container, blob string) uint64 {
 // ErrContainerExists, matching single-store semantics the exchange
 // pipeline already tolerates.
 func (f *Fleet) CreateContainer(name string) error {
-	results := make([]error, len(f.shards))
-	var wg sync.WaitGroup
-	for i, sh := range f.shards {
-		wg.Add(1)
-		go func(i int, sh *fleetShard) {
-			defer wg.Done()
-			results[i] = f.shardOp(sh, "create", 0, func(st Store) error {
-				return st.CreateContainer(name)
-			})
-		}(i, sh)
+	results := f.fanOut(context.Background(), f.shards, "create", 0, func(st Store) error {
+		return st.CreateContainer(name)
+	})
+	if _, err := f.writeQuorum("create", name, "", f.shards, results, ErrContainerExists); err != nil {
+		return err
 	}
-	wg.Wait()
-
-	acks, created := 0, 0
-	var failures []ShardError
-	for i, err := range results {
-		switch {
-		case err == nil:
-			acks++
-			created++
-		case errors.Is(err, ErrContainerExists):
-			acks++
-		default:
-			failures = append(failures, ShardError{Shard: f.shards[i].spec.Name, Err: err})
+	for _, err := range results {
+		if err == nil {
+			return nil
 		}
 	}
-	if acks < f.cfg.WriteQuorum {
-		f.opOutcome("create", "degraded")
-		return &DegradedError{Op: "create", Container: name, Acks: acks, Need: f.cfg.WriteQuorum, Replicas: len(f.shards), Failures: failures}
-	}
-	f.opOutcome("create", "ok")
-	if created == 0 {
-		return fmt.Errorf("%w: container %q on every reachable shard", ErrContainerExists, name)
-	}
-	return nil
+	return fmt.Errorf("%w: container %q on every reachable shard", ErrContainerExists, name)
 }
 
 // Put replicates the blob to its replica set concurrently (bounded by the
@@ -714,54 +691,29 @@ func (f *Fleet) PutCtx(ctx context.Context, container, blob string, data []byte)
 	span.SetAttr("blob", blob)
 	span.SetAttr("replicas", len(reps))
 	env := sealVersion(f.nextVersion(container, blob), data)
-	results := make([]error, len(reps))
-	var wg sync.WaitGroup
-	for i, sh := range reps {
-		wg.Add(1)
-		go func(i int, sh *fleetShard) {
-			defer wg.Done()
-			_, rspan := obs.Start(ctx, "fleet.replica.put")
-			defer rspan.End()
-			rspan.SetAttr("shard", sh.spec.Name)
-			results[i] = f.shardOp(sh, "put", len(env), func(st Store) error {
-				err := keep(st, container, blob, env)
-				if err != nil && errors.Is(err, ErrNotFound) {
-					// Container missing on this shard only: create and retry
-					// once. Both steps sit inside the same shardOp outcome.
-					if cerr := st.CreateContainer(container); cerr != nil && !errors.Is(cerr, ErrContainerExists) {
-						return cerr
-					}
-					err = keep(st, container, blob, env)
-				}
-				return err
-			})
-			rspan.SetAttr("outcome", replicaOutcome(results[i]))
-		}(i, sh)
+	results := f.fanOut(ctx, reps, "put", len(env), func(st Store) error {
+		err := keep(st, container, blob, env)
+		if err != nil && errors.Is(err, ErrNotFound) {
+			// Container missing on this shard only: create and retry
+			// once. Both steps sit inside the same shardOp outcome.
+			if cerr := st.CreateContainer(container); cerr != nil && !errors.Is(cerr, ErrContainerExists) {
+				return cerr
+			}
+			err = keep(st, container, blob, env)
+		}
+		return err
+	})
+	acks, err := f.writeQuorum("put", container, blob, reps, results, nil)
+	span.SetAttr("acks", acks)
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-
-	acks := 0
 	maxMS := 0.0
-	var failures []ShardError
 	for i, err := range results {
 		if err == nil {
-			acks++
-			if ms := reps[i].modeledMS(len(env)); ms > maxMS {
-				maxMS = ms
-			}
-			continue
+			maxMS = max(maxMS, reps[i].modeledMS(len(env)))
 		}
-		failures = append(failures, ShardError{Shard: reps[i].spec.Name, Err: err})
 	}
-	if acks > 0 && acks < len(reps) {
-		f.reg.Counter("dna_fleet_failovers_total", "Ops that succeeded despite replica failures.", "op", "put").Inc()
-	}
-	span.SetAttr("acks", acks)
-	if acks < f.cfg.WriteQuorum {
-		f.opOutcome("put", "degraded")
-		return &DegradedError{Op: "put", Container: container, Blob: blob, Acks: acks, Need: f.cfg.WriteQuorum, Replicas: len(reps), Failures: failures}
-	}
-	f.opOutcome("put", "ok")
 	f.reg.Histogram("dna_fleet_quorum_ms", "Modeled quorum latency per fleet op (slowest acked replica).", obs.DefMSBuckets(), "op", "put").Observe(maxMS)
 	return nil
 }
@@ -983,53 +935,62 @@ func (f *Fleet) quorumRead(ctx context.Context, op, container, blob string, pin 
 // that already lacks the blob counts as acknowledged — deletes are
 // idempotent — and WriteQuorum acks make the delete durable.
 func (f *Fleet) Delete(container, blob string) error {
-	return f.DeleteCtx(context.Background(), container, blob)
+	reps := f.replicaShards(container, blob)
+	results := f.fanOut(context.Background(), reps, "delete", 0, func(st Store) error {
+		return st.Delete(container, blob)
+	})
+	_, err := f.writeQuorum("delete", container, blob, reps, results, ErrNotFound)
+	return err
 }
 
-// DeleteCtx is Delete with request-scoped tracing ("fleet.delete" plus
-// per-replica "fleet.replica.delete" children), mirroring PutCtx.
-func (f *Fleet) DeleteCtx(ctx context.Context, container, blob string) error {
-	reps := f.replicaShards(container, blob)
-	ctx, span := obs.Start(ctx, "fleet.delete")
-	defer span.End()
-	span.SetAttr("container", container)
-	span.SetAttr("blob", blob)
-	span.SetAttr("replicas", len(reps))
-	results := make([]error, len(reps))
+// fanOut runs one write op on every shard in shards at once, one
+// goroutine each, through shardOp under a "fleet.replica.<op>" span
+// tagged with the shard and the outcome. It returns each shard's error in
+// shards' order.
+func (f *Fleet) fanOut(ctx context.Context, shards []*fleetShard, op string, nbytes int, fn func(Store) error) []error {
+	name := "fleet.replica." + op
+	results := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, sh := range reps {
+	for i, sh := range shards {
 		wg.Add(1)
-		go func(i int, sh *fleetShard) {
+		go func() {
 			defer wg.Done()
-			_, rspan := obs.Start(ctx, "fleet.replica.delete")
-			defer rspan.End()
-			rspan.SetAttr("shard", sh.spec.Name)
-			results[i] = f.shardOp(sh, "delete", 0, func(st Store) error {
-				return st.Delete(container, blob)
-			})
-			rspan.SetAttr("outcome", replicaOutcome(results[i]))
-		}(i, sh)
+			_, span := obs.Start(ctx, name)
+			defer span.End()
+			span.SetAttr("shard", sh.spec.Name)
+			results[i] = f.shardOp(sh, op, nbytes, fn)
+			span.SetAttr("outcome", replicaOutcome(results[i]))
+		}()
 	}
 	wg.Wait()
+	return results
+}
 
+// writeQuorum tallies a write fan-out's results. A shard acknowledges with
+// no error or with one that is acked (ErrContainerExists for a create,
+// ErrNotFound for a delete); any other error is its failure. Fewer than
+// WriteQuorum acks make the op degraded, a *DegradedError; otherwise it is
+// booked ok. A blob write that succeeded without every replica also books
+// a failover; a container op spans every shard and books none.
+func (f *Fleet) writeQuorum(op, container, blob string, shards []*fleetShard, results []error, acked error) (int, error) {
 	acks := 0
 	var failures []ShardError
 	for i, err := range results {
-		if err == nil || errors.Is(err, ErrNotFound) {
+		if err == nil || errors.Is(err, acked) {
 			acks++
 			continue
 		}
-		failures = append(failures, ShardError{Shard: reps[i].spec.Name, Err: err})
+		failures = append(failures, ShardError{Shard: shards[i].spec.Name, Err: err})
 	}
-	if acks > 0 && acks < len(reps) {
-		f.reg.Counter("dna_fleet_failovers_total", "Ops that succeeded despite replica failures.", "op", "delete").Inc()
+	if blob != "" && acks > 0 && acks < len(shards) {
+		f.reg.Counter("dna_fleet_failovers_total", "Ops that succeeded despite replica failures.", "op", op).Inc()
 	}
 	if acks < f.cfg.WriteQuorum {
-		f.opOutcome("delete", "degraded")
-		return &DegradedError{Op: "delete", Container: container, Blob: blob, Acks: acks, Need: f.cfg.WriteQuorum, Replicas: len(reps), Failures: failures}
+		f.opOutcome(op, "degraded")
+		return acks, &DegradedError{Op: op, Container: container, Blob: blob, Acks: acks, Need: f.cfg.WriteQuorum, Replicas: len(shards), Failures: failures}
 	}
-	f.opOutcome("delete", "ok")
-	return nil
+	f.opOutcome(op, "ok")
+	return acks, nil
 }
 
 func (f *Fleet) opOutcome(op, outcome string) {

@@ -75,11 +75,24 @@ func TestExchangeObservability(t *testing.T) {
 	}
 	// The codec's metrics: one compress booked by the sender, one
 	// decompress booked by the hardened receive path.
-	if got := counter(reg, "dna_codec_calls_total", "codec", "dnax", "op", "compress"); got != 1 {
-		t.Errorf("codec compress calls = %d, want 1", got)
-	}
+	checkCompressBooked(t, reg, rep)
 	if got := counter(reg, "dna_codec_calls_total", "codec", "dnax", "op", "decompress"); got != 1 {
 		t.Errorf("codec decompress calls = %d, want 1", got)
+	}
+}
+
+// checkCompressBooked checks that an exchange's sender booked one dnax
+// compress into reg: the bases in, and out the codec payload bytes, which
+// the report counts as CompressedBytes.
+func checkCompressBooked(t *testing.T, reg *obs.Registry, rep ExchangeReport) {
+	t.Helper()
+	for _, c := range []struct {
+		series string
+		want   int
+	}{{"dna_codec_calls_total", 1}, {"dna_codec_in_bytes_total", rep.OriginalBases}, {"dna_codec_out_bytes_total", rep.CompressedBytes}} {
+		if got := counter(reg, c.series, "codec", "dnax", "op", "compress"); got != uint64(c.want) {
+			t.Errorf("%s{op=compress} = %d, want %d", c.series, got, c.want)
+		}
 	}
 }
 
@@ -227,7 +240,8 @@ func TestExchangeBlocksMetricsOneSeriesPerOp(t *testing.T) {
 
 // TestExchangeBlocksDecodesCountInCallerRegistry: the receiving VM's
 // block decodes count in the registry the exchange's context carries, next
-// to the blocks the sender sealed, and leave the default registry alone.
+// to the blocks the sender sealed and its one codec compress, and leave
+// the default registry alone.
 func TestExchangeBlocksDecodesCountInCallerRegistry(t *testing.T) {
 	ctx, reg, _ := obsCtx()
 	defaultDecoded := counter(obs.Default(), "dna_block_decoded_total", "codec", "dnax")
@@ -246,6 +260,7 @@ func TestExchangeBlocksDecodesCountInCallerRegistry(t *testing.T) {
 	if got := counter(reg, "dna_block_decoded_total", "codec", "dnax"); got != uint64(rep.Blocks) {
 		t.Errorf("dna_block_decoded_total = %d in the caller's registry, want %d", got, rep.Blocks)
 	}
+	checkCompressBooked(t, reg, rep.ExchangeReport)
 	if got := counter(obs.Default(), "dna_block_decoded_total", "codec", "dnax"); got != defaultDecoded {
 		t.Errorf("default registry dna_block_decoded_total moved from %d to %d", defaultDecoded, got)
 	}

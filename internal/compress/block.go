@@ -129,20 +129,38 @@ func newBlockMetrics(reg *obs.Registry, codec string) blockMetrics {
 	}
 }
 
-// BlockCompress splits src into fixed-size blocks, compresses them through
-// a bounded worker pool with the named codec (a fresh instance per block,
-// so adaptive codec state never crosses a block boundary), and assembles
-// the multi-block container. The container bytes are identical for any
-// Jobs value: workers fill index-ordered slots and assembly walks them in
-// order. Per-block metrics land in the default registry; use
-// BlockCompressObserved to aim them at a specific one.
-func BlockCompress(codecName string, src []byte, opts BlockOptions) ([]byte, Stats, error) {
-	return BlockCompressObserved(nil, codecName, src, opts)
+// Pack compresses symbols with the named codec and seals the result: with
+// blockSize 0 into one CXA1 frame (Seal), with a positive blockSize into a
+// CXB1 container of blocks that size (BlockCompressObserved, with one
+// worker per processor). It is the one writer every sender uses. Like
+// BlockCompressObserved, it books one ObserveCompress into reg (nil means
+// the default registry) per call that reaches the codec, in either
+// format: in is the base count, out the codec payload bytes, summed over
+// blocks. The Stats are the codec's, summed over blocks.
+func Pack(reg *obs.Registry, codecName string, symbols []byte, blockSize int) ([]byte, Stats, error) {
+	if blockSize != 0 {
+		return BlockCompressObserved(reg, codecName, symbols, BlockOptions{BlockSize: blockSize})
+	}
+	c, err := New(codecName)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	payload, st, err := c.Compress(symbols)
+	ObserveCompress(reg, codecName, len(symbols), len(payload), st, err)
+	if err != nil {
+		return nil, st, err
+	}
+	return Seal(codecName, symbols, payload), st, nil
 }
 
-// BlockCompressObserved is BlockCompress recording block counters and the
-// per-block modeled-latency histogram into reg (nil means the default
-// registry).
+// BlockCompressObserved splits src into fixed-size blocks, compresses them
+// through a bounded worker pool with the named codec (a fresh instance per
+// block, so adaptive codec state never crosses a block boundary), and
+// assembles the multi-block container. The container bytes are identical
+// for any Jobs value: workers fill index-ordered slots and assembly walks
+// them in order. It records block counters and the per-block modeled
+// latency histogram into reg (nil means the default registry), and books
+// the call as Pack does.
 func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts BlockOptions) ([]byte, Stats, error) {
 	blockSize, jobs, err := opts.resolve()
 	if err != nil {
@@ -151,7 +169,9 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	if _, err := New(codecName); err != nil {
 		return nil, Stats{}, err
 	}
-	count := (len(src) + blockSize - 1) / blockSize
+	// Rounded up without adding blockSize to the length, which overflows
+	// for block sizes near MaxInt.
+	count := len(src)/blockSize + min(len(src)%blockSize, 1)
 	if jobs > count {
 		jobs = count
 	}
@@ -172,8 +192,7 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 			defer wg.Done()
 			for k := range idx {
 				lo := k * blockSize
-				hi := min(lo+blockSize, len(src))
-				block := src[lo:hi]
+				block := src[lo : lo+min(blockSize, len(src)-lo)]
 				c, err := New(codecName)
 				if err != nil {
 					errs[k] = err
@@ -195,17 +214,21 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs { // first failure by block index, deterministically
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("compress: %s: %w", codecName, err)
-		}
-	}
-
 	var total Stats
-	frameBytes := 0
+	payloadBytes := 0
 	for k, payload := range payloads {
 		total.Add(stats[k])
-		frameBytes += Overhead(codecName) + len(payload)
+		payloadBytes += len(payload)
+	}
+	for _, e := range errs { // first failure by block index, deterministically
+		if e != nil {
+			err = fmt.Errorf("compress: %s: %w", codecName, e)
+			break
+		}
+	}
+	ObserveCompress(reg, codecName, len(src), payloadBytes, total, err)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	// Each block's frame is sealed straight into the container behind the
@@ -213,7 +236,7 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	n := len(codecName)
 	indexStart := blockFixedOverhead + n
 	payloadStart := indexStart + count*blockIndexEntrySize + 4
-	out := make([]byte, payloadStart, payloadStart+frameBytes)
+	out := make([]byte, payloadStart, payloadStart+count*Overhead(codecName)+payloadBytes)
 	copy(out[0:4], BlockMagic)
 	out[4] = BlockVersion
 	out[5] = byte(n)

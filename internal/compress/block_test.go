@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
+	"github.com/srl-nuces/ctxdna/internal/obs"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
 
@@ -26,9 +27,9 @@ func TestBlockRoundTripSizes(t *testing.T) {
 	const bs = 64
 	for _, n := range []int{0, 1, bs - 1, bs, bs + 1, 3*bs + 17, 10 * bs} {
 		src := blockSrc(n)
-		container, st, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: bs, Jobs: 3})
+		container, st, err := compress.BlockCompressObserved(nil, "dnapack", src, compress.BlockOptions{BlockSize: bs, Jobs: 3})
 		if err != nil {
-			t.Fatalf("n=%d: BlockCompress: %v", n, err)
+			t.Fatalf("n=%d: BlockCompressObserved: %v", n, err)
 		}
 		if n > 0 && st.WorkNS <= 0 {
 			t.Fatalf("n=%d: non-positive modeled work %d", n, st.WorkNS)
@@ -52,11 +53,80 @@ func TestBlockRoundTripSizes(t *testing.T) {
 	}
 }
 
+// TestPackHugeBlockSize: a block size past the input, up to MaxInt, seals
+// one block that restores. Rounding the count up as (n+bs-1)/bs overflows
+// there: at MaxInt it sealed a container of no blocks, which no reader
+// opens, and at MaxInt-50 a negative count, which panicked.
+func TestPackHugeBlockSize(t *testing.T) {
+	src := blockSrc(100)
+	for _, bs := range []int{math.MaxInt, math.MaxInt - 50} {
+		container, _, err := compress.Pack(nil, "twobit", src, bs)
+		if err != nil {
+			t.Fatalf("block size %d: Pack: %v", bs, err)
+		}
+		r, err := compress.OpenBlocks(container, compress.Limits{})
+		if err != nil {
+			t.Fatalf("block size %d: OpenBlocks: %v", bs, err)
+		}
+		if r.Blocks() != 1 || r.BlockSize() != bs {
+			t.Fatalf("block size %d: %d blocks of %d, want 1 of %d", bs, r.Blocks(), r.BlockSize(), bs)
+		}
+		if got, _, err := r.Decompress(); err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("block size %d: restores %d bases (%v), want the %d packed", bs, len(got), err, len(src))
+		}
+	}
+}
+
+// TestEveryWriteBooksOneCompress: Pack in either format, and
+// BlockCompressObserved, book one compress call into the registry they
+// are handed: the bases in, and out the codec payload bytes, summed over
+// blocks.
+func TestEveryWriteBooksOneCompress(t *testing.T) {
+	src := blockSrc(1000)
+	for _, tc := range []struct {
+		name  string
+		write func(reg *obs.Registry) ([]byte, compress.Stats, error)
+	}{
+		{"Pack frame", func(reg *obs.Registry) ([]byte, compress.Stats, error) {
+			return compress.Pack(reg, "dnapack", src, 0)
+		}},
+		{"Pack blocks", func(reg *obs.Registry) ([]byte, compress.Stats, error) {
+			return compress.Pack(reg, "dnapack", src, 300)
+		}},
+		{"BlockCompressObserved", func(reg *obs.Registry) ([]byte, compress.Stats, error) {
+			return compress.BlockCompressObserved(reg, "dnapack", src, compress.BlockOptions{BlockSize: 300, Jobs: 2})
+		}},
+	} {
+		reg := obs.NewRegistry()
+		sealed, _, err := tc.write(reg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		r, err := compress.OpenBlocks(sealed, compress.Limits{})
+		if err != nil {
+			t.Fatalf("%s: OpenBlocks: %v", tc.name, err)
+		}
+		payload := 0
+		for k := range r.Blocks() {
+			payload += len(r.Frame(k)) - compress.Overhead("dnapack")
+		}
+		labels := []string{"codec", "dnapack", "op", "compress"}
+		for _, c := range []struct {
+			series string
+			want   int
+		}{{"dna_codec_calls_total", 1}, {"dna_codec_in_bytes_total", len(src)}, {"dna_codec_out_bytes_total", payload}} {
+			if got := reg.Counter(c.series, "", labels...).Value(); got != uint64(c.want) {
+				t.Errorf("%s: %s = %d, want %d", tc.name, c.series, got, c.want)
+			}
+		}
+	}
+}
+
 func TestBlockJobsDeterminism(t *testing.T) {
 	src := synth.Profile{Length: 20000, GC: 0.45}.Generate(42)
 	var first []byte
 	for _, jobs := range []int{1, 2, 8} {
-		container, _, err := compress.BlockCompress("xm", src, compress.BlockOptions{BlockSize: 1024, Jobs: jobs})
+		container, _, err := compress.BlockCompressObserved(nil, "xm", src, compress.BlockOptions{BlockSize: 1024, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -71,7 +141,7 @@ func TestBlockJobsDeterminism(t *testing.T) {
 func TestBlockSliceEquivalence(t *testing.T) {
 	const bs = 128
 	src := synth.Profile{Length: 5*bs + 31, GC: 0.5}.Generate(9)
-	container, _, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: bs})
+	container, _, err := compress.BlockCompressObserved(nil, "dnapack", src, compress.BlockOptions{BlockSize: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +178,7 @@ func TestBlockSliceEquivalence(t *testing.T) {
 // reader's codec, MaxCompressed when a block is decoded.
 func TestSafeDecompressAnyDispatch(t *testing.T) {
 	src := blockSrc(600)
-	container, _, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: 100})
+	container, _, err := compress.BlockCompressObserved(nil, "dnapack", src, compress.BlockOptions{BlockSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +267,7 @@ func patchBlockHeader(t *testing.T, container []byte, bases, blockSize, count ui
 
 func TestOpenBlocksHostileHeaders(t *testing.T) {
 	src := blockSrc(500)
-	container, _, err := compress.BlockCompress("dnapack", src, compress.BlockOptions{BlockSize: 100})
+	container, _, err := compress.BlockCompressObserved(nil, "dnapack", src, compress.BlockOptions{BlockSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +400,7 @@ func TestClaimedBasesAllocateNothingBeforeBlockZero(t *testing.T) {
 func TestDecompressOutputGrowsWithBlocks(t *testing.T) {
 	src := synth.Profile{Length: 3<<20 + 777, GC: 0.42, RepeatProb: 0.002, RepeatMin: 16, RepeatMax: 128}.Generate(9)
 	for _, blockSize := range []int{1 << 16, 1 << 20, 3 << 19} {
-		container, _, err := compress.BlockCompress("dnax", src, compress.BlockOptions{BlockSize: blockSize})
+		container, _, err := compress.BlockCompressObserved(nil, "dnax", src, compress.BlockOptions{BlockSize: blockSize})
 		if err != nil {
 			t.Fatal(err)
 		}

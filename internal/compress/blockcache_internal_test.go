@@ -24,7 +24,7 @@ func cacheSrc(n int, seed int64) []byte {
 // sealBlocks builds a CXB1 container of src in blocks of bs bases.
 func sealBlocks(t *testing.T, codec string, src []byte, bs int) []byte {
 	t.Helper()
-	container, _, err := BlockCompress(codec, src, BlockOptions{BlockSize: bs, Jobs: 1})
+	container, _, err := BlockCompressObserved(nil, codec, src, BlockOptions{BlockSize: bs, Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

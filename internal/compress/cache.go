@@ -158,35 +158,22 @@ func (c *Cache) Counters() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// CompressCached returns the cached result for (codec, src) or compresses
-// src with a fresh codec instance, seals the stream into an armored frame,
-// verifies the round-trip byte-for-byte through the hardened decode path,
-// stores the outcome, and returns it. cache may be nil (always compresses).
-// Codec metrics land in the default registry; use CompressObserved to aim
-// them at a specific one.
-func CompressCached(cache *Cache, codecName string, src []byte) (Result, error) {
-	return CompressObserved(nil, cache, codecName, src)
-}
-
-// CompressObserved is CompressCached recording per-codec operation metrics
-// into reg (nil means the default registry). Codec op metrics are recorded
-// only on cache misses — the only time the codec actually runs — while the
-// cache's own counters track the hit/miss split.
+// CompressObserved returns the cached result for (codec, src) or packs src
+// into one armored frame (Pack), verifies the round-trip byte-for-byte
+// through the hardened decode path, stores the outcome, and returns it.
+// cache may be nil (always compresses). Codec metrics land in reg (nil
+// means the default registry), only on cache misses — the only time the
+// codec actually runs — while the cache's own counters track the hit/miss
+// split.
 func CompressObserved(reg *obs.Registry, cache *Cache, codecName string, src []byte) (Result, error) {
 	key := ContentKey(codecName, src)
 	if r, ok := cache.Get(key); ok && r.Bases == len(src) {
 		return r, nil
 	}
-	c, err := New(codecName)
+	frame, cst, err := Pack(reg, codecName, src, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	data, cst, err := c.Compress(src)
-	ObserveCompress(reg, codecName, len(src), len(data), cst, err)
-	if err != nil {
-		return Result{}, err
-	}
-	frame := Seal(codecName, src, data)
 	// Verifying through SafeDecompress exercises the exact path a receiver
 	// runs, so a cached frame is known to open, decode and checksum clean.
 	restored, dst, err := SafeDecompress(codecName, frame, Limits{MaxCompressed: -1, MaxOutput: -1})
@@ -199,7 +186,7 @@ func CompressObserved(reg *obs.Registry, cache *Cache, codecName string, src []b
 		cache.noteVerifyFailure()
 		return Result{}, fmt.Errorf("round-trip mismatch: %d bases in, %d out", len(src), len(restored))
 	}
-	r := Result{Data: frame, PayloadBytes: len(data), Bases: len(src), CompressStats: cst, DecompStats: dst}
+	r := Result{Data: frame, PayloadBytes: len(frame) - Overhead(codecName), Bases: len(src), CompressStats: cst, DecompStats: dst}
 	cache.Put(key, r)
 	return r, nil
 }

@@ -28,14 +28,14 @@ func TestCompressCachedHitsAndMisses(t *testing.T) {
 	cache := compress.NewCache()
 	src := bytes.Repeat([]byte{0, 1, 2, 3}, 500)
 
-	r1, err := compress.CompressCached(cache, "dnapack", src)
+	r1, err := compress.CompressObserved(nil, cache, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := cache.Counters(); hits != 0 || misses != 1 {
 		t.Fatalf("after cold run: %d hits %d misses", hits, misses)
 	}
-	r2, err := compress.CompressCached(cache, "dnapack", src)
+	r2, err := compress.CompressObserved(nil, cache, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCompressCachedHitsAndMisses(t *testing.T) {
 	// Different content under the same codec must miss and round-trip
 	// through the armored frame the cache now stores.
 	other := append(append([]byte(nil), src...), 3)
-	r3, err := compress.CompressCached(cache, "dnapack", other)
+	r3, err := compress.CompressObserved(nil, cache, "dnapack", other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestCompressCachedHitsAndMisses(t *testing.T) {
 
 func TestCompressCachedNilCache(t *testing.T) {
 	src := bytes.Repeat([]byte{1, 0}, 100)
-	r, err := compress.CompressCached(nil, "dnapack", src)
+	r, err := compress.CompressObserved(nil, nil, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Bases != len(src) {
 		t.Errorf("Bases = %d, want %d", r.Bases, len(src))
 	}
-	if _, err := compress.CompressCached(nil, "no-such-codec", src); err == nil {
+	if _, err := compress.CompressObserved(nil, nil, "no-such-codec", src); err == nil {
 		t.Error("unknown codec accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				src := inputs[(w+i)%len(inputs)]
-				r, err := compress.CompressCached(cache, "dnapack", src)
+				r, err := compress.CompressObserved(nil, cache, "dnapack", src)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -123,7 +123,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 func TestCacheGetReturnsPrivateCopy(t *testing.T) {
 	cache := compress.NewCache()
 	src := bytes.Repeat([]byte{0, 1, 2, 3}, 256)
-	orig, err := compress.CompressCached(cache, "dnapack", src)
+	orig, err := compress.CompressObserved(nil, cache, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +146,21 @@ func TestCacheGetReturnsPrivateCopy(t *testing.T) {
 }
 
 // TestCompressCachedHitAliasing covers the same contract one level up:
-// mutating a CompressCached hit's Data must not break later decompression.
+// mutating a CompressObserved hit's Data must not break later decompression.
 func TestCompressCachedHitAliasing(t *testing.T) {
 	cache := compress.NewCache()
 	src := bytes.Repeat([]byte{3, 2, 1, 0}, 256)
-	if _, err := compress.CompressCached(cache, "dnapack", src); err != nil {
+	if _, err := compress.CompressObserved(nil, cache, "dnapack", src); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := compress.CompressCached(cache, "dnapack", src)
+	hit, err := compress.CompressObserved(nil, cache, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range hit.Data {
 		hit.Data[i] = 0xAA
 	}
-	again, err := compress.CompressCached(cache, "dnapack", src)
+	again, err := compress.CompressObserved(nil, cache, "dnapack", src)
 	if err != nil {
 		t.Fatal(err)
 	}

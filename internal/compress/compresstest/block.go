@@ -44,7 +44,7 @@ func BlockSuite(t *testing.T, name string) {
 	t.Run("RoundTripBoundaries", func(t *testing.T) {
 		for _, n := range []int{0, 1, bs - 1, bs, bs + 1, 2 * bs, 5*bs + 123} {
 			src := synth.Profile{Length: n, GC: 0.5}.Generate(int64(600 + n))
-			container, _, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: bs, Jobs: 2})
+			container, _, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: bs, Jobs: 2})
 			if err != nil {
 				t.Fatalf("%s: n=%d: %v", name, n, err)
 			}
@@ -61,13 +61,13 @@ func BlockSuite(t *testing.T, name string) {
 
 	t.Run("SeekEquivalence", func(t *testing.T) {
 		src := synth.Profile{Length: 7*bs + 209, GC: 0.45, RepeatProb: 0.01, RepeatMin: 20, RepeatMax: 200}.Generate(77)
-		container, _, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: bs})
+		container, _, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: bs})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		// The same source sealed as one CXA1 frame is the reader's
 		// one-block case and must answer every probe the same way.
-		frame, err := compress.CompressCached(nil, name, src)
+		frame, err := compress.CompressObserved(nil, nil, name, src)
 		if err != nil {
 			t.Fatalf("%s: frame: %v", name, err)
 		}
@@ -104,7 +104,7 @@ func BlockSuite(t *testing.T, name string) {
 		src := synth.Profile{Length: 6*bs + 77, GC: 0.5, RepeatProb: 0.005, RepeatMin: 16, RepeatMax: 128}.Generate(88)
 		var first []byte
 		for _, jobs := range []int{1, 2, 8} {
-			container, _, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: bs, Jobs: jobs})
+			container, _, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: bs, Jobs: jobs})
 			if err != nil {
 				t.Fatalf("%s: jobs=%d: %v", name, jobs, err)
 			}
@@ -138,7 +138,7 @@ func BlockSuite(t *testing.T, name string) {
 			if err != nil {
 				t.Fatalf("%s: %s: whole-slice decode: %v", name, prof.Name, err)
 			}
-			container, _, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: 8 << 10, Jobs: 4})
+			container, _, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: 8 << 10, Jobs: 4})
 			if err != nil {
 				t.Fatalf("%s: %s: block compress: %v", name, prof.Name, err)
 			}
@@ -185,7 +185,7 @@ func BlockCorruptionSuite(t *testing.T, name string) {
 	t.Helper()
 	const bs = 512
 	src := synth.Profile{Length: 5*bs + 301, GC: 0.5}.Generate(505)
-	container, _, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: bs})
+	container, _, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: bs})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

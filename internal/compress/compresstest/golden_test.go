@@ -116,7 +116,7 @@ func writeStats(h hash.Hash, st compress.Stats) {
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
 
 // goldenBlockDigests pins, per repeat-matching codec, one digest over the
-// CXB1 containers and Stats that BlockCompress returns for the golden block
+// CXB1 containers and Stats that BlockCompressObserved returns for the golden block
 // input at Jobs 1, 2 and 4. Block compression builds a fresh codec and so a
 // fresh match index per block, the case the pooled index tables serve; the
 // digests were recorded before the tables were pooled.
@@ -138,7 +138,7 @@ func TestGoldenBlockDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := sha256.New()
 			for _, jobs := range []int{1, 2, 4} {
-				container, st, err := compress.BlockCompress(name, src, compress.BlockOptions{BlockSize: blockSize, Jobs: jobs})
+				container, st, err := compress.BlockCompressObserved(nil, name, src, compress.BlockOptions{BlockSize: blockSize, Jobs: jobs})
 				if err != nil {
 					t.Fatalf("jobs %d: %v", jobs, err)
 				}

@@ -376,11 +376,11 @@ func FuzzCacheKey(f *testing.F) {
 		const codec = "dnapack"
 		cache := compress.NewCache()
 
-		r1, err := compress.CompressCached(cache, codec, src)
+		r1, err := compress.CompressObserved(nil, cache, codec, src)
 		if err != nil {
 			t.Fatalf("cold compress: %v", err)
 		}
-		r2, err := compress.CompressCached(cache, codec, src)
+		r2, err := compress.CompressObserved(nil, cache, codec, src)
 		if err != nil {
 			t.Fatalf("warm compress: %v", err)
 		}
@@ -408,7 +408,7 @@ func FuzzCacheKey(f *testing.F) {
 		} else {
 			other = []byte{1}
 		}
-		if _, err := compress.CompressCached(cache, codec, other); err != nil {
+		if _, err := compress.CompressObserved(nil, cache, codec, other); err != nil {
 			t.Fatalf("compress variant: %v", err)
 		}
 		if _, misses := cache.Counters(); misses != 2 {
@@ -472,7 +472,7 @@ func FuzzBlockContainerOpen(f *testing.F) {
 		seedSrc[i] = byte((i * 3) % 4)
 	}
 	for _, opts := range []compress.BlockOptions{{BlockSize: 100}, {BlockSize: 256}, {BlockSize: 1}} {
-		if container, _, err := compress.BlockCompress("dnapack", seedSrc[:300], opts); err == nil {
+		if container, _, err := compress.BlockCompressObserved(nil, "dnapack", seedSrc[:300], opts); err == nil {
 			f.Add(container)
 			// Promoted mutants: truncations at and inside frame boundaries,
 			// a frame bit flip, and a header bit flip.
@@ -486,7 +486,7 @@ func FuzzBlockContainerOpen(f *testing.F) {
 			f.Add(headerFlip)
 		}
 	}
-	if container, _, err := compress.BlockCompress("xm", nil, compress.BlockOptions{BlockSize: 64}); err == nil {
+	if container, _, err := compress.BlockCompressObserved(nil, "xm", nil, compress.BlockOptions{BlockSize: 64}); err == nil {
 		f.Add(container)
 	}
 	// Checksum-valid containers whose two 1-byte frames claim 2^30 bases,
@@ -593,7 +593,7 @@ func declare(data []byte, claim uint64) []byte {
 func FuzzBlockIndexOpen(f *testing.F) {
 	src := hostileBases(3000)
 	for _, opts := range []compress.BlockOptions{{BlockSize: 100}, {BlockSize: 700}, {BlockSize: 1}} {
-		if container, _, err := compress.BlockCompress("dnapack", src, opts); err == nil {
+		if container, _, err := compress.BlockCompressObserved(nil, "dnapack", src, opts); err == nil {
 			for _, cut := range []uint16{0, 5, 45, 300, 512, uint16(min(len(container), 65535))} {
 				f.Add(container, cut, uint64(0))
 			}

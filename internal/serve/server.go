@@ -782,30 +782,11 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 // request it wraps the codec work in a "codec.<name>" span and the store
 // write (and its fleet replica fan-out) in a "serve.store" span.
 func (s *Server) doCompress(ctx context.Context, rx *reqObs, codec, source string, p compressParams, symbols []byte) *response {
-	var (
-		container []byte
-		st        compress.Stats
-		err       error
-		blocks    int
-	)
 	_, cspan := obs.Start(ctx, "codec."+codec)
 	cspan.SetAttr("codec", codec)
 	cspan.SetAttr("source", source)
 	cspan.SetAttr("bases", len(symbols))
-	if p.blockSize > 0 {
-		container, st, err = compress.BlockCompressObserved(s.reg, codec, symbols, compress.BlockOptions{BlockSize: p.blockSize})
-		blocks = (len(symbols) + p.blockSize - 1) / p.blockSize
-	} else {
-		var c compress.Codec
-		if c, err = compress.New(codec); err == nil {
-			var payload []byte
-			payload, st, err = c.Compress(symbols)
-			compress.ObserveCompress(s.reg, codec, len(symbols), len(payload), st, err)
-			if err == nil {
-				container = compress.Seal(codec, symbols, payload)
-			}
-		}
-	}
+	container, st, err := compress.Pack(s.reg, codec, symbols, p.blockSize)
 	cspan.SetAttr("modeled_ms", float64(st.WorkNS)/1e6)
 	cspan.End()
 	rx.rec.ModeledMS = float64(st.WorkNS) / 1e6
@@ -829,7 +810,8 @@ func (s *Server) doCompress(ctx context.Context, rx *reqObs, codec, source strin
 		},
 	}
 	if p.blockSize > 0 {
-		resp.header["X-Dnacomp-Blocks"] = strconv.Itoa(blocks)
+		// Rounded up as the writer rounds, without overflow.
+		resp.header["X-Dnacomp-Blocks"] = strconv.Itoa(len(symbols)/p.blockSize + min(len(symbols)%p.blockSize, 1))
 	}
 	return resp
 }

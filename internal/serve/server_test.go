@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -198,10 +199,11 @@ func TestRangeGetEqualsFullDecodeSlice(t *testing.T) {
 	}
 }
 
-// TestDecodesCountInServerRegistry: with Config.Registry set, a whole
-// restore of a 4-block CXB1 books its four block decodes there, and every
-// request that reaches a decode — whole or range — books one codec
-// decompress call.
+// TestDecodesCountInServerRegistry: with Config.Registry set, every
+// upload, block_size or one frame, books one codec compress call there,
+// with its bases in and its codec payload bytes out; a whole restore of a
+// 4-block CXB1 books its four block decodes there, and every request that
+// reaches a decode — whole or range — books one codec decompress call.
 func TestDecodesCountInServerRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := newTestServer(t, Config{Registry: reg})
@@ -209,6 +211,13 @@ func TestDecodesCountInServerRegistry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Dnacomp-Blocks") != "4" {
 		t.Fatalf("compress: HTTP %d, %s blocks, want 4", resp.StatusCode, resp.Header.Get("X-Dnacomp-Blocks"))
 	}
+	booked := [3]int{1, 2000, payloadBytes(t, container)}
+	checkCompressBooked(t, reg, "twobit", booked)
+	resp, frame := post(t, ts.URL+"/compress?codec=twobit", synthASCII(1000, 18))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-frame compress: HTTP %d: %s", resp.StatusCode, frame)
+	}
+	checkCompressBooked(t, reg, "twobit", [3]int{2, 3000, booked[2] + payloadBytes(t, frame)})
 	if resp, body := post(t, ts.URL+"/decompress", container); resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress: HTTP %d: %s", resp.StatusCode, body)
 	}
@@ -225,6 +234,52 @@ func TestDecodesCountInServerRegistry(t *testing.T) {
 	}
 	if got := calls.Value(); got != 2 {
 		t.Errorf("dna_codec_calls_total{op=decompress} = %d after a whole restore and a range, want 2", got)
+	}
+}
+
+// payloadBytes sums the codec payload bytes of a sealed frame or
+// container's blocks: what its compress books as out bytes.
+func payloadBytes(t *testing.T, sealed []byte) int {
+	t.Helper()
+	r, err := compress.OpenBlocks(sealed, compress.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for k := range r.Blocks() {
+		n += len(r.Frame(k)) - compress.Overhead(r.Codec())
+	}
+	return n
+}
+
+// checkCompressBooked checks reg's codec compress calls, bases in and
+// payload bytes out, in that order.
+func checkCompressBooked(t *testing.T, reg *obs.Registry, codec string, want [3]int) {
+	t.Helper()
+	for i, series := range []string{"dna_codec_calls_total", "dna_codec_in_bytes_total", "dna_codec_out_bytes_total"} {
+		if got := reg.Counter(series, "", "codec", codec, "op", "compress").Value(); got != uint64(want[i]) {
+			t.Errorf("%s{op=compress} = %d, want %d", series, got, want[i])
+		}
+	}
+}
+
+// TestCompressHugeBlockSize: a block_size past the body, up to MaxInt,
+// answers one block that restores. Counting blocks as (n+bs-1)/bs
+// overflows there: at MaxInt the daemon answered a container of no blocks,
+// which /decompress refused, and at MaxInt-50 a worker panicked, which
+// ended the process.
+func TestCompressHugeBlockSize(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	input := synthASCII(100, 5)
+	for _, bs := range []int{math.MaxInt, math.MaxInt - 50} {
+		resp, container := post(t, fmt.Sprintf("%s/compress?codec=twobit&block_size=%d", ts.URL, bs), input)
+		if blocks := resp.Header.Get("X-Dnacomp-Blocks"); resp.StatusCode != http.StatusOK || blocks != "1" {
+			t.Fatalf("block_size=%d: HTTP %d with X-Dnacomp-Blocks %q, want 200 with 1: %s", bs, resp.StatusCode, blocks, container)
+		}
+		resp, restored := post(t, ts.URL+"/decompress", container)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(restored, input) {
+			t.Fatalf("block_size=%d: decompress: HTTP %d, %d bytes, want the %d posted", bs, resp.StatusCode, len(restored), len(input))
+		}
 	}
 }
 
