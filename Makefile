@@ -11,19 +11,12 @@ build:
 	$(GO) build ./...
 
 # Static analysis: gofmt over the whole tree (examples/ included), the
-# toolchain's vet suite, and dnalint — all eleven repo-invariant analyzers
-# (allocguard, clockinject, copydiscipline, ctxprop, determinism,
-# errtaxonomy, goroutinebound, registerinit, spanend, statsadd,
-# untrustedflow) —
-# driven through `go vet -vettool` so it sees the same build graph vet
-# does, then the //lint:ignore audit: every suppression must still be
-# covering a live finding. Last, fma-check.
+# toolchain's vet suite, then lint-fix-check (dnalint and its
+# //lint:ignore audit) and fma-check.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) build -o bin/dnalint ./cmd/dnalint
-	$(GO) vet -vettool=$(CURDIR)/bin/dnalint ./...
-	./bin/dnalint -ignores ./...
+	$(MAKE) lint-fix-check
 	$(MAKE) fma-check
 
 # Arithmetic must round identically on every architecture: Go fuses
@@ -42,8 +35,13 @@ fma-check:
 	if [ -n "$$fused" ]; then echo "fused multiply-add in repo code; wrap the product in float64(...):"; echo "$$fused"; exit 1; fi; \
 	echo "fma-check: ok"
 
-# Quick pre-commit pass: just the dnalint suite (standalone driver, no
-# toolchain vet) plus the suppression audit — seconds, not minutes.
+# dnalint: all eleven repo-invariant analyzers (allocguard, clockinject,
+# copydiscipline, ctxprop, determinism, errtaxonomy, goroutinebound,
+# registerinit, spanend, statsadd, untrustedflow) over every package
+# under the root, the nested perfbench module included, which `go vet
+# ./...` never reaches; then the //lint:ignore audit: every suppression
+# must still be covering a live finding. Seconds, not minutes, so it is
+# also the quick pre-commit pass.
 lint-fix-check:
 	$(GO) build -o bin/dnalint ./cmd/dnalint
 	./bin/dnalint ./...

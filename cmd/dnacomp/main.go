@@ -64,11 +64,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 	"github.com/srl-nuces/ctxdna/internal/seq"
 	"github.com/srl-nuces/ctxdna/internal/serve"
 
@@ -436,9 +436,9 @@ func doCompress(codecName string, blockSize int, raw []byte, quiet bool) ([]byte
 	return container, nil
 }
 
-// runBatch compresses every input file with the chosen codec through a
-// bounded worker pool sharing one content-hash result cache, so duplicate
-// inputs are compressed once. Failures are aggregated per file; successful
+// runBatch compresses every input file with the chosen codec on at most
+// jobs workers (par.For) sharing one content-hash result cache, so
+// duplicate inputs are compressed once. Failures are aggregated per file; successful
 // outputs are still written.
 func runBatch(codecName string, decompress bool, outDir string, quiet bool, jobs int, args []string) error {
 	if decompress {
@@ -458,29 +458,14 @@ func runBatch(codecName string, decompress bool, outDir string, quiet bool, jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(args) {
-		jobs = len(args)
-	}
+	jobs = min(jobs, len(args))
 
 	cache := compress.NewCache()
 	errs := make([]error, len(args))
 	lines := make([]string, len(args))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				lines[i], errs[i] = batchOne(cache, codecName, outDir, args[i])
-			}
-		}()
-	}
-	for i := range args {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.For(len(args), jobs, func(i int) {
+		lines[i], errs[i] = batchOne(cache, codecName, outDir, args[i])
+	})
 
 	var failed []string
 	for i, err := range errs {

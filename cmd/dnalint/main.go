@@ -1,9 +1,9 @@
 // Command dnalint runs the repository's invariant analyzers (package
 // internal/lint): the per-statement checks (determinism, errtaxonomy,
-// registerinit, ctxprop, statsadd, clockinject) and the dataflow suite
-// (untrustedflow, allocguard, goroutinebound, copydiscipline).
+// registerinit, ctxprop, statsadd, clockinject, spanend) and the dataflow
+// suite (untrustedflow, allocguard, goroutinebound, copydiscipline).
 //
-// Standalone, from anywhere inside the module:
+// From anywhere inside the module:
 //
 //	dnalint ./...              # whole module
 //	dnalint ./internal/...     # one subtree
@@ -11,9 +11,9 @@
 //	dnalint -json ./...        # findings as a JSON array on stdout
 //	dnalint -ignores ./...     # audit //lint:ignore directives; stale ones fail
 //
-// As a vet tool, using the toolchain's build graph and export data:
-//
-//	go vet -vettool=$(pwd)/bin/dnalint ./...
+// It type-checks from source every package under the module root, the
+// nested perfbench module included, so `dnalint ./...` covers what `go
+// vet ./...` at the root does not reach. `make lint` runs it that way.
 //
 // Exit status: 0 clean, 1 operational error, 2 findings (matching go vet's
 // convention for analysis tools). -ignores exits 2 when any directive is
@@ -21,39 +21,18 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/srl-nuces/ctxdna/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	// The go command probes vet tools before handing them work units:
-	// -V=full asks for a version line to mix into the build cache key and
-	// -flags for the JSON list of accepted flags.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-
 	var jsonOut, auditIgnores bool
 	var patterns []string
-	for _, a := range args {
+	for _, a := range os.Args[1:] {
 		switch a {
 		case "-help", "--help", "-h":
 			usage()
@@ -97,20 +76,6 @@ func usage() {
 	}
 	fmt.Println("suppress one finding with: //lint:ignore <analyzer>[,<analyzer>...] reason")
 	fmt.Println("the reason is mandatory; a reasonless directive is inert and fails -ignores")
-}
-
-// printVersion answers `dnalint -V=full` in the shape the go command's
-// tool-ID parser expects from an external vet tool.
-func printVersion() {
-	progname := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", progname, h.Sum(nil))
 }
 
 // standalone lints module packages matched by the patterns using the

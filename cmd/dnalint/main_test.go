@@ -56,40 +56,6 @@ func TestStandaloneRepoClean(t *testing.T) {
 	}
 }
 
-// TestVetToolProtocol exercises the go vet handshake (-V=full, -flags) and
-// a real `go vet -vettool` run over a codec package, proving the tool
-// speaks the unit-checking protocol end to end.
-func TestVetToolProtocol(t *testing.T) {
-	bin := buildTool(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	fields := strings.Fields(string(out))
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("-V=full output %q does not match the tool-ID shape", out)
-	}
-
-	out, err = exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	if strings.TrimSpace(string(out)) != "[]" {
-		t.Fatalf("-flags = %q, want []", out)
-	}
-
-	root, err := lint.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/compress/...")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over a clean tree failed: %v\n%s", err, out)
-	}
-}
-
 // scratchModule lays out a throwaway module mirroring this repository's
 // module path (so analyzer scopes apply) and returns its root plus a
 // writer for adding files.
@@ -108,6 +74,21 @@ func scratchModule(t *testing.T) (string, func(rel, content string)) {
 	}
 	write("go.mod", "module "+lint.ModulePath+"\n\ngo 1.22\n")
 	return dir, write
+}
+
+// findsIn runs dnalint over the scratch module at dir, as `make lint`
+// does, and requires it to exit 2 naming analyzer.
+func findsIn(t *testing.T, bin, dir, analyzer string) {
+	t.Helper()
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("dnalint ./... over a planted violation: err=%v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), analyzer) {
+		t.Fatalf("dnalint output missing a %s finding:\n%s", analyzer, out)
+	}
 }
 
 // TestJSONCleanGolden pins the machine-readable contract for a clean run:
@@ -232,7 +213,7 @@ func Decompress(data []byte) ([]byte, error) {
 
 // TestVetToolFindsAliasingBug reintroduces the PR 6 Cache.Get bug shape —
 // an exported method returning a map entry whose slice still aliases
-// receiver state — and asserts the vet run fails on copydiscipline.
+// receiver state — and asserts the run fails on copydiscipline.
 func TestVetToolFindsAliasingBug(t *testing.T) {
 	bin := buildTool(t)
 	dir, write := scratchModule(t)
@@ -251,20 +232,12 @@ func (c *Cache) Get(key string) (Result, bool) {
 	return r, ok
 }
 `)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed over an aliasing Get:\n%s", out)
-	}
-	if !strings.Contains(string(out), "copydiscipline") {
-		t.Fatalf("vet output missing copydiscipline diagnostic:\n%s", out)
-	}
+	findsIn(t, bin, dir, "copydiscipline")
 }
 
 // TestVetToolFindsUnguardedHeaderMake reintroduces the hostile-allocation
 // bug shape — make() sized directly by a decoded header count, the CXB1
-// block-count class — and asserts the vet run fails on allocguard.
+// block-count class — and asserts the run fails on allocguard.
 func TestVetToolFindsUnguardedHeaderMake(t *testing.T) {
 	bin := buildTool(t)
 	dir, write := scratchModule(t)
@@ -284,36 +257,16 @@ func decodeOffsets(data []byte) []uint64 {
 	return out
 }
 `)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed over an unguarded header-sized make:\n%s", out)
-	}
-	if !strings.Contains(string(out), "allocguard") {
-		t.Fatalf("vet output missing allocguard diagnostic:\n%s", out)
-	}
+	findsIn(t, bin, dir, "allocguard")
 }
 
 // TestVetToolFindsViolation plants an errtaxonomy violation in a scratch
-// module that mirrors this repository's module path and asserts the vet
-// run fails with the expected diagnostic — the same failure CI would show
-// if a satellite fix were reverted.
+// module that mirrors this repository's module path and asserts the run
+// fails with the expected diagnostic — the same failure CI would show if
+// a satellite fix were reverted.
 func TestVetToolFindsViolation(t *testing.T) {
 	bin := buildTool(t)
-	dir := t.TempDir()
-
-	write := func(rel, content string) {
-		t.Helper()
-		p := filepath.Join(dir, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module "+lint.ModulePath+"\n\ngo 1.22\n")
+	dir, write := scratchModule(t)
 	write("internal/compress/compress.go", `package compress
 
 import (
@@ -338,14 +291,5 @@ func Decompress(data []byte) ([]byte, error) {
 	return data, nil
 }
 `)
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed over a planted violation:\n%s", out)
-	}
-	if !strings.Contains(string(out), "errtaxonomy") {
-		t.Fatalf("vet output missing errtaxonomy diagnostic:\n%s", out)
-	}
+	findsIn(t, bin, dir, "errtaxonomy")
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 )
 
 // RetryPolicy is the exchange client's capped-exponential-backoff schedule.
@@ -186,12 +186,11 @@ func pack(reg *obs.Registry, codecName string, src []byte, blob string, blockSiz
 }
 
 // exchange is the one pipeline behind Exchange and ExchangeBlocks. After
-// pack, at blockSize, it moves every piece through a transfer pool of at
-// most jobs workers, each piece under its own retry schedule, charges
-// each piece's modeled transfer once per attempt, and restores the pieces
-// in order through the one container reader (openPieces), which opens a
-// CXA1 frame as its one-block case and verifies either format from its
-// own checksums.
+// pack, at blockSize, it moves every piece on at most jobs workers (move),
+// each piece under its own retry schedule, charges each piece's modeled
+// transfer once per attempt, and restores the pieces in order through
+// the one container reader (openPieces), which opens a CXA1 frame as its
+// one-block case and verifies either format from its own checksums.
 func exchange(ctx context.Context, client VM, store Store, codecName string, src []byte, opts ExchangeOptions, blockSize, jobs int) (rep BlockExchangeReport, err error) {
 	rep.Codec, rep.OriginalBases = codecName, len(src)
 	if store == nil {
@@ -246,13 +245,24 @@ func exchange(ctx context.Context, client VM, store Store, codecName string, src
 		return rep, fmt.Errorf("cloud: create container: %w", err)
 	}
 
-	// move runs one store op over every piece and books its traces. Traces
-	// land in piece order no matter how the pool interleaved.
+	// move runs one store op per piece on at most jobs workers, each piece
+	// under its own retryOp schedule, and books its traces. Traces land in
+	// piece order and the error is the first failure by piece index, both
+	// independent of scheduling.
 	move := func(op string, f func(i int) error) ([]OpTrace, error) {
-		traces, err := transferPool(ctx, opts, jobs, op, pieces, f)
+		traces := make([]OpTrace, len(pieces))
+		errs := make([]error, len(pieces))
+		par.For(len(pieces), jobs, func(i int) {
+			traces[i], errs[i] = retryOp(ctx, opts, op, pieces[i], func() error { return f(i) })
+		})
 		rep.Traces = append(rep.Traces, traces...)
 		rep.RetryWaitMS = sumBackoff(rep.Traces)
-		return traces, err
+		for _, err := range errs {
+			if err != nil {
+				return traces, err
+			}
+		}
+		return traces, nil
 	}
 
 	up, err := move("put", func(i int) error {
@@ -353,42 +363,6 @@ func sumBackoff(traces []OpTrace) float64 {
 		}
 	}
 	return total
-}
-
-// transferPool drives one store op per piece through a bounded worker
-// pool, each piece under its own retryOp schedule. Results land in indexed
-// slots; the returned traces are in piece order and the returned error is
-// the first failure by index — both independent of scheduling.
-func transferPool(ctx context.Context, opts ExchangeOptions, jobs int, op string, pieces []piece, f func(i int) error) ([]OpTrace, error) {
-	traces := make([]OpTrace, len(pieces))
-	errs := make([]error, len(pieces))
-	if jobs > len(pieces) {
-		jobs = len(pieces)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				traces[i], errs[i] = retryOp(ctx, opts, op, pieces[i], func() error {
-					return f(i)
-				})
-			}
-		}()
-	}
-	for i := range pieces {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return traces, err
-		}
-	}
-	return traces, nil
 }
 
 // retryOp drives one store op on one piece through the retry schedule:

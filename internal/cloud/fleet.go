@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 )
 
 // This file implements cloud.Fleet: a consistent-hash-sharded set of
@@ -944,25 +945,20 @@ func (f *Fleet) Delete(container, blob string) error {
 }
 
 // fanOut runs one write op on every shard in shards at once, one
-// goroutine each, through shardOp under a "fleet.replica.<op>" span
-// tagged with the shard and the outcome. It returns each shard's error in
-// shards' order.
+// goroutine each (par.For), through shardOp under a "fleet.replica.<op>"
+// span tagged with the shard and the outcome. Every shard runs, even on a
+// done ctx: writeQuorum counts a nil result as an ack. It returns each
+// shard's error in shards' order.
 func (f *Fleet) fanOut(ctx context.Context, shards []*fleetShard, op string, nbytes int, fn func(Store) error) []error {
 	name := "fleet.replica." + op
 	results := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, span := obs.Start(ctx, name)
-			defer span.End()
-			span.SetAttr("shard", sh.spec.Name)
-			results[i] = f.shardOp(sh, op, nbytes, fn)
-			span.SetAttr("outcome", replicaOutcome(results[i]))
-		}()
-	}
-	wg.Wait()
+	par.For(len(shards), len(shards), func(i int) {
+		_, span := obs.Start(ctx, name)
+		defer span.End()
+		span.SetAttr("shard", shards[i].spec.Name)
+		results[i] = f.shardOp(shards[i], op, nbytes, fn)
+		span.SetAttr("outcome", replicaOutcome(results[i]))
+	})
 	return results
 }
 

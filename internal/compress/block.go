@@ -6,9 +6,9 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
-	"sync"
 
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 )
 
 // The multi-block container lifts the codec layer past its whole-slice
@@ -154,8 +154,8 @@ func Pack(reg *obs.Registry, codecName string, symbols []byte, blockSize int) ([
 }
 
 // BlockCompressObserved splits src into fixed-size blocks, compresses them
-// through a bounded worker pool with the named codec (a fresh instance per
-// block, so adaptive codec state never crosses a block boundary), and
+// on at most Jobs workers (par.For) with the named codec (a fresh instance
+// per block, so adaptive codec state never crosses a block boundary), and
 // assembles the multi-block container. The container bytes are identical
 // for any Jobs value: workers fill index-ordered slots and assembly walks
 // them in order. It records block counters and the per-block modeled
@@ -172,48 +172,32 @@ func BlockCompressObserved(reg *obs.Registry, codecName string, src []byte, opts
 	// Rounded up without adding blockSize to the length, which overflows
 	// for block sizes near MaxInt.
 	count := len(src)/blockSize + min(len(src)%blockSize, 1)
-	if jobs > count {
-		jobs = count
-	}
 	met := newBlockMetrics(reg, codecName)
 
-	// Compress blocks into index-ordered slots. Workers pull block indices
-	// from a channel; a slot only ever has one writer, so no lock guards
-	// the result slices and the assembly below is deterministic.
+	// Compress blocks into index-ordered slots. A slot only ever has one
+	// writer, so no lock guards the result slices and the assembly below
+	// is deterministic.
 	payloads := make([][]byte, count)
 	sums := make([]uint32, count) // CRC32-C of each block's symbols
 	stats := make([]Stats, count)
 	errs := make([]error, count)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range idx {
-				lo := k * blockSize
-				block := src[lo : lo+min(blockSize, len(src)-lo)]
-				c, err := New(codecName)
-				if err != nil {
-					errs[k] = err
-					continue
-				}
-				payload, st, err := c.Compress(block)
-				if err != nil {
-					errs[k] = fmt.Errorf("block %d (%d bases at offset %d): %w", k, len(block), lo, err)
-					continue
-				}
-				payloads[k], sums[k], stats[k] = payload, Checksum(block), st
-				met.sealed.Inc()
-				met.sealMS.Observe(float64(st.WorkNS) / 1e6)
-			}
-		}()
-	}
-	for k := 0; k < count; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
+	par.For(count, jobs, func(k int) {
+		lo := k * blockSize
+		block := src[lo : lo+min(blockSize, len(src)-lo)]
+		c, err := New(codecName)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		payload, st, err := c.Compress(block)
+		if err != nil {
+			errs[k] = fmt.Errorf("block %d (%d bases at offset %d): %w", k, len(block), lo, err)
+			return
+		}
+		payloads[k], sums[k], stats[k] = payload, Checksum(block), st
+		met.sealed.Inc()
+		met.sealMS.Observe(float64(st.WorkNS) / 1e6)
+	})
 	var total Stats
 	payloadBytes := 0
 	for k, payload := range payloads {

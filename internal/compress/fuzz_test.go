@@ -457,12 +457,15 @@ func FuzzFrameOpen(f *testing.F) {
 
 // FuzzBlockContainerOpen hammers the container reader — the CXB1 parser,
 // the CXA1 frame as its one-block case, and the per-block decode path —
-// with arbitrary bytes: OpenBlocks must never panic and must reject with
-// ErrCorrupt only; anything it accepts must survive a full Decompress and
-// random Slice probes without panicking, failing only with ErrCorrupt.
-// Seeds are valid containers and frames plus the mutant classes the
-// corruption suites promoted: flipped frames, tampered indexes, reordered
-// blocks and truncations.
+// with arbitrary bytes, under the zero Limits a daemon and dnacomp -d
+// open with: OpenBlocks must never panic and must reject with ErrCorrupt
+// only. On anything it accepts, Decompress, Verify and a Slice must not
+// panic, must fail only with ErrCorrupt, Verify with Decompress's
+// verdict, and each must allocate in proportion to the input and the
+// bases it decoded, never to what the header claims. Seeds are valid
+// containers and frames plus the mutant classes the corruption suites
+// promoted: flipped frames, tampered indexes, reordered blocks and
+// truncations, and checksum-valid containers claiming 2^20 and 2^30 bases.
 func FuzzBlockContainerOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(compress.BlockMagic))
@@ -489,8 +492,8 @@ func FuzzBlockContainerOpen(f *testing.F) {
 	if container, _, err := compress.BlockCompressObserved(nil, "xm", nil, compress.BlockOptions{BlockSize: 64}); err == nil {
 		f.Add(container)
 	}
-	// Checksum-valid containers whose two 1-byte frames claim 2^30 bases,
-	// and 2^20 to open within this target's limits.
+	// Checksum-valid containers whose two 1-byte frames claim 2^30 and
+	// 2^20 bases.
 	f.Add(claimingContainer(1 << 30))
 	f.Add(claimingContainer(1 << 20))
 	if c, err := compress.New("dnapack"); err == nil {
@@ -507,10 +510,9 @@ func FuzzBlockContainerOpen(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		lim := compress.Limits{MaxCompressed: 1 << 20, MaxOutput: 1 << 20}
-		r, err := compress.OpenBlocks(data, lim)
+		r, err := compress.OpenBlocks(data, compress.Limits{})
 		// A frame Open accepts within the limits is the one-block container.
-		if fr, ferr := compress.Open(data); ferr == nil && fr.Bases <= lim.MaxOutput {
+		if fr, ferr := compress.Open(data); ferr == nil && fr.Bases <= compress.DefaultMaxOutput {
 			if err != nil {
 				t.Fatalf("OpenBlocks refused a frame Open accepts: %v", err)
 			}
@@ -525,7 +527,35 @@ func FuzzBlockContainerOpen(f *testing.F) {
 			}
 			return
 		}
-		out, _, err := r.Decompress()
+		// Each call's heap growth, the smaller of two runs (other goroutines
+		// of the process allocate too), is bounded as FuzzRepeatTokens
+		// bounds a decode's: a constant plus a multiple of the input bytes
+		// and of the bases in blocks that decode, which no call decodes
+		// more of before its verdict.
+		limit := uint64(4*compress.MaxHeaderPrealloc + 64*(len(data)+decodable(r)))
+		bounded := func(call string, fn func()) {
+			grew := uint64(math.MaxUint64)
+			for range 2 {
+				before := heapAllocs()
+				fn()
+				grew = min(grew, heapAllocs()-before)
+			}
+			if grew > limit {
+				t.Fatalf("%s of a %d-byte container claiming %d bases allocated %d bytes, bound %d", call, len(data), r.Bases(), grew, limit)
+			}
+		}
+		var out, window []byte
+		var verifyErr, sliceErr error
+		off := r.Bases() / 2
+		bounded("Decompress", func() { out, _, err = r.Decompress() })
+		bounded("Verify", func() { _, verifyErr = r.Verify() })
+		bounded("Slice", func() { window, _, sliceErr = r.Slice(off, r.Bases()-off) })
+		if (verifyErr == nil) != (err == nil) {
+			t.Fatalf("Verify gave %v, Decompress %v", verifyErr, err)
+		}
+		if sliceErr != nil && !errors.Is(sliceErr, compress.ErrCorrupt) {
+			t.Fatalf("Slice rejection %v is not ErrCorrupt", sliceErr)
+		}
 		if err != nil {
 			if !errors.Is(err, compress.ErrCorrupt) {
 				t.Fatalf("Decompress rejection %v is not ErrCorrupt", err)
@@ -536,16 +566,26 @@ func FuzzBlockContainerOpen(f *testing.F) {
 			t.Fatalf("Decompress returned %d symbols, header says %d", len(out), r.Bases())
 		}
 		// A container that decodes clean must serve seeks consistently.
-		for _, probe := range [][2]int{{0, r.Bases()}, {r.Bases() / 2, r.Bases() - r.Bases()/2}} {
-			got, _, err := r.Slice(probe[0], probe[1])
-			if err != nil {
-				t.Fatalf("Slice(%d, %d) failed after clean Decompress: %v", probe[0], probe[1], err)
-			}
-			if !bytes.Equal(got, out[probe[0]:probe[0]+probe[1]]) {
-				t.Fatalf("Slice(%d, %d) differs from Decompress output", probe[0], probe[1])
-			}
+		if sliceErr != nil || !bytes.Equal(window, out[off:]) {
+			t.Fatalf("Slice(%d, %d) differs from Decompress output (%v)", off, r.Bases()-off, sliceErr)
+		}
+		if got, _, err := r.Slice(0, r.Bases()); err != nil || !bytes.Equal(got, out) {
+			t.Fatalf("Slice(0, %d) differs from Decompress output (%v)", r.Bases(), err)
 		}
 	})
+}
+
+// decodable returns the bases in r's blocks that decode on their own.
+func decodable(r *compress.BlockReader) int {
+	n := 0
+	for k := range r.Blocks() {
+		lo := k * r.BlockSize()
+		m := min(r.BlockSize(), r.Bases()-lo)
+		if _, _, err := r.Slice(lo, m); err == nil {
+			n += m
+		}
+	}
+	return n
 }
 
 // declare rewrites the size a container's header declares to claim: a

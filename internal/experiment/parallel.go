@@ -10,6 +10,7 @@ import (
 	"github.com/srl-nuces/ctxdna/internal/cloud"
 	"github.com/srl-nuces/ctxdna/internal/compress"
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
 
@@ -104,23 +105,24 @@ func newGridMetrics(reg *obs.Registry) gridMetrics {
 	}
 }
 
-// RunGrid builds the experiment grid with a bounded worker pool fanning
-// out the (file × codec) compression/decompression runs. It returns the
-// grid, the failed (file, codec) slots, and a fatal error. In the default
-// (strict) mode any failure aborts the build and comes back as both
-// RunErrors and the error; with cfg.Partial the failures are surfaced
-// alongside a usable partial grid.
+// RunGrid builds the experiment grid, fanning the (file × codec)
+// compression/decompression runs out on cfg.Jobs workers (par.For). It
+// returns the grid, the failed (file, codec) slots, and a fatal error. In
+// the default (strict) mode any failure aborts the build and comes back
+// as both RunErrors and the error; with cfg.Partial the failures are
+// surfaced alongside a usable partial grid.
 //
 // Determinism: results land in slots indexed by (file, codec) position, not
 // appended on completion, so the returned Grid — rows, measurements, labels,
 // CSV export — is byte-identical regardless of cfg.Jobs or scheduling.
 //
-// Cancellation: in strict mode the first failing run cancels the whole
-// pool; the aggregated RunErrors names each failed (file, codec) pair.
-// External cancellation always wins: if the caller's ctx is done, RunGrid
-// returns ctx.Err() promptly, even when failed runs were recorded in the
-// same race, so callers can tell cancellation from run failure. All
-// workers have exited by the time RunGrid returns.
+// Cancellation: in strict mode the first failing run cancels the rest,
+// and runs not yet started are skipped; the aggregated RunErrors names
+// each failed (file, codec) pair. External cancellation always wins: if
+// the caller's ctx is done, RunGrid returns ctx.Err() promptly, even when
+// failed runs were recorded in the same race, so callers can tell
+// cancellation from run failure. All workers have exited by the time
+// RunGrid returns.
 func RunGrid(ctx context.Context, files []synth.File, contexts []cloud.VM, codecs []string, noise NoiseConfig, cfg RunConfig) (*Grid, RunErrors, error) {
 	if len(files) == 0 || len(contexts) == 0 || len(codecs) == 0 {
 		return nil, nil, fmt.Errorf("experiment: empty files, contexts or codecs")
@@ -136,9 +138,7 @@ func RunGrid(ctx context.Context, files []synth.File, contexts []cloud.VM, codec
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	nTasks := len(files) * len(codecs)
-	if jobs > nTasks {
-		jobs = nTasks
-	}
+	jobs = min(jobs, nTasks)
 
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -169,56 +169,36 @@ func RunGrid(ctx context.Context, files []synth.File, contexts []cloud.VM, codec
 
 	// One slot per (file, codec): workers write disjoint indices, so the
 	// assembly below needs no ordering information from the scheduler.
-	type task struct{ fi, ci int }
+	// Once ctx is done, a task not yet started is skipped.
 	runs := make([]CodecRun, nTasks)
 	errs := make([]*RunError, nTasks)
-	tasks := make(chan task)
-
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range tasks {
-				f := files[tk.fi]
-				name := codecs[tk.ci]
-				slot := tk.fi*len(codecs) + tk.ci
-				met.busy.Add(1)
-				r, err := compress.CompressObserved(cfg.Metrics, cfg.Cache, name, f.Data)
-				met.busy.Add(-1)
-				if err != nil {
-					errs[slot] = &RunError{File: f.Name, Codec: name, Err: err}
-					noteDone(true)
-					if !cfg.Partial {
-						cancel() // abort the rest of the grid promptly
-					}
-					continue
-				}
-				runs[slot] = CodecRun{
-					Codec: name,
-					// Payload bytes, not the armored frame: grid figures
-					// measure the codec, not the transport container.
-					CompressedSize: r.PayloadBytes,
-					CompressStats:  r.CompressStats,
-					DecompStats:    r.DecompStats,
-				}
-				noteDone(false)
-			}
-		}()
-	}
-
-feed:
-	for fi := range files {
-		for ci := range codecs {
-			select {
-			case tasks <- task{fi, ci}:
-			case <-ctx.Done():
-				break feed
-			}
+	par.For(nTasks, jobs, func(slot int) {
+		if ctx.Err() != nil {
+			return
 		}
-	}
-	close(tasks)
-	wg.Wait()
+		f := files[slot/len(codecs)]
+		name := codecs[slot%len(codecs)]
+		met.busy.Add(1)
+		r, err := compress.CompressObserved(cfg.Metrics, cfg.Cache, name, f.Data)
+		met.busy.Add(-1)
+		if err != nil {
+			errs[slot] = &RunError{File: f.Name, Codec: name, Err: err}
+			noteDone(true)
+			if !cfg.Partial {
+				cancel() // abort the rest of the grid promptly
+			}
+			return
+		}
+		runs[slot] = CodecRun{
+			Codec: name,
+			// Payload bytes, not the armored frame: grid figures
+			// measure the codec, not the transport container.
+			CompressedSize: r.PayloadBytes,
+			CompressStats:  r.CompressStats,
+			DecompStats:    r.DecompStats,
+		}
+		noteDone(false)
+	})
 
 	// External cancellation beats run failures: a caller that cancelled
 	// mid-run must see its own ctx.Err(), not whichever RunErrors the

@@ -7,12 +7,12 @@ import (
 )
 
 // GoroutineBound demands every `go` statement live inside a recognized
-// bounded-pool shape. The repository's concurrency idiom (RunGrid,
-// BlockCompressObserved, the exchange pipeline's transferPool, the fleet's replica
-// fan-outs) is a fixed worker count joined by a sync.WaitGroup; a stray
-// fire-and-forget goroutine is a leak under the service workloads the
-// ROADMAP is heading toward, and — worse — an unjoined writer racing the
-// function's return. The fleet's quorum writes make the stakes concrete:
+// bounded-pool shape. The repository's concurrency idiom is par.For, a
+// fixed worker count joined by a sync.WaitGroup, which the block seal, the
+// exchange's transfers, RunGrid, RunLoad, dnacomp's batch mode and the
+// fleet's replica fan-outs all call; a stray fire-and-forget goroutine is
+// a leak under the service workloads the ROADMAP is heading toward, and —
+// worse — an unjoined writer racing the function's return. The fleet's quorum writes make the stakes concrete:
 // an abandoned replica goroutine is a shard write racing the ack count.
 // Shapes accepted:
 //
@@ -45,8 +45,7 @@ func runGoroutineBound(pass *Pass) {
 			}
 			// Shape evidence (Add/Done/Wait, channel sends/receives) is
 			// searched in the whole declaration, so a goroutine inside a
-			// nested literal may be joined by its outer function — the
-			// transferPool worker/feeder split depends on that.
+			// nested literal may be joined by its outer function.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				g, ok := n.(*ast.GoStmt)
 				if !ok {

@@ -12,8 +12,8 @@
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Reportf) on the standard library alone, so the repository keeps its
-// zero-dependency property. cmd/dnalint drives the suite standalone and as
-// a `go vet -vettool`.
+// zero-dependency property. cmd/dnalint drives the suite over packages
+// type-checked from source (Loader).
 //
 // Suppressions: a comment of the form
 //

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -218,57 +216,4 @@ func hasNonTestGoFiles(dir string) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// LoadForVet type-checks a single package from an explicit file list using
-// a caller-supplied importer — the `go vet -vettool` unit-checking path,
-// where dependency types come from the compiler's export data rather than
-// from source.
-func LoadForVet(fset *token.FileSet, path string, goFiles []string, imp types.Importer) (*Package, error) {
-	files := make([]*ast.File, 0, len(goFiles))
-	for _, name := range goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// NewVetImporter builds the importer for LoadForVet from the vet config's
-// import map and export-data file table.
-func NewVetImporter(fset *token.FileSet, compiler string, importMap, packageFile map[string]string) types.Importer {
-	compImp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := packageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	return importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := importMap[importPath]
-		if !ok {
-			path = importPath
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		from, ok := compImp.(types.ImporterFrom)
-		if !ok {
-			return compImp.Import(path)
-		}
-		return from.ImportFrom(path, "", 0)
-	})
 }

@@ -17,11 +17,11 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/srl-nuces/ctxdna/internal/core"
 	"github.com/srl-nuces/ctxdna/internal/obs"
+	"github.com/srl-nuces/ctxdna/internal/par"
 	"github.com/srl-nuces/ctxdna/internal/seq"
 	"github.com/srl-nuces/ctxdna/internal/synth"
 )
@@ -143,31 +143,17 @@ func RunLoad(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	slo := obs.NewSLOEngine(clock, reg, obs.SLOConfig{}, loadgenObjectives(reg)...)
 	slo.Evaluate()
 
-	// Workers pull unit indices; per-unit outcomes land in indexed slots so
-	// the aggregation below is independent of scheduling order.
+	// Per-unit outcomes land in indexed slots so the aggregation below is
+	// independent of scheduling order. A unit not started before ctx is
+	// done books one failed call, so an interrupted run stays accounted.
 	results := make([]unitResult, len(units))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = runUnit(ctx, opts.Client, clock, reg, opts.BaseURL, units[i])
-			}
-		}()
-	}
-	for i := range units {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Mark unsent units as failed-by-cancel so accounting stays
-			// complete even on an interrupted run.
-			results[i] = unitResult{failed: 1, errs: []string{"canceled before issue"}}
+	par.For(len(units), opts.Concurrency, func(i int) {
+		if ctx.Err() != nil {
+			results[i] = unitResult{calls: 1, failed: 1, errs: []string{"canceled before issue"}}
+			return
 		}
-	}
-	close(idx)
-	wg.Wait()
+		results[i] = runUnit(ctx, opts.Client, clock, reg, opts.BaseURL, units[i])
+	})
 
 	rep := LoadReport{Units: len(units), ByEndpoint: map[string]int{}}
 	var lat []float64
@@ -239,9 +225,6 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	}
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 8
-	}
-	if opts.Concurrency > opts.Units {
-		opts.Concurrency = opts.Units
 	}
 	if opts.MinBases <= 0 {
 		opts.MinBases = 512

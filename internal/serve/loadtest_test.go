@@ -51,6 +51,34 @@ func TestRunLoadAccountsEveryRequest(t *testing.T) {
 	}
 }
 
+// TestRunLoadAccountsCanceledRun: a run whose ctx is done before any unit
+// starts still returns its report, each unit booked as one failed call,
+// and the accounting invariant holds.
+func TestRunLoadAccountsCanceledRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	rep, err := RunLoad(ctx, LoadOptions{
+		BaseURL:     ts.URL,
+		Units:       24,
+		Concurrency: 4,
+		Seed:        1,
+		MinBases:    256,
+		MaxBases:    2048,
+		Registry:    obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatalf("RunLoad with a canceled ctx: %v", err)
+	}
+	if rep.Completed+rep.Rejected+rep.Failed != rep.Calls {
+		t.Fatalf("accounting broken: %d+%d+%d != %d", rep.Completed, rep.Rejected, rep.Failed, rep.Calls)
+	}
+	if rep.Failed != rep.Units {
+		t.Errorf("failed = %d, want one per unit (%d)", rep.Failed, rep.Units)
+	}
+}
+
 // TestRunLoadReportsBackpressure: against a starved server (one worker, a
 // one-slot queue, heavy concurrency), rejections surface as Rejected in
 // the report — never as silent drops — and the invariant still holds.
